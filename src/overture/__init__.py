@@ -20,11 +20,10 @@ from .dist import (
     kernel,
 )
 from .verifier import (
-    MemSet, Verdict, Witness, adversarial_inputs, all_partitions,
+    Verdict, Witness, adversarial_inputs, all_partitions,
     check_and_gate_tactic, check_cheating_detection, check_gmw_invariant,
     check_gradual_release, check_integrity, check_nimo,
-    check_passive_correct, enumerate_adversaries, ot4_solve, projected_bd,
-    runs_tt, solve,
+    check_passive_correct, enumerate_adversaries, projected_bd,
 )
 
 __version__ = "0.1.0"

@@ -79,7 +79,9 @@ def _parse_vars(text: str) -> tuple:
 def cmd_expand(args) -> int:
     libs = [_read(f) for f in args.lib]
     protocol = expand(_read(args.file), libs)
-    violations = validate(protocol)
+    # every secret or message read but never assigned is dealt before the
+    # first command, so reading it is no read before a write
+    violations = validate(protocol, preprocessed=stdlib.free_uniform(protocol).domain)
     text = format_protocol(protocol)
     if args.output:
         with open(args.output, "w") as fh:
@@ -126,7 +128,7 @@ def cmd_pmf(args) -> int:
         raise UsageError("pmf requires the binary field")
     protocol, _, preproc = _load_protocol(args.file, args.lib, args.field)
     chosen = _preproc_for(args, protocol) or preproc
-    p = bd(protocol, chosen, workers=args.workers)
+    p = bd(protocol, chosen)
     if args.given:
         given = _parse_assignment_list(args.given)
         shown = _parse_vars(args.marginal) if args.marginal else \
@@ -177,7 +179,7 @@ def cmd_verify(args) -> int:
         verdicts.append(check_passive_correct(protocol, fn, preproc))
     elif args.property == "nimo":
         for part in _partitions_for(args, protocol):
-            verdicts.append(check_nimo(protocol, part, preproc, workers=args.workers))
+            verdicts.append(check_nimo(protocol, part, preproc))
     elif args.property == "gradual-release":
         for part in _partitions_for(args, protocol):
             verdicts.append(check_gradual_release(protocol, part, preproc))
@@ -274,7 +276,6 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--marginal", default="", help="comma-separated variables")
     p.add_argument("--given", default="", help="conditioning assignments")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_pmf)
 
     p = sub.add_parser("verify", help="check a hyperproperty")
@@ -292,7 +293,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="restrict tampering to these command indices")
     p.add_argument("--scope", default="secrets", choices=("secrets", "initial"),
                    help="agreement scope for detection and integrity")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("export-datalog", help="emit the clause form of a protocol")

@@ -74,9 +74,9 @@ class UniformPreprocessing(Preprocessing):
 
         if self.modulus != 2:
             return super().columns()
-        n = self.count()
-        idx = np.arange(n, dtype=np.uint64)
-        return {v: ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
+        idx = np.arange(self.count(), dtype=np.uint64)
+        last = len(self.domain) - 1
+        return {v: ((idx >> np.uint64(last - i)) & np.uint64(1)).astype(np.uint8)
                 for i, v in enumerate(self.domain)}
 
 
@@ -459,69 +459,36 @@ def _validate_for_bd(protocol: Protocol, preproc: Preprocessing):
 
 def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
        strategy: Optional[AdversaryStrategy] = None,
-       part: Optional[Partition] = None,
-       method: str = "auto", workers: int = 1) -> Pmf:
+       part: Optional[Partition] = None) -> Pmf:
     """Basic distribution of the protocol: uniform over all runs.
 
     With a strategy and partition, the distribution is over adversarial
-    runs, aborted runs BOT-padded.  method picks the enumeration route:
-    'interp' sweeps the reference interpreter over every initial memory,
-    'fold' uses the vectorized truth-table engine (F_2 only), 'auto'
-    selects by problem size.
+    runs, aborted runs BOT-padded.  Over F_2 the runs are enumerated by the
+    vectorized fold; over F_p, which the fold does not cover, by the
+    reference interpreter.
     """
     if preproc is None:
         preproc = default_preprocessing(protocol)
     _validate_for_bd(protocol, preproc)
-    total = preproc.count() * protocol.modulus ** len(protocol.flips())
-    if method == "auto":
-        method = "fold" if (protocol.modulus == 2 and total > 4096) else "interp"
-    if method == "fold":
+    if protocol.modulus == 2:
         from . import engine
 
-        table = engine.fold(protocol, preproc, strategy, part)
-        return engine.to_pmf(table)
-    if method != "interp":
-        raise UsageError(f"unknown bd method {method!r}")
+        return engine.to_pmf(engine.fold(protocol, preproc, strategy, part))
     domain = bd_domain(protocol, preproc)
     counts: dict = {}
-    if workers > 1:
-        finals = _parallel_runs(protocol, preproc, strategy, part, workers)
-    else:
-        finals = (_one_run(m0, protocol, strategy, part)
-                  for m0 in _initial_memories(protocol, preproc))
-    for final in finals:
+    for m0 in _initial_memories(protocol, preproc):
+        final = run(m0, protocol) if strategy is None \
+            else run_adv(m0, protocol, strategy, part)
         key = _key_of(final, domain)
         counts[key] = counts.get(key, 0) + 1
+    total = preproc.count() * protocol.modulus ** len(protocol.flips())
     return Pmf.from_counts(domain, counts, total, protocol.modulus)
 
 
-def _one_run(m0, protocol, strategy, part):
-    if strategy is None:
-        return run(m0, protocol)
-    return run_adv(m0, protocol, strategy, part)
-
-
-def _parallel_runs(protocol, preproc, strategy, part, workers):
-    import multiprocessing as mp
-
-    memories = list(_initial_memories(protocol, preproc))
-    chunks = [memories[i::workers] for i in range(workers)]
-    args = [(chunk, protocol, strategy, part) for chunk in chunks]
-    with mp.get_context("fork").Pool(workers) as pool:
-        for finals in pool.map(_run_chunk, args):
-            yield from finals
-
-
-def _run_chunk(arg):
-    chunk, protocol, strategy, part = arg
-    return [_one_run(m0, protocol, strategy, part) for m0 in chunk]
-
-
 def bd_adv(protocol: Protocol, strategy: AdversaryStrategy, part: Partition,
-           preproc: Optional[Preprocessing] = None, method: str = "auto",
-           workers: int = 1) -> Pmf:
+           preproc: Optional[Preprocessing] = None) -> Pmf:
     """Basic distribution under an active adversary (BOT-padded aborts)."""
-    return bd(protocol, preproc, strategy, part, method, workers)
+    return bd(protocol, preproc, strategy, part)
 
 
 def format_pmf(pmf: Pmf) -> str:

@@ -1,11 +1,14 @@
-"""Vectorized enumeration of all protocol runs (F_2 only).
+"""Vectorized enumeration of all protocol runs: the F_2 engine.
 
 Runs are rows, variables are uint8 columns.  The fold walks the command
 list once, evaluating each right-hand side over every run simultaneously;
 a failed honest assertion clears the alive flag of the affected rows and
-every later assignment is marked BOT there.  Row order follows the
-(preprocessing memory, tape) enumeration order, so results are
-deterministic and independent of any worker partitioning.
+every later assignment is marked BOT there.  Row i is the run of the i-th
+initial memory of the reference interpreter's sweep: preprocessing
+memories in their memories() order, then coin-flip tapes with the first
+flip as the most significant bit.  Projections list realizations in the
+order of their first run, so distributions built here iterate like those
+built by the interpreter.
 """
 
 from dataclasses import dataclass
@@ -138,37 +141,44 @@ def fold(protocol: Protocol, preproc, strategy: AdversaryStrategy = None,
     return RunTable(tuple(domain), cols, bots, alive, nrows)
 
 
-def project_counts(table: RunTable, vars_):
-    """Exact counts of (value, bot) realizations over the given variables."""
+BOT_CODE = 2  # BOT in a value matrix
+
+
+def value_matrix(table: RunTable, vars_) -> "np.ndarray":
+    """(rows, variables) uint8 matrix of the given variables, BOT as BOT_CODE."""
     vars_ = tuple(vars_)
     for v in vars_:
         if v not in table.cols:
             raise UsageError(f"{v} not in run table")
-    stack = []
-    for v in vars_:
-        col = table.cols[v]
+    out = np.empty((table.nrows, len(vars_)), dtype=np.uint8)
+    for j, v in enumerate(vars_):
+        out[:, j] = table.cols[v]
         bot = table.bots.get(v)
-        if bot is None:
-            stack.append(col)
-            stack.append(np.zeros(table.nrows, dtype=np.uint8))
-        else:
-            stack.append(np.where(bot, 0, col).astype(np.uint8))
-            stack.append(bot.astype(np.uint8))
-    if not stack:
-        return {(): table.nrows}
-    packed = np.stack(stack, axis=1)
-    rows = np.packbits(packed, axis=1)
-    void = rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
-    uniq, counts = np.unique(void, return_counts=True)
-    uniq = uniq.view(rows.dtype).reshape(len(uniq), rows.shape[1])
-    bits = np.unpackbits(uniq, axis=1)[:, : len(stack)]
+        if bot is not None:
+            out[bot, j] = BOT_CODE
+    return out
+
+
+def row_keys(values) -> "np.ndarray":
+    """One key per row of a value matrix, for any number of columns: keys
+    are equal exactly when rows are, and can be sorted and compared."""
+    if not values.shape[1]:
+        return np.zeros(len(values), dtype=np.uint8)
+    planes = (np.packbits(values & 1, axis=1), np.packbits(values >> 1, axis=1))
+    packed = np.ascontiguousarray(np.concatenate(planes, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def project_counts(table: RunTable, vars_):
+    """Exact counts of (value, bot) realizations over the given variables,
+    keyed in the order of each realization's first run."""
+    values = value_matrix(table, vars_)
+    _, first, counts = np.unique(row_keys(values), return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
     out = {}
-    for rowbits, c in zip(bits, counts):
-        key = []
-        for j in range(len(vars_)):
-            val, isbot = int(rowbits[2 * j]), int(rowbits[2 * j + 1])
-            key.append(BOT if isbot else val)
-        out[tuple(key)] = int(c)
+    for row, c in zip(first[order].tolist(), counts[order].tolist()):
+        out[tuple(BOT if x == BOT_CODE else x for x in values[row].tolist())] = c
     return out
 
 

@@ -1,228 +1,29 @@
 """Hyperproperty checks over exact run distributions.
 
-solve computes, by set algebra over a memory set, the satisfying set of an
-expression; folding it over the command list enumerates all runs without
-executing them one by one (runs_tt).  The check_* functions decide passive
-correctness, noninterference modulo output, gradual release, the AND gate
-conditioning conditions, the share-based circuit invariant, cheating
-detection, and integrity; every failing verdict carries a witness that can
-be recomputed from the distributions.
+The check_* functions decide passive correctness, noninterference modulo
+output, gradual release, the AND gate conditioning conditions, the
+share-based circuit invariant, cheating detection, and integrity.  Runs
+over F_2 are enumerated by the vectorized fold in engine.py, directly or
+through bd; every failing verdict carries a witness that can be
+recomputed from the distributions.
 """
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import dist as dist_mod
 from .dist import (
-    Functionality, Pmf, Preprocessing, UniformPreprocessing, bd, bd_adv,
-    bd_domain, default_preprocessing,
+    Functionality, Pmf, UniformPreprocessing, bd, default_preprocessing,
 )
-from .errors import BudgetError, EvalError, UsageError
-from .interp import IDENTITY, AdversaryStrategy, run, run_adv
+from .errors import BudgetError, UsageError
+from .interp import IDENTITY, AdversaryStrategy
 from .lang import (
-    BOT, AssertCmd, BinOp, Cmp, Const, FLIP, GLOBAL, MESG, MesgSend, Not, OT,
-    OT4, OUT, OutputCmd, PAnd, PNot, POr, Partition, Protocol, REVEAL, Ref,
-    RevealCmd, SECRET, Var, assigned_var, computing_client, corrupt_views,
-    format_memory, honest_views, mem_restrict, owned_by,
+    BOT, AssertCmd, BinOp, Const, FLIP, GLOBAL, MESG, MesgSend, Not, OT4,
+    Partition, Protocol, REVEAL, Ref, SECRET, Var, assigned_var,
+    computing_client, corrupt_views, format_memory, honest_views, owned_by,
 )
-
-# --- Memory sets and solve ---------------------------------------------------
-
-@dataclass(frozen=True)
-class MemSet:
-    """Set of memories over a fixed domain, as bit masks (var i -> bit i)."""
-
-    domain: tuple
-    masks: frozenset
-
-    @staticmethod
-    def full(domain) -> "MemSet":
-        domain = tuple(domain)
-        return MemSet(domain, frozenset(range(2 ** len(domain))))
-
-    @staticmethod
-    def of_memories(domain, memories) -> "MemSet":
-        domain = tuple(domain)
-        masks = set()
-        for m in memories:
-            masks.add(_mask_of(m, domain))
-        return MemSet(domain, frozenset(masks))
-
-    def memories(self):
-        for mask in sorted(self.masks):
-            yield _memory_of(mask, self.domain)
-
-    def __len__(self):
-        return len(self.masks)
-
-
-def _mask_of(memory: dict, domain) -> int:
-    mask = 0
-    for i, v in enumerate(domain):
-        if memory[v]:
-            mask |= 1 << i
-    return mask
-
-
-def _memory_of(mask: int, domain) -> dict:
-    return {v: (mask >> i) & 1 for i, v in enumerate(domain)}
-
-
-def _index(domain) -> dict:
-    return {v: i for i, v in enumerate(domain)}
-
-
-def _sat(index, sigma: frozenset, e, client: int) -> frozenset:
-    """Memories of sigma under which the expression evaluates to 1."""
-    if isinstance(e, Const):
-        if e.value == 1:
-            return sigma
-        if e.value == 0:
-            return frozenset()
-        raise EvalError(f"constant {e.value} out of range for F_2")
-    if isinstance(e, Ref):
-        owner = None if e.kind == REVEAL else client
-        var = Var(e.kind, e.name, owner)
-        if var not in index:
-            raise EvalError(f"{var} unbound")
-        bit = 1 << index[var]
-        return frozenset(m for m in sigma if m & bit)
-    if isinstance(e, BinOp):
-        a = _sat(index, sigma, e.left, client)
-        b = _sat(index, sigma, e.right, client)
-        if e.op in ("+", "-", "xor"):
-            return a ^ b
-        if e.op in ("*", "and"):
-            return a & b
-        if e.op == "or":
-            return a | b
-        raise EvalError(f"unknown operator {e.op}")
-    if isinstance(e, Not):
-        return sigma - _sat(index, sigma, e.operand, client)
-    if isinstance(e, OT):
-        c = _sat(index, sigma, e.choice, e.receiver)
-        a = _sat(index, sigma, e.if1, client)
-        b = _sat(index, sigma, e.if0, client)
-        return (c & a) | ((sigma - c) & b)
-    if isinstance(e, OT4):
-        return _sat_ot4(index, sigma, e.c1, e.c2, e.receiver, e.rows, client)
-    raise EvalError(f"not an expression: {e!r}")
-
-
-def _sat_ot4(index, sigma, c1, c2, receiver, rows, client) -> frozenset:
-    a = _sat(index, sigma, c1, receiver)
-    b = _sat(index, sigma, c2, receiver)
-    na, nb = sigma - a, sigma - b
-    r11 = _sat(index, sigma, rows[0], client)
-    r10 = _sat(index, sigma, rows[1], client)
-    r01 = _sat(index, sigma, rows[2], client)
-    r00 = _sat(index, sigma, rows[3], client)
-    return (a & b & r11) | (a & nb & r10) | (na & b & r01) | (na & nb & r00)
-
-
-def _sat_pred(index, sigma: frozenset, pred, client: int) -> frozenset:
-    if isinstance(pred, Cmp):
-        a = _sat(index, sigma, pred.left, client)
-        b = _sat(index, sigma, pred.right, client)
-        differ = a ^ b
-        return differ if pred.op == "!=" else sigma - differ
-    if isinstance(pred, PAnd):
-        return _sat_pred(index, sigma, pred.left, client) & _sat_pred(index, sigma, pred.right, client)
-    if isinstance(pred, POr):
-        return _sat_pred(index, sigma, pred.left, client) | _sat_pred(index, sigma, pred.right, client)
-    if isinstance(pred, PNot):
-        return sigma - _sat_pred(index, sigma, pred.operand, client)
-    raise EvalError(f"not a predicate: {pred!r}")
-
-
-def solve(mems: MemSet, e, client: int) -> MemSet:
-    """Subset of mems under which client evaluates e to 1."""
-    return MemSet(mems.domain, _sat(_index(mems.domain), mems.masks, e, client))
-
-
-def ot4_solve(mems: MemSet, c1, c2, receiver: int, rows, client: int) -> MemSet:
-    """solve for a 1-of-4 transfer: choices read at the receiver, rows at
-    the computing client."""
-    index = _index(mems.domain)
-    return MemSet(mems.domain, _sat_ot4(index, mems.masks, c1, c2, receiver, tuple(rows), client))
-
-
-# --- Truth-table enumeration of runs -----------------------------------------
-
-def runs_tt(protocol: Protocol, preproc: Optional[Preprocessing] = None):
-    """All final memories, computed by folding solve over the commands.
-
-    Returns (domain, runs) where runs is a frozenset of (values, bots)
-    mask pairs over the domain; bots marks the BOT-padded variables of
-    aborted runs.
-    """
-    if protocol.modulus != 2:
-        raise UsageError("runs_tt requires F_2")
-    if preproc is None:
-        preproc = default_preprocessing(protocol)
-    dist_mod._validate_for_bd(protocol, preproc)
-    domain = bd_domain(protocol, preproc)
-    index = _index(domain)
-    flips = protocol.flips()
-    alive = set()
-    for m in preproc.memories():
-        base = _mask_of(m, preproc.domain)
-        for tape in range(2 ** len(flips)):
-            mask = base
-            for i, v in enumerate(flips):
-                if (tape >> (len(flips) - 1 - i)) & 1:
-                    mask |= 1 << index[v]
-            alive.add(mask)
-    suffix = [0] * (len(protocol.commands) + 1)
-    for i in range(len(protocol.commands) - 1, -1, -1):
-        v = assigned_var(protocol.commands[i])
-        suffix[i] = suffix[i + 1] | (0 if v is None else 1 << index[v])
-    finished = []
-    for i, cmd in enumerate(protocol.commands):
-        if isinstance(cmd, AssertCmd):
-            sat = _sat_pred(index, frozenset(alive), cmd.pred, cmd.client)
-            for m in alive - sat:
-                finished.append((m, suffix[i]))
-            alive = set(sat)
-            continue
-        bit = 1 << index[assigned_var(cmd)]
-        sat = _sat(index, frozenset(alive), cmd.expr, computing_client(cmd))
-        alive = {m | bit for m in sat} | (alive - sat)
-    runs = frozenset(finished) | {(m, 0) for m in alive}
-    return domain, runs
-
-
-def padded_memory(domain, valmask: int, botmask: int) -> dict:
-    out = {}
-    for i, v in enumerate(domain):
-        if (botmask >> i) & 1:
-            out[v] = BOT
-        else:
-            out[v] = (valmask >> i) & 1
-    return out
-
-
-def comparable(memory: dict) -> frozenset:
-    return frozenset((v, x) for v, x in memory.items())
-
-
-def run_sweep(protocol: Protocol, preproc: Optional[Preprocessing] = None,
-              strategy: Optional[AdversaryStrategy] = None,
-              part: Optional[Partition] = None) -> list:
-    """Final memories from the reference interpreter, one per initial memory."""
-    if preproc is None:
-        preproc = default_preprocessing(protocol)
-    dist_mod._validate_for_bd(protocol, preproc)
-    out = []
-    for m0 in dist_mod._initial_memories(protocol, preproc):
-        if strategy is None:
-            out.append(run(m0, protocol))
-        else:
-            out.append(run_adv(m0, protocol, strategy, part))
-    return out
-
 
 # --- Verdicts ----------------------------------------------------------------
 
@@ -259,30 +60,29 @@ class Verdict:
 # --- Projected distributions --------------------------------------------------
 
 def projected_bd(protocol: Protocol, vars_, preproc=None, strategy=None,
-                 part=None, method: str = "auto", workers: int = 1) -> Pmf:
+                 part=None) -> Pmf:
     """Marginal of the basic distribution over the given variables."""
+    from . import engine
+
     if preproc is None:
         preproc = default_preprocessing(protocol)
     vars_ = tuple(dict.fromkeys(vars_))
-    total = preproc.count() * protocol.modulus ** len(protocol.flips())
-    if method == "auto":
-        method = "fold" if (protocol.modulus == 2 and total > 4096) else "interp"
-    if method == "fold":
-        from . import engine
-
-        dist_mod._validate_for_bd(protocol, preproc)
-        table = engine.fold(protocol, preproc, strategy, part)
-        return engine.project_pmf(table, vars_)
-    p = bd(protocol, preproc, strategy, part, method="interp", workers=workers)
-    return p.marginal(vars_)
+    if protocol.modulus != 2:
+        return bd(protocol, preproc, strategy, part).marginal(vars_)
+    dist_mod._validate_for_bd(protocol, preproc)
+    return engine.project_pmf(engine.fold(protocol, preproc, strategy, part), vars_)
 
 
 # --- Passive correctness ------------------------------------------------------
 
 def check_passive_correct(protocol: Protocol, fn: Functionality,
-                          preproc=None, method: str = "auto") -> Verdict:
+                          preproc=None) -> Verdict:
     """Every run computes the functionality of its secrets with probability
     one: outputs equal F(secrets) in each enumerated run, no aborts."""
+    import numpy as np
+
+    from . import engine
+
     prop = "passive-correct"
     if preproc is None:
         preproc = default_preprocessing(protocol)
@@ -291,28 +91,6 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
         raise UsageError("functionality secrets differ from the dealt secrets")
     if set(fn.outputs) != set(protocol.output_vars()):
         raise UsageError("functionality outputs differ from protocol outputs")
-    total = preproc.count() * protocol.modulus ** len(protocol.flips())
-    if method == "auto":
-        method = "fold" if (protocol.modulus == 2 and total > 4096) else "interp"
-    if method == "fold":
-        return _correct_fold(protocol, fn, preproc, prop)
-    for final in run_sweep(protocol, preproc):
-        want = fn.apply(final)
-        for v, x in want.items():
-            if final[v] != x:
-                w = Witness(
-                    "run output differs from the functionality",
-                    memories=(("run", final), ("expected outputs", want)),
-                )
-                return Verdict(False, prop, (), w)
-    return Verdict(True, prop, (f"all {total} runs agree with the functionality",))
-
-
-def _correct_fold(protocol, fn, preproc, prop):
-    import numpy as np
-
-    from . import engine
-
     dist_mod._validate_for_bd(protocol, preproc)
     table = engine.fold(protocol, preproc)
     idx = np.zeros(table.nrows, dtype=np.uint64)
@@ -352,8 +130,7 @@ def _dealt_secrets(protocol: Protocol, preproc) -> tuple:
     return dealt + tuple(v for v in protocol.secrets() if v not in dealt)
 
 
-def check_nimo(protocol: Protocol, part: Partition, preproc=None,
-               method: str = "auto", workers: int = 1) -> Verdict:
+def check_nimo(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
     """Corrupt views add nothing to what corrupt secrets and outputs reveal
     about honest secrets: P(S_H | m1) = P(S_H | m1, m2) for every positive
     realization m1 of S_C and the outputs, m2 of the honest-to-corrupt views."""
@@ -366,7 +143,7 @@ def check_nimo(protocol: Protocol, part: Partition, preproc=None,
     x1 = tuple(dict.fromkeys(s_c + outs))
     if not s_h:
         return Verdict(True, prop, ("no honest secrets",))
-    p = projected_bd(protocol, x1 + views + s_h, preproc, method=method, workers=workers)
+    p = projected_bd(protocol, x1 + views + s_h, preproc)
     ta = p.conditional(x1, s_h)
     tb = p.conditional(x1 + views, s_h)
     for key12 in sorted(tb.rows, key=str):
@@ -394,8 +171,7 @@ def check_nimo(protocol: Protocol, part: Partition, preproc=None,
 
 # --- Gradual release ----------------------------------------------------------
 
-def check_gradual_release(protocol: Protocol, part: Partition, preproc=None,
-                          method: str = "auto") -> Verdict:
+def check_gradual_release(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
     """Corrupt-received messages are independent of honest secrets: all
     release happens through reveals and outputs."""
     prop = f"gradual-release[corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
@@ -404,7 +180,7 @@ def check_gradual_release(protocol: Protocol, part: Partition, preproc=None,
     s_h = owned_by(_dealt_secrets(protocol, preproc), part.honest)
     if not m_c or not s_h:
         return Verdict(True, prop, ("no corrupt messages or no honest secrets",))
-    p = projected_bd(protocol, m_c + s_h, preproc, method=method)
+    p = projected_bd(protocol, m_c + s_h, preproc)
     witness = p.independent_witness(m_c, s_h)
     if witness is None:
         return Verdict(True, prop, (f"{len(m_c)} corrupt messages independent of honest secrets",))
@@ -441,7 +217,7 @@ def _and_gate_shape(protocol: Protocol):
     return e.c1.name, e.c2.name, z, sender, receiver
 
 
-def check_and_gate_tactic(protocol: Protocol, method: str = "auto") -> Verdict:
+def check_and_gate_tactic(protocol: Protocol) -> Verdict:
     """Conditioning conditions of a single AND gate over uniformly dealt
     input shares: the output wire is determined by the input wires, each
     output share alone is uniform noise, and the output wire is independent
@@ -450,7 +226,7 @@ def check_and_gate_tactic(protocol: Protocol, method: str = "auto") -> Verdict:
     x, y, z, sender, receiver = _and_gate_shape(protocol)
     shares = tuple(Var(MESG, w, c) for w in (x, y) for c in sorted((sender, receiver)))
     preproc = UniformPreprocessing(shares)
-    p = bd(protocol, preproc, method=method).with_global_views([x, y, z])
+    p = bd(protocol, preproc).with_global_views([x, y, z])
     gx, gy, gz = Var(GLOBAL, x), Var(GLOBAL, y), Var(GLOBAL, z)
     z1, z2 = Var(MESG, z, sender), Var(MESG, z, receiver)
     inputs = (gx, gy)
@@ -485,7 +261,7 @@ def _condition_verdict(prop, inputs, checks) -> Verdict:
 # --- Share-based circuit invariant ---------------------------------------------
 
 def check_gmw_invariant(protocol: Protocol, wire: str, part: Partition,
-                        preproc=None, method: str = "auto") -> Verdict:
+                        preproc=None) -> Verdict:
     """Invariant of share-based circuit evaluation at a wire, before
     decoding: the reconstructed wire is determined by the secrets, the
     messages the corrupt coalition receives from honest clients are joint
@@ -499,7 +275,7 @@ def check_gmw_invariant(protocol: Protocol, wire: str, part: Partition,
         raise UsageError(f"wire {wire} does not have exactly two shares")
     received = tuple(v for v in corrupt_views(protocol, part) if v.kind == MESG)
     gw = Var(GLOBAL, wire)
-    p = projected_bd(protocol, secrets + shares + received, preproc, method=method)
+    p = projected_bd(protocol, secrets + shares + received, preproc)
     p = p.with_global_views([wire])
     checks = (
         (f"cond_det(S -> {gw})", p.cond_det_witness(secrets, (gw,))),
@@ -540,18 +316,26 @@ def enumerate_adversaries(protocol: Protocol, part: Partition,
         bad = [i for i in positions if i not in corrupt_pos]
         if bad:
             raise UsageError(f"positions {bad} are not corrupt-computed commands")
-    if tables_budget and len(positions) <= tables_budget:
-        option_lists = [
-            [None] + _table_exprs(protocol, part, i, preproc)
-            for i in positions
-        ]
-    else:
-        option_lists = [[None, Const(0), Const(1)] for _ in positions]
+    tables = bool(tables_budget) and len(positions) <= tables_budget
     count = 1
-    for opts in option_lists:
-        count *= len(opts)
+    for i in positions:
+        if tables:
+            # keep, or one of the 2^rows truth tables over the visible bits;
+            # 2^rows exceeds the budget once rows reaches its bit length,
+            # so an astronomical count is never formed
+            rows = 2 ** len(_visible_vars(protocol, part, i, preproc))
+            if rows >= max_strategies.bit_length():
+                raise BudgetError(f"strategy family exceeds {max_strategies}")
+            count *= 1 + 2 ** rows
+        else:
+            count *= 3
         if count > max_strategies:
             raise BudgetError(f"strategy family exceeds {max_strategies}")
+    if tables:
+        option_lists = [[None] + _table_exprs(protocol, part, i, preproc)
+                        for i in positions]
+    else:
+        option_lists = [[None, Const(0), Const(1)] for _ in positions]
     out = []
     for combo in itertools.product(*option_lists):
         replacements = tuple((i, e) for i, e in zip(positions, combo) if e is not None)
@@ -670,18 +454,57 @@ def detection_inputs(protocol: Protocol, part: Partition, strategies,
     runs on the uniform mixture of the passive distribution with the
     distribution of every strategy in the family, so views the adversary
     can influence become visible as dependencies."""
+    return _fold_family(protocol, part, strategies, preproc, ())[0]
+
+
+def _fold_family(protocol, part, strategies, preproc, keep) -> tuple:
+    """Fold the passive protocol and every strategy once.  Returns the
+    adversarial inputs (see detection_inputs), then the value matrices over
+    keep of the passive table and of each strategy's table."""
+    from . import engine
+
     if preproc is None:
         preproc = default_preprocessing(protocol)
+    dist_mod._validate_for_bd(protocol, preproc)
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     x_h = _response_vars(protocol, part)
     vars_ = tuple(dict.fromkeys(v_ch + x_h))
-    base = projected_bd(protocol, vars_, preproc)
-    components = [
-        projected_bd(protocol, vars_, preproc, strategy=s, part=part)
-        for s in strategies if s.replacements or s.abort_at
-    ]
-    mixture = base.mixed_with(components) if components else base
-    return adversarial_inputs(mixture, v_ch, x_h)
+    passive = engine.fold(protocol, preproc)
+    components, values = [], []
+    for s in strategies:
+        table = engine.fold(protocol, preproc, s, part)
+        if s.replacements or s.abort_at:
+            components.append(engine.project_pmf(table, vars_))
+        values.append(engine.value_matrix(table, keep))
+    mixture = engine.project_pmf(passive, vars_).mixed_with(components)
+    return (adversarial_inputs(mixture, v_ch, x_h),
+            engine.value_matrix(passive, keep), values)
+
+
+def _first_unexplained(adv, passive) -> Optional[int]:
+    """First row of the adversarial value matrix whose values on its
+    non-BOT columns no passive row without BOT there shares; None when
+    every row is explained.  Rows are tested in groups of one BOT pattern,
+    by membership of their keys among the passive keys."""
+    import numpy as np
+
+    from . import engine
+
+    defined = adv != engine.BOT_CODE
+    patterns, group = np.unique(engine.row_keys(defined.view(np.uint8)),
+                                return_inverse=True)
+    first = None
+    for g in range(len(patterns)):
+        rows = np.flatnonzero(group == g)
+        cols = defined[rows[0]]
+        known = passive[:, cols]
+        known = known[(known != engine.BOT_CODE).all(axis=1)]
+        missing = ~np.isin(engine.row_keys(adv[rows][:, cols]),
+                           engine.row_keys(known))
+        if missing.any():
+            row = int(rows[np.argmax(missing)])
+            first = row if first is None else min(first, row)
+    return first
 
 
 def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
@@ -690,40 +513,35 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
     unmodified protocol agreeing on the adversarial inputs, the defined
     honest responses, and the honest secrets (secret_scope='secrets') or
     all honest-held initial values (secret_scope='initial')."""
+    from . import engine
+
     prop = f"cheating-detection[scope={secret_scope}, corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    x_c = detection_inputs(protocol, part, strategies, preproc)
     x_h_all = _response_vars(protocol, part)
     scope = _scope_vars(protocol, part, preproc, secret_scope)
-    passive = run_sweep(protocol, preproc)
-    cache: dict = {}
-
-    def passive_projections(vars_key):
-        if vars_key not in cache:
-            cache[vars_key] = {tuple(m[v] for v in vars_key) for m in passive}
-        return cache[vars_key]
-
-    checked = 0
-    for strategy in strategies:
-        for m in run_sweep(protocol, preproc, strategy, part):
-            agree = tuple(dict.fromkeys(
-                v for v in (x_c + x_h_all + scope) if m.get(v) is not BOT and v in m
-            ))
-            realization = tuple(m[v] for v in agree)
-            checked += 1
-            if realization not in passive_projections(agree):
-                w = Witness(
-                    f"no passive run explains the adversarial run (strategy: {strategy.describe()})",
-                    memories=(
-                        ("adversarial run", m),
-                        ("agreement realization", dict(zip(agree, realization))),
-                    ),
-                )
-                return Verdict(False, prop, (f"adversarial inputs: {', '.join(map(str, x_c)) or '(none)'}",), w)
+    # the adversarial inputs are honest views, so keep covers every agreement
+    keep = tuple(dict.fromkeys(honest_views(protocol, part) + x_h_all + scope))
+    x_c, known, values = _fold_family(protocol, part, strategies, preproc, keep)
+    inputs = f"adversarial inputs: {', '.join(map(str, x_c)) or '(none)'}"
+    agree = tuple(dict.fromkeys(x_c + x_h_all + scope))
+    cols = [keep.index(v) for v in agree]
+    known = known[:, cols]
+    for strategy, adv in zip(strategies, values):
+        row = _first_unexplained(adv[:, cols], known)
+        if row is not None:
+            m = engine.memory_at(engine.fold(protocol, preproc, strategy, part), row)
+            w = Witness(
+                f"no passive run explains the adversarial run (strategy: {strategy.describe()})",
+                memories=(
+                    ("adversarial run", m),
+                    ("agreement realization", {v: m[v] for v in agree if m[v] is not BOT}),
+                ),
+            )
+            return Verdict(False, prop, (inputs,), w)
     details = (
-        f"adversarial inputs: {', '.join(map(str, x_c)) or '(none)'}",
-        f"{checked} adversarial runs over {len(strategies)} strategies explained",
+        inputs,
+        f"{len(known) * len(strategies)} adversarial runs over {len(strategies)} strategies explained",
     )
     return Verdict(True, prop, details)
 
@@ -758,7 +576,7 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     prop = f"integrity[scope={secret_scope}, corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    p_passive = bd(protocol, preproc, method="interp")
+    p_passive = bd(protocol, preproc)
     x_h_all = _response_vars(protocol, part)
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     if secret_scope == "secrets":
@@ -773,7 +591,7 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
         raise UsageError(f"unknown secret scope {secret_scope!r}")
     match_vars = tuple(v for v in inputs if v.owner in part.honest)
     for strategy in strategies:
-        p_a = bd(protocol, preproc, strategy, part, method="interp")
+        p_a = bd(protocol, preproc, strategy, part)
         seen_conditions = set()
         for key, _ in p_a.support():
             m = p_a.memory(key)

@@ -17,10 +17,11 @@ from overture.stdlib import PACKAGES, bdoz_beaver_trimmed, load_package
 from overture.verifier import (
     all_partitions, check_and_gate_tactic, check_cheating_detection,
     check_gmw_invariant, check_gradual_release, check_nimo,
-    check_passive_correct, enumerate_adversaries, run_sweep, runs_tt,
+    check_passive_correct, enumerate_adversaries,
 )
 
 from test_dist import check_pmf_laws, random_pmf
+from test_engine import assert_rows_match
 
 
 def _total_runs(protocol, preproc):
@@ -153,28 +154,27 @@ def test_beaver_multiplication_full_and_malicious():
     out1 = parse_var("out@1")
 
     t0 = time.time()
-    v = check_passive_correct(protocol, fn, preproc, method="fold")
+    v = check_passive_correct(protocol, fn, preproc)
     assert v.ok
     assert v.details == ("all 2097152 runs agree with the functionality",)
     t_correct = time.time() - t0
 
     t0 = time.time()
-    assert check_nimo(protocol, part, preproc, method="fold").ok
+    assert check_nimo(protocol, part, preproc).ok
     t_nimo = time.time() - t0
 
     # lie by one on the share sent in the first opening, MAC unchanged
     lie = BinOp("+", protocol.commands[3].expr, Const(1))
     strategy = AdversaryStrategy(replacements=((3, lie),), label="share lie")
     t0 = time.time()
-    finals = run_sweep(protocol, trim, strategy, part)
-    aborted = sum(1 for m in finals if m[out1] is BOT)
-    assert Fraction(aborted, len(finals)) == Fraction(1, 2)
+    assert_rows_match(protocol, trim, strategy, part)
+    p = bd_adv(protocol, strategy, part, trim)
+    assert p.prob({out1: BOT}) == Fraction(1, 2)
     delta1 = parse_var("m[delta]@1")
-    for m in finals:
+    for key in p.weights:
+        m = p.memory(key)
         # the single MAC bit catches the lie exactly when the key offset is 1
         assert (m[out1] is BOT) == (m[delta1] == 1)
-    assert bd_adv(protocol, strategy, part, trim).prob({out1: BOT}) \
-        == Fraction(1, 2)
     t_abort = time.time() - t0
 
     t0 = time.time()
@@ -199,17 +199,6 @@ def test_truth_table_runs_match_interpreter_everywhere():
         protocol, _, preproc = load_package(name)
         if name == "bdoz-beaver":
             preproc = bdoz_beaver_trimmed()
-        domain, runs = runs_tt(protocol, preproc)
-        idx = {v: i for i, v in enumerate(domain)}
-        got = set()
-        for m in run_sweep(protocol, preproc):
-            val = bot = 0
-            for v, x in m.items():
-                if x is BOT:
-                    bot |= 1 << idx[v]
-                elif x:
-                    val |= 1 << idx[v]
-            got.add((val, bot))
-        assert runs == frozenset(got)
-    print(f"pass: set-algebra run enumeration = interpreter sweep for all "
+        assert_rows_match(protocol, preproc)
+    print(f"pass: vectorized fold = interpreter sweep, run by run, for all "
           f"{len(PACKAGES)} packages ({time.time() - t0:.2f}s)")

@@ -1,9 +1,12 @@
 """Command-line front end: exit codes, golden output, determinism."""
 
+import os
+
 import pytest
 
+from overture import verifier
 from overture.cli import main
-from overture.stdlib import GMW_AND_PRE, GMW_PRE, OTP_OVT
+from overture.stdlib import GMW_AND_PRE, GMW_PRE, OTP_OVT, protocols_dir
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,24 @@ def test_expand_golden(tmp_path, capsys):
     assert out.count(";\n") == 10
 
 
+def test_expand_counts_dealt_values_as_defined(tmp_path, capsys):
+    root = protocols_dir()
+    for main_file, lib in (("bdoz_beaver.pre", "bdoz.pre"),
+                           ("bdoz_open.pre", "bdoz.pre"),
+                           ("gmw_gate.pre", "gmw.pre")):
+        rc, _, err = run_cli(capsys, "expand", os.path.join(root, main_file),
+                             "--lib", os.path.join(root, lib))
+        assert rc == 0 and err == "", main_file
+    # a message written only after it is read is not dealt: still a warning
+    late = tmp_path / "late.pre"
+    late.write_text('m["a"]@1 := m["b"] @ 2;\n'
+                    'm["b"]@2 := s["x"] @ 1;\n'
+                    'out@1 := m["a"] @ 1;\n')
+    rc, _, err = run_cli(capsys, "expand", str(late))
+    assert rc == 0
+    assert err == "warning: command 0: m[b]@2 read before any write\n"
+
+
 def test_verify_holds_exit_zero(capsys):
     rc, out, _ = run_cli(capsys, "verify", "gmw-and", "--property", "correct",
                          "--functionality", "and2")
@@ -95,6 +116,19 @@ def test_verify_malicious_properties(capsys):
                          "integrity", "--corrupt", "2")
     assert rc == 1
     assert "integrity[scope=secrets, corrupt={2}]: FAILS" in out
+
+
+def test_table_budget_checked_before_building(capsys, monkeypatch):
+    # client 2 sees six bits at command 3: 2^64 truth tables, never built
+    def unbounded(*args):
+        raise AssertionError("truth tables built before the budget check")
+
+    monkeypatch.setattr(verifier, "_table_exprs", unbounded)
+    rc, out, err = run_cli(capsys, "verify", "bdoz-open", "--property",
+                           "cheating-detection", "--corrupt", "2",
+                           "--budget", "1", "--positions", "3")
+    assert rc == 2 and out == ""
+    assert err == "error: strategy family exceeds 100000\n"
 
 
 def test_verify_gmw_invariant(capsys):

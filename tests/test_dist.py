@@ -23,6 +23,8 @@ from overture.stdlib import (
     FUNCTIONALITIES, LEAKY_OVT, OTP_OVT, SHAMIR_ADD3_OVT, load_package,
 )
 
+from test_engine import sweep
+
 
 S_X = parse_var("s[x]@1")
 R_K = parse_var("r[k]@1")
@@ -66,6 +68,18 @@ def test_bd_rejects_empty_preprocessing():
         bd(p, ExplicitPreprocessing([S_X], []))
 
 
+def interpreter_bd(protocol, preproc=None, strategy=None, part=None) -> Pmf:
+    """bd recomputed from the reference interpreter's sweep."""
+    if preproc is None:
+        preproc = default_preprocessing(protocol)
+    domain = bd_domain(protocol, preproc)
+    counts = {}
+    for final in sweep(protocol, preproc, strategy, part):
+        key = tuple(final[v] for v in domain)
+        counts[key] = counts.get(key, 0) + 1
+    return Pmf.from_counts(domain, counts, sum(counts.values()), protocol.modulus)
+
+
 def test_bd_routes_agree():
     cases = [(parse_protocol(OTP_OVT), None),
              (parse_protocol(SHAMIR_ADD3_OVT), None),
@@ -74,19 +88,38 @@ def test_bd_routes_agree():
         protocol, _, preproc = load_package(name)
         cases.append((protocol, preproc))
     for protocol, preproc in cases:
-        a = bd(protocol, preproc, method="interp")
-        b = bd(protocol, preproc, method="fold")
+        a = interpreter_bd(protocol, preproc)
+        b = bd(protocol, preproc)
         assert a.domain == b.domain
-        assert a.weights == b.weights
+        # same support in the same order: first run of each memory first
+        assert list(a.weights.items()) == list(b.weights.items())
 
 
 def test_bd_routes_agree_under_adversary():
     protocol, _, _ = load_package("gmw-and")
     part = Partition.of(protocol.federation, [2])
     lie = AdversaryStrategy(replacements=((6, Const(0)),), label="zero reveal")
-    a = bd_adv(protocol, lie, part, method="interp")
-    b = bd_adv(protocol, lie, part, method="fold")
-    assert a.weights == b.weights
+    a = interpreter_bd(protocol, None, lie, part)
+    b = bd_adv(protocol, lie, part)
+    assert list(a.weights.items()) == list(b.weights.items())
+
+
+def test_bd_over_f3_runs_the_interpreter():
+    p = parse_protocol("m[z]@2 := s[x] + r[k] @ 1;\n"
+                       "m[k]@2 := r[k] @ 1;\n"
+                       "out@2 := m[z] - m[k] @ 2;\n", modulus=3)
+    pmf = bd(p)
+    assert pmf.modulus == 3
+    assert pmf.domain == (S_X, R_K, M_Z, M_K, OUT2)
+    assert pmf.weights == {(x, k, (x + k) % 3, k, x): Fraction(1, 9)
+                           for x in range(3) for k in range(3)}
+    assert pmf == interpreter_bd(p)
+    # a corrupt sender fixing the ciphertext: the output is 2 - k, uniform
+    part = Partition.of(p.federation, [1])
+    lie = AdversaryStrategy(replacements=((0, Const(2)),))
+    adv = bd_adv(p, lie, part)
+    assert adv.marginal((OUT2,)).weights == {(y,): Fraction(1, 3) for y in range(3)}
+    assert adv.prob({S_X: 0, OUT2: 2}) == Fraction(1, 9)
 
 
 def test_marginal_prob_cond_prob():

@@ -1,4 +1,4 @@
-"""Hyperproperty checks: solve, run enumeration, and the check_* verdicts.
+"""Hyperproperty checks: adversary enumeration and the check_* verdicts.
 
 Failing verdicts are recomputed from the distributions they quantify over;
 abort fractions follow from the one-bit MAC equation mc = key + delta * x.
@@ -11,116 +11,45 @@ import pytest
 
 from overture.dist import Pmf, bd, bd_adv
 from overture.errors import BudgetError, UsageError
-from overture.interp import IDENTITY, AdversaryStrategy, eval_expr
+from overture.interp import IDENTITY, AdversaryStrategy, run
 from overture.lang import (
-    AssertCmd, BOT, BinOp, Const, Partition, Protocol, Ref, Var,
-    computing_client, expr_vars, parse_var,
+    AssertCmd, BOT, BinOp, Const, Partition, Protocol, Var, parse_var,
 )
 from overture.ovt import parse_protocol
 from overture.stdlib import FUNCTIONALITIES, load_package
 from overture.verifier import (
-    MemSet, Verdict, Witness, adversarial_inputs, all_partitions,
+    Verdict, Witness, adversarial_inputs, all_partitions,
     check_and_gate_tactic, check_cheating_detection, check_gmw_invariant,
     check_gradual_release, check_integrity, check_nimo,
     check_passive_correct, corrupt_positions, detection_inputs,
-    enumerate_adversaries, ot4_solve, padded_memory, runs_tt, run_sweep,
-    solve,
+    enumerate_adversaries,
 )
-
-
-def test_memset():
-    a, b = parse_var("m[a]@1"), parse_var("m[b]@1")
-    full = MemSet.full((a, b))
-    assert len(full) == 4
-    mems = list(full.memories())
-    assert {a: 1, b: 0} in mems
-    again = MemSet.of_memories((a, b), mems)
-    assert again == full
-
-
-def test_padded_memory():
-    domain = (parse_var("m[a]@1"), parse_var("m[b]@1"), parse_var("m[c]@1"))
-    m = padded_memory(domain, 0b101, 0b010)
-    assert m == {domain[0]: 1, domain[1]: BOT, domain[2]: 1}
-
-
-def test_solve_matches_interpreter_on_bundled_exprs():
-    for name in ("otp", "leaky", "shamir-add3", "gmw-and", "gmw-and-xor",
-                 "bdoz-open", "bdoz-beaver"):
-        protocol, _, _ = load_package(name)
-        for cmd in protocol.commands:
-            if isinstance(cmd, AssertCmd):
-                continue
-            client = computing_client(cmd)
-            domain = tuple(dict.fromkeys(expr_vars(cmd.expr, client)))
-            mems = MemSet.full(domain)
-            sat = solve(mems, cmd.expr, client).masks
-            for values in itertools.product((0, 1), repeat=len(domain)):
-                m = dict(zip(domain, values))
-                mask = sum(1 << i for i, x in enumerate(values) if x)
-                assert (eval_expr(m, cmd.expr, client) == 1) == (mask in sat)
-
-
-def test_ot4_solve_row_order():
-    c1, c2 = parse_var("m[c1]@2"), parse_var("m[c2]@2")
-    mems = MemSet.full((c1, c2))
-    rows = (Const(1), Const(0), Const(0), Const(1))
-    sat = ot4_solve(mems, Ref("m", "c1"), Ref("m", "c2"), 2, rows, 1)
-    # first row answers choices (1,1), last row (0,0)
-    assert sat.masks == frozenset({0b00, 0b11})
-
-
-def _final_masks(protocol, preproc, domain):
-    out = set()
-    for m in run_sweep(protocol, preproc):
-        val = bot = 0
-        for i, v in enumerate(domain):
-            if m[v] is BOT:
-                bot |= 1 << i
-            elif m[v]:
-                val |= 1 << i
-        out.add((val, bot))
-    return out
-
-
-def test_runs_tt_matches_interpreter_sweep():
-    for name in ("otp", "leaky", "shamir-add3", "gmw-and", "gmw-xor",
-                 "gmw-and-xor", "gmw-gate", "bdoz-open"):
-        protocol, _, preproc = load_package(name)
-        domain, runs = runs_tt(protocol, preproc)
-        assert runs == _final_masks(protocol, preproc, domain)
-
-
-def test_runs_tt_covers_aborts():
-    p = parse_protocol("m[z]@2 := s[x] @ 1;\n"
-                       "assert (m[z] == 0) @ 2;\n"
-                       "out@2 := m[z] @ 2;\n")
-    domain, runs = runs_tt(p)
-    aborted = [r for r in runs if r[1]]
-    assert len(aborted) == 1
-    m = padded_memory(domain, *aborted[0])
-    assert m[parse_var("s[x]@1")] == 1
-    assert m[parse_var("out@2")] is BOT
 
 
 def test_passive_correct_holds():
     for name in ("otp", "leaky", "shamir-add3", "gmw-and", "gmw-xor",
                  "gmw-and-xor", "bdoz-open"):
         protocol, fn, preproc = load_package(name)
-        for method in ("interp", "fold"):
-            v = check_passive_correct(protocol, fn, preproc, method=method)
-            assert v.ok, (name, method, v.format())
+        v = check_passive_correct(protocol, fn, preproc)
+        assert v.ok, (name, v.format())
 
 
 def test_passive_correct_witness():
     protocol, _, _ = load_package("gmw-and")
     wrong = FUNCTIONALITIES["xor2"]
-    for method in ("interp", "fold"):
-        v = check_passive_correct(protocol, wrong, method=method)
-        assert not v.ok
-        run_memory = dict(v.witness.memories[0][1])
-        want = wrong.apply(run_memory)
-        assert any(run_memory[u] != x for u, x in want.items())
+    v = check_passive_correct(protocol, wrong)
+    assert not v.ok
+    run_memory = dict(v.witness.memories[0][1])
+    want = wrong.apply(run_memory)
+    assert any(run_memory[u] != x for u, x in want.items())
+    # the first failing run of the interpreter's sweep, in its order:
+    # secrets then coin flips, first variable most significant
+    inputs = protocol.secrets() + protocol.flips()
+    first = next(m for m in (run(dict(zip(inputs, bits)), protocol)
+                             for bits in itertools.product((0, 1), repeat=len(inputs)))
+                 if any(m[u] != x for u, x in wrong.apply(m).items()))
+    assert run_memory == first
+    assert (run_memory[parse_var("s[s1]@1")], run_memory[parse_var("s[s2]@2")]) == (0, 1)
 
 
 def test_passive_correct_domain_checks():
@@ -325,6 +254,23 @@ def test_lying_decode_is_not_explained():
     assert "p[z2]:=0" in vi.witness.description
 
 
+def test_detection_agrees_on_more_than_64_variables():
+    # seventy copies of one secret reach the corrupt client, so every
+    # agreement realization spans more than 64 variables
+    src = "".join(f"m[a{i}]@2 := s[x] @ 1;\n" for i in range(70)) \
+        + "m[b]@1 := m[a0] @ 2;\nout@1 := m[b] @ 1;\n"
+    protocol = parse_protocol(src)
+    part = Partition.of(protocol.federation, [2])
+    assert check_cheating_detection(protocol, part, [IDENTITY]).ok
+    v = check_cheating_detection(protocol, part, enumerate_adversaries(protocol, part))
+    assert not v.ok
+    assert "m[b]@1:=0" in v.witness.description
+    assert dict(v.witness.memories[0][1])[parse_var("s[x]@1")] == 1
+    agree = dict(v.witness.memories[1][1])
+    assert len(agree) > 64
+    assert bd(protocol).prob(agree) == 0
+
+
 def test_unauthenticated_open_is_caught():
     protocol, _, preproc = load_package("bdoz-open")
     stripped = Protocol(tuple(c for c in protocol.commands
@@ -340,7 +286,7 @@ def test_unauthenticated_open_is_caught():
                                      secret_scope=scope)
         assert not v.ok
         agree = dict(v.witness.memories[1][1])
-        assert bd(stripped, preproc, method="interp").prob(agree) == 0
+        assert bd(stripped, preproc).prob(agree) == 0
 
 
 def test_authenticated_open_abort_fractions():
@@ -357,7 +303,7 @@ def test_authenticated_open_abort_fractions():
              (((3, flip(share)), (4, flip(mac))), Fraction(1, 2)))
     for replacements, want in cases:
         s = AdversaryStrategy(replacements=replacements)
-        p = bd_adv(protocol, s, part, preproc, method="interp")
+        p = bd_adv(protocol, s, part, preproc)
         assert p.prob({out1: BOT}) == want
 
 
@@ -375,7 +321,7 @@ def test_bdoz_open_forgeries_break_both_checks():
         assert not vd.ok and "p[x2]:=0" in vd.witness.description
         assert not vi.ok and "p[x2]:=0" in vi.witness.description
         agree = dict(vd.witness.memories[1][1])
-        assert bd(protocol, preproc, method="interp").prob(agree) == 0
+        assert bd(protocol, preproc).prob(agree) == 0
 
 
 def test_all_partitions():
