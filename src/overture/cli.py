@@ -22,7 +22,7 @@ from .prelude import expand
 from .verifier import (
     all_partitions, check_and_gate_tactic, check_cheating_detection,
     check_gmw_invariant, check_gradual_release, check_integrity, check_nimo,
-    check_passive_correct, enumerate_adversaries,
+    check_passive_correct, corrupt_positions, enumerate_adversaries,
 )
 
 PROPERTIES = ("correct", "nimo", "gradual-release", "and-tactic",
@@ -200,6 +200,14 @@ def cmd_verify(args) -> int:
                     positions = tuple(int(x) for x in args.positions.split(","))
                 except ValueError:
                     raise UsageError(f"bad --positions list {args.positions!r}")
+            tampered = positions if positions is not None \
+                else corrupt_positions(protocol, part)
+            if args.budget and len(tampered) > args.budget:
+                print(f"note: corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}: "
+                      f"{len(tampered)} tampered positions exceed --budget "
+                      f"{args.budget}, so only constant replacements are tried; "
+                      f"choose at most {args.budget} with --positions",
+                      file=sys.stderr)
             strategies = enumerate_adversaries(
                 protocol, part, tables_budget=args.budget, preproc=preproc,
                 positions=positions)

@@ -548,21 +548,30 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
 
 # --- Integrity ----------------------------------------------------------------------
 
-def _cond_dist(pmf: Pmf, x_vars, given: dict) -> dict:
-    pos = pmf._positions(tuple(given))
-    want = tuple(given[v] for v in given)
-    xpos = pmf._positions(tuple(x_vars))
-    rows: dict = {}
-    mass = Fraction(0)
-    for key, w in pmf.weights.items():
-        if tuple(key[i] for i in pos) != want:
-            continue
-        sub = tuple(key[i] for i in xpos)
-        rows[sub] = rows.get(sub, Fraction(0)) + w
-        mass += w
-    if mass == 0:
-        return {}
-    return {k: v / mass for k, v in rows.items()}
+def _count_table(values, cond_cols, resp_cols) -> dict:
+    """Rows of a value matrix grouped by their values on cond_cols:
+    condition key -> [rows, {response key over resp_cols: rows}]."""
+    import numpy as np
+
+    from . import engine
+
+    _, first, counts = np.unique(engine.row_keys(values[:, cond_cols + resp_cols]),
+                                 return_index=True, return_counts=True)
+    reps = values[first]
+    out: dict = {}
+    for ck, rk, c in zip(engine.row_keys(reps[:, cond_cols]).tolist(),
+                         engine.row_keys(reps[:, resp_cols]).tolist(),
+                         counts.tolist()):
+        entry = out.setdefault(ck, [0, {}])
+        entry[0] += c
+        entry[1][rk] = c
+    return out
+
+
+def _same_conditional(a, b) -> bool:
+    (n_a, c_a), (n_b, c_b) = a, b
+    return c_a.keys() == c_b.keys() and all(c * n_b == c_b[k] * n_a
+                                            for k, c in c_a.items())
 
 
 def check_integrity(protocol: Protocol, part: Partition, strategies,
@@ -572,49 +581,74 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     delivered, the distribution of the defined honest responses matches the
     passive conditional under some input memory that agrees with the honest
     inputs (secret_scope='secrets' substitutes corrupt secrets only,
-    'initial' also substitutes corrupt preprocessing draws)."""
+    'initial' also substitutes corrupt preprocessing draws).
+
+    Runs on the F_2 fold: each conditional is a table of integer run
+    counts, and two are equal when their counts are proportional."""
+    import numpy as np
+
+    from . import engine
+
     prop = f"integrity[scope={secret_scope}, corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    p_passive = bd(protocol, preproc)
+    dist_mod._validate_for_bd(protocol, preproc)
     x_h_all = _response_vars(protocol, part)
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     if secret_scope == "secrets":
         inputs = _dealt_secrets(protocol, preproc)
-        candidates = [dict(zip(inputs, values))
-                      for values in itertools.product(range(protocol.modulus),
-                                                      repeat=len(inputs))]
+        candidates = np.array(list(itertools.product((0, 1), repeat=len(inputs))),
+                              dtype=np.uint8).reshape(2 ** len(inputs), len(inputs))
     elif secret_scope == "initial":
         inputs = tuple(preproc.domain)
-        candidates = [dict(m) for m in preproc.memories()]
+        columns = preproc.columns()
+        candidates = np.empty((preproc.count(), len(inputs)), dtype=np.uint8)
+        for j, v in enumerate(inputs):
+            candidates[:, j] = columns[v]
     else:
         raise UsageError(f"unknown secret scope {secret_scope!r}")
-    match_vars = tuple(v for v in inputs if v.owner in part.honest)
+    vars_ = inputs + v_ch + x_h_all
+    n_in, n_cond = len(inputs), len(inputs) + len(v_ch)
+    honest_cols = [j for j, v in enumerate(inputs) if v.owner in part.honest]
+    by_honest: dict = {}
+    for i, key in enumerate(engine.row_keys(candidates[:, honest_cols]).tolist()):
+        by_honest.setdefault(key, []).append(i)
+    passive = engine.value_matrix(engine.fold(protocol, preproc), vars_)
+    passive_tables: dict = {}
     for strategy in strategies:
-        p_a = bd(protocol, preproc, strategy, part)
-        seen_conditions = set()
-        for key, _ in p_a.support():
-            m = p_a.memory(key)
-            x_vars = tuple(v for v in x_h_all if m[v] is not BOT)
-            delivered = {v: m[v] for v in v_ch if m[v] is not BOT}
-            given = {v: m[v] for v in inputs}
-            given.update(delivered)
-            cond_key = (x_vars, tuple((str(v), given[v])
-                                      for v in sorted(given, key=str)))
-            if cond_key in seen_conditions:
-                continue
-            seen_conditions.add(cond_key)
-            lhs = _cond_dist(p_a, x_vars, given)
-            found = False
-            for m_prime in candidates:
-                if any(m_prime[v] != m[v] for v in match_vars):
-                    continue
-                rhs_given = dict(m_prime)
-                rhs_given.update(delivered)
-                if _cond_dist(p_passive, x_vars, rhs_given) == lhs:
-                    found = True
-                    break
-            if not found:
+        table = engine.fold(protocol, preproc, strategy, part)
+        adv = engine.value_matrix(table, vars_)
+        defined = adv != engine.BOT_CODE
+        # a condition: inputs, honest views (BOT kept), response BOT pattern
+        conditions = np.concatenate([adv[:, :n_cond], defined[:, n_cond:]], axis=1)
+        _, first = np.unique(engine.row_keys(conditions), return_index=True)
+        rows = np.sort(first)
+        adv_tables: dict = {}
+        honest_keys = engine.row_keys(adv[rows][:, honest_cols]).tolist()
+        for row, honest_key in zip(rows.tolist(), honest_keys):
+            delivered = [j for j in range(n_in, n_cond) if defined[row, j]]
+            responses = [j for j in range(n_cond, len(vars_)) if defined[row, j]]
+            pattern = (tuple(delivered), tuple(responses))
+            cond_cols = list(range(n_in)) + delivered
+            if pattern not in adv_tables:
+                adv_tables[pattern] = _count_table(adv, cond_cols, responses)
+                if pattern not in passive_tables:
+                    passive_tables[pattern] = _count_table(passive, cond_cols, responses)
+            # row 0: the condition; then each matching candidate's inputs
+            # with the delivered views of the condition
+            matching = by_honest.get(honest_key, [])
+            lookup = np.empty((1 + len(matching), len(cond_cols)), dtype=np.uint8)
+            lookup[0] = adv[row, cond_cols]
+            lookup[1:, :n_in] = candidates[matching]
+            lookup[1:, n_in:] = adv[row, delivered]
+            lhs_key, *keys = engine.row_keys(lookup).tolist()
+            lhs = adv_tables[pattern][lhs_key]
+            rhs_table = passive_tables[pattern]
+            if not any(k in rhs_table and _same_conditional(lhs, rhs_table[k])
+                       for k in keys):
+                m = engine.memory_at(table, row)
+                given = {v: m[v] for v in inputs}
+                given.update((v, m[v]) for v in v_ch if m[v] is not BOT)
                 w = Witness(
                     f"no input substitution reproduces the honest responses "
                     f"(strategy: {strategy.describe()})",

@@ -16,7 +16,7 @@ from overture.lang import BOT, BinOp, Const, Partition, parse_var
 from overture.stdlib import PACKAGES, bdoz_beaver_trimmed, load_package
 from overture.verifier import (
     all_partitions, check_and_gate_tactic, check_cheating_detection,
-    check_gmw_invariant, check_gradual_release, check_nimo,
+    check_gmw_invariant, check_gradual_release, check_integrity, check_nimo,
     check_passive_correct, enumerate_adversaries,
 )
 
@@ -186,11 +186,28 @@ def test_beaver_multiplication_full_and_malicious():
         assert not v.ok
         assert "m[shzd2]@1:=0" in v.witness.description
     t_detect = time.time() - t0
+
+    # the first strategy no input substitution explains: the zeroed share
+    # when corrupt secrets are substituted, already the zeroed MAC when all
+    # corrupt initial values are
+    t_integrity = {}
+    for scope, lie_label in (("secrets", "m[shzd2]@1:=0"),
+                             ("initial", "m[mczd2]@1:=0")):
+        t0 = time.time()
+        v = check_integrity(protocol, part, family, trim, secret_scope=scope)
+        t_integrity[scope] = time.time() - t0
+        assert not v.ok
+        assert f"(strategy: {lie_label})" in v.witness.description
+        run_memory = v.witness.memories[0][1]
+        given = v.witness.memories[1][1]
+        assert all(run_memory[u] == x for u, x in given.items())
     print(f"pass: beaver multiplication correct over all 2^21 runs "
           f"({t_correct:.2f}s) + nimo ({t_nimo:.2f}s); share lie aborts at "
           f"exactly 1/2 ({t_abort:.2f}s); cheating detection fails for the "
           f"9 constant strategies under both secret scopes on the 2^12 trim "
-          f"({t_detect:.2f}s)")
+          f"({t_detect:.2f}s); integrity fails under both scopes "
+          f"({t_integrity['secrets']:.2f}s secrets, "
+          f"{t_integrity['initial']:.2f}s initial)")
 
 
 def test_truth_table_runs_match_interpreter_everywhere():

@@ -118,6 +118,26 @@ def test_verify_malicious_properties(capsys):
     assert "integrity[scope=secrets, corrupt={2}]: FAILS" in out
 
 
+def test_budget_below_positions_is_noted(capsys):
+    # client 1 computes two commands of otp, so a budget of one falls back
+    # to the nine constant strategies; the notice goes to stderr only
+    rc, out, err = run_cli(capsys, "verify", "otp", "--property",
+                           "cheating-detection", "--corrupt", "1", "--budget", "1")
+    rc0, out0, err0 = run_cli(capsys, "verify", "otp", "--property",
+                              "cheating-detection", "--corrupt", "1")
+    assert (rc, out) == (rc0, out0) == (0, (
+        "cheating-detection[scope=secrets, corrupt={1}]: holds\n"
+        "  adversarial inputs: m[k]@2, m[z]@2\n"
+        "  36 adversarial runs over 9 strategies explained\n"))
+    assert err0 == ""
+    assert err == ("note: corrupt={1}: 2 tampered positions exceed --budget 1, "
+                   "so only constant replacements are tried; choose at most 1 "
+                   "with --positions\n")
+    rc, _, err = run_cli(capsys, "verify", "otp", "--property", "integrity",
+                         "--corrupt", "1", "--budget", "1", "--positions", "0")
+    assert rc == 0 and err == ""
+
+
 def test_table_budget_checked_before_building(capsys, monkeypatch):
     # client 2 sees six bits at command 3: 2^64 truth tables, never built
     def unbounded(*args):

@@ -5,25 +5,29 @@ abort fractions follow from the one-bit MAC equation mc = key + delta * x.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from overture.dist import Pmf, bd, bd_adv
+from overture.dist import Pmf, bd, bd_adv, default_preprocessing
 from overture.errors import BudgetError, UsageError
 from overture.interp import IDENTITY, AdversaryStrategy, run
 from overture.lang import (
-    AssertCmd, BOT, BinOp, Const, Partition, Protocol, Var, parse_var,
+    AssertCmd, BOT, BinOp, Const, Partition, Protocol, Ref, Var,
+    honest_views, parse_var,
 )
 from overture.ovt import parse_protocol
-from overture.stdlib import FUNCTIONALITIES, load_package
+from overture.stdlib import FUNCTIONALITIES, PACKAGES, load_package
 from overture.verifier import (
-    Verdict, Witness, adversarial_inputs, all_partitions,
-    check_and_gate_tactic, check_cheating_detection, check_gmw_invariant,
-    check_gradual_release, check_integrity, check_nimo,
+    Verdict, Witness, _dealt_secrets, _response_vars, adversarial_inputs,
+    all_partitions, check_and_gate_tactic, check_cheating_detection,
+    check_gmw_invariant, check_gradual_release, check_integrity, check_nimo,
     check_passive_correct, corrupt_positions, detection_inputs,
     enumerate_adversaries,
 )
+
+from test_dist import interpreter_bd
 
 
 def test_passive_correct_holds():
@@ -322,6 +326,130 @@ def test_bdoz_open_forgeries_break_both_checks():
         assert not vi.ok and "p[x2]:=0" in vi.witness.description
         agree = dict(vd.witness.memories[1][1])
         assert bd(protocol, preproc).prob(agree) == 0
+
+
+def _cond_dist(pmf, x_vars, given: dict) -> dict:
+    pos = pmf._positions(tuple(given))
+    want = tuple(given[v] for v in given)
+    xpos = pmf._positions(tuple(x_vars))
+    rows: dict = {}
+    mass = Fraction(0)
+    for key, w in pmf.weights.items():
+        if tuple(key[i] for i in pos) != want:
+            continue
+        sub = tuple(key[i] for i in xpos)
+        rows[sub] = rows.get(sub, Fraction(0)) + w
+        mass += w
+    if mass == 0:
+        return {}
+    return {k: v / mass for k, v in rows.items()}
+
+
+def reference_integrity(protocol, part, strategies, preproc, scope):
+    """Integrity by rescanning interpreter-built pmfs for every condition
+    and candidate: None when it holds, else (strategy, adversarial run,
+    conditioned on) of the first unexplained condition."""
+    p_passive = interpreter_bd(protocol, preproc)
+    x_h_all = _response_vars(protocol, part)
+    v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
+    if scope == "secrets":
+        inputs = _dealt_secrets(protocol, preproc)
+        candidates = [dict(zip(inputs, values))
+                      for values in itertools.product((0, 1), repeat=len(inputs))]
+    else:
+        inputs = tuple(preproc.domain)
+        candidates = [dict(m) for m in preproc.memories()]
+    match_vars = tuple(v for v in inputs if v.owner in part.honest)
+    for strategy in strategies:
+        p_a = interpreter_bd(protocol, preproc, strategy, part)
+        seen = set()
+        for key, _ in p_a.support():
+            m = p_a.memory(key)
+            x_vars = tuple(v for v in x_h_all if m[v] is not BOT)
+            given = {v: m[v] for v in inputs}
+            given.update((v, m[v]) for v in v_ch if m[v] is not BOT)
+            cond = (x_vars, tuple(sorted(given.items(), key=lambda kv: str(kv[0]))))
+            if cond in seen:
+                continue
+            seen.add(cond)
+            lhs = _cond_dist(p_a, x_vars, given)
+            if not any(_cond_dist(p_passive, x_vars, {**given, **c}) == lhs
+                       for c in candidates
+                       if all(c[v] == m[v] for v in match_vars)):
+                return strategy, m, given
+    return None
+
+
+def test_integrity_matches_pmf_reference():
+    # the reference costs tens of milliseconds per strategy, so families
+    # above 27 strategies (up to 19,683 here) keep the identity and 26
+    # seeded picks, which vary every tampered position
+    rng = random.Random(7)
+    checked = failed = 0
+    for name in sorted(PACKAGES):
+        if name == "bdoz-beaver":
+            continue
+        protocol, _, preproc = load_package(name)
+        if preproc is None:
+            preproc = default_preprocessing(protocol)
+        for part in all_partitions(protocol, max_corrupt=1):
+            fam = enumerate_adversaries(protocol, part, preproc=preproc)
+            if len(fam) > 27:
+                picks = sorted(rng.sample(range(1, len(fam)), 26))
+                fam = fam[:1] + tuple(fam[i] for i in picks)
+            for scope in ("secrets", "initial"):
+                v = check_integrity(protocol, part, fam, preproc, secret_scope=scope)
+                want = reference_integrity(protocol, part, fam, preproc, scope)
+                checked += 1
+                assert v.ok == (want is None), (name, part, scope)
+                if want is None:
+                    continue
+                failed += 1
+                strategy, m, given = want
+                assert v.witness.description == (
+                    "no input substitution reproduces the honest responses "
+                    f"(strategy: {strategy.describe()})")
+                assert v.witness.memories == (("adversarial run", m),
+                                              ("conditioned on", given))
+    assert checked == 34 and failed > 0
+
+
+def test_integrity_compares_weights_not_only_support():
+    # passively the corrupt client sends a fresh coin; the strategy echoes
+    # m[z], flipped with probability 1/4, so given the echo m[z] keeps both
+    # values but at 3/4 and 1/4: detection, which compares supports, holds
+    # and integrity fails
+    protocol = parse_protocol("m[z]@2 := r[h] @ 1;\n"
+                              "m[b]@1 := r[u] + r[v] @ 2;\n"
+                              "out@1 := m[b] + s[x] @ 1;\n")
+    part = Partition.of(protocol.federation, [2])
+    noisy = BinOp("xor", Ref("m", "z"), BinOp("and", Ref("r", "u"), Ref("r", "v")))
+    echo = AdversaryStrategy(replacements=((1, noisy),), label="noisy echo")
+    fam = (IDENTITY, echo)
+    assert check_cheating_detection(protocol, part, fam).ok
+    v = check_integrity(protocol, part, fam)
+    assert not v.ok
+    given = dict(v.witness.memories[1][1])
+    assert given == {parse_var("s[x]@1"): 0, parse_var("m[b]@1"): 0}
+    z = (parse_var("m[z]@2"),)
+    lhs = _cond_dist(interpreter_bd(protocol, None, echo, part), z, given)
+    rhs = _cond_dist(interpreter_bd(protocol), z, given)
+    assert lhs == {(0,): Fraction(3, 4), (1,): Fraction(1, 4)}
+    assert rhs == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+    assert reference_integrity(protocol, part, fam, default_preprocessing(protocol),
+                               "secrets")[2] == given
+
+
+def test_integrity_requires_f2():
+    # both adversarial checks run on the F_2 fold
+    p = parse_protocol("m[z]@2 := s[x] + r[k] @ 1;\n"
+                       "m[k]@2 := r[k] @ 1;\n"
+                       "out@2 := m[z] - m[k] @ 2;\n", modulus=3)
+    part = Partition.of(p.federation, [1])
+    lie = AdversaryStrategy(replacements=((0, Const(2)),))
+    for check in (check_integrity, check_cheating_detection):
+        with pytest.raises(UsageError, match="requires F_2"):
+            check(p, part, [IDENTITY, lie])
 
 
 def test_all_partitions():
