@@ -13,6 +13,7 @@ conditional itself is defined as 0 there).
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .errors import EvalError, UsageError
@@ -492,12 +493,19 @@ def bd_adv(protocol: Protocol, strategy: AdversaryStrategy, part: Partition,
 
 
 def format_pmf(pmf: Pmf) -> str:
-    """One line per support memory: var=val pairs sorted lexicographically,
-    then weight=NUM/DEN."""
-    lines = []
-    for key, w in pmf.support():
-        m = pmf.memory(key)
-        pairs = " ".join(f"{v}={m[v]}" for v in sorted(m, key=str))
-        weight = f"weight={w.numerator}/{w.denominator}"
-        lines.append(f"{pairs} {weight}".strip())
+    """One line per support memory: var=val pairs sorted lexicographically
+    by name (equal names keep domain order), then weight=NUM/DEN.
+
+    The text is built column by column: each name, the column order and
+    each var=val cell that occurs are made once per call, so the cost is
+    linear in support x domain."""
+    keys = [key for key, _ in pmf.support()]
+    names = [str(v) for v in pmf.domain]
+    columns = []
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        at = itemgetter(i)
+        cell = {x: f"{names[i]}={x}" for x in set(map(at, keys))}
+        columns.append(map(cell.__getitem__, map(at, keys)))
+    columns.append(f"weight={w.numerator}/{w.denominator}" for _, w in pmf.support())
+    lines = [" ".join(row) for row in zip(*columns)]
     return "\n".join(sorted(lines)) + "\n"

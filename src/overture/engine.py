@@ -176,10 +176,15 @@ def project_counts(table: RunTable, vars_):
     _, first, counts = np.unique(row_keys(values), return_index=True,
                                  return_counts=True)
     order = np.argsort(first)
-    out = {}
-    for row, c in zip(first[order].tolist(), counts[order].tolist()):
-        out[tuple(BOT if x == BOT_CODE else x for x in values[row].tolist())] = c
-    return out
+    rows = values[first[order]]
+    has_bot = (rows == BOT_CODE).any(axis=1).tolist()
+    keys = rows.tolist()
+    for j, key in enumerate(keys):
+        # in place, so the row lists and the key tuples are never all held at once
+        if has_bot[j]:
+            key = [BOT if x == BOT_CODE else x for x in key]
+        keys[j] = tuple(key)
+    return dict(zip(keys, counts[order].tolist()))
 
 
 def project_pmf(table: RunTable, vars_):

@@ -6,6 +6,7 @@ values; BOT marks entries padded after an abort.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import UsageError, ValidationError
@@ -320,29 +321,26 @@ class Protocol:
         return tuple(v for v in (assigned_var(c) for c in self.commands) if v is not None)
 
     def secrets(self) -> tuple:
-        return self._reads_of_kind(SECRET)
+        return tuple(v for v in self._mentioned if v.kind == SECRET)
 
     def flips(self) -> tuple:
-        return self._reads_of_kind(FLIP)
-
-    def _reads_of_kind(self, kind) -> tuple:
-        seen = []
-        for cmd in self.commands:
-            for v in sorted(command_reads(cmd), key=str):
-                if v.kind == kind and v not in seen:
-                    seen.append(v)
-        return tuple(seen)
+        return tuple(v for v in self._mentioned if v.kind == FLIP)
 
     def iovars(self) -> tuple:
         """All secret, message, reveal and output variables mentioned."""
-        seen = []
+        return tuple(v for v in self._mentioned if v.kind != FLIP)
+
+    @cached_property
+    def _mentioned(self) -> tuple:
+        """Every variable read or assigned, in order of first mention: each
+        command's reads sorted by name, then the variable it assigns.
+        Computed once per protocol; not a field, so not part of eq or hash."""
+        seen = {}
         for cmd in self.commands:
-            for v in sorted(command_reads(cmd), key=str):
-                if v.kind != FLIP and v not in seen:
-                    seen.append(v)
+            seen.update(dict.fromkeys(sorted(command_reads(cmd), key=str)))
             v = assigned_var(cmd)
-            if v is not None and v not in seen:
-                seen.append(v)
+            if v is not None:
+                seen.setdefault(v)
         return tuple(seen)
 
     def message_vars(self) -> tuple:
@@ -461,24 +459,6 @@ def _pred_exprs(pred):
 
 
 # --- Memory helpers --------------------------------------------------------
-
-def mem_union(m1: dict, m2: dict) -> dict:
-    """Union of memories; overlapping entries must agree."""
-    for k, v in m2.items():
-        if k in m1 and m1[k] != v:
-            raise UsageError(f"memories disagree at {k}: {m1[k]} vs {v}")
-    out = dict(m1)
-    out.update(m2)
-    return out
-
-
-def mem_extend(m: dict, var: Var, value) -> dict:
-    if var in m:
-        raise UsageError(f"{var} already defined")
-    out = dict(m)
-    out[var] = value
-    return out
-
 
 def mem_restrict(m: dict, vars_) -> dict:
     vs = set(vars_)

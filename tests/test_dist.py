@@ -23,6 +23,7 @@ from overture.stdlib import (
     FUNCTIONALITIES, LEAKY_OVT, OTP_OVT, SHAMIR_ADD3_OVT, load_package,
 )
 
+from overture.verifier import enumerate_adversaries
 from test_engine import sweep
 
 
@@ -215,6 +216,45 @@ def test_point_and_format():
     pmf = Pmf.point(m)
     assert pmf.prob(m) == 1
     assert format_pmf(pmf) == "m[z]@2=0 s[x]@1=1 weight=1/1\n"
+
+
+def per_line_format_pmf(pmf: Pmf) -> str:
+    """The reference rendering: each line rebuilds its memory and sorts it
+    by name, as format_memory does."""
+    lines = []
+    for key, w in pmf.support():
+        m = pmf.memory(key)
+        pairs = " ".join(f"{v}={m[v]}" for v in sorted(m, key=str))
+        lines.append(f"{pairs} weight={w.numerator}/{w.denominator}".strip())
+    return "\n".join(sorted(lines)) + "\n"
+
+
+def test_format_pmf_matches_per_line_rendering():
+    # an adversary that trips an honest assertion: BOT-padded aborted runs
+    protocol, _, preproc = load_package("bdoz-open")
+    part = Partition.of(protocol.federation, [2])
+    tripped = next(pmf for pmf in (bd_adv(protocol, s, part, preproc) for s in
+                                   enumerate_adversaries(protocol, part, preproc=preproc))
+                   if any(BOT in key for key in pmf.weights))
+    f3 = bd(parse_protocol("m[z]@2 := s[x] + r[k] @ 1;\n"
+                           "m[k]@2 := r[k] @ 1;\n"
+                           "out@2 := m[z] - m[k] @ 2;\n", modulus=3))
+    views = bd(parse_protocol("m[w]@2 := s[x] xor r[a] @ 1;\nm[w]@1 := r[a] @ 1;\n"
+                              "out@1 := 0 @ 1;\n")).with_global_views(["w"])
+    # domain order is not name order, and two variables share the name out@1
+    out_b, out_a = Var("out", "b", 1), Var("out", "a", 1)
+    unsorted = Pmf((M_K, out_b, S_X, out_a, M_Z),
+                   {(0, 1, 1, 0, 1): Fraction(1, 3), (1, 0, BOT, 1, 0): Fraction(2, 3)})
+    rng = random.Random(5)
+    cases = [tripped, f3, views, unsorted, tripped.marginal(())]
+    for pmf in cases + [random_pmf(rng) for _ in range(20)]:
+        assert format_pmf(pmf) == per_line_format_pmf(pmf)
+    assert "=bot " in format_pmf(tripped)
+    assert "=2 " in format_pmf(f3)
+    assert "<m[w]>=" in format_pmf(views)
+    assert format_pmf(unsorted).splitlines()[0] == \
+        "m[k]@2=0 m[z]@2=1 out@1=1 out@1=0 s[x]@1=1 weight=1/3"
+    assert format_pmf(tripped.marginal(())) == "weight=1/1\n"
 
 
 def test_functionality_from_callable_and_round_trip():

@@ -75,3 +75,27 @@ def test_adversarial_fold_rows_match_run_adv():
             assert_rows_match(aborting, None, AdversaryStrategy(
                 strategy.replacements, abort_at=abort_at), part)
 
+
+
+def test_project_counts_bot_rows():
+    # rows 1 and 2 abort at the assertion, rows 0 and 3 run to the end
+    p = parse_protocol("m[z]@2 := s[x] xor s[y] @ 1;\n"
+                       "assert (m[z] == 0) @ 2;\n"
+                       "out@2 := m[z] @ 2;\n")
+    table = engine.fold(p, default_preprocessing(p))
+    assert list(table.alive) == [True, False, False, True]
+    out = parse_var("out@2")
+    for vars_ in (table.domain, (out,), (parse_var("s[x]@1"), out), ()):
+        want = {}
+        for row in range(table.nrows):
+            m = engine.memory_at(table, row)
+            key = tuple(m[v] for v in vars_)
+            want[key] = want.get(key, 0) + 1
+        got = engine.project_counts(table, vars_)
+        assert list(got.items()) == list(want.items())
+    # every run is its own realization here: BOT exactly where the fold padded
+    full = list(engine.project_counts(table, table.domain))
+    for row, key in enumerate(full):
+        assert [x is BOT for x in key] == \
+            [table.bots[v] is not None and bool(table.bots[v][row]) for v in table.domain]
+    assert [key[-1] for key in full] == [0, BOT, BOT, 0]

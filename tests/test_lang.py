@@ -6,7 +6,7 @@ from overture.errors import UsageError
 from overture.lang import (
     BOT, MESG, OUT, REVEAL, SECRET, Const, MesgSend, OutputCmd, Partition,
     Protocol, Ref, RevealCmd, Var, corrupt_views, format_memory, honest_views,
-    mem_extend, mem_restrict, mem_union, owned_by, parse_var, validate,
+    mem_restrict, owned_by, parse_var, validate,
 )
 from overture.ovt import parse_protocol
 from overture.stdlib import LEAKY_OVT, OTP_OVT, SHAMIR_ADD3_OVT
@@ -120,12 +120,6 @@ def test_validate_ot_receiver_must_match_dest():
 
 def test_memory_helpers():
     a, b = parse_var("s[x]@1"), parse_var("m[z]@2")
-    m = mem_extend({a: 1}, b, 0)
-    assert m == {a: 1, b: 0}
-    with pytest.raises(UsageError):
-        mem_extend(m, b, 1)
-    assert mem_union({a: 1}, {b: 0}) == m
-    with pytest.raises(UsageError):
-        mem_union({a: 1}, {a: 0})
+    m = {a: 1, b: 0}
     assert mem_restrict(m, [b]) == {b: 0}
     assert format_memory(m) == "m[z]@2=0 s[x]@1=1"
