@@ -71,14 +71,12 @@ class UniformPreprocessing(Preprocessing):
             yield dict(zip(self.domain, values))
 
     def columns(self):
-        import numpy as np
+        from .engine import bit_column
 
         if self.modulus != 2:
             return super().columns()
-        idx = np.arange(self.count(), dtype=np.uint64)
-        last = len(self.domain) - 1
-        return {v: ((idx >> np.uint64(last - i)) & np.uint64(1)).astype(np.uint8)
-                for i, v in enumerate(self.domain)}
+        n, last = self.count(), len(self.domain) - 1
+        return {v: bit_column(n, last - i) for i, v in enumerate(self.domain)}
 
 
 class ExplicitPreprocessing(Preprocessing):
@@ -89,6 +87,9 @@ class ExplicitPreprocessing(Preprocessing):
         for m in self._memories:
             if set(m) != set(self.domain):
                 raise UsageError("preprocessing memory domain mismatch")
+            for v, value in m.items():
+                if value not in range(modulus):
+                    raise UsageError(f"preprocessing value {value!r} for {v} out of range")
 
     def count(self) -> int:
         return len(self._memories)

@@ -9,13 +9,25 @@ memories in their memories() order, then coin-flip tapes with the first
 flip as the most significant bit.  Projections list realizations in the
 order of their first run, so distributions built here iterate like those
 built by the interpreter.
+
+Deal and flip columns are built as bit columns (bit_column) by tiling a
+repeated 0/1 block, with no 64-bit row index; without flips the deal's
+columns are used as they are.  A fold of more than MAX_RUNS runs raises
+BudgetError before any column is built.
+
+project_counts keys each run by one integer over w key bits: 1 bit per
+variable, or 2 when a projected variable has a BOT mask, BOT_CODE written
+over BOT rows.  With 2**w at most the row count it counts with a dense
+np.bincount (linear in rows); up to 64 bits it sorts the uint32/uint64
+keys with np.unique (n log n); wider projections sort packed void keys of
+the value matrix (row_keys), 2 * ceil(vars / 8) bytes per row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, UsageError
+from .errors import BudgetError, EvalError, UsageError
 from .interp import AdversaryStrategy, _check_replacement_visibility
 from .lang import (
     BOT, AssertCmd, BinOp, Cmp, Const, MesgSend, Not, OT, OT4, OutputCmd,
@@ -33,20 +45,38 @@ class RunTable:
     nrows: int
 
 
+MAX_RUNS = 2 ** 24  # run budget of one fold; the full Beaver deal is 2^21
+
+
+_BIT_PAIR = np.array([0, 1], dtype=np.uint8)
+_BIT_PAIR.flags.writeable = False
+
+
+def bit_column(n: int, i: int) -> "np.ndarray":
+    """Bit i of each of 0..n-1 as a uint8 column; n a multiple of 2**(i + 1).
+    Tiles a block of 2**i zeros and 2**i ones, with no index array; the
+    tiling is np.tile's, without its per-call overhead on small tables."""
+    half = 1 << i
+    block = _BIT_PAIR.repeat(half)
+    return block[None].repeat(n // (2 * half), axis=0).reshape(n)
+
+
 def _initial_columns(protocol: Protocol, preproc):
-    pre_cols = preproc.columns()
     npre = preproc.count()
     flips = protocol.flips()
     ntape = 2 ** len(flips)
     nrows = npre * ntape
-    cols = {}
-    for v in preproc.domain:
-        cols[v] = np.repeat(pre_cols[v], ntape)
-    tape_idx = np.arange(ntape, dtype=np.uint64)
+    if nrows > MAX_RUNS:
+        raise BudgetError(f"{nrows} runs exceed the run budget of {MAX_RUNS}")
+    pre_cols = preproc.columns()
+    if ntape == 1:
+        cols = {v: pre_cols[v] for v in preproc.domain}
+    else:
+        cols = {v: np.repeat(pre_cols[v], ntape) for v in preproc.domain}
+    # row = memory index * ntape + tape, so flip i is bit k-1-i of the row
     k = len(flips)
     for i, v in enumerate(flips):
-        bit = ((tape_idx >> np.uint64(k - 1 - i)) & np.uint64(1)).astype(np.uint8)
-        cols[v] = np.tile(bit, npre)
+        cols[v] = bit_column(nrows, k - 1 - i)
     domain = tuple(preproc.domain) + flips
     return domain, cols, nrows
 
@@ -144,19 +174,30 @@ def fold(protocol: Protocol, preproc, strategy: AdversaryStrategy = None,
 BOT_CODE = 2  # BOT in a value matrix
 
 
-def value_matrix(table: RunTable, vars_) -> "np.ndarray":
-    """(rows, variables) uint8 matrix of the given variables, BOT as BOT_CODE."""
+def _check_vars(table: RunTable, vars_) -> tuple:
     vars_ = tuple(vars_)
     for v in vars_:
         if v not in table.cols:
             raise UsageError(f"{v} not in run table")
-    out = np.empty((table.nrows, len(vars_)), dtype=np.uint8)
+    return vars_
+
+
+def _values_at(table: RunTable, vars_, rows) -> "np.ndarray":
+    """(rows, variables) uint8 matrix at an index array of rows or at
+    slice(None), BOT as BOT_CODE."""
+    n = table.nrows if isinstance(rows, slice) else len(rows)
+    out = np.empty((n, len(vars_)), dtype=np.uint8)
     for j, v in enumerate(vars_):
-        out[:, j] = table.cols[v]
+        out[:, j] = table.cols[v][rows]
         bot = table.bots.get(v)
         if bot is not None:
-            out[bot, j] = BOT_CODE
+            out[bot[rows], j] = BOT_CODE
     return out
+
+
+def value_matrix(table: RunTable, vars_) -> "np.ndarray":
+    """(rows, variables) uint8 matrix of the given variables, BOT as BOT_CODE."""
+    return _values_at(table, _check_vars(table, vars_), slice(None))
 
 
 def row_keys(values) -> "np.ndarray":
@@ -169,14 +210,56 @@ def row_keys(values) -> "np.ndarray":
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
+def _int_keys(table: RunTable, vars_, bits: int) -> "np.ndarray":
+    """One integer per row: variable j's code (its value, or BOT_CODE) at
+    bits j*bits and up.  Needs F_2 columns and len(vars_) * bits <= 64."""
+    dtype = np.uint32 if len(vars_) * bits <= 32 else np.uint64
+    keys = np.zeros(table.nrows, dtype=dtype)
+    code = np.empty(table.nrows, dtype=dtype)
+    for j, v in enumerate(vars_):
+        np.copyto(code, table.cols[v])
+        bot = table.bots.get(v)
+        if bot is not None:
+            code[bot] = BOT_CODE
+        code <<= dtype(j * bits)
+        keys |= code
+    return keys
+
+
 def project_counts(table: RunTable, vars_):
     """Exact counts of (value, bot) realizations over the given variables,
-    keyed in the order of each realization's first run."""
-    values = value_matrix(table, vars_)
-    _, first, counts = np.unique(row_keys(values), return_index=True,
-                                 return_counts=True)
+    keyed in the order of each realization's first run.
+
+    Over w = b * len(vars_) key bits, with b = 2 if a projected variable
+    has a BOT mask and b = 1 otherwise:
+    - 2**w <= rows: np.bincount into a dense table of 2**w counts, first
+      runs by np.minimum.at; linear in rows;
+    - w <= 64: np.unique on the integer keys; one sort of the rows;
+    - wider: np.unique on packed row_keys of the value matrix; one sort of
+      void keys of 2 * ceil(len(vars_) / 8) bytes.
+    Key tuples are built only for the first run of each realization."""
+    vars_ = _check_vars(table, vars_)
+    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
+    width = bits * len(vars_)
+    if width > 64:
+        values = value_matrix(table, vars_)
+        _, first, counts = np.unique(row_keys(values), return_index=True,
+                                     return_counts=True)
+    elif 2 ** width <= table.nrows:
+        keys = _int_keys(table, vars_, bits)
+        counts = np.bincount(keys, minlength=2 ** width)
+        first = np.full(len(counts), table.nrows, dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(table.nrows))
+        seen = counts > 0
+        first, counts = first[seen], counts[seen]
+    else:
+        _, first, counts = np.unique(_int_keys(table, vars_, bits),
+                                     return_index=True, return_counts=True)
     order = np.argsort(first)
-    rows = values[first[order]]
+    if width > 64:
+        rows = values[first[order]]
+    else:
+        rows = _values_at(table, vars_, first[order])
     has_bot = (rows == BOT_CODE).any(axis=1).tolist()
     keys = rows.tolist()
     for j, key in enumerate(keys):

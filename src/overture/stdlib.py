@@ -266,9 +266,9 @@ class BdozPreprocessing(Preprocessing):
     def columns(self):
         import numpy as np
 
-        idx = np.arange(self.count(), dtype=np.uint64)
-        col = {v: ((idx >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
-               for i, v in enumerate(self._free)}
+        from .engine import bit_column
+
+        col = {v: bit_column(self.count(), i) for i, v in enumerate(self._free)}
         for v, value in self.fixed.items():
             col[v] = np.full(self.count(), value, dtype=np.uint8)
         for w, owner in self.secret_owners.items():

@@ -4,9 +4,11 @@ import os
 
 import pytest
 
-from overture import verifier
+from overture import engine, verifier
 from overture.cli import main
+from overture.dist import UniformPreprocessing
 from overture.stdlib import GMW_AND_PRE, GMW_PRE, OTP_OVT, protocols_dir
+from test_engine import FLIPS64, never_allocate
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +151,20 @@ def test_table_budget_checked_before_building(capsys, monkeypatch):
                            "--budget", "1", "--positions", "3")
     assert rc == 2 and out == ""
     assert err == "error: strategy family exceeds 100000\n"
+
+
+def test_run_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # a dealt secret and 64 flips, 2^65 runs: refused before any column is built
+    monkeypatch.setattr(UniformPreprocessing, "columns", never_allocate)
+    monkeypatch.setattr(engine, "bit_column", never_allocate)
+    src = tmp_path / "flips.ovt"
+    src.write_text(FLIPS64)
+    for prop in ("nimo", "cheating-detection"):
+        rc, out, err = run_cli(capsys, "verify", str(src), "--property", prop,
+                               "--corrupt", "2")
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {2 ** 65} runs exceed the run budget of "
+                       f"{engine.MAX_RUNS}\n")
 
 
 def test_verify_gmw_invariant(capsys):

@@ -69,6 +69,20 @@ def test_bd_rejects_empty_preprocessing():
         bd(p, ExplicitPreprocessing([S_X], []))
 
 
+def test_explicit_preprocessing_values_in_field():
+    # over F_2 a dealt 2 once printed as bot and a 3 as 3
+    for bad in (2, 3, -1, BOT, "1"):
+        with pytest.raises(UsageError, match="out of range"):
+            ExplicitPreprocessing([S_X], [{S_X: 0}, {S_X: bad}])
+    with pytest.raises(UsageError, match="out of range"):
+        ExplicitPreprocessing([S_X], [{S_X: 3}], modulus=3)
+    deal = ExplicitPreprocessing([S_X], [{S_X: 2}, {S_X: 0}], modulus=3)
+    assert list(deal.memories()) == [{S_X: 2}, {S_X: 0}]
+    p = parse_protocol(OTP_OVT)
+    assert format_pmf(bd(p, ExplicitPreprocessing([S_X], [{S_X: 1}])).marginal([S_X])) \
+        == "s[x]@1=1 weight=1/1\n"
+
+
 def interpreter_bd(protocol, preproc=None, strategy=None, part=None) -> Pmf:
     """bd recomputed from the reference interpreter's sweep."""
     if preproc is None:
