@@ -15,12 +15,11 @@ repeated 0/1 block, with no 64-bit row index; without flips the deal's
 columns are used as they are.  A fold of more than MAX_RUNS runs raises
 BudgetError before any column is built.
 
-project_counts keys each run by one integer over w key bits: 1 bit per
-variable, or 2 when a projected variable has a BOT mask, BOT_CODE written
-over BOT rows.  With 2**w at most the row count it counts with a dense
-np.bincount (linear in rows); up to 64 bits it sorts the uint32/uint64
-keys with np.unique (n log n); wider projections sort packed void keys of
-the value matrix (row_keys), 2 * ceil(vars / 8) bytes per row.
+project_counts keys each run over w key bits: 1 bit per variable, or 2
+when a projected variable has a BOT mask, BOT_CODE written over BOT rows.
+With 2**w at most the row count it counts one uint32 key per run with a
+dense np.bincount (linear in rows); otherwise it sorts packed void keys of
+the value matrix (row_keys), 2 * ceil(vars / 8) bytes per row (n log n).
 """
 
 from dataclasses import dataclass
@@ -211,17 +210,17 @@ def row_keys(values) -> "np.ndarray":
 
 
 def _int_keys(table: RunTable, vars_, bits: int) -> "np.ndarray":
-    """One integer per row: variable j's code (its value, or BOT_CODE) at
-    bits j*bits and up.  Needs F_2 columns and len(vars_) * bits <= 64."""
-    dtype = np.uint32 if len(vars_) * bits <= 32 else np.uint64
-    keys = np.zeros(table.nrows, dtype=dtype)
-    code = np.empty(table.nrows, dtype=dtype)
+    """One uint32 per row: variable j's code (its value, or BOT_CODE) at
+    bits j*bits and up.  Needs F_2 columns and 2**(len(vars_) * bits) at
+    most the row count, so the key fits in 32 bits."""
+    keys = np.zeros(table.nrows, dtype=np.uint32)
+    code = np.empty(table.nrows, dtype=np.uint32)
     for j, v in enumerate(vars_):
         np.copyto(code, table.cols[v])
         bot = table.bots.get(v)
         if bot is not None:
             code[bot] = BOT_CODE
-        code <<= dtype(j * bits)
+        code <<= np.uint32(j * bits)
         keys |= code
     return keys
 
@@ -232,20 +231,15 @@ def project_counts(table: RunTable, vars_):
 
     Over w = b * len(vars_) key bits, with b = 2 if a projected variable
     has a BOT mask and b = 1 otherwise:
-    - 2**w <= rows: np.bincount into a dense table of 2**w counts, first
-      runs by np.minimum.at; linear in rows;
-    - w <= 64: np.unique on the integer keys; one sort of the rows;
-    - wider: np.unique on packed row_keys of the value matrix; one sort of
-      void keys of 2 * ceil(len(vars_) / 8) bytes.
+    - 2**w <= rows: np.bincount of one integer key per run into a dense
+      table of 2**w counts, first runs by np.minimum.at; linear in rows;
+    - otherwise: np.unique on packed row_keys of the value matrix; one sort
+      of void keys of 2 * ceil(len(vars_) / 8) bytes.
     Key tuples are built only for the first run of each realization."""
     vars_ = _check_vars(table, vars_)
     bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
     width = bits * len(vars_)
-    if width > 64:
-        values = value_matrix(table, vars_)
-        _, first, counts = np.unique(row_keys(values), return_index=True,
-                                     return_counts=True)
-    elif 2 ** width <= table.nrows:
+    if 2 ** width <= table.nrows:
         keys = _int_keys(table, vars_, bits)
         counts = np.bincount(keys, minlength=2 ** width)
         first = np.full(len(counts), table.nrows, dtype=np.intp)
@@ -253,13 +247,10 @@ def project_counts(table: RunTable, vars_):
         seen = counts > 0
         first, counts = first[seen], counts[seen]
     else:
-        _, first, counts = np.unique(_int_keys(table, vars_, bits),
+        _, first, counts = np.unique(row_keys(value_matrix(table, vars_)),
                                      return_index=True, return_counts=True)
     order = np.argsort(first)
-    if width > 64:
-        rows = values[first[order]]
-    else:
-        rows = _values_at(table, vars_, first[order])
+    rows = _values_at(table, vars_, first[order])
     has_bot = (rows == BOT_CODE).any(axis=1).tolist()
     keys = rows.tolist()
     for j, key in enumerate(keys):

@@ -141,12 +141,11 @@ def test_project_counts_key_paths(monkeypatch):
     monkeypatch.setattr(np, "bincount",
                         lambda *a, **k: taken.append("bincount") or bincount(*a, **k))
     # (variables, of which with a BOT mask) on 512 rows, so that 2^bits is
-    # at most 512 (dense), above it up to 64 bits (sorted), or wider (wide)
+    # at most 512 (dense) or above it, up to 64 bits and wider (row_keys)
     cases = {"dense": ((8, 0), (4, 4), (0, 0)),
-             "sorted": ((10, 0), (7, 1), (32, 0), (16, 2), (40, 0), (32, 3)),
-             "wide": ((65, 0), (33, 1), (70, 20))}
-    paths = {"dense": ["_int_keys", "bincount"], "sorted": ["_int_keys"],
-             "wide": ["row_keys"]}
+             "row_keys": ((10, 0), (7, 1), (32, 0), (16, 2), (40, 0), (32, 3),
+                          (65, 0), (33, 1), (70, 20))}
+    paths = {"dense": ["_int_keys", "bincount"], "row_keys": ["row_keys"]}
     for path, shapes in cases.items():
         for seed, (nvars, nbot) in enumerate(shapes):
             table = pooled_table(nvars, nbot, 512, seed)
