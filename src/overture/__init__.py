@@ -6,7 +6,6 @@ from .errors import (
     BudgetError, EvalError, MetaEvalError, OvertureError, ParseError,
     StratificationError, UsageError, ValidationError,
 )
-from .field import FieldElem
 from .lang import (
     BOT, AssertCmd, BinOp, Cmp, Const, MesgSend, Not, OT, OT4, OutputCmd,
     Partition, Protocol, Ref, RevealCmd, Var, corrupt_views, honest_views,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
-from .errors import EvalError, UsageError
+from .errors import BudgetError, EvalError, UsageError
 from .interp import IDENTITY, AdversaryStrategy, run, run_adv
 from .lang import (
     BOT, GLOBAL, MESG, Partition, Protocol, Var, assigned_var, mem_restrict,
@@ -467,15 +467,19 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
     With a strategy and partition, the distribution is over adversarial
     runs, aborted runs BOT-padded.  Over F_2 the runs are enumerated by the
     vectorized fold; over F_p, which the fold does not cover, by the
-    reference interpreter.
+    reference interpreter.  Either way more than engine.MAX_RUNS runs raise
+    BudgetError before the first run.
     """
+    from . import engine
+
     if preproc is None:
         preproc = default_preprocessing(protocol)
     _validate_for_bd(protocol, preproc)
     if protocol.modulus == 2:
-        from . import engine
-
         return engine.to_pmf(engine.fold(protocol, preproc, strategy, part))
+    total = preproc.count() * protocol.modulus ** len(protocol.flips())
+    if total > engine.MAX_RUNS:
+        raise BudgetError(f"{total} runs exceed the run budget of {engine.MAX_RUNS}")
     domain = bd_domain(protocol, preproc)
     counts: dict = {}
     for m0 in _initial_memories(protocol, preproc):
@@ -483,7 +487,6 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
             else run_adv(m0, protocol, strategy, part)
         key = _key_of(final, domain)
         counts[key] = counts.get(key, 0) + 1
-    total = preproc.count() * protocol.modulus ** len(protocol.flips())
     return Pmf.from_counts(domain, counts, total, protocol.modulus)
 
 

@@ -1,13 +1,8 @@
 """Prime field arithmetic kernel.
 
-Field values are canonical integers in [0, p).  FieldElem is the checked,
-typed representation used at API boundaries; the interpreter hot path works
-on raw ints through the f_* helpers, which implement the same operations.
+Field values are canonical integers in [0, p), operated on as raw ints by
+the f_* helpers; is_prime checks a modulus where it enters (Protocol.of).
 """
-
-from dataclasses import dataclass
-
-from .errors import UsageError
 
 
 def is_prime(n: int) -> bool:
@@ -21,79 +16,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    value: int
-    modulus: int = 2
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise UsageError(f"modulus {self.modulus} is not prime")
-        if not 0 <= self.value < self.modulus:
-            raise UsageError(f"value {self.value} out of range for F_{self.modulus}")
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __str__(self):
-        return str(self.value)
-
-
-def _check_pair(a: FieldElem, b: FieldElem):
-    if a.modulus != b.modulus:
-        raise UsageError(f"modulus mismatch: F_{a.modulus} vs F_{b.modulus}")
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_pair(a, b)
-    return FieldElem((a.value + b.value) % a.modulus, a.modulus)
-
-
-def sub(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_pair(a, b)
-    return FieldElem((a.value - b.value) % a.modulus, a.modulus)
-
-
-def mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_pair(a, b)
-    return FieldElem((a.value * b.value) % a.modulus, a.modulus)
-
-
-def _check_binary(a: FieldElem):
-    if a.modulus != 2:
-        raise UsageError(f"boolean operation requires F_2, got F_{a.modulus}")
-
-
-def and_(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_pair(a, b)
-    _check_binary(a)
-    return FieldElem(a.value & b.value, 2)
-
-
-def or_(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_pair(a, b)
-    _check_binary(a)
-    return FieldElem(a.value | b.value, 2)
-
-
-def xor(a: FieldElem, b: FieldElem) -> FieldElem:
-    _check_pair(a, b)
-    _check_binary(a)
-    return FieldElem(a.value ^ b.value, 2)
-
-
-def not_(a: FieldElem) -> FieldElem:
-    _check_binary(a)
-    return FieldElem(1 - a.value, 2)
-
-
-# Raw-int variants used by the interpreter; operands already in [0, p).
+# Used by the interpreter; operands already in [0, p).
 
 def f_add(a: int, b: int, p: int) -> int:
     return (a + b) % p

@@ -10,6 +10,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .errors import UsageError, ValidationError
+from .field import is_prime
 
 # Variable kinds.
 SECRET = "s"
@@ -306,6 +307,8 @@ class Protocol:
 
     @staticmethod
     def of(commands, federation=None, modulus=2) -> "Protocol":
+        if not is_prime(modulus):
+            raise UsageError(f"modulus {modulus} is not prime")
         commands = tuple(commands)
         if federation is None:
             feds = set()

@@ -314,12 +314,6 @@ class _Stuck(MetaEvalError):
     pass
 
 
-def step_meta(codebase: dict, protocol: list, e):
-    """One reduction step; commands emitted by the step are appended to
-    protocol, a plain list of commands."""
-    return _step(e, codebase, protocol)
-
-
 def _step(e, cb, out):
     if is_value(e):
         raise _Stuck("value cannot step")

@@ -1,13 +1,14 @@
 """Command-line front end: exit codes, golden output, determinism."""
 
 import os
+import shutil
 
 import pytest
 
-from overture import engine, verifier
+from overture import engine, stdlib, verifier
 from overture.cli import main
 from overture.dist import UniformPreprocessing
-from overture.stdlib import GMW_AND_PRE, GMW_PRE, OTP_OVT, protocols_dir
+from overture.stdlib import protocols_dir
 from test_engine import FLIPS64, never_allocate
 
 
@@ -48,12 +49,10 @@ def test_run_defaults_missing_inputs_to_zero(capsys):
     assert out == "m[k]@2=0 m[z]@2=1 out@2=1 r[k]@1=0 s[x]@1=1\n"
 
 
-def test_expand_golden(tmp_path, capsys):
-    lib = tmp_path / "gmw.pre"
-    lib.write_text(GMW_PRE)
-    src = tmp_path / "main.pre"
-    src.write_text(GMW_AND_PRE)
-    rc, out, _ = run_cli(capsys, "expand", str(src), "--lib", str(lib))
+def test_expand_golden(capsys):
+    root = protocols_dir()
+    rc, out, _ = run_cli(capsys, "expand", os.path.join(root, "gmw_and.pre"),
+                         "--lib", os.path.join(root, "gmw.pre"))
     assert rc == 0
     assert out.startswith("m[s1]@1 := s[s1] xor r[s1] @ 1;\n")
     assert out.count(";\n") == 10
@@ -210,9 +209,31 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_file_targets(tmp_path, capsys):
-    src = tmp_path / "otp.ovt"
-    src.write_text(OTP_OVT)
-    rc, out, _ = run_cli(capsys, "verify", str(src), "--property", "nimo",
+def test_file_targets(capsys):
+    src = os.path.join(protocols_dir(), "otp.ovt")
+    rc, out, _ = run_cli(capsys, "verify", src, "--property", "nimo",
                          "--corrupt", "2")
     assert rc == 0
+
+
+def test_field_must_be_prime(tmp_path, capsys):
+    src = tmp_path / "f.ovt"
+    src.write_text("out@1 := s[x] + s[x] @ 1;\n")
+    for p in ("0", "1", "4", "6"):
+        rc, _, err = run_cli(capsys, "run", str(src), "--field", p,
+                             "--inputs", "s[x]@1=2")
+        assert rc == 2, p
+        assert err == f"error: modulus {p} is not prime\n", p
+    rc, out, _ = run_cli(capsys, "run", str(src), "--field", "3", "--inputs", "s[x]@1=2")
+    assert rc == 0
+    assert out == "out@1=1 s[x]@1=2\n"
+
+
+def test_unreadable_bundled_file_exits_two(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "protocols"
+    shutil.copytree(protocols_dir(), root)
+    (root / "gmw.pre").unlink()
+    monkeypatch.setattr(stdlib, "protocols_dir", lambda: str(root))
+    rc, _, err = run_cli(capsys, "verify", "gmw-and", "--property", "correct")
+    assert rc == 2
+    assert err.startswith(f"error: cannot read bundled file {root / 'gmw.pre'}")

@@ -11,20 +11,22 @@ from fractions import Fraction
 
 import pytest
 
+from overture import dist, engine
 from overture.dist import (
     ExplicitPreprocessing, Functionality, Pmf, UniformPreprocessing, bd,
     bd_adv, bd_domain, default_preprocessing, format_pmf, kernel,
 )
-from overture.errors import UsageError
+from overture.errors import BudgetError, UsageError
 from overture.interp import AdversaryStrategy
 from overture.lang import BOT, Const, Partition, Var, parse_var
 from overture.ovt import parse_protocol
-from overture.stdlib import (
-    FUNCTIONALITIES, LEAKY_OVT, OTP_OVT, SHAMIR_ADD3_OVT, load_package,
-)
-
+from overture.stdlib import FUNCTIONALITIES, load_package, read_source
 from overture.verifier import enumerate_adversaries
-from test_engine import sweep
+from test_engine import StubDeal, sweep
+
+OTP_OVT = read_source("otp.ovt")
+SHAMIR_ADD3_OVT = read_source("shamir_add3.ovt")
+LEAKY_OVT = read_source("leaky.ovt")
 
 
 S_X = parse_var("s[x]@1")
@@ -117,6 +119,30 @@ def test_bd_routes_agree_under_adversary():
     a = interpreter_bd(protocol, None, lie, part)
     b = bd_adv(protocol, lie, part)
     assert list(a.weights.items()) == list(b.weights.items())
+
+
+class OneMemoryDeal(StubDeal):
+    """A deal that claims n memories and yields one empty memory."""
+
+    def memories(self):
+        yield {}
+
+
+def test_fp_run_budget_checked_before_running(monkeypatch):
+    def never_run(*args):
+        raise AssertionError("interpreter ran")
+
+    monkeypatch.setattr(dist, "run", never_run)
+    flips = " + ".join(f"r[k{i}]" for i in range(40))
+    p = parse_protocol(f"out@1 := s[x] + {flips} @ 1;\n", modulus=3)
+    with pytest.raises(BudgetError, match="run budget"):
+        bd(p)
+    # exactly at the budget the sweep goes on to run the protocol
+    const = parse_protocol("out@1 := 0 @ 1;\n", modulus=3)
+    with pytest.raises(AssertionError, match="interpreter ran"):
+        bd(const, OneMemoryDeal(engine.MAX_RUNS))
+    with pytest.raises(BudgetError):
+        bd(const, OneMemoryDeal(engine.MAX_RUNS + 1))
 
 
 def test_bd_over_f3_runs_the_interpreter():
@@ -279,6 +305,7 @@ def test_functionality_from_callable_and_round_trip():
     again = Functionality.parse(text)
     assert again == xor2
     for name, fn in FUNCTIONALITIES.items():
+        assert fn.format() == read_source(f"{name}.fn"), name
         assert Functionality.parse(fn.format()) == fn
         assert len(fn.table) == 2 ** len(fn.secrets)
 

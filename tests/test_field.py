@@ -3,10 +3,8 @@
 import pytest
 
 from overture.errors import UsageError
-from overture.field import (
-    FieldElem, add, and_, f_add, f_and, f_mul, f_not, f_or, f_sub, f_xor,
-    is_prime, mul, not_, or_, sub, xor,
-)
+from overture.field import f_add, f_and, f_mul, f_not, f_or, f_sub, f_xor, is_prime
+from overture.ovt import parse_protocol
 
 
 def test_is_prime_small():
@@ -18,10 +16,6 @@ def test_ring_ops_exhaustive():
     for p in (2, 3, 5):
         for a in range(p):
             for b in range(p):
-                x, y = FieldElem(a, p), FieldElem(b, p)
-                assert (x + y).value == (a + b) % p
-                assert (x - y).value == (a - b) % p
-                assert (x * y).value == (a * b) % p
                 assert f_add(a, b, p) == (a + b) % p
                 assert f_sub(a, b, p) == (a - b) % p
                 assert f_mul(a, b, p) == (a * b) % p
@@ -30,14 +24,9 @@ def test_ring_ops_exhaustive():
 def test_boolean_ops_exhaustive():
     for a in (0, 1):
         for b in (0, 1):
-            x, y = FieldElem(a), FieldElem(b)
-            assert and_(x, y).value == (a and b)
-            assert or_(x, y).value == (a or b)
-            assert xor(x, y).value == a ^ b
             assert f_and(a, b) == (a and b)
             assert f_or(a, b) == (a or b)
             assert f_xor(a, b) == a ^ b
-        assert not_(FieldElem(a)).value == 1 - a
         assert f_not(a) == 1 - a
 
 
@@ -48,35 +37,10 @@ def test_xor_is_add_is_sub_in_f2():
             assert f_and(a, b) == f_mul(a, b, 2)
 
 
-def test_typed_and_raw_agree():
-    for p in (2, 3, 5):
-        for a in range(p):
-            for b in range(p):
-                assert add(FieldElem(a, p), FieldElem(b, p)).value == f_add(a, b, p)
-                assert sub(FieldElem(a, p), FieldElem(b, p)).value == f_sub(a, b, p)
-                assert mul(FieldElem(a, p), FieldElem(b, p)).value == f_mul(a, b, p)
-
-
 def test_bad_modulus_rejected():
+    src = "out@1 := s[x] @ 1;\n"
     for n in (0, 1, 4, 6, 9):
-        with pytest.raises(UsageError):
-            FieldElem(0, n)
-
-
-def test_out_of_range_value_rejected():
-    with pytest.raises(UsageError):
-        FieldElem(2, 2)
-    with pytest.raises(UsageError):
-        FieldElem(-1, 3)
-
-
-def test_modulus_mismatch_rejected():
-    with pytest.raises(UsageError):
-        add(FieldElem(1, 2), FieldElem(1, 3))
-
-
-def test_boolean_ops_require_f2():
-    with pytest.raises(UsageError):
-        and_(FieldElem(1, 3), FieldElem(1, 3))
-    with pytest.raises(UsageError):
-        not_(FieldElem(1, 3))
+        with pytest.raises(UsageError, match="not prime"):
+            parse_protocol(src, modulus=n)
+    for n in (2, 3, 5):
+        assert parse_protocol(src, modulus=n).modulus == n

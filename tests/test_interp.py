@@ -14,7 +14,10 @@ from overture.lang import (
     parse_var,
 )
 from overture.ovt import parse_protocol
-from overture.stdlib import OTP_OVT, SHAMIR_ADD3_OVT
+from overture.stdlib import read_source
+
+OTP_OVT = read_source("otp.ovt")
+SHAMIR_ADD3_OVT = read_source("shamir_add3.ovt")
 
 
 def test_eval_const_and_ref():

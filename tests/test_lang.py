@@ -9,7 +9,11 @@ from overture.lang import (
     mem_restrict, owned_by, parse_var, validate,
 )
 from overture.ovt import parse_protocol
-from overture.stdlib import LEAKY_OVT, OTP_OVT, SHAMIR_ADD3_OVT
+from overture.stdlib import read_source
+
+OTP_OVT = read_source("otp.ovt")
+SHAMIR_ADD3_OVT = read_source("shamir_add3.ovt")
+LEAKY_OVT = read_source("leaky.ovt")
 
 
 def test_var_display_and_parse_round_trip():
@@ -43,6 +47,13 @@ def test_protocol_accessors_otp():
     assert p.assigned() == (Var(MESG, "z", 2), Var(MESG, "k", 2), Var(OUT, "", 2))
     assert p.output_vars() == (Var(OUT, "", 2),)
     assert p.reveal_vars() == ()
+
+
+def test_protocol_modulus_must_be_prime():
+    commands = parse_protocol(OTP_OVT).commands
+    with pytest.raises(UsageError, match="modulus 4 is not prime"):
+        Protocol.of(commands, modulus=4)
+    assert Protocol.of(commands, modulus=3).modulus == 3
 
 
 def test_iovars_cover_reads_and_writes():

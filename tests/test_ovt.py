@@ -5,14 +5,14 @@ import pytest
 from overture.errors import ParseError
 from overture.lang import BinOp, Const, MesgSend, Not, OT4, Ref
 from overture.ovt import format_expr, format_protocol, parse_protocol
-from overture.stdlib import PACKAGES, SOURCES, load_protocol
+from overture.stdlib import PACKAGES, load_protocol, read_source
 
 
 def test_format_parse_round_trip_on_bundled_sources():
-    for fname, src in SOURCES.items():
-        if not fname.endswith(".ovt"):
+    for pkg in PACKAGES.values():
+        if not pkg.source.endswith(".ovt"):
             continue
-        p = parse_protocol(src)
+        p = parse_protocol(read_source(pkg.source))
         text = format_protocol(p)
         assert parse_protocol(text) == p
         assert format_protocol(parse_protocol(text)) == text

@@ -8,7 +8,11 @@ from overture.ovt import format_protocol
 from overture.prelude import (
     MCall, MInt, MLet, MVar, eval_meta, expand, parse_program, subst,
 )
-from overture.stdlib import GMW_AND_PRE, GMW_PRE, GMW_XOR_PRE
+from overture.stdlib import read_source
+
+GMW_PRE = read_source("gmw.pre")
+GMW_AND_PRE = read_source("gmw_and.pre")
+GMW_XOR_PRE = read_source("gmw_xor.pre")
 
 
 def test_parse_program_splits_decls_and_main():

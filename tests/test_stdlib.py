@@ -10,10 +10,9 @@ from overture.errors import UsageError
 from overture.lang import MESG, SECRET, Var, parse_var, validate
 from overture.prelude import expand
 from overture.stdlib import (
-    BdozPreprocessing, FUNCTIONALITIES, GMW_PRE, MANIFEST, PACKAGES, SOURCES,
-    bdoz_beaver_preprocessing, bdoz_beaver_trimmed, bdoz_open_preprocessing,
-    free_uniform, gmw_main, load_package, parse_manifest, protocols_dir,
-    write_sources,
+    BdozPreprocessing, PACKAGES, bdoz_beaver_preprocessing, bdoz_beaver_trimmed,
+    bdoz_open_preprocessing, free_uniform, gmw_main, load_package, parse_manifest,
+    protocols_dir, read_source,
 )
 
 
@@ -121,7 +120,7 @@ def test_free_uniform():
 def test_gmw_main_builds_the_bundled_circuit():
     src = gmw_main([("s1", 1), ("s2", 2), ("s3", 1)],
                    [("and", "g", "s1", "s2"), ("xor", "z", "g", "s3")], "z")
-    built = expand(src, [GMW_PRE])
+    built = expand(src, [read_source("gmw.pre")])
     bundled, _, _ = load_package("gmw-and-xor")
     assert built == bundled
 
@@ -148,22 +147,10 @@ def test_manifest_parsing():
             parse_manifest(bad)
 
 
-def test_bundled_files_match_embedded_sources():
-    root = protocols_dir()
-    assert os.path.isdir(root)
-    for fname, text in SOURCES.items():
-        with open(os.path.join(root, fname)) as fh:
-            assert fh.read() == text, fname
-    with open(os.path.join(root, "manifest.txt")) as fh:
-        assert fh.read() == MANIFEST
-    for name, fn in FUNCTIONALITIES.items():
-        with open(os.path.join(root, f"{name}.fn")) as fh:
-            assert fh.read() == fn.format(), name
-
-
-def test_load_package_from_files(tmp_path):
-    write_sources(str(tmp_path))
-    for name in ("otp", "gmw-and", "bdoz-open"):
-        from_files, _, _ = load_package(name, root=str(tmp_path))
-        embedded, _, _ = load_package(name)
-        assert from_files == embedded
+def test_bundled_files_are_exactly_the_manifest():
+    named = {"manifest.txt"}
+    for pkg in PACKAGES.values():
+        named |= {pkg.source, *pkg.libs}
+        if pkg.functionality:
+            named.add(f"{pkg.functionality}.fn")
+    assert set(os.listdir(protocols_dir())) == named
