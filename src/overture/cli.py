@@ -50,6 +50,8 @@ def _load_protocol(target: str, libs, field: int):
         protocol = expand(_read(target), [_read(f) for f in libs])
     else:
         protocol = parse_protocol(_read(target), modulus=field)
+    if protocol.modulus != field:
+        raise UsageError(f"--field {field} applies only to .ovt files; {target} is over F_2")
     violations = validate(protocol, preprocessed=preproc.domain if preproc else ())
     if violations:
         raise UsageError("invalid protocol:\n  " + "\n  ".join(violations))
@@ -135,7 +137,7 @@ def cmd_pmf(args) -> int:
             tuple(v for v in p.domain if v not in given)
         table = p.conditional(tuple(given), shown)
         row = table.row_pmf(tuple(given[v] for v in table.x1))
-        if not row.weights:
+        if not row.counts:
             raise UsageError("conditioning row has probability zero")
         p = row
     elif args.marginal:

@@ -1,9 +1,13 @@
 """Exact distributions over protocol runs.
 
-A Pmf assigns Fraction weights to memories over a fixed variable domain.
-Keys are value tuples aligned with the domain; BOT marks padded entries of
-aborted runs.  bd(protocol) is the basic distribution: uniform over the
-runs produced by every (preprocessing memory, random tape) pair.
+A Pmf counts runs: each memory over a fixed variable domain maps to the
+number of runs that end in it, out of one total shared by the whole
+distribution, so marginals, conditionals and mixtures add integers and
+compare by cross-multiplication; Fractions are built only where a
+probability is returned.  Keys are value tuples aligned with the domain;
+BOT marks padded entries of aborted runs.  bd(protocol) is the basic
+distribution: uniform over the runs produced by every (preprocessing
+memory, random tape) pair.
 
 Conditioning predicates quantify over realizations of the conditioning set
 with positive probability; rows of probability zero are skipped (the
@@ -11,10 +15,11 @@ conditional itself is defined as 0 there).
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetError, EvalError, UsageError
 from .interp import IDENTITY, AdversaryStrategy, run, run_adv
@@ -22,10 +27,6 @@ from .lang import (
     BOT, GLOBAL, MESG, Partition, Protocol, Var, assigned_var, mem_restrict,
     validate,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 # --- Preprocessing enumerators ----------------------------------------------
 
@@ -108,28 +109,54 @@ def _key_of(memory: dict, domain) -> tuple:
     return tuple(memory[v] for v in domain)
 
 
+def _getter(positions):
+    """Key tuple -> sub-tuple at the given positions."""
+    if len(positions) == 1:
+        i, = positions
+        return lambda key: (key[i],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def same_conditional(a, b) -> bool:
+    """Whether two count tables, each a pair (mass, {key: count}), are the
+    same distribution: the same keys, with proportional counts."""
+    (n_a, c_a), (n_b, c_b) = a, b
+    return c_a.keys() == c_b.keys() and all(c * n_b == c_b[k] * n_a
+                                            for k, c in c_a.items())
+
+
 @dataclass(frozen=True)
 class Pmf:
+    """counts[key] runs out of total have the key; the probability of a key
+    is counts[key] / total.  Keys with no run are absent."""
+
     domain: tuple
-    weights: dict  # key tuple -> Fraction
+    counts: dict  # key tuple -> positive int
+    total: int
     modulus: int = 2
 
     def __post_init__(self):
         if len(set(self.domain)) != len(self.domain):
             raise UsageError("duplicate variables in pmf domain")
 
-    @staticmethod
-    def from_counts(domain, counts: dict, total: int, modulus: int = 2) -> "Pmf":
-        w = {k: Fraction(c, total) for k, c in counts.items() if c}
-        return Pmf(tuple(domain), w, modulus)
+    def __eq__(self, other):
+        return isinstance(other, Pmf) and self.domain == other.domain \
+            and self.modulus == other.modulus \
+            and same_conditional((self.total, self.counts), (other.total, other.counts))
+
+    @property
+    def weights(self) -> dict:
+        """key tuple -> Fraction, in the order of counts."""
+        of = {c: Fraction(c, self.total) for c in set(self.counts.values())}
+        return {k: of[c] for k, c in self.counts.items()}
 
     @staticmethod
     def point(memory: dict, modulus: int = 2) -> "Pmf":
         domain = tuple(sorted(memory, key=str))
-        return Pmf(domain, {_key_of(memory, domain): ONE}, modulus)
+        return Pmf(domain, {_key_of(memory, domain): 1}, 1, modulus)
 
     def mass(self) -> Fraction:
-        return sum(self.weights.values(), ZERO)
+        return Fraction(sum(self.counts.values()), self.total)
 
     def support(self):
         return self.weights.items()
@@ -146,75 +173,68 @@ class Pmf:
 
     def marginal(self, vars_) -> "Pmf":
         vars_ = tuple(vars_)
-        pos = self._positions(vars_)
+        at = _getter(self._positions(vars_))
         out: dict = {}
-        for key, w in self.weights.items():
-            sub = tuple(key[i] for i in pos)
-            out[sub] = out.get(sub, ZERO) + w
-        return Pmf(vars_, out, self.modulus)
+        for key, c in self.counts.items():
+            sub = at(key)
+            out[sub] = out.get(sub, 0) + c
+        return Pmf(vars_, out, self.total, self.modulus)
+
+    def _count(self, partial: dict) -> int:
+        at = _getter(self._positions(tuple(partial)))
+        want = tuple(partial.values())
+        return sum(c for key, c in self.counts.items() if at(key) == want)
 
     def prob(self, partial: dict) -> Fraction:
         """Probability that all entries of the partial memory hold."""
-        pos = self._positions(tuple(partial))
-        want = tuple(partial[v] for v in partial)
-        total = ZERO
-        for key, w in self.weights.items():
-            if tuple(key[i] for i in pos) == want:
-                total += w
-        return total
+        return Fraction(self._count(partial), self.total)
 
     def cond_prob(self, m1: dict, m2: dict) -> Fraction:
         """P(m1 | m2); 0 when P(m2) = 0."""
-        denom = self.prob(m2)
+        denom = self._count(m2)
         if denom == 0:
-            return ZERO
+            return Fraction(0)
         both = dict(m2)
         for v, x in m1.items():
             if v in both and both[v] != x:
-                return ZERO
+                return Fraction(0)
             both[v] = x
-        return self.prob(both) / denom
+        return Fraction(self._count(both), denom)
 
     def conditional(self, x1, x2) -> "CondTable":
         x1, x2 = tuple(x1), tuple(x2)
-        p1 = self._positions(x1)
-        p2 = self._positions(x2)
+        at1 = _getter(self._positions(x1))
+        at2 = _getter(self._positions(x2))
         rows: dict = {}
         masses: dict = {}
-        for key, w in self.weights.items():
-            k1 = tuple(key[i] for i in p1)
-            k2 = tuple(key[i] for i in p2)
-            rows.setdefault(k1, {})
-            rows[k1][k2] = rows[k1].get(k2, ZERO) + w
-            masses[k1] = masses.get(k1, ZERO) + w
-        for k1, row in rows.items():
-            mass = masses[k1]
-            for k2 in row:
-                row[k2] /= mass
-        return CondTable(x1, x2, rows, self.modulus)
+        for key, c in self.counts.items():
+            k1, k2 = at1(key), at2(key)
+            row = rows.get(k1)
+            if row is None:
+                row = rows[k1] = {}
+            row[k2] = row.get(k2, 0) + c
+            masses[k1] = masses.get(k1, 0) + c
+        return CondTable(x1, x2, rows, masses, self.modulus)
 
     def independent(self, x1, x2) -> bool:
         return self.independent_witness(x1, x2) is None
 
     def independent_witness(self, x1, x2):
-        """None when x1 and x2 are independent; else (k1, k2, joint, product)."""
+        """None when x1 and x2 are independent; else (k1, k2, joint, product)
+        at the first pair of realizations, in str order, where the joint
+        probability is not the product of the marginals."""
         x1, x2 = tuple(x1), tuple(x2)
-        joint = self.marginal(x1 + x2)
-        m1 = self.marginal(x1)
-        m2 = self.marginal(x2)
-        n1 = len(x1)
-        pairs = set()
-        for key in joint.weights:
-            pairs.add((key[:n1], key[n1:]))
-        for k1 in m1.weights:
-            for k2 in m2.weights:
-                pairs.add((k1, k2))
-        for k1, k2 in sorted(pairs, key=str):
-            lhs = joint.weights.get(k1 + k2, ZERO)
-            rhs = m1.weights.get(k1, ZERO) * m2.weights.get(k2, ZERO)
-            if lhs != rhs:
-                return (k1, k2, lhs, rhs)
-        return None
+        joint = self.marginal(x1 + x2).counts
+        m1 = self.marginal(x1).counts
+        m2 = self.marginal(x2).counts
+        n = self.total
+        bad = [(k1, k2) for k1, a in m1.items() for k2, b in m2.items()
+               if joint.get(k1 + k2, 0) * n != a * b]
+        if not bad:
+            return None
+        k1, k2 = min(bad, key=str)
+        return (k1, k2, Fraction(joint.get(k1 + k2, 0), n),
+                Fraction(m1[k1] * m2[k2], n * n))
 
     def cond_det(self, x1, x2) -> bool:
         return self.cond_det_witness(x1, x2) is None
@@ -224,7 +244,7 @@ class Pmf:
         has conditional probability 1; else an offending row."""
         table = self.conditional(x1, x2)
         for k1, row in table.rows.items():
-            if not any(w == ONE for w in row.values()):
+            if table.masses[k1] not in row.values():
                 return table.witness(k1)
         return None
 
@@ -232,14 +252,12 @@ class Pmf:
         return self.cond_uni_witness(x1, x2) is None
 
     def cond_uni_witness(self, x1, x2):
-        x2 = tuple(x2)
-        want = Fraction(1, self.modulus ** len(x2))
         table = self.conditional(x1, x2)
-        full = self.modulus ** len(x2)
+        full = self.modulus ** len(table.x2)
         for k1, row in table.rows.items():
-            if len(row) != full or any(w != want for w in row.values()):
-                return table.witness(k1)
-            if any(BOT in k2 for k2 in row):
+            mass = table.masses[k1]
+            if len(row) != full or any(c * full != mass for c in row.values()) \
+                    or any(BOT in k2 for k2 in row):
                 return table.witness(k1)
         return None
 
@@ -255,19 +273,13 @@ class Pmf:
         t3 = self.conditional(x1, x3)
         n2 = len(x2)
         for k1, row in joint.rows.items():
-            row2 = t2.rows.get(k1, {})
-            row3 = t3.rows.get(k1, {})
-            pairs = set()
-            for key in row:
-                pairs.add((key[:n2], key[n2:]))
-            for a in row2:
-                for b in row3:
-                    pairs.add((a, b))
+            row2, row3, mass = t2.rows[k1], t3.rows[k1], joint.masses[k1]
+            pairs = {(key[:n2], key[n2:]) for key in row}
+            pairs.update(itertools.product(row2, row3))
             for a, b in pairs:
-                lhs = row.get(a + b, ZERO)
-                rhs = row2.get(a, ZERO) * row3.get(b, ZERO)
-                if lhs != rhs:
-                    return (k1, a, b, lhs, rhs)
+                lhs, rhs = row.get(a + b, 0), row2.get(a, 0) * row3.get(b, 0)
+                if lhs * mass != rhs:
+                    return (k1, a, b, Fraction(lhs, mass), Fraction(rhs, mass * mass))
         return None
 
     def with_global_views(self, names) -> "Pmf":
@@ -281,52 +293,56 @@ class Pmf:
             shares[w] = self._positions(vs)
         new_domain = self.domain + tuple(Var(GLOBAL, w) for w in shares)
         out: dict = {}
-        for key, wt in self.weights.items():
+        for key, c in self.counts.items():
             extra = []
-            for w, pos in shares.items():
+            for pos in shares.values():
                 vals = [key[i] for i in pos]
-                if any(v is BOT for v in vals):
-                    extra.append(BOT)
-                else:
-                    extra.append(sum(vals) % self.modulus)
+                extra.append(BOT if BOT in vals else sum(vals) % self.modulus)
             k = key + tuple(extra)
-            out[k] = out.get(k, ZERO) + wt
-        return Pmf(new_domain, out, self.modulus)
+            out[k] = out.get(k, 0) + c
+        return Pmf(new_domain, out, self.total, self.modulus)
 
     def mixed_with(self, others) -> "Pmf":
-        """Uniform mixture of self with the given same-domain pmfs."""
+        """Uniform mixture of self with the given same-domain pmfs: each
+        one's counts scaled to the lcm of the totals."""
         all_ = [self, *others]
         for p in all_:
             if p.domain != self.domain:
                 raise UsageError("mixture requires identical domains")
-        n = len(all_)
+        lcm = math.lcm(*(p.total for p in all_))
         out: dict = {}
         for p in all_:
-            for key, w in p.weights.items():
-                out[key] = out.get(key, ZERO) + w / n
-        return Pmf(self.domain, out, self.modulus)
+            scale = lcm // p.total
+            for key, c in p.counts.items():
+                out[key] = out.get(key, 0) + c * scale
+        return Pmf(self.domain, out, lcm * len(all_), self.modulus)
 
 
 @dataclass(frozen=True)
 class CondTable:
-    """Conditional distribution over x2 given each positive x1-realization."""
+    """Conditional distribution over x2 given each positive x1-realization:
+    rows[k1][k2] runs out of masses[k1] have x2-realization k2."""
 
     x1: tuple
     x2: tuple
-    rows: dict  # x1 key -> {x2 key -> Fraction}
+    rows: dict    # x1 key -> {x2 key -> count}
+    masses: dict  # x1 key -> runs with that key
     modulus: int = 2
 
     def prob(self, m2_key, m1_key) -> Fraction:
         row = self.rows.get(m1_key)
         if row is None:
-            return ZERO
-        return row.get(m2_key, ZERO)
+            return Fraction(0)
+        return Fraction(row.get(m2_key, 0), self.masses[m1_key])
 
     def row_pmf(self, m1_key) -> Pmf:
-        return Pmf(self.x2, dict(self.rows.get(m1_key, {})), self.modulus)
+        return Pmf(self.x2, dict(self.rows.get(m1_key, {})),
+                   self.masses.get(m1_key, 1), self.modulus)
 
     def witness(self, m1_key):
-        return (m1_key, dict(self.rows.get(m1_key, {})))
+        mass = self.masses.get(m1_key, 1)
+        return (m1_key, {k2: Fraction(c, mass)
+                         for k2, c in self.rows.get(m1_key, {}).items()})
 
 
 # --- Functionalities ---------------------------------------------------------
@@ -339,18 +355,6 @@ class Functionality:
     outputs: tuple
     table: dict  # secret key -> output key
     modulus: int = 2
-
-    @staticmethod
-    def from_callable(secrets, outputs, fn: Callable, modulus: int = 2) -> "Functionality":
-        secrets, outputs = tuple(secrets), tuple(outputs)
-        table = {}
-        for values in itertools.product(range(modulus), repeat=len(secrets)):
-            m = dict(zip(secrets, values))
-            result = fn(m)
-            if set(result) != set(outputs):
-                raise UsageError("functionality returned wrong output domain")
-            table[values] = tuple(result[v] for v in outputs)
-        return Functionality(secrets, outputs, table, modulus)
 
     def apply(self, memory: dict) -> dict:
         key = tuple(memory[v] for v in self.secrets)
@@ -487,7 +491,7 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
             else run_adv(m0, protocol, strategy, part)
         key = _key_of(final, domain)
         counts[key] = counts.get(key, 0) + 1
-    return Pmf.from_counts(domain, counts, total, protocol.modulus)
+    return Pmf(domain, counts, total, protocol.modulus)
 
 
 def bd_adv(protocol: Protocol, strategy: AdversaryStrategy, part: Partition,
@@ -501,15 +505,17 @@ def format_pmf(pmf: Pmf) -> str:
     by name (equal names keep domain order), then weight=NUM/DEN.
 
     The text is built column by column: each name, the column order and
-    each var=val cell that occurs are made once per call, so the cost is
-    linear in support x domain."""
-    keys = [key for key, _ in pmf.support()]
+    each var=val or weight cell that occurs are made once per call, so the
+    cost is linear in support x domain."""
+    keys = list(pmf.counts)
     names = [str(v) for v in pmf.domain]
     columns = []
     for i in sorted(range(len(names)), key=names.__getitem__):
         at = itemgetter(i)
         cell = {x: f"{names[i]}={x}" for x in set(map(at, keys))}
         columns.append(map(cell.__getitem__, map(at, keys)))
-    columns.append(f"weight={w.numerator}/{w.denominator}" for _, w in pmf.support())
+    weight = {c: "weight={0.numerator}/{0.denominator}".format(Fraction(c, pmf.total))
+              for c in set(pmf.counts.values())}
+    columns.append(map(weight.__getitem__, pmf.counts.values()))
     lines = [" ".join(row) for row in zip(*columns)]
     return "\n".join(sorted(lines)) + "\n"

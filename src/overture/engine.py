@@ -264,8 +264,7 @@ def project_counts(table: RunTable, vars_):
 def project_pmf(table: RunTable, vars_):
     from .dist import Pmf
 
-    counts = project_counts(table, vars_)
-    return Pmf.from_counts(tuple(vars_), counts, table.nrows)
+    return Pmf(tuple(vars_), project_counts(table, vars_), table.nrows)
 
 
 def to_pmf(table: RunTable):

@@ -16,6 +16,7 @@ from typing import Optional
 from . import dist as dist_mod
 from .dist import (
     Functionality, Pmf, UniformPreprocessing, bd, default_preprocessing,
+    same_conditional,
 )
 from .errors import BudgetError, UsageError
 from .interp import IDENTITY, AdversaryStrategy
@@ -148,11 +149,11 @@ def check_nimo(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
     tb = p.conditional(x1 + views, s_h)
     for key12 in sorted(tb.rows, key=str):
         key1 = key12[: len(x1)]
-        row_b = tb.rows[key12]
-        row_a = ta.rows[key1]
-        if row_a != row_b:
+        row_b, n_b = tb.rows[key12], tb.masses[key12]
+        row_a, n_a = ta.rows[key1], ta.masses[key1]
+        if not same_conditional((n_a, row_a), (n_b, row_b)):
             diff = next(k for k in sorted(set(row_a) | set(row_b), key=str)
-                        if row_a.get(k, 0) != row_b.get(k, 0))
+                        if row_a.get(k, 0) * n_b != row_b.get(k, 0) * n_a)
             w = Witness(
                 "conditioning on corrupt views changes the honest-secret distribution",
                 memories=(
@@ -161,8 +162,8 @@ def check_nimo(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
                     ("honest secrets", dict(zip(s_h, diff))),
                 ),
                 numbers=(
-                    ("P(secrets | m1)", row_a.get(diff, Fraction(0))),
-                    ("P(secrets | m1, m2)", row_b.get(diff, Fraction(0))),
+                    ("P(secrets | m1)", Fraction(row_a.get(diff, 0), n_a)),
+                    ("P(secrets | m1, m2)", Fraction(row_b.get(diff, 0), n_b)),
                 ),
             )
             return Verdict(False, prop, (), w)
@@ -448,19 +449,13 @@ def _response_vars(protocol: Protocol, part: Partition) -> tuple:
     return tuple(dict.fromkeys(corrupt_views(protocol, part) + outs_h))
 
 
-def detection_inputs(protocol: Protocol, part: Partition, strategies,
-                     preproc=None) -> tuple:
-    """Adversarial inputs used by the cheating check: the dependence test
-    runs on the uniform mixture of the passive distribution with the
-    distribution of every strategy in the family, so views the adversary
-    can influence become visible as dependencies."""
-    return _fold_family(protocol, part, strategies, preproc, ())[0]
-
-
 def _fold_family(protocol, part, strategies, preproc, keep) -> tuple:
     """Fold the passive protocol and every strategy once.  Returns the
-    adversarial inputs (see detection_inputs), then the value matrices over
-    keep of the passive table and of each strategy's table."""
+    adversarial inputs, then the value matrices over keep of the passive
+    table and of each strategy's table.  The adversarial inputs come from
+    the dependence test on the uniform mixture of the passive distribution
+    with the distribution of every strategy in the family, so views the
+    adversary can influence become visible as dependencies."""
     from . import engine
 
     if preproc is None:
@@ -568,12 +563,6 @@ def _count_table(values, cond_cols, resp_cols) -> dict:
     return out
 
 
-def _same_conditional(a, b) -> bool:
-    (n_a, c_a), (n_b, c_b) = a, b
-    return c_a.keys() == c_b.keys() and all(c * n_b == c_b[k] * n_a
-                                            for k, c in c_a.items())
-
-
 def check_integrity(protocol: Protocol, part: Partition, strategies,
                     preproc=None, secret_scope: str = "secrets") -> Verdict:
     """Every adversarial run is explained by substituting corrupt inputs:
@@ -597,6 +586,9 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     if secret_scope == "secrets":
         inputs = _dealt_secrets(protocol, preproc)
+        if 2 ** len(inputs) > engine.MAX_RUNS:
+            raise BudgetError(f"{2 ** len(inputs)} candidate inputs exceed "
+                              f"the run budget of {engine.MAX_RUNS}")
         candidates = np.array(list(itertools.product((0, 1), repeat=len(inputs))),
                               dtype=np.uint8).reshape(2 ** len(inputs), len(inputs))
     elif secret_scope == "initial":
@@ -644,7 +636,7 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
             lhs_key, *keys = engine.row_keys(lookup).tolist()
             lhs = adv_tables[pattern][lhs_key]
             rhs_table = passive_tables[pattern]
-            if not any(k in rhs_table and _same_conditional(lhs, rhs_table[k])
+            if not any(k in rhs_table and same_conditional(lhs, rhs_table[k])
                        for k in keys):
                 m = engine.memory_at(table, row)
                 given = {v: m[v] for v in inputs}

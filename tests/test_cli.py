@@ -229,6 +229,24 @@ def test_field_must_be_prime(tmp_path, capsys):
     assert out == "out@1=1 s[x]@1=2\n"
 
 
+def test_field_applies_only_to_ovt_files(tmp_path, capsys):
+    # bundled packages and Prelude files expand over F_2 whatever --field says
+    pre = os.path.join(protocols_dir(), "gmw_and.pre")
+    lib = os.path.join(protocols_dir(), "gmw.pre")
+    for argv in (("run", pre, "--lib", lib, "--field", "4"),
+                 ("run", "otp", "--field", "3", "--inputs", "s[x]@1=2")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("error: --field ") and "applies only to .ovt files" in err, argv
+    src = tmp_path / "otp3.ovt"
+    src.write_text("m[z]@2 := s[x] + r[k] @ 1;\nm[k]@2 := r[k] @ 1;\n"
+                   "out@2 := m[z] - m[k] @ 2;\n")
+    rc, out, _ = run_cli(capsys, "run", str(src), "--field", "3",
+                         "--inputs", "s[x]@1=2,r[k]@1=2")
+    assert rc == 0
+    assert out == "m[k]@2=2 m[z]@2=1 out@2=2 r[k]@1=2 s[x]@1=2\n"
+
+
 def test_unreadable_bundled_file_exits_two(tmp_path, capsys, monkeypatch):
     root = tmp_path / "protocols"
     shutil.copytree(protocols_dir(), root)

@@ -20,7 +20,9 @@ from overture.errors import BudgetError, UsageError
 from overture.interp import AdversaryStrategy
 from overture.lang import BOT, Const, Partition, Var, parse_var
 from overture.ovt import parse_protocol
-from overture.stdlib import FUNCTIONALITIES, load_package, read_source
+from overture.stdlib import (
+    FUNCTIONALITIES, PACKAGES, PREPROCS, load_package, read_source,
+)
 from overture.verifier import enumerate_adversaries
 from test_engine import StubDeal, sweep
 
@@ -94,7 +96,7 @@ def interpreter_bd(protocol, preproc=None, strategy=None, part=None) -> Pmf:
     for final in sweep(protocol, preproc, strategy, part):
         key = tuple(final[v] for v in domain)
         counts[key] = counts.get(key, 0) + 1
-    return Pmf.from_counts(domain, counts, sum(counts.values()), protocol.modulus)
+    return Pmf(domain, counts, sum(counts.values()), protocol.modulus)
 
 
 def test_bd_routes_agree():
@@ -180,7 +182,10 @@ def test_marginal_prob_cond_prob():
 def test_conditional_table():
     pmf = bd(parse_protocol(OTP_OVT))
     table = pmf.conditional((S_X,), (OUT2,))
-    assert table.rows == {(0,): {(0,): Fraction(1)}, (1,): {(1,): Fraction(1)}}
+    # two of the four runs have each secret, and the output equals it
+    assert table.rows == {(0,): {(0,): 2}, (1,): {(1,): 2}}
+    assert table.masses == {(0,): 2, (1,): 2}
+    assert table.witness((1,)) == ((1,), {(1,): Fraction(1)})
     assert table.prob((1,), (1,)) == 1
     assert table.prob((0,), (1,)) == 0
     assert table.prob((0,), (BOT,)) == 0
@@ -213,8 +218,7 @@ def test_cond_det_uni_sep():
 
 def test_cond_uni_rejects_bot_rows():
     a, b = Var("m", "a", 1), Var("m", "b", 1)
-    pmf = Pmf((a, b), {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4),
-                       (1, BOT): Fraction(1, 4)})
+    pmf = Pmf((a, b), {(0, 0): 2, (0, 1): 1, (1, BOT): 1}, 4)
     assert pmf.cond_uni_witness((a,), (b,)) is not None
 
 
@@ -233,7 +237,7 @@ def test_with_global_views():
 
 def test_with_global_views_bot_absorbs():
     a, b = Var("m", "w", 1), Var("m", "w", 2)
-    pmf = Pmf((a, b), {(1, BOT): Fraction(1, 2), (1, 1): Fraction(1, 2)})
+    pmf = Pmf((a, b), {(1, BOT): 1, (1, 1): 1}, 2)
     out = pmf.with_global_views(["w"])
     g = Var("gv", "w")
     assert out.prob({g: BOT}) == Fraction(1, 2)
@@ -242,13 +246,18 @@ def test_with_global_views_bot_absorbs():
 
 def test_mixture():
     a = Var("m", "a", 1)
-    p0 = Pmf((a,), {(0,): Fraction(1)})
-    p1 = Pmf((a,), {(1,): Fraction(1)})
+    p0 = Pmf((a,), {(0,): 1}, 1)
+    p1 = Pmf((a,), {(1,): 1}, 1)
     mix = p0.mixed_with([p1])
     assert mix.weights == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
     assert mix.mass() == 1
+    # unequal totals: 1/3 (1 + 1/2 + 1/4) and 1/3 (1/2 + 3/4)
+    thirds = p0.mixed_with([Pmf((a,), {(0,): 1, (1,): 1}, 2),
+                            Pmf((a,), {(0,): 1, (1,): 3}, 4)])
+    assert thirds.weights == {(0,): Fraction(7, 12), (1,): Fraction(5, 12)}
+    assert thirds.mass() == 1
     with pytest.raises(UsageError):
-        p0.mixed_with([Pmf((Var("m", "b", 1),), {(0,): Fraction(1)})])
+        p0.mixed_with([Pmf((Var("m", "b", 1),), {(0,): 1}, 1)])
 
 
 def test_point_and_format():
@@ -284,7 +293,7 @@ def test_format_pmf_matches_per_line_rendering():
     # domain order is not name order, and two variables share the name out@1
     out_b, out_a = Var("out", "b", 1), Var("out", "a", 1)
     unsorted = Pmf((M_K, out_b, S_X, out_a, M_Z),
-                   {(0, 1, 1, 0, 1): Fraction(1, 3), (1, 0, BOT, 1, 0): Fraction(2, 3)})
+                   {(0, 1, 1, 0, 1): 1, (1, 0, BOT, 1, 0): 2}, 3)
     rng = random.Random(5)
     cases = [tripped, f3, views, unsorted, tripped.marginal(())]
     for pmf in cases + [random_pmf(rng) for _ in range(20)]:
@@ -317,8 +326,6 @@ def test_functionality_parse_errors():
         Functionality.parse("s[x]@1=0 -> out@1=0\ns[x]@1=0 -> out@1=1\n")
     with pytest.raises(UsageError):
         Functionality.parse("s[x]@1=0 -> out@1=0\nout@1=1 <- s[x]@1=1\n")
-    with pytest.raises(UsageError):
-        Functionality.from_callable([S_X], [OUT2], lambda m: {S_X: 0})
 
 
 def test_kernel():
@@ -353,7 +360,7 @@ def random_pmf(rng: random.Random) -> Pmf:
     if not counts:
         counts[(0,) * n] = 1
         total = 1
-    return Pmf.from_counts(domain, counts, total)
+    return Pmf(domain, counts, total)
 
 
 def check_pmf_laws(pmf: Pmf, rng: random.Random) -> None:
@@ -379,11 +386,12 @@ def check_pmf_laws(pmf: Pmf, rng: random.Random) -> None:
     table = pmf.conditional(x1, x2)
     positive = {k for k, _ in pmf.marginal(x1).support()}
     assert set(table.rows) == positive
+    assert table.masses == pmf.marginal(x1).counts
     for k1, row in table.rows.items():
         m1 = dict(zip(x1, k1))
-        assert sum(row.values()) == 1
-        for k2, w in row.items():
-            assert w == pmf.cond_prob(dict(zip(x2, k2)), m1)
+        assert sum(row.values()) == table.masses[k1]
+        for k2 in row:
+            assert table.prob(k2, k1) == pmf.cond_prob(dict(zip(x2, k2)), m1)
 
     # witness forms agree with the predicates they explain
     assert pmf.independent(x1, x2) == (pmf.independent_witness(x1, x2) is None)
@@ -396,16 +404,17 @@ def check_pmf_laws(pmf: Pmf, rng: random.Random) -> None:
         assert pmf.independent(x1, x2) == brute_indep
 
     # cond_det: some x2 value is pinned in every positive row
-    want_det = all(any(w == 1 for w in row.values()) for row in table.rows.values())
+    want_det = all(any(table.prob(k2, k1) == 1 for k2 in row)
+                   for k1, row in table.rows.items())
     assert pmf.cond_det(x1, x2) == want_det
 
     # cond_uni: every positive row is exactly uniform over defined values
     full = 2 ** len(x2)
     want_uni = all(
         len(row) == full
-        and all(w == Fraction(1, full) for w in row.values())
+        and all(table.prob(k2, k1) == Fraction(1, full) for k2 in row)
         and not any(BOT in k2 for k2 in row)
-        for row in table.rows.values())
+        for k1, row in table.rows.items())
     assert pmf.cond_uni(x1, x2) == want_uni
 
     # cond_sep against per-row independence, splitting x2
@@ -429,3 +438,187 @@ def test_random_pmf_laws():
     rng = random.Random(20240901)
     for _ in range(120):
         check_pmf_laws(random_pmf(rng), rng)
+
+
+# --- Counts against the Fraction oracle ---------------------------------------
+# The Fraction-weight forms of the Pmf operations, as functions over a
+# domain and its weights: each adds and compares Fractions exactly as the
+# operations did before Pmf held integer counts.
+
+def frac_marginal(domain, weights, vars_) -> dict:
+    pos = [domain.index(v) for v in vars_]
+    out: dict = {}
+    for key, w in weights.items():
+        sub = tuple(key[i] for i in pos)
+        out[sub] = out.get(sub, Fraction(0)) + w
+    return out
+
+
+def frac_conditional(domain, weights, x1, x2) -> dict:
+    p1 = [domain.index(v) for v in x1]
+    p2 = [domain.index(v) for v in x2]
+    rows: dict = {}
+    masses: dict = {}
+    for key, w in weights.items():
+        k1 = tuple(key[i] for i in p1)
+        k2 = tuple(key[i] for i in p2)
+        rows.setdefault(k1, {})
+        rows[k1][k2] = rows[k1].get(k2, Fraction(0)) + w
+        masses[k1] = masses.get(k1, Fraction(0)) + w
+    for k1, row in rows.items():
+        for k2 in row:
+            row[k2] /= masses[k1]
+    return rows
+
+
+def frac_independent_witness(domain, weights, x1, x2):
+    joint = frac_marginal(domain, weights, x1 + x2)
+    m1 = frac_marginal(domain, weights, x1)
+    m2 = frac_marginal(domain, weights, x2)
+    n1 = len(x1)
+    pairs = set()
+    for key in joint:
+        pairs.add((key[:n1], key[n1:]))
+    for k1 in m1:
+        for k2 in m2:
+            pairs.add((k1, k2))
+    for k1, k2 in sorted(pairs, key=str):
+        lhs = joint.get(k1 + k2, Fraction(0))
+        rhs = m1.get(k1, Fraction(0)) * m2.get(k2, Fraction(0))
+        if lhs != rhs:
+            return (k1, k2, lhs, rhs)
+    return None
+
+
+def frac_cond_det_witness(domain, weights, x1, x2):
+    for k1, row in frac_conditional(domain, weights, x1, x2).items():
+        if not any(w == 1 for w in row.values()):
+            return (k1, dict(row))
+    return None
+
+
+def frac_cond_uni_witness(domain, weights, x1, x2, modulus):
+    full = modulus ** len(x2)
+    for k1, row in frac_conditional(domain, weights, x1, x2).items():
+        if len(row) != full or any(w != Fraction(1, full) for w in row.values()):
+            return (k1, dict(row))
+        if any(BOT in k2 for k2 in row):
+            return (k1, dict(row))
+    return None
+
+
+def frac_cond_sep_witness(domain, weights, x1, x2, x3):
+    joint = frac_conditional(domain, weights, x1, x2 + x3)
+    t2 = frac_conditional(domain, weights, x1, x2)
+    t3 = frac_conditional(domain, weights, x1, x3)
+    n2 = len(x2)
+    for k1, row in joint.items():
+        row2 = t2.get(k1, {})
+        row3 = t3.get(k1, {})
+        pairs = set()
+        for key in row:
+            pairs.add((key[:n2], key[n2:]))
+        for a in row2:
+            for b in row3:
+                pairs.add((a, b))
+        for a, b in pairs:
+            lhs = row.get(a + b, Fraction(0))
+            rhs = row2.get(a, Fraction(0)) * row3.get(b, Fraction(0))
+            if lhs != rhs:
+                return (k1, a, b, lhs, rhs)
+    return None
+
+
+def frac_with_global_views(domain, weights, names, modulus):
+    shares = {w: [i for i, v in enumerate(domain) if v.kind == "m" and v.name == w]
+              for w in names}
+    out: dict = {}
+    for key, wt in weights.items():
+        extra = []
+        for pos in shares.values():
+            vals = [key[i] for i in pos]
+            if any(v is BOT for v in vals):
+                extra.append(BOT)
+            else:
+                extra.append(sum(vals) % modulus)
+        k = key + tuple(extra)
+        out[k] = out.get(k, Fraction(0)) + wt
+    return domain + tuple(Var("gv", w) for w in shares), out
+
+
+def frac_mixed_with(all_weights) -> dict:
+    out: dict = {}
+    for weights in all_weights:
+        for key, w in weights.items():
+            out[key] = out.get(key, Fraction(0)) + w / len(all_weights)
+    return out
+
+
+def check_against_oracle(pmf: Pmf, rng: random.Random) -> None:
+    domain, weights = pmf.domain, pmf.weights
+    vars_ = list(domain)
+    rng.shuffle(vars_)
+    cut1 = rng.randint(0, min(3, len(vars_)))
+    cut2 = rng.randint(cut1, min(cut1 + 3, len(vars_)))
+    cut3 = rng.randint(cut2, min(cut2 + 3, len(vars_)))
+    x1, x2, x3 = (tuple(vars_[:cut1]), tuple(vars_[cut1:cut2]),
+                  tuple(vars_[cut2:cut3]))
+    for vars_ in (x1, x2, x1 + x2 + x3, tuple(domain)):
+        # same keys, in the same order, with the same Fractions
+        assert list(pmf.marginal(vars_).weights.items()) \
+            == list(frac_marginal(domain, weights, vars_).items())
+    table = pmf.conditional(x1, x2)
+    rows = {k1: table.witness(k1)[1] for k1 in table.rows}
+    want = frac_conditional(domain, weights, x1, x2)
+    assert [(k1, list(r.items())) for k1, r in rows.items()] \
+        == [(k1, list(r.items())) for k1, r in want.items()]
+    assert pmf.independent_witness(x1, x2) \
+        == frac_independent_witness(domain, weights, x1, x2)
+    assert pmf.cond_det_witness(x1, x2) == frac_cond_det_witness(domain, weights, x1, x2)
+    assert pmf.cond_uni_witness(x1, x2) \
+        == frac_cond_uni_witness(domain, weights, x1, x2, pmf.modulus)
+    assert pmf.cond_sep_witness(x1, x2, x3) \
+        == frac_cond_sep_witness(domain, weights, x1, x2, x3)
+    named = {}
+    for v in domain:
+        if v.kind == "m":
+            named.setdefault(v.name, []).append(v)
+    names = sorted(w for w, vs in named.items() if len(vs) >= 2)[:3]
+    if names:
+        views = pmf.with_global_views(names)
+        want_domain, want_weights = frac_with_global_views(domain, weights, names,
+                                                           pmf.modulus)
+        assert views.domain == want_domain
+        assert list(views.weights.items()) == list(want_weights.items())
+
+
+def test_count_pmf_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(150):
+        pmf = random_pmf(rng)
+        # the same counts over two shares of one wire per variable pair
+        shares = tuple(Var("m", f"w{i // 2}", 1 + i % 2) for i in range(len(pmf.domain)))
+        cases += [pmf, Pmf(shares, pmf.counts, pmf.total)]
+    by_domain: dict = {}
+    for pmf in cases[::2]:
+        by_domain.setdefault(pmf.domain, []).append(pmf)
+    unequal = 0
+    for group in by_domain.values():
+        for k in range(2, min(5, len(group)) + 1):
+            mix = group[0].mixed_with(group[1:k])
+            assert list(mix.weights.items()) \
+                == list(frac_mixed_with([p.weights for p in group[:k]]).items())
+            unequal += len({p.total for p in group[:k]}) > 1
+            cases.append(mix)
+    assert unequal >= 10
+    for name in PACKAGES:
+        protocol, _, preproc = load_package(name)
+        if name == "bdoz-beaver":
+            preproc = PREPROCS["bdoz-beaver-trim"](protocol)
+        cases += [bd(protocol, preproc)] * 4  # four random splits of each
+    cases.append(bd(parse_protocol("m[z]@2 := s[x] + r[k] @ 1;\n"
+                                   "m[k]@2 := r[k] @ 1;\n"
+                                   "out@2 := m[z] - m[k] @ 2;\n", modulus=3)))
+    for pmf in cases:
+        check_against_oracle(pmf, rng)

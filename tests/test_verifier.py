@@ -10,7 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from overture.dist import Pmf, bd, bd_adv, default_preprocessing
+from overture import engine
+from overture.dist import (
+    ExplicitPreprocessing, Pmf, bd, bd_adv, default_preprocessing,
+)
 from overture.errors import BudgetError, UsageError
 from overture.interp import IDENTITY, AdversaryStrategy, run
 from overture.lang import (
@@ -23,8 +26,7 @@ from overture.verifier import (
     Verdict, Witness, _dealt_secrets, _response_vars, adversarial_inputs,
     all_partitions, check_and_gate_tactic, check_cheating_detection,
     check_gmw_invariant, check_gradual_release, check_integrity, check_nimo,
-    check_passive_correct, corrupt_positions, detection_inputs,
-    enumerate_adversaries,
+    check_passive_correct, corrupt_positions, enumerate_adversaries,
 )
 
 from test_dist import interpreter_bd
@@ -196,11 +198,10 @@ def test_enumeration_guards():
 def test_adversarial_inputs():
     a, b, t = (Var("m", n, 1) for n in "abt")
     keys = [(x, y, x ^ y) for x in (0, 1) for y in (0, 1)]
-    masked = Pmf((a, b, t), {k: Fraction(1, 4) for k in keys})
+    masked = Pmf((a, b, t), {k: 1 for k in keys}, 4)
     # neither view alone is dependent; the pair is, so both are returned
     assert adversarial_inputs(masked, (a, b), (t,)) == (a, b)
-    leak = Pmf((a, b, t), {(x, y, x): Fraction(1, 4)
-                           for x in (0, 1) for y in (0, 1)})
+    leak = Pmf((a, b, t), {(x, y, x): 1 for x in (0, 1) for y in (0, 1)}, 4)
     assert adversarial_inputs(leak, (a, b), (t,)) == (a,)
     assert adversarial_inputs(leak, (a, b), ()) == ()
     assert adversarial_inputs(leak, (Var("m", "zz", 9),), (t,)) == ()
@@ -213,7 +214,8 @@ def test_detection_inputs_gmw():
     assert len(fam) == 81
     # lying at the decode reveal skews out@1 = p[z1] xor p[z2]; the share
     # sent to client 1 stays masked by r[z] on every path to a target
-    assert detection_inputs(protocol, part, fam) == (parse_var("p[z2]"),)
+    v = check_cheating_detection(protocol, part, fam)
+    assert v.details[0] == "adversarial inputs: p[z2]"
 
 
 def test_identity_strategies_always_explained():
@@ -450,6 +452,33 @@ def test_integrity_requires_f2():
     for check in (check_integrity, check_cheating_detection):
         with pytest.raises(UsageError, match="requires F_2"):
             check(p, part, [IDENTITY, lie])
+
+
+def test_integrity_candidate_budget_checked_before_building(monkeypatch):
+    def secrets_protocol(n):
+        xs = [parse_var(f"s[x{i}]@1") for i in range(n)]
+        p = parse_protocol("out@1 := " + " + ".join(f"s[x{i}]" for i in range(n))
+                           + " @ 1;\nout@2 := s[y] @ 2;\n")
+        secrets = xs + [parse_var("s[y]@2")]
+        # one dealt memory: a single run, but 2^(n + 1) candidate inputs
+        return p, ExplicitPreprocessing(secrets, [dict.fromkeys(secrets, 0)])
+
+    def never_build(*args, **kwargs):
+        raise AssertionError("candidate inputs built")
+
+    p, deal = secrets_protocol(24)
+    part = Partition.of(p.federation, [2])
+    with monkeypatch.context() as m:
+        m.setattr(itertools, "product", never_build)
+        with pytest.raises(BudgetError, match="candidate inputs"):
+            check_integrity(p, part, [IDENTITY], deal)
+    # at the budget the candidates are built and the check runs
+    monkeypatch.setattr(engine, "MAX_RUNS", 2 ** 4)
+    p, deal = secrets_protocol(3)
+    assert check_integrity(p, part, [IDENTITY], deal).ok
+    p, deal = secrets_protocol(4)
+    with pytest.raises(BudgetError, match="candidate inputs"):
+        check_integrity(p, part, [IDENTITY], deal)
 
 
 def test_all_partitions():
