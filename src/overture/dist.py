@@ -117,6 +117,15 @@ def _getter(positions):
     return itemgetter(*positions) if positions else lambda key: ()
 
 
+def domain_positions(domain, vars_) -> tuple:
+    """Index of each variable in the domain; UsageError names the missing."""
+    index = {v: i for i, v in enumerate(domain)}
+    missing = [v for v in vars_ if v not in index]
+    if missing:
+        raise UsageError(f"not in pmf domain: {', '.join(map(str, missing))}")
+    return tuple(index[v] for v in vars_)
+
+
 def same_conditional(a, b) -> bool:
     """Whether two count tables, each a pair (mass, {key: count}), are the
     same distribution: the same keys, with proportional counts."""
@@ -165,11 +174,7 @@ class Pmf:
         return dict(zip(self.domain, key))
 
     def _positions(self, vars_) -> tuple:
-        index = {v: i for i, v in enumerate(self.domain)}
-        missing = [v for v in vars_ if v not in index]
-        if missing:
-            raise UsageError(f"not in pmf domain: {', '.join(map(str, missing))}")
-        return tuple(index[v] for v in vars_)
+        return domain_positions(self.domain, vars_)
 
     def marginal(self, vars_) -> "Pmf":
         vars_ = tuple(vars_)
@@ -335,10 +340,6 @@ class CondTable:
             return Fraction(0)
         return Fraction(row.get(m2_key, 0), self.masses[m1_key])
 
-    def row_pmf(self, m1_key) -> Pmf:
-        return Pmf(self.x2, dict(self.rows.get(m1_key, {})),
-                   self.masses.get(m1_key, 1), self.modulus)
-
     def witness(self, m1_key):
         mass = self.masses.get(m1_key, 1)
         return (m1_key, {k2: Fraction(c, mass)
@@ -455,7 +456,8 @@ def _initial_memories(protocol: Protocol, preproc: Preprocessing):
             yield m
 
 
-def _validate_for_bd(protocol: Protocol, preproc: Preprocessing):
+def check_deal(protocol: Protocol, preproc: Preprocessing):
+    """UsageError unless the deal is nonempty and covers the protocol's reads."""
     if preproc.count() == 0:
         raise UsageError("preprocessing enumerator is empty")
     violations = validate(protocol, preprocessed=preproc.domain)
@@ -478,7 +480,7 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
 
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    _validate_for_bd(protocol, preproc)
+    check_deal(protocol, preproc)
     if protocol.modulus == 2:
         return engine.to_pmf(engine.fold(protocol, preproc, strategy, part))
     total = preproc.count() * protocol.modulus ** len(protocol.flips())
@@ -500,22 +502,119 @@ def bd_adv(protocol: Protocol, strategy: AdversaryStrategy, part: Partition,
     return bd(protocol, preproc, strategy, part)
 
 
+# --- Pmf text ----------------------------------------------------------------
+
+CHUNK_BYTES = 1 << 20  # pmf text is written in pieces of about this size
+_PAD = 0  # template byte a cell narrower than its column leaves unfilled
+_F2_LABELS = ("0", "1", str(BOT))  # labels of the codes 0, 1 and BOT_CODE
+
+
+def render_pmf(write, names, labels, codes, counts, total: int) -> None:
+    """Write one line per row of codes, in the rows' order: the cells
+    names[j]=labels[j][codes[i, j]], then weight=NUM/DEN for counts[i] /
+    total in lowest terms, separated by spaces.
+
+    Every line is cut from one byte template that holds each cell at its
+    column's widest label and the weight at the widest weight; one weight
+    cell is made per distinct count.  The rows are rendered CHUNK_BYTES of
+    template at a time (at least one line), and each chunk is passed to
+    write as a str before the next is built.  Only when some column's
+    labels or the weight cells differ in width are the pad bytes of a
+    chunk dropped, with one mask."""
+    import numpy as np
+
+    weights, which = np.unique(counts, return_inverse=True)
+    wcells = ["{0.numerator}/{0.denominator}".format(Fraction(int(c), total)).encode()
+              for c in weights]
+    cells = [[x.encode() for x in col] for col in labels]
+    widths = [max(map(len, col), default=0) for col in cells]
+    wwidth = max(map(len, wcells), default=0)
+    padded = any(len(x) != w for col, w in zip(cells, widths) for x in col) \
+        or any(len(x) != wwidth for x in wcells)
+    # column j's labels are the rows from base[j] on of lut
+    base = np.cumsum([0] + [len(col) for col in cells[:-1]], dtype=np.intp)
+    lut = _byte_rows([x for col in cells for x in col], max(widths, default=0))
+    wtable = _byte_rows(wcells, wwidth)
+    template, starts = bytearray(), []
+    for name, w in zip(names, widths):
+        template += f"{name}=".encode()
+        starts.append(len(template))
+        template += bytes([_PAD]) * w + b" "
+    template += b"weight="
+    wstart = len(template)
+    template += bytes([_PAD]) * wwidth + b"\n"
+    template = np.frombuffer(template, dtype=np.uint8)
+    starts, widths = np.array(starts, dtype=np.intp), np.array(widths)
+    # byte k of the value slots: the columns at least k + 1 wide
+    slots = [np.flatnonzero(widths > k) for k in range(max(widths, default=0))]
+    step = max(1, CHUNK_BYTES // len(template))
+    for lo in range(0, len(codes), step):
+        chunk = codes[lo:lo + step]
+        buf = np.empty((len(chunk), len(template)), dtype=np.uint8)
+        buf[:] = template
+        for k, cols in enumerate(slots):
+            buf[:, starts[cols] + k] = lut[chunk[:, cols] + base[cols], k]
+        buf[:, wstart:wstart + wwidth] = wtable[which[lo:lo + step]]
+        write((buf[buf != _PAD] if padded else buf).tobytes().decode())
+
+
+def _byte_rows(cells, width: int):
+    """The byte strings as the rows of a uint8 matrix width wide, _PAD after each."""
+    import numpy as np
+
+    out = np.full((len(cells), width), _PAD, dtype=np.uint8)
+    for r, x in enumerate(cells):
+        out[r, :len(x)] = np.frombuffer(x, dtype=np.uint8)
+    return out
+
+
+def write_pmf(write, table, vars_, rows=None) -> None:
+    """Write the pmf text of a fold's run table over vars_, counting the
+    runs in the bool mask rows (all by default) out of their number: the
+    lines format_pmf gives for that distribution, made with no Pmf and no
+    key tuple.  Over F_2 every line holds the same cells in the same
+    order and "0" < "1" < "bot", with the separator below every value
+    character, so the lines sort as the value rows in display-column order
+    do: engine.sorted_rows sorts and counts them, and render_pmf writes
+    them a chunk at a time."""
+    from . import engine
+
+    names = [str(v) for v in vars_]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    codes, counts = engine.sorted_rows(table, [vars_[i] for i in order], rows)
+    has_bot = (codes == engine.BOT_CODE).any(axis=0).tolist() \
+        if any(table.bots.get(v) is not None for v in vars_) else [False] * len(order)
+    labels = [_F2_LABELS if b else _F2_LABELS[:2] for b in has_bot]
+    total = table.nrows if rows is None else int(counts.sum())
+    render_pmf(write, [names[i] for i in order], labels, codes, counts, total)
+
+
 def format_pmf(pmf: Pmf) -> str:
     """One line per support memory: var=val pairs sorted lexicographically
     by name (equal names keep domain order), then weight=NUM/DEN.
 
-    The text is built column by column: each name, the column order and
-    each var=val or weight cell that occurs are made once per call, so the
-    cost is linear in support x domain."""
+    Each column's distinct values are ranked by their text, so the lines
+    sort as the rank rows do (np.lexsort; every line has the same cells,
+    and the separator sorts below every value character, so "10" < "9" as
+    text), and render_pmf writes the text; linear in support x domain
+    apart from the sort."""
+    import numpy as np
+
     keys = list(pmf.counts)
     names = [str(v) for v in pmf.domain]
-    columns = []
-    for i in sorted(range(len(names)), key=names.__getitem__):
+    order = sorted(range(len(names)), key=names.__getitem__)
+    codes = np.empty((len(keys), len(order)), dtype=np.intp)
+    labels = []
+    for j, i in enumerate(order):
         at = itemgetter(i)
-        cell = {x: f"{names[i]}={x}" for x in set(map(at, keys))}
-        columns.append(map(cell.__getitem__, map(at, keys)))
-    weight = {c: "weight={0.numerator}/{0.denominator}".format(Fraction(c, pmf.total))
-              for c in set(pmf.counts.values())}
-    columns.append(map(weight.__getitem__, pmf.counts.values()))
-    lines = [" ".join(row) for row in zip(*columns)]
-    return "\n".join(sorted(lines)) + "\n"
+        values = sorted(set(map(at, keys)), key=str)
+        rank = {x: r for r, x in enumerate(values)}
+        codes[:, j] = np.fromiter(map(rank.__getitem__, map(at, keys)), np.intp, len(keys))
+        labels.append([str(x) for x in values])
+    counts = np.array(list(pmf.counts.values()))
+    if order:
+        sort = np.lexsort(codes.T[::-1])
+        codes, counts = codes[sort], counts[sort]
+    out: list = []
+    render_pmf(out.append, [names[i] for i in order], labels, codes, counts, pmf.total)
+    return "".join(out) or "\n"  # no support: one empty line, as ever

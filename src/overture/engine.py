@@ -20,6 +20,9 @@ when a projected variable has a BOT mask, BOT_CODE written over BOT rows.
 With 2**w at most the row count it counts one uint32 key per run with a
 dense np.bincount (linear in rows); otherwise it sorts packed void keys of
 the value matrix (row_keys), 2 * ceil(vars / 8) bytes per row (n log n).
+sorted_rows, which the pmf text is written from, sorts big-endian byte
+keys of the same codes instead, so the distinct rows come out in
+lexicographic order with one sort.
 """
 
 from dataclasses import dataclass
@@ -259,6 +262,52 @@ def project_counts(table: RunTable, vars_):
             key = [BOT if x == BOT_CODE else x for x in key]
         keys[j] = tuple(key)
     return dict(zip(keys, counts[order].tolist()))
+
+
+def rows_matching(table: RunTable, memory: dict) -> "np.ndarray":
+    """Bool mask of the runs where every variable of the partial memory
+    holds its value (never BOT)."""
+    rows = np.ones(table.nrows, dtype=bool)
+    for v, x in memory.items():
+        rows &= table.cols[v] == x
+        bot = table.bots.get(v)
+        if bot is not None:
+            rows &= ~bot
+    return rows
+
+
+def sorted_rows(table: RunTable, vars_, rows=None):
+    """Distinct rows of the value matrix over vars_ (columns in the given
+    order) with their run counts, sorted lexicographically by code, 0 < 1 <
+    BOT_CODE; rows is a bool mask of the runs counted (all by default).
+
+    Returns (codes, counts): a (distinct rows, len(vars_)) uint8 matrix and
+    an int64 array.  Each run is packed into a big-endian byte key, b bits
+    per variable (b = 2 if a variable has a BOT mask, else 1) with the first
+    variable most significant, so byte order is code order and one np.unique
+    of the void keys sorts and counts; the codes are unpacked from the
+    distinct keys.  Holds the keys, ceil(b * len(vars_) / 8) bytes per run,
+    twice, and no value matrix."""
+    vars_ = _check_vars(table, vars_)
+    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
+    width = bits * len(vars_)
+    nbytes = max(1, -(-width // 8))
+    n = table.nrows if rows is None else int(np.count_nonzero(rows))
+    packed = np.zeros((n, nbytes), dtype=np.uint8)
+    for j, v in enumerate(vars_):
+        code = table.cols[v] if rows is None else table.cols[v][rows]
+        bot = table.bots.get(v)
+        if bot is not None:
+            code = np.where(bot if rows is None else bot[rows], np.uint8(BOT_CODE), code)
+        byte, at = divmod(j * bits, 8)
+        packed[:, byte] |= code << np.uint8(8 - bits - at)
+    keys, counts = np.unique(packed.view(np.dtype((np.void, nbytes))).ravel(),
+                             return_counts=True)
+    codes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), nbytes),
+                          axis=1, count=width)
+    if bits == 2:
+        codes = (codes[:, 0::2] << 1) | codes[:, 1::2]
+    return codes, counts
 
 
 def project_pmf(table: RunTable, vars_):

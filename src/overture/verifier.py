@@ -9,6 +9,7 @@ recomputed from the distributions.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -70,7 +71,7 @@ def projected_bd(protocol: Protocol, vars_, preproc=None, strategy=None,
     vars_ = tuple(dict.fromkeys(vars_))
     if protocol.modulus != 2:
         return bd(protocol, preproc, strategy, part).marginal(vars_)
-    dist_mod._validate_for_bd(protocol, preproc)
+    dist_mod.check_deal(protocol, preproc)
     return engine.project_pmf(engine.fold(protocol, preproc, strategy, part), vars_)
 
 
@@ -92,7 +93,7 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
         raise UsageError("functionality secrets differ from the dealt secrets")
     if set(fn.outputs) != set(protocol.output_vars()):
         raise UsageError("functionality outputs differ from protocol outputs")
-    dist_mod._validate_for_bd(protocol, preproc)
+    dist_mod.check_deal(protocol, preproc)
     table = engine.fold(protocol, preproc)
     idx = np.zeros(table.nrows, dtype=np.uint64)
     for i, s in enumerate(fn.secrets):
@@ -408,19 +409,29 @@ def _table_exprs(protocol, part, position, preproc) -> list:
 
 # --- Adversarial inputs ----------------------------------------------------------
 
+MAX_SUBSET_TESTS = 2 ** 16  # independence tests of one adversarial_inputs call
+
+
 def adversarial_inputs(pmf: Pmf, views, targets) -> tuple:
     """Least corrupt-to-honest views not independent of the targets.
 
     Tests candidate subsets by growing size: if any single view is
     dependent, the result is the set of dependent single views; otherwise
     pairs are tried, and so on, returning the union of the minimal
-    dependent subsets of the first size at which any exist.
+    dependent subsets of the first size at which any exist.  Before the
+    subsets of a size are tried, BudgetError is raised if they would take
+    the tests past MAX_SUBSET_TESTS.
     """
     present = tuple(v for v in views if v in pmf.domain)
     targets = tuple(t for t in targets if t in pmf.domain)
     if not targets:
         return ()
+    tests = 0
     for k in range(1, len(present) + 1):
+        tests += math.comb(len(present), k)
+        if tests > MAX_SUBSET_TESTS:
+            raise BudgetError(f"{tests} subset tests over {len(present)} views exceed "
+                              f"the budget of {MAX_SUBSET_TESTS}")
         found = set()
         for subset in itertools.combinations(present, k):
             if not pmf.independent(subset, targets):
@@ -460,7 +471,7 @@ def _fold_family(protocol, part, strategies, preproc, keep) -> tuple:
 
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    dist_mod._validate_for_bd(protocol, preproc)
+    dist_mod.check_deal(protocol, preproc)
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     x_h = _response_vars(protocol, part)
     vars_ = tuple(dict.fromkeys(v_ch + x_h))
@@ -563,6 +574,19 @@ def _count_table(values, cond_cols, resp_cols) -> dict:
     return out
 
 
+def _bit_rows(n: int):
+    """The 2**n assignments of n bits as uint8 rows, in itertools.product
+    order: column j is bit n-1-j of the row index."""
+    import numpy as np
+
+    from . import engine
+
+    rows = np.empty((2 ** n, n), dtype=np.uint8)
+    for j in range(n):
+        rows[:, j] = engine.bit_column(2 ** n, n - 1 - j)
+    return rows
+
+
 def check_integrity(protocol: Protocol, part: Partition, strategies,
                     preproc=None, secret_scope: str = "secrets") -> Verdict:
     """Every adversarial run is explained by substituting corrupt inputs:
@@ -581,7 +605,7 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     prop = f"integrity[scope={secret_scope}, corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    dist_mod._validate_for_bd(protocol, preproc)
+    dist_mod.check_deal(protocol, preproc)
     x_h_all = _response_vars(protocol, part)
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     if secret_scope == "secrets":
@@ -589,8 +613,7 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
         if 2 ** len(inputs) > engine.MAX_RUNS:
             raise BudgetError(f"{2 ** len(inputs)} candidate inputs exceed "
                               f"the run budget of {engine.MAX_RUNS}")
-        candidates = np.array(list(itertools.product((0, 1), repeat=len(inputs))),
-                              dtype=np.uint8).reshape(2 ** len(inputs), len(inputs))
+        candidates = _bit_rows(len(inputs))
     elif secret_scope == "initial":
         inputs = tuple(preproc.domain)
         columns = preproc.columns()

@@ -2,13 +2,15 @@
 
 import os
 import shutil
+import sys
 
 import pytest
 
-from overture import engine, stdlib, verifier
+from overture import dist, engine, stdlib, verifier
 from overture.cli import main
-from overture.dist import UniformPreprocessing
+from overture.dist import Pmf, UniformPreprocessing, bd
 from overture.stdlib import protocols_dir
+from test_dist import per_line_format_pmf
 from test_engine import FLIPS64, never_allocate
 
 
@@ -41,6 +43,31 @@ def test_pmf_is_deterministic(capsys):
         assert rc == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_pmf_streams_from_the_fold(monkeypatch):
+    protocol, _, _ = stdlib.load_package("bdoz-beaver")
+    want = per_line_format_pmf(bd(protocol, stdlib.PREPROCS["bdoz-beaver-trim"](protocol)))
+    assert want.count("\n") == 4096
+
+    def never(*args, **kwargs):
+        raise AssertionError("the F_2 pmf command built a Pmf")
+
+    monkeypatch.setattr(dist, "bd", never)
+    monkeypatch.setattr(Pmf, "__init__", never)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["pmf", "bdoz-beaver", "--preproc", "bdoz-beaver-trim"]) == 0
+    monkeypatch.undo()
+    assert len(writes) > 1
+    assert max(map(len, writes)) <= dist.CHUNK_BYTES
+    assert "".join(writes) == want
 
 
 def test_run_defaults_missing_inputs_to_zero(capsys):

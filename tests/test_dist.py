@@ -9,9 +9,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from overture import dist, engine
+from overture import cli, dist, engine
 from overture.dist import (
     ExplicitPreprocessing, Functionality, Pmf, UniformPreprocessing, bd,
     bd_adv, bd_domain, default_preprocessing, format_pmf, kernel,
@@ -24,7 +26,7 @@ from overture.stdlib import (
     FUNCTIONALITIES, PACKAGES, PREPROCS, load_package, read_source,
 )
 from overture.verifier import enumerate_adversaries
-from test_engine import StubDeal, sweep
+from test_engine import ABORTING, StubDeal, sweep
 
 OTP_OVT = read_source("otp.ovt")
 SHAMIR_ADD3_OVT = read_source("shamir_add3.ovt")
@@ -189,9 +191,6 @@ def test_conditional_table():
     assert table.prob((1,), (1,)) == 1
     assert table.prob((0,), (1,)) == 0
     assert table.prob((0,), (BOT,)) == 0
-    row = table.row_pmf((1,))
-    assert row.domain == (OUT2,)
-    assert row.weights == {(1,): Fraction(1)}
 
 
 def test_independence_and_witness():
@@ -278,7 +277,7 @@ def per_line_format_pmf(pmf: Pmf) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
-def test_format_pmf_matches_per_line_rendering():
+def test_format_pmf_matches_per_line_rendering(capsys, monkeypatch, tmp_path):
     # an adversary that trips an honest assertion: BOT-padded aborted runs
     protocol, _, preproc = load_package("bdoz-open")
     part = Partition.of(protocol.federation, [2])
@@ -304,6 +303,101 @@ def test_format_pmf_matches_per_line_rendering():
     assert format_pmf(unsorted).splitlines()[0] == \
         "m[k]@2=0 m[z]@2=1 out@1=1 out@1=0 s[x]@1=1 weight=1/3"
     assert format_pmf(tripped.marginal(())) == "weight=1/1\n"
+    check_cli_pmf_renders_like_per_line(capsys, monkeypatch, tmp_path)
+
+
+def template_width(text: str) -> int:
+    """Bytes of render_pmf's line template for this text: every line has
+    the same cells, each at its widest, one separator or newline after each."""
+    cells = [line.split(" ") for line in text.splitlines()]
+    return sum(max(map(len, col)) + 1 for col in zip(*cells))
+
+
+def check_cli_pmf_renders_like_per_line(capsys, monkeypatch, tmp_path):
+    """`overture pmf` prints per_line_format_pmf of the pmf the old command
+    built through bd, marginal and conditional."""
+    def pmf_cli(*argv):
+        assert cli.main(["pmf", *argv]) == 0
+        return capsys.readouterr().out
+
+    aborting = tmp_path / "aborting.ovt"
+    aborting.write_text(ABORTING)
+    cases = []
+    for name in PACKAGES:
+        protocol, _, preproc = load_package(name)
+        if name == "bdoz-beaver":
+            preproc, argv = PREPROCS["bdoz-beaver-trim"](protocol), (name, "--preproc",
+                                                                     "bdoz-beaver-trim")
+        else:
+            argv = (name,)
+        cases.append((argv, bd(protocol, preproc)))
+    gmw, _, _ = load_package("gmw-and")
+    joint = bd(gmw)
+    out1, out2, s1 = (parse_var(v) for v in ("out@1", "out@2", "s[s1]@1"))
+    # several weights, and the total is the mass of the matched runs
+    cases.append((("gmw-and", "--marginal", "out@1,s[s1]@1"), joint.marginal((out1, s1))))
+
+    def conditioned(x1, k1, x2):
+        table = joint.conditional(x1, x2)
+        return Pmf(x2, table.rows[k1], table.masses[k1])
+
+    cases.append((("gmw-and", "--given", "s[s1]@1=1"),
+                   conditioned((s1,), (1,), tuple(v for v in joint.domain if v != s1))))
+    cases.append((("gmw-and", "--given", "out@2=0", "--marginal", "out@1,s[s1]@1"),
+                  conditioned((out2,), (0,), (out1, s1))))
+    cases.append(((str(aborting),), bd(parse_protocol(ABORTING))))
+    for argv, pmf in cases:
+        want = per_line_format_pmf(pmf)
+        assert pmf_cli(*argv) == want, argv
+        width = template_width(want)
+        for lines in (1, 3):
+            # chunks of 1 and 3 lines: every write but the last holds exactly that many
+            monkeypatch.setattr(dist, "CHUNK_BYTES", lines * width)
+            writes = []
+            render = dist.render_pmf
+            monkeypatch.setattr(dist, "render_pmf", lambda write, *a: render(
+                lambda text: writes.append(text) or write(text), *a))
+            assert pmf_cli(*argv) == want, (argv, lines)
+            assert [w.count("\n") for w in writes[:-1]] == [lines] * (len(writes) - 1)
+            assert 1 <= writes[-1].count("\n") <= lines
+            monkeypatch.undo()
+    assert "=bot " in pmf_cli(str(aborting))
+    assert len(set(pmf_cli("gmw-and", "--marginal", "out@1,s[s1]@1").split()[1::3])) > 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_render_matches_per_line_on_random_f2_tables(data):
+    """Random F_2 code matrices with BOT and random run counts, over a domain
+    where several variables print under one name: the fold-table path
+    (write_pmf) and format_pmf both print per_line_format_pmf's text."""
+    pool = [Var("out", "a", 1), Var("out", "b", 1), Var("out", "", 2), Var("m", "x", 1),
+            Var("m", "x", 2), Var("s", "y", 1), Var("r", "k", 2), Var("m", "w", 1)]
+    domain = tuple(data.draw(st.permutations(pool))[:data.draw(st.integers(0, len(pool)))])
+    n = len(domain)
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=12,
+                              unique=True))
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    runs = [row for row, c in zip(rows, counts) for _ in range(c)]
+    data.draw(st.randoms()).shuffle(runs)
+    codes = np.array(runs, dtype=np.uint8).reshape(len(runs), n)
+    bot = codes == engine.BOT_CODE
+    table = engine.RunTable(domain, {v: codes[:, j] & 1 for j, v in enumerate(domain)},
+                            {v: bot[:, j] if bot[:, j].any() else None
+                             for j, v in enumerate(domain)},
+                            ~bot.any(axis=1), len(runs))
+    pmf = Pmf(domain, {tuple(BOT if x == engine.BOT_CODE else x for x in row): c
+                       for row, c in zip(rows, counts)}, len(runs))
+    want = per_line_format_pmf(pmf)
+    assert format_pmf(pmf) == want
+    out = []
+    dist.write_pmf(out.append, table, domain)
+    assert "".join(out) == want
+    # conditioning: the runs of the first row, counted out of their number
+    first = np.all(codes == np.array(rows[0], dtype=np.uint8), axis=1)
+    out = []
+    dist.write_pmf(out.append, table, domain, first)
+    assert "".join(out) == per_line_format_pmf(Pmf(domain, {next(iter(pmf.counts)): 1}, 1))
 
 
 def test_functionality_from_callable_and_round_trip():

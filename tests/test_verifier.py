@@ -8,9 +8,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from overture import engine
+from overture import engine, verifier
 from overture.dist import (
     ExplicitPreprocessing, Pmf, bd, bd_adv, default_preprocessing,
 )
@@ -23,7 +24,7 @@ from overture.lang import (
 from overture.ovt import parse_protocol
 from overture.stdlib import FUNCTIONALITIES, PACKAGES, load_package
 from overture.verifier import (
-    Verdict, Witness, _dealt_secrets, _response_vars, adversarial_inputs,
+    Verdict, Witness, _bit_rows, _dealt_secrets, _response_vars, adversarial_inputs,
     all_partitions, check_and_gate_tactic, check_cheating_detection,
     check_gmw_invariant, check_gradual_release, check_integrity, check_nimo,
     check_passive_correct, corrupt_positions, enumerate_adversaries,
@@ -469,7 +470,7 @@ def test_integrity_candidate_budget_checked_before_building(monkeypatch):
     p, deal = secrets_protocol(24)
     part = Partition.of(p.federation, [2])
     with monkeypatch.context() as m:
-        m.setattr(itertools, "product", never_build)
+        m.setattr(engine, "bit_column", never_build)
         with pytest.raises(BudgetError, match="candidate inputs"):
             check_integrity(p, part, [IDENTITY], deal)
     # at the budget the candidates are built and the check runs
@@ -479,6 +480,35 @@ def test_integrity_candidate_budget_checked_before_building(monkeypatch):
     p, deal = secrets_protocol(4)
     with pytest.raises(BudgetError, match="candidate inputs"):
         check_integrity(p, part, [IDENTITY], deal)
+    # the candidates are the rows of itertools.product, first input most significant
+    for n in range(6):
+        old = np.array(list(itertools.product((0, 1), repeat=n)),
+                       dtype=np.uint8).reshape(2 ** n, n)
+        assert np.array_equal(_bit_rows(n), old) and _bit_rows(n).dtype == np.uint8
+
+
+def test_subset_tests_budget_checked_before_walking(monkeypatch):
+    # 20 constant views, each independent of the target and so is every subset
+    views = tuple(Var("m", f"v{i}", 1) for i in range(20))
+    t = Var("m", "t", 2)
+    pmf = Pmf(views + (t,), {(0,) * 20 + (0,): 1, (0,) * 20 + (1,): 1}, 2)
+    calls = []
+    independent = Pmf.independent
+    monkeypatch.setattr(Pmf, "independent",
+                        lambda self, *a: calls.append(a) or independent(self, *a))
+    # the 20 singles and 190 pairs fit; the 1,140 triples would pass 1,000
+    monkeypatch.setattr(verifier, "MAX_SUBSET_TESTS", 1000)
+    with pytest.raises(BudgetError, match="1350 subset tests over 20 views"):
+        adversarial_inputs(pmf, views, (t,))
+    assert len(calls) == 20 + 190
+    calls.clear()
+    monkeypatch.setattr(verifier, "MAX_SUBSET_TESTS", 209)
+    with pytest.raises(BudgetError):
+        adversarial_inputs(pmf, views, (t,))
+    assert len(calls) == 20
+    # a dependent single view is found within the budget
+    leak = Pmf(views[:1] + (t,), {(0, 0): 1, (1, 1): 1}, 2)
+    assert adversarial_inputs(leak, views[:1], (t,)) == views[:1]
 
 
 def test_all_partitions():
