@@ -574,14 +574,14 @@ def write_pmf(write, table, vars_, rows=None) -> None:
     lines format_pmf gives for that distribution, made with no Pmf and no
     key tuple.  Over F_2 every line holds the same cells in the same
     order and "0" < "1" < "bot", with the separator below every value
-    character, so the lines sort as the value rows in display-column order
-    do: engine.sorted_rows sorts and counts them, and render_pmf writes
-    them a chunk at a time."""
+    character, so the lines sort as the code rows in display-column order
+    do: engine.distinct_rows counts them in that order, and render_pmf
+    writes them a chunk at a time."""
     from . import engine
 
     names = [str(v) for v in vars_]
     order = sorted(range(len(names)), key=names.__getitem__)
-    codes, counts = engine.sorted_rows(table, [vars_[i] for i in order], rows)
+    codes, counts, _ = engine.distinct_rows(table, [vars_[i] for i in order], rows)
     has_bot = (codes == engine.BOT_CODE).any(axis=0).tolist() \
         if any(table.bots.get(v) is not None for v in vars_) else [False] * len(order)
     labels = [_F2_LABELS if b else _F2_LABELS[:2] for b in has_bot]

@@ -15,14 +15,24 @@ repeated 0/1 block, with no 64-bit row index; without flips the deal's
 columns are used as they are.  A fold of more than MAX_RUNS runs raises
 BudgetError before any column is built.
 
-project_counts keys each run over w key bits: 1 bit per variable, or 2
-when a projected variable has a BOT mask, BOT_CODE written over BOT rows.
-With 2**w at most the row count it counts one uint32 key per run with a
-dense np.bincount (linear in rows); otherwise it sorts packed void keys of
-the value matrix (row_keys), 2 * ceil(vars / 8) bytes per row (n log n).
-sorted_rows, which the pmf text is written from, sorts big-endian byte
-keys of the same codes instead, so the distinct rows come out in
-lexicographic order with one sort.
+Every check counts the distinct rows of codes over some variables: a
+variable's code is its value, or BOT_CODE where it is BOT.  distinct_rows
+does this for projections (project_counts), the pmf text (dist.write_pmf)
+and the integrity count tables.  It keys each run over w bits, 1 per
+variable, or 2 when a variable has a BOT mask, and takes one of two paths
+by input size:
+- 2**w at most the runs counted: one integer key per run, counted by
+  np.bincount into a dense table of 2**w bins.  This is linear in runs,
+  with no sort, and the ascending bins are already in code order.  A tall
+  table projected to a few variables (the 2^21-run Beaver deal to 12)
+  takes this path.
+- otherwise the bins would outnumber the runs, so the runs are sorted:
+  np.unique of pack_keys.  That is n log n over ceil(w / 8) bytes per run,
+  for any number of variables (wide projections, full-joint pmfs).
+pack_keys is the one run-key format: b bits per column, first column most
+significant, in big-endian bytes, so byte order is code order.  Both paths
+unpack the codes from the distinct keys.  row_keys applies pack_keys to a
+value matrix for the verifier's comparisons.
 """
 
 from dataclasses import dataclass
@@ -173,7 +183,7 @@ def fold(protocol: Protocol, preproc, strategy: AdversaryStrategy = None,
     return RunTable(tuple(domain), cols, bots, alive, nrows)
 
 
-BOT_CODE = 2  # BOT in a value matrix
+BOT_CODE = 2  # BOT in a value matrix and in a run key
 
 
 def _check_vars(table: RunTable, vars_) -> tuple:
@@ -184,78 +194,89 @@ def _check_vars(table: RunTable, vars_) -> tuple:
     return vars_
 
 
-def _values_at(table: RunTable, vars_, rows) -> "np.ndarray":
-    """(rows, variables) uint8 matrix at an index array of rows or at
-    slice(None), BOT as BOT_CODE."""
-    n = table.nrows if isinstance(rows, slice) else len(rows)
-    out = np.empty((n, len(vars_)), dtype=np.uint8)
-    for j, v in enumerate(vars_):
-        out[:, j] = table.cols[v][rows]
-        bot = table.bots.get(v)
-        if bot is not None:
-            out[bot[rows], j] = BOT_CODE
-    return out
+def _code(table: RunTable, v, rows=None) -> "np.ndarray":
+    """Variable v's codes over the runs in the bool mask rows (all by
+    default): its value, BOT_CODE where it is BOT."""
+    col = table.cols[v] if rows is None else table.cols[v][rows]
+    bot = table.bots.get(v)
+    if bot is None:
+        return col
+    return np.where(bot if rows is None else bot[rows], np.uint8(BOT_CODE), col)
 
 
 def value_matrix(table: RunTable, vars_) -> "np.ndarray":
     """(rows, variables) uint8 matrix of the given variables, BOT as BOT_CODE."""
-    return _values_at(table, _check_vars(table, vars_), slice(None))
+    vars_ = _check_vars(table, vars_)
+    out = np.empty((table.nrows, len(vars_)), dtype=np.uint8)
+    for j, v in enumerate(vars_):
+        out[:, j] = _code(table, v)
+    return out
 
 
-def row_keys(values) -> "np.ndarray":
-    """One key per row of a value matrix, for any number of columns: keys
-    are equal exactly when rows are, and can be sorted and compared."""
-    if not values.shape[1]:
-        return np.zeros(len(values), dtype=np.uint8)
-    planes = (np.packbits(values & 1, axis=1), np.packbits(values >> 1, axis=1))
-    packed = np.ascontiguousarray(np.concatenate(planes, axis=1))
+def pack_keys(columns, bits: int, n: int) -> "np.ndarray":
+    """One void key per run from an iterable of n-long uint8 code columns:
+    bits bits per column, first column most significant, in big-endian
+    bytes (one zero byte with no column).  Keys of one shape are equal
+    exactly when the code rows are, and sort in code order.  The columns
+    are read one at a time, so an iterator of them is never all held."""
+    per = 8 // bits
+    planes = []
+    for j, code in enumerate(columns):
+        byte, at = divmod(j, per)
+        if not at:
+            planes.append(np.zeros(n, dtype=np.uint8))
+        planes[byte] |= code << np.uint8(8 - bits * (at + 1))
+    packed = np.stack(planes, axis=1) if planes else np.zeros((n, 1), dtype=np.uint8)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _int_keys(table: RunTable, vars_, bits: int) -> "np.ndarray":
-    """One uint32 per row: variable j's code (its value, or BOT_CODE) at
-    bits j*bits and up.  Needs F_2 columns and 2**(len(vars_) * bits) at
-    most the row count, so the key fits in 32 bits."""
-    keys = np.zeros(table.nrows, dtype=np.uint32)
-    code = np.empty(table.nrows, dtype=np.uint32)
-    for j, v in enumerate(vars_):
-        np.copyto(code, table.cols[v])
-        bot = table.bots.get(v)
-        if bot is not None:
-            code[bot] = BOT_CODE
-        code <<= np.uint32(j * bits)
-        keys |= code
-    return keys
+def row_keys(values) -> "np.ndarray":
+    """pack_keys of the rows of a value matrix, 2 bits per column."""
+    return pack_keys(values.T, 2, len(values))
+
+
+def distinct_rows(table: RunTable, vars_, rows=None):
+    """The distinct code rows over vars_ (columns in the given order) of
+    the runs in the bool mask rows (all by default), in code order: 0 < 1
+    < BOT_CODE, first column most significant.  Returns (codes, counts,
+    first): a (distinct rows, len(vars_)) uint8 matrix, each row's run
+    count and the index of its first counted run.  The module docstring
+    says which of the two counting paths a call takes, and why."""
+    vars_ = _check_vars(table, vars_)
+    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
+    width = bits * len(vars_)
+    n = table.nrows if rows is None else int(np.count_nonzero(rows))
+    columns = (_code(table, v, rows) for v in vars_)
+    if 2 ** width <= n:
+        keys = np.zeros(n, dtype=np.min_scalar_type(2 ** width - 1))
+        for code in columns:
+            keys <<= bits
+            keys |= code
+        counts = np.bincount(keys, minlength=2 ** width)
+        first = np.full(len(counts), n, dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(n))
+        keys = np.flatnonzero(counts)
+        shifts = bits * np.arange(len(vars_) - 1, -1, -1)
+        codes = ((keys[:, None] >> shifts) & (2 ** bits - 1)).astype(np.uint8)
+        return codes, counts[keys], first[keys]
+    keys, first, counts = np.unique(pack_keys(columns, bits, n),
+                                    return_index=True, return_counts=True)
+    codes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), keys.itemsize),
+                          axis=1, count=width)
+    if bits == 2:
+        codes = (codes[:, 0::2] << 1) | codes[:, 1::2]
+    return codes, counts, first
 
 
 def project_counts(table: RunTable, vars_):
     """Exact counts of (value, bot) realizations over the given variables,
-    keyed in the order of each realization's first run.
-
-    Over w = b * len(vars_) key bits, with b = 2 if a projected variable
-    has a BOT mask and b = 1 otherwise:
-    - 2**w <= rows: np.bincount of one integer key per run into a dense
-      table of 2**w counts, first runs by np.minimum.at; linear in rows;
-    - otherwise: np.unique on packed row_keys of the value matrix; one sort
-      of void keys of 2 * ceil(len(vars_) / 8) bytes.
-    Key tuples are built only for the first run of each realization."""
-    vars_ = _check_vars(table, vars_)
-    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
-    width = bits * len(vars_)
-    if 2 ** width <= table.nrows:
-        keys = _int_keys(table, vars_, bits)
-        counts = np.bincount(keys, minlength=2 ** width)
-        first = np.full(len(counts), table.nrows, dtype=np.intp)
-        np.minimum.at(first, keys, np.arange(table.nrows))
-        seen = counts > 0
-        first, counts = first[seen], counts[seen]
-    else:
-        _, first, counts = np.unique(row_keys(value_matrix(table, vars_)),
-                                     return_index=True, return_counts=True)
+    keyed in the order of each realization's first run: the distinct_rows
+    counts, with key tuples built only for the distinct rows."""
+    codes, counts, first = distinct_rows(table, vars_)
     order = np.argsort(first)
-    rows = _values_at(table, vars_, first[order])
-    has_bot = (rows == BOT_CODE).any(axis=1).tolist()
-    keys = rows.tolist()
+    codes = codes[order]
+    has_bot = (codes == BOT_CODE).any(axis=1).tolist()
+    keys = codes.tolist()
     for j, key in enumerate(keys):
         # in place, so the row lists and the key tuples are never all held at once
         if has_bot[j]:
@@ -274,40 +295,6 @@ def rows_matching(table: RunTable, memory: dict) -> "np.ndarray":
         if bot is not None:
             rows &= ~bot
     return rows
-
-
-def sorted_rows(table: RunTable, vars_, rows=None):
-    """Distinct rows of the value matrix over vars_ (columns in the given
-    order) with their run counts, sorted lexicographically by code, 0 < 1 <
-    BOT_CODE; rows is a bool mask of the runs counted (all by default).
-
-    Returns (codes, counts): a (distinct rows, len(vars_)) uint8 matrix and
-    an int64 array.  Each run is packed into a big-endian byte key, b bits
-    per variable (b = 2 if a variable has a BOT mask, else 1) with the first
-    variable most significant, so byte order is code order and one np.unique
-    of the void keys sorts and counts; the codes are unpacked from the
-    distinct keys.  Holds the keys, ceil(b * len(vars_) / 8) bytes per run,
-    twice, and no value matrix."""
-    vars_ = _check_vars(table, vars_)
-    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
-    width = bits * len(vars_)
-    nbytes = max(1, -(-width // 8))
-    n = table.nrows if rows is None else int(np.count_nonzero(rows))
-    packed = np.zeros((n, nbytes), dtype=np.uint8)
-    for j, v in enumerate(vars_):
-        code = table.cols[v] if rows is None else table.cols[v][rows]
-        bot = table.bots.get(v)
-        if bot is not None:
-            code = np.where(bot if rows is None else bot[rows], np.uint8(BOT_CODE), code)
-        byte, at = divmod(j * bits, 8)
-        packed[:, byte] |= code << np.uint8(8 - bits - at)
-    keys, counts = np.unique(packed.view(np.dtype((np.void, nbytes))).ravel(),
-                             return_counts=True)
-    codes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), nbytes),
-                          axis=1, count=width)
-    if bits == 2:
-        codes = (codes[:, 0::2] << 1) | codes[:, 1::2]
-    return codes, counts
 
 
 def project_pmf(table: RunTable, vars_):

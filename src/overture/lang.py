@@ -74,22 +74,25 @@ class Var:
 def parse_var(text: str) -> Var:
     """Parse a variable from its display form, e.g. 'm[z]@2' or 'p[w]'."""
     s = text.strip()
-    if s.startswith("<m[") and s.endswith(">") and "]" in s:
-        return Var(GLOBAL, s[3 : s.index("]")])
-    if s.startswith("out@"):
-        return Var(OUT, "", int(s[4:]))
-    for kind in (SECRET, FLIP, MESG, REVEAL):
-        if s.startswith(kind + "["):
-            close = s.index("]")
-            name = s[len(kind) + 1 : close]
-            rest = s[close + 1 :]
-            if kind == REVEAL:
-                if rest:
-                    raise UsageError(f"reveal variable {text!r} carries no client")
-                return Var(REVEAL, name)
-            if not rest.startswith("@"):
-                raise UsageError(f"missing @client in {text!r}")
-            return Var(kind, name, int(rest[1:]))
+    try:
+        if s.startswith("<m[") and s.endswith(">") and "]" in s:
+            return Var(GLOBAL, s[3 : s.index("]")])
+        if s.startswith("out@"):
+            return Var(OUT, "", int(s[4:]))
+        for kind in (SECRET, FLIP, MESG, REVEAL):
+            if s.startswith(kind + "["):
+                close = s.index("]")
+                name = s[len(kind) + 1 : close]
+                rest = s[close + 1 :]
+                if kind == REVEAL:
+                    if rest:
+                        raise UsageError(f"reveal variable {text!r} carries no client")
+                    return Var(REVEAL, name)
+                if not rest.startswith("@"):
+                    raise UsageError(f"missing @client in {text!r}")
+                return Var(kind, name, int(rest[1:]))
+    except ValueError:  # no "]", or a client that is no integer
+        pass
     raise UsageError(f"cannot parse variable {text!r}")
 
 

@@ -554,20 +554,17 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
 
 # --- Integrity ----------------------------------------------------------------------
 
-def _count_table(values, cond_cols, resp_cols) -> dict:
-    """Rows of a value matrix grouped by their values on cond_cols:
-    condition key -> [rows, {response key over resp_cols: rows}]."""
-    import numpy as np
-
+def _count_table(table, cond_vars, resp_vars) -> dict:
+    """The runs of a fold grouped by their codes over cond_vars: condition
+    key -> [runs, {response key over resp_vars: runs}], each key the
+    engine.row_keys of the code row."""
     from . import engine
 
-    _, first, counts = np.unique(engine.row_keys(values[:, cond_cols + resp_cols]),
-                                 return_index=True, return_counts=True)
-    reps = values[first]
+    codes, counts, _ = engine.distinct_rows(table, cond_vars + resp_vars)
+    conds = engine.row_keys(codes[:, :len(cond_vars)]).tolist()
+    responses = engine.row_keys(codes[:, len(cond_vars):]).tolist()
     out: dict = {}
-    for ck, rk, c in zip(engine.row_keys(reps[:, cond_cols]).tolist(),
-                         engine.row_keys(reps[:, resp_cols]).tolist(),
-                         counts.tolist()):
+    for ck, rk, c in zip(conds, responses, counts.tolist()):
         entry = out.setdefault(ck, [0, {}])
         entry[0] += c
         entry[1][rk] = c
@@ -625,10 +622,11 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     vars_ = inputs + v_ch + x_h_all
     n_in, n_cond = len(inputs), len(inputs) + len(v_ch)
     honest_cols = [j for j, v in enumerate(inputs) if v.owner in part.honest]
-    by_honest: dict = {}
-    for i, key in enumerate(engine.row_keys(candidates[:, honest_cols]).tolist()):
-        by_honest.setdefault(key, []).append(i)
-    passive = engine.value_matrix(engine.fold(protocol, preproc), vars_)
+    # candidates sorted by their honest inputs' keys, to be found by searchsorted
+    honest = engine.row_keys(candidates[:, honest_cols])
+    by_honest = np.argsort(honest)
+    honest = honest[by_honest]
+    passive = engine.fold(protocol, preproc)
     passive_tables: dict = {}
     for strategy in strategies:
         table = engine.fold(protocol, preproc, strategy, part)
@@ -639,19 +637,23 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
         _, first = np.unique(engine.row_keys(conditions), return_index=True)
         rows = np.sort(first)
         adv_tables: dict = {}
-        honest_keys = engine.row_keys(adv[rows][:, honest_cols]).tolist()
-        for row, honest_key in zip(rows.tolist(), honest_keys):
+        honest_keys = engine.row_keys(adv[rows][:, honest_cols])
+        bounds = zip(np.searchsorted(honest, honest_keys).tolist(),
+                     np.searchsorted(honest, honest_keys, "right").tolist())
+        for row, (lo, hi) in zip(rows.tolist(), bounds):
             delivered = [j for j in range(n_in, n_cond) if defined[row, j]]
             responses = [j for j in range(n_cond, len(vars_)) if defined[row, j]]
             pattern = (tuple(delivered), tuple(responses))
             cond_cols = list(range(n_in)) + delivered
             if pattern not in adv_tables:
-                adv_tables[pattern] = _count_table(adv, cond_cols, responses)
+                cond_vars = tuple(vars_[j] for j in cond_cols)
+                resp_vars = tuple(vars_[j] for j in responses)
+                adv_tables[pattern] = _count_table(table, cond_vars, resp_vars)
                 if pattern not in passive_tables:
-                    passive_tables[pattern] = _count_table(passive, cond_cols, responses)
+                    passive_tables[pattern] = _count_table(passive, cond_vars, resp_vars)
             # row 0: the condition; then each matching candidate's inputs
             # with the delivered views of the condition
-            matching = by_honest.get(honest_key, [])
+            matching = by_honest[lo:hi]
             lookup = np.empty((1 + len(matching), len(cond_cols)), dtype=np.uint8)
             lookup[0] = adv[row, cond_cols]
             lookup[1:, :n_in] = candidates[matching]

@@ -219,6 +219,10 @@ def test_usage_errors_exit_two(capsys):
         ("pmf", "otp", "--field", "3"),
         ("pmf", "otp", "--given", "m[z]@2=9"),
         ("verify", "otp", "--property", "nimo", "--corrupt", "1,bad"),
+        ("pmf", "otp", "--marginal", "m[z]@"),
+        ("pmf", "otp", "--marginal", "out@x"),
+        ("pmf", "otp", "--marginal", "s[x"),
+        ("run", "otp", "--inputs", "s[x]@=1"),
     )
     for argv in cases:
         rc, _, err = run_cli(capsys, *argv)
@@ -226,6 +230,11 @@ def test_usage_errors_exit_two(capsys):
         assert err.startswith("error:"), argv
     rc, _, err = run_cli(capsys, "run", "no-such-package")
     assert "bundled package" in err
+    # a malformed variable is named as such, not as a bad value
+    rc, _, err = run_cli(capsys, "run", "otp", "--inputs", "s[x]@=1")
+    assert err == "error: cannot parse variable 's[x]@'\n"
+    rc, _, err = run_cli(capsys, "pmf", "otp", "--marginal", "s[x")
+    assert err == "error: cannot parse variable 's[x'\n"
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

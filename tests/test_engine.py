@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overture import engine
 from overture.dist import (
@@ -115,47 +116,102 @@ def test_project_counts_bot_rows():
     assert [key[-1] for key in full] == [0, BOT, BOT, 0]
 
 
+def code_table(codes, noise) -> engine.RunTable:
+    """A run table over m[v0]@1, m[v1]@1, ... holding a (runs, variables)
+    code matrix: a column with BOT_CODE somewhere carries a BOT mask, and
+    under BOT it stores the noise value, as the fold leaves it."""
+    nrows, nvars = codes.shape
+    domain = tuple(Var("m", f"v{j}", 1) for j in range(nvars))
+    values = np.where(codes == engine.BOT_CODE, noise, codes)
+    bot = codes == engine.BOT_CODE
+    cols = {v: values[:, j].copy() for j, v in enumerate(domain)}
+    bots = {v: (bot[:, j] if bot[:, j].any() else None) for j, v in enumerate(domain)}
+    return engine.RunTable(domain, cols, bots, np.ones(nrows, dtype=bool), nrows)
+
+
 def pooled_table(nvars, nbot, nrows, seed) -> engine.RunTable:
     """A run table whose rows repeat 40 random patterns over nvars columns,
-    the first nbot of which carry a BOT mask; under BOT the stored value
-    is random, as the fold leaves it."""
+    the first nbot of which carry a BOT mask."""
     rng = np.random.default_rng(seed)
-    domain = tuple(Var("m", f"v{j}", 1) for j in range(nvars))
     codes = rng.integers(0, 3, (40, nvars), dtype=np.uint8)
     codes[:, nbot:] &= 1
-    rows = codes[rng.integers(0, 40, nrows)]
-    noise = rng.integers(0, 2, (nrows, nvars), dtype=np.uint8)
-    values = np.where(rows == engine.BOT_CODE, noise, rows)
-    cols = {v: values[:, j].copy() for j, v in enumerate(domain)}
-    bots = {v: (rows[:, j] == engine.BOT_CODE if j < nbot else None)
-            for j, v in enumerate(domain)}
-    return engine.RunTable(domain, cols, bots, np.ones(nrows, dtype=bool), nrows)
+    return code_table(codes[rng.integers(0, 40, nrows)],
+                      rng.integers(0, 2, (nrows, nvars), dtype=np.uint8))
+
+
+def distinct_by_run(table, vars_, rows=None) -> tuple:
+    """distinct_rows recomputed run by run from memory_at: the code rows
+    in code order, their counts, and each one's first counted run."""
+    runs = range(table.nrows) if rows is None else np.flatnonzero(rows).tolist()
+    seen = {}
+    for i, row in enumerate(runs):
+        m = engine.memory_at(table, row)
+        key = tuple(engine.BOT_CODE if m[v] is BOT else m[v] for v in vars_)
+        count, first = seen.get(key, (0, i))
+        seen[key] = (count + 1, first)
+    rows = sorted(seen)  # tuples of codes sort in code order
+    return rows, [seen[r][0] for r in rows], [seen[r][1] for r in rows]
+
+
+def assert_distinct_rows(table, vars_, rows=None):
+    codes, counts, first = engine.distinct_rows(table, vars_, rows)
+    want = distinct_by_run(table, vars_, rows)
+    assert codes.dtype == np.uint8 and codes.shape == (len(want[0]), len(vars_))
+    assert (list(map(tuple, codes.tolist())), counts.tolist(), first.tolist()) == want
 
 
 def test_project_counts_key_paths(monkeypatch):
     taken = []
-    for name in ("_int_keys", "row_keys"):
-        monkeypatch.setattr(engine, name, lambda *a, f=getattr(engine, name), name=name:
-                            taken.append(name) or f(*a))
-    bincount = np.bincount
-    monkeypatch.setattr(np, "bincount",
-                        lambda *a, **k: taken.append("bincount") or bincount(*a, **k))
+    for name in ("bincount", "unique"):
+        monkeypatch.setattr(np, name, lambda *a, f=getattr(np, name), name=name, **k:
+                            taken.append(name) or f(*a, **k))
     # (variables, of which with a BOT mask) on 512 rows, so that 2^bits is
-    # at most 512 (dense) or above it, up to 64 bits and wider (row_keys)
-    cases = {"dense": ((8, 0), (4, 4), (0, 0)),
-             "row_keys": ((10, 0), (7, 1), (32, 0), (16, 2), (40, 0), (32, 3),
-                          (65, 0), (33, 1), (70, 20))}
-    paths = {"dense": ["_int_keys", "bincount"], "row_keys": ["row_keys"]}
+    # at most 512 (bincount) or above it, up to 64 bits and wider (unique)
+    cases = {"bincount": ((8, 0), (4, 4), (0, 0)),
+             "unique": ((10, 0), (7, 1), (32, 0), (16, 2), (40, 0), (32, 3),
+                        (65, 0), (33, 1), (70, 20))}
     for path, shapes in cases.items():
         for seed, (nvars, nbot) in enumerate(shapes):
             table = pooled_table(nvars, nbot, 512, seed)
             taken.clear()
             got = engine.project_counts(table, table.domain)
-            assert taken == paths[path], (path, nvars, nbot)
+            assert taken == [path], (path, nvars, nbot)
             want = counts_by_memory_at(table, table.domain)
             assert list(got.items()) == list(want.items()), (path, nvars, nbot)
             assert (BOT in itertools.chain(*got)) == (nbot > 0)
             assert max(got.values()) > 1
+            # a random mask of about 3/4 of the runs, at least 2^8 of them,
+            # keeps the path; one of fewer than 2^8 runs takes the dense
+            # 8-bit shapes to np.unique
+            rng = np.random.default_rng(seed)
+            for rows, counted in ((rng.random(512) < 0.75, path),
+                                  (rng.random(512) < 0.4, "unique" if nvars else path)):
+                taken.clear()
+                assert_distinct_rows(table, table.domain, rows)
+                assert taken == [counted], (path, nvars, nbot, rows.sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_distinct_rows_match_run_by_run(data):
+    """Random code tables with BOT, a BOT mask with no BOT run, repeated
+    rows and a random row mask, on both counting paths: distinct_rows
+    against the run-by-run oracle, and project_counts against memory_at."""
+    masked = data.draw(st.lists(st.booleans(), max_size=7))
+    row = st.tuples(*[st.integers(0, 2 if m else 1) for m in masked])
+    codes = np.array(data.draw(st.lists(row, min_size=1, max_size=150)), dtype=np.uint8)
+    codes = codes.reshape(len(codes), len(masked))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    table = code_table(codes, rng.integers(0, 2, codes.shape, dtype=np.uint8))
+    for j, v in enumerate(table.domain):
+        if masked[j] and table.bots[v] is None:
+            table.bots[v] = np.zeros(table.nrows, dtype=bool)
+    vars_ = data.draw(st.permutations(table.domain))
+    rows = data.draw(st.none() | st.lists(st.booleans(), min_size=table.nrows,
+                                          max_size=table.nrows).map(np.array))
+    assert_distinct_rows(table, vars_, rows)
+    assert list(engine.project_counts(table, vars_).items()) == \
+        list(counts_by_memory_at(table, vars_).items())
 
 
 def shifted_bits(n, bits, msb_first) -> list:
