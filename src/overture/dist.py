@@ -222,24 +222,13 @@ class Pmf:
         return CondTable(x1, x2, rows, masses, self.modulus)
 
     def independent(self, x1, x2) -> bool:
-        return self.independent_witness(x1, x2) is None
+        return Counts.of(self).independent(x1, x2)
 
     def independent_witness(self, x1, x2):
         """None when x1 and x2 are independent; else (k1, k2, joint, product)
         at the first pair of realizations, in str order, where the joint
         probability is not the product of the marginals."""
-        x1, x2 = tuple(x1), tuple(x2)
-        joint = self.marginal(x1 + x2).counts
-        m1 = self.marginal(x1).counts
-        m2 = self.marginal(x2).counts
-        n = self.total
-        bad = [(k1, k2) for k1, a in m1.items() for k2, b in m2.items()
-               if joint.get(k1 + k2, 0) * n != a * b]
-        if not bad:
-            return None
-        k1, k2 = min(bad, key=str)
-        return (k1, k2, Fraction(joint.get(k1 + k2, 0), n),
-                Fraction(m1[k1] * m2[k2], n * n))
+        return Counts.of(self).independent_witness(x1, x2)
 
     def cond_det(self, x1, x2) -> bool:
         return self.cond_det_witness(x1, x2) is None
@@ -321,6 +310,75 @@ class Pmf:
             for key, c in p.counts.items():
                 out[key] = out.get(key, 0) + c * scale
         return Pmf(self.domain, out, lcm * len(all_), self.modulus)
+
+
+@dataclass(frozen=True)
+class Counts:
+    """A distribution as distinct code rows: counts[i] of total runs have
+    the codes[i] row over domain.  A code is the value, or the modulus for
+    BOT, so engine.distinct_rows output (BOT_CODE = 2) is an F_2 Counts."""
+
+    domain: tuple
+    codes: object   # (rows, len(domain)) integer matrix
+    counts: object  # run count of each row
+    total: int
+    modulus: int = 2
+
+    @staticmethod
+    def of(pmf: Pmf) -> "Counts":
+        import numpy as np
+
+        codes = np.array([[pmf.modulus if x is BOT else x for x in key] for key in pmf.counts],
+                         dtype=np.int64).reshape(len(pmf.counts), len(pmf.domain))
+        return Counts(pmf.domain, codes, np.array(list(pmf.counts.values())),
+                      pmf.total, pmf.modulus)
+
+    def _groups(self, vars_):
+        """Each row's group 0, 1, ... by its codes over vars_, each group's
+        run count (exact: Python ints once total ** 2 passes int64) and
+        one row of each group."""
+        import numpy as np
+
+        # one byte key per row, which sorts far faster than np.unique(axis=0);
+        # a zero first column keeps the key nonempty when vars_ is empty
+        rows = np.zeros((len(self.codes), 1 + len(vars_)), dtype=np.int64)
+        rows[:, 1:] = self.codes[:, list(domain_positions(self.domain, vars_))]
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        mass = np.zeros(len(first), dtype=np.int64 if self.total < 2 ** 31 else object)
+        np.add.at(mass, group, self.counts)
+        return group, mass, first
+
+    def independent(self, x1, x2) -> bool:
+        """Whether joint * total == m1 * m2 on every pair in the joint
+        support.  That suffices: those pairs then carry all the product
+        mass, sum m1 * m2 / total = total, so no pair of positive
+        marginals lies outside the support."""
+        import numpy as np
+
+        (g1, m1, _), (g2, m2, _) = self._groups(x1), self._groups(x2)
+        pairs, at = np.unique(g1 * len(m2) + g2, return_inverse=True)
+        joint = np.zeros(len(pairs), dtype=m1.dtype)
+        np.add.at(joint, at, self.counts)
+        return bool((joint * self.total == m1[pairs // len(m2)] * m2[pairs % len(m2)]).all())
+
+    def independent_witness(self, x1, x2):
+        """Pmf.independent_witness: the scan over every pair of positive
+        marginals runs only when the test fails."""
+        import numpy as np
+
+        if self.independent(x1, x2):
+            return None
+        (g1, m1, first1), (g2, m2, first2) = self._groups(x1), self._groups(x2)
+        joint = np.zeros((len(m1), len(m2)), dtype=m1.dtype)
+        np.add.at(joint, (g1, g2), self.counts)
+        keys = [[tuple(BOT if x == self.modulus else x for x in row)
+                 for row in self.codes[first][:, list(domain_positions(self.domain, xs))].tolist()]
+                for first, xs in ((first1, x1), (first2, x2))]
+        a, b = min(np.argwhere(joint * self.total != np.outer(m1, m2)).tolist(),
+                   key=lambda ab: str((keys[0][ab[0]], keys[1][ab[1]])))
+        return (keys[0][a], keys[1][b], Fraction(int(joint[a, b]), self.total),
+                Fraction(int(m1[a]) * int(m2[b]), self.total ** 2))
 
 
 @dataclass(frozen=True)
@@ -410,7 +468,11 @@ def _parse_assignments(text: str):
         if "=" not in part:
             raise UsageError(f"bad assignment {part!r}")
         var, val = part.rsplit("=", 1)
-        out.append((parse_var(var), int(val)))
+        var = parse_var(var)
+        try:
+            out.append((var, int(val)))
+        except ValueError:
+            raise UsageError(f"expected an integer value, got {part!r}")
     return out
 
 
@@ -581,7 +643,7 @@ def write_pmf(write, table, vars_, rows=None) -> None:
 
     names = [str(v) for v in vars_]
     order = sorted(range(len(names)), key=names.__getitem__)
-    codes, counts, _ = engine.distinct_rows(table, [vars_[i] for i in order], rows)
+    codes, counts, _ = engine.distinct_rows(table, [vars_[i] for i in order], rows, first=False)
     has_bot = (codes == engine.BOT_CODE).any(axis=0).tolist() \
         if any(table.bots.get(v) is not None for v in vars_) else [False] * len(order)
     labels = [_F2_LABELS if b else _F2_LABELS[:2] for b in has_bot]

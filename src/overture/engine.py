@@ -15,27 +15,50 @@ repeated 0/1 block, with no 64-bit row index; without flips the deal's
 columns are used as they are.  A fold of more than MAX_RUNS runs raises
 BudgetError before any column is built.
 
+A strategy family folds as stacked runs, in the way parallel fault
+simulation runs many faults in one pass.  family_of turns a sequence of
+AdversaryStrategy into a Family: a matrix of option indices, strategies
+by tampered positions, with one tuple of replacement expressions per
+position and one 0/1 column per assertion some strategy halts at.  One
+fold of a Family of s strategies over n runs builds the deal once, tiles
+it s times, and gives s * n rows: row r is run r % n of strategy r // n.
+A tampered command's column is the command's own where a row's option is
+0 and the evaluated option expression elsewhere; a halting row is dead
+from its assertion on, and corrupt assertions are otherwise skipped.  A
+single AdversaryStrategy folds as a Family of one.  chunks cuts a family
+into pieces of whole strategies, of about CHUNK_ROWS stacked runs but at
+most an eighth of the family, so that a large family amortizes the fixed
+cost of a fold while a small one holds only a few strategies' tables at
+once.  Before the first chunk, a family of more than MAX_STACKED_RUNS
+stacked runs (strategies times runs) raises BudgetError.
+
 Every check counts the distinct rows of codes over some variables: a
 variable's code is its value, or BOT_CODE where it is BOT.  distinct_rows
 does this for projections (project_counts), the pmf text (dist.write_pmf)
-and the integrity count tables.  It keys each run over w bits, 1 per
-variable, or 2 when a variable has a BOT mask, and takes one of two paths
-by input size:
+and the malicious checks' count tables.  It keys each run over w bits, 1
+per variable, or 2 when a variable has a BOT mask, and takes one of three
+paths by input size:
 - 2**w at most the runs counted: one integer key per run, counted by
   np.bincount into a dense table of 2**w bins.  This is linear in runs,
   with no sort, and the ascending bins are already in code order.  A tall
   table projected to a few variables (the 2^21-run Beaver deal to 12)
   takes this path.
-- otherwise the bins would outnumber the runs, so the runs are sorted:
-  np.unique of pack_keys.  That is n log n over ceil(w / 8) bytes per run,
-  for any number of variables (wide projections, full-joint pmfs).
-pack_keys is the one run-key format: b bits per column, first column most
-significant, in big-endian bytes, so byte order is code order.  Both paths
-unpack the codes from the distinct keys.  row_keys applies pack_keys to a
-value matrix for the verifier's comparisons.
+- otherwise, with w at most 64, the integer keys are sorted by np.unique:
+  2^19 random 40-bit keys take 0.023 s as uint64 against 0.23 s as bytes
+  on a 2-core x86 machine, or 0.13 s against 0.25 s when first runs are
+  asked for, which takes a stable argsort.
+- wider keys are sorted as pack_keys: n log n over ceil(w / 8) bytes per
+  run, for any number of variables (wide projections, full-joint pmfs).
+pack_keys is the one byte-key format: b bits per column, first column most
+significant, in big-endian bytes, so byte order is code order, as integer
+order is for the integer keys.  Every path unpacks the codes from the
+distinct keys.  row_keys applies pack_keys to a code matrix for the
+verifier's comparisons.
 """
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,13 +96,19 @@ def bit_column(n: int, i: int) -> "np.ndarray":
     return block[None].repeat(n // (2 * half), axis=0).reshape(n)
 
 
-def _initial_columns(protocol: Protocol, preproc):
-    npre = preproc.count()
-    flips = protocol.flips()
-    ntape = 2 ** len(flips)
-    nrows = npre * ntape
+def _runs(protocol: Protocol, preproc) -> int:
+    """The number of runs; BudgetError above MAX_RUNS."""
+    nrows = preproc.count() * 2 ** len(protocol.flips())
     if nrows > MAX_RUNS:
         raise BudgetError(f"{nrows} runs exceed the run budget of {MAX_RUNS}")
+    return nrows
+
+
+def _initial_columns(protocol: Protocol, preproc, copies: int = 1):
+    """The deal and flip columns of the runs, tiled copies times."""
+    nrows = _runs(protocol, preproc)
+    flips = protocol.flips()
+    ntape = 2 ** len(flips)
     pre_cols = preproc.columns()
     if ntape == 1:
         cols = {v: pre_cols[v] for v in preproc.domain}
@@ -89,8 +118,10 @@ def _initial_columns(protocol: Protocol, preproc):
     k = len(flips)
     for i, v in enumerate(flips):
         cols[v] = bit_column(nrows, k - 1 - i)
+    if copies > 1:
+        cols = {v: np.tile(col, copies) for v, col in cols.items()}
     domain = tuple(preproc.domain) + flips
-    return domain, cols, nrows
+    return domain, cols, nrows * copies
 
 
 def _eval_col(cols, e, client: int, nrows: int):
@@ -148,38 +179,107 @@ def _eval_pred_col(cols, pred, client: int, nrows: int):
     raise EvalError(f"not a predicate: {pred!r}")
 
 
-def fold(protocol: Protocol, preproc, strategy: AdversaryStrategy = None,
+class Family(NamedTuple):
+    """Adversary strategies as one matrix.  Column j < len(positions) of
+    choice is each strategy's option at command positions[j]: 0 keeps the
+    command, k > 0 replaces it with options[j][k - 1].  The next columns
+    are 1 where the strategy halts at the assertion of that index of
+    aborts."""
+
+    positions: tuple
+    options: tuple
+    aborts: tuple
+    choice: "np.ndarray"
+
+
+def family_of(strategies) -> Family:
+    """The Family of a sequence of AdversaryStrategy.  A position's options
+    are the expression objects placed there, in order of first use."""
+    positions = tuple(sorted({i for s in strategies for i, _ in s.replacements}))
+    aborts = tuple(sorted(set().union(*(s.abort_at for s in strategies))))
+    options = tuple([] for _ in positions)
+    slot: dict = {}  # (position, id of expression) -> (column, option)
+    rows = []
+    for s in strategies:
+        row = [0] * len(positions) + [int(i in s.abort_at) for i in aborts]
+        for i, e in reversed(s.replacements):  # so the first at a position wins
+            at = slot.get((i, id(e)))
+            if at is None:
+                j = positions.index(i)
+                options[j].append(e)
+                at = slot[i, id(e)] = (j, len(options[j]))
+            row[at[0]] = at[1]
+        rows.append(row)
+    choice = np.array(rows, dtype=np.intp).reshape(len(rows), len(positions) + len(aborts))
+    return Family(positions, tuple(map(tuple, options)), aborts, choice)
+
+
+MAX_STACKED_RUNS = 2 ** 30  # strategies x runs of one family: minutes at ~6M runs/s
+CHUNK_ROWS = 2 ** 19  # stacked runs folded at once, rounded to whole strategies
+# a family spreads over at least this many chunks (of one strategy or more),
+# so a small family holds a few strategies' tables at once, not all of them
+MIN_CHUNKS = 8
+
+
+def chunks(protocol: Protocol, preproc, family: Family) -> list:
+    """The family cut into pieces of whole strategies, about CHUNK_ROWS
+    stacked runs or an eighth (MIN_CHUNKS) of the family, whichever is
+    less: pairs (index of its first strategy, sub-family).  BudgetError
+    first if the runs of one strategy exceed MAX_RUNS or the family's
+    stacked runs exceed MAX_STACKED_RUNS."""
+    runs, n = _runs(protocol, preproc), len(family.choice)
+    if n * runs > MAX_STACKED_RUNS:
+        raise BudgetError(f"{n} strategies of {runs} runs exceed the "
+                          f"stacked-run budget of {MAX_STACKED_RUNS}")
+    step = max(1, min(CHUNK_ROWS // runs, -(-n // MIN_CHUNKS)))
+    return [(lo, family._replace(choice=family.choice[lo:lo + step]))
+            for lo in range(0, n, step)]
+
+
+def fold(protocol: Protocol, preproc, strategy=None,
          part: Partition = None) -> RunTable:
+    """The run table of the protocol: passive with no strategy, else under
+    an AdversaryStrategy or every strategy of a Family, stacked (see the
+    module docstring)."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
-    domain, cols, nrows = _initial_columns(protocol, preproc)
+    if isinstance(strategy, AdversaryStrategy):
+        strategy = family_of([strategy])
+    copies = 1 if strategy is None else len(strategy.choice)
+    domain, cols, nrows = _initial_columns(protocol, preproc, copies)
+    runs = nrows // copies
     domain = list(domain)
     bots = {v: None for v in domain}
     alive = np.ones(nrows, dtype=bool)
+    dead = None  # the BOT mask of later assignments, one array until alive changes
     corrupt = part.corrupt if part is not None else frozenset()
     for i, cmd in enumerate(protocol.commands):
         client = computing_client(cmd)
         is_corrupt = client in corrupt and strategy is not None
         if isinstance(cmd, AssertCmd):
-            if is_corrupt:
-                if i in strategy.abort_at:
-                    alive &= False
-                continue
-            ok = _eval_pred_col(cols, cmd.pred, cmd.client, nrows)
-            alive &= ok
+            if not is_corrupt:
+                alive &= _eval_pred_col(cols, cmd.pred, cmd.client, nrows)
+            elif i in strategy.aborts:
+                j = len(strategy.positions) + strategy.aborts.index(i)
+                alive &= (strategy.choice[:, j] == 0).repeat(runs)
+            dead = None if alive.all() else ~alive
             continue
-        expr = cmd.expr
-        if is_corrupt:
-            expr = strategy.rewrite(i, expr)
-            if expr is not cmd.expr:
-                _check_replacement_visibility(expr, client, part)
-        col = _eval_col(cols, expr, client, nrows)
+        col = _eval_col(cols, cmd.expr, client, nrows)
+        if is_corrupt and i in strategy.positions:
+            j = strategy.positions.index(i)
+            choice = strategy.choice[:, j]
+            for k in np.unique(choice[choice > 0]).tolist():
+                expr = strategy.options[j][k - 1]
+                if expr is not cmd.expr:
+                    _check_replacement_visibility(expr, client, part)
+                col = np.where((choice == k).repeat(runs),
+                               _eval_col(cols, expr, client, nrows), col)
         var = assigned_var(cmd)
         if var in cols:
             raise EvalError(f"{var} assigned twice")
         cols[var] = col
         domain.append(var)
-        bots[var] = None if alive.all() else ~alive
+        bots[var] = dead
     return RunTable(tuple(domain), cols, bots, alive, nrows)
 
 
@@ -201,16 +301,8 @@ def _code(table: RunTable, v, rows=None) -> "np.ndarray":
     bot = table.bots.get(v)
     if bot is None:
         return col
-    return np.where(bot if rows is None else bot[rows], np.uint8(BOT_CODE), col)
-
-
-def value_matrix(table: RunTable, vars_) -> "np.ndarray":
-    """(rows, variables) uint8 matrix of the given variables, BOT as BOT_CODE."""
-    vars_ = _check_vars(table, vars_)
-    out = np.empty((table.nrows, len(vars_)), dtype=np.uint8)
-    for j, v in enumerate(vars_):
-        out[:, j] = _code(table, v)
-    return out
+    # a value is 0 or 1, so the larger of it and BOT_CODE * bot is the code
+    return np.maximum(col, (bot if rows is None else bot[rows]).view(np.uint8) * np.uint8(BOT_CODE))
 
 
 def pack_keys(columns, bits: int, n: int) -> "np.ndarray":
@@ -235,37 +327,47 @@ def row_keys(values) -> "np.ndarray":
     return pack_keys(values.T, 2, len(values))
 
 
-def distinct_rows(table: RunTable, vars_, rows=None):
+def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
     """The distinct code rows over vars_ (columns in the given order) of
     the runs in the bool mask rows (all by default), in code order: 0 < 1
-    < BOT_CODE, first column most significant.  Returns (codes, counts,
-    first): a (distinct rows, len(vars_)) uint8 matrix, each row's run
-    count and the index of its first counted run.  The module docstring
-    says which of the two counting paths a call takes, and why."""
+    < BOT_CODE, first column most significant.  lead holds 0/1 columns,
+    one entry per run of the table, put before those of vars_.  Returns
+    (codes, counts, first): a (distinct rows, len(lead) + len(vars_))
+    uint8 matrix, each row's run count and, if first is true, the index
+    of its first counted run (else None: the sort then needs no stable
+    argsort).  The module docstring says which counting path a call
+    takes, and why."""
     vars_ = _check_vars(table, vars_)
     bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
-    width = bits * len(vars_)
+    ncols = len(lead) + len(vars_)
+    width = bits * ncols
     n = table.nrows if rows is None else int(np.count_nonzero(rows))
-    columns = (_code(table, v, rows) for v in vars_)
+    columns = [c if rows is None else c[rows] for c in lead]
+    columns = itertools.chain(columns, (_code(table, v, rows) for v in vars_))
+    if width > 64:
+        keys, *found, counts = np.unique(pack_keys(columns, bits, n),
+                                         return_index=first, return_counts=True)
+        codes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), keys.itemsize),
+                              axis=1, count=width)
+        if bits == 2:
+            codes = (codes[:, 0::2] << 1) | codes[:, 1::2]
+        return codes, counts, found[0] if first else None
+    keys = np.zeros(n, dtype=np.min_scalar_type(2 ** width - 1))
+    for code in columns:
+        keys <<= bits
+        keys |= code
     if 2 ** width <= n:
-        keys = np.zeros(n, dtype=np.min_scalar_type(2 ** width - 1))
-        for code in columns:
-            keys <<= bits
-            keys |= code
         counts = np.bincount(keys, minlength=2 ** width)
-        first = np.full(len(counts), n, dtype=np.intp)
-        np.minimum.at(first, keys, np.arange(n))
+        if first:
+            found = np.full(len(counts), n, dtype=np.intp)
+            np.minimum.at(found, keys, np.arange(n))
         keys = np.flatnonzero(counts)
-        shifts = bits * np.arange(len(vars_) - 1, -1, -1)
-        codes = ((keys[:, None] >> shifts) & (2 ** bits - 1)).astype(np.uint8)
-        return codes, counts[keys], first[keys]
-    keys, first, counts = np.unique(pack_keys(columns, bits, n),
-                                    return_index=True, return_counts=True)
-    codes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), keys.itemsize),
-                          axis=1, count=width)
-    if bits == 2:
-        codes = (codes[:, 0::2] << 1) | codes[:, 1::2]
-    return codes, counts, first
+        counts, found = counts[keys], [found[keys]] if first else []
+    else:
+        keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
+    shifts = (bits * np.arange(ncols - 1, -1, -1)).astype(keys.dtype)
+    codes = ((keys[:, None] >> shifts) & (2 ** bits - 1)).astype(np.uint8)
+    return codes, counts, found[0] if first else None
 
 
 def project_counts(table: RunTable, vars_):

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import dist as dist_mod
 from .dist import (
-    Functionality, Pmf, UniformPreprocessing, bd, default_preprocessing,
+    Counts, Functionality, Pmf, UniformPreprocessing, bd, default_preprocessing,
     same_conditional,
 )
 from .errors import BudgetError, UsageError
@@ -338,17 +338,18 @@ def enumerate_adversaries(protocol: Protocol, part: Partition,
                         for i in positions]
     else:
         option_lists = [[None, Const(0), Const(1)] for _ in positions]
+    # each option once as ((position, expression), label)
+    option_lists = [[None] + [((i, e), f"{assigned_var(protocol.commands[i])}:={_expr_label(e)}")
+                              for e in options[1:]]
+                    for i, options in zip(positions, option_lists)]
     out = []
     for combo in itertools.product(*option_lists):
-        replacements = tuple((i, e) for i, e in zip(positions, combo) if e is not None)
-        if not replacements:
+        chosen = [c for c in combo if c is not None]
+        if not chosen:
             out.append(IDENTITY)
             continue
-        label = ", ".join(
-            f"{assigned_var(protocol.commands[i])}:={_expr_label(e)}"
-            for i, e in replacements
-        )
-        out.append(AdversaryStrategy(replacements, label=label))
+        replacements, labels = zip(*chosen)
+        out.append(AdversaryStrategy(replacements, label=", ".join(labels)))
     return tuple(out)
 
 
@@ -412,8 +413,9 @@ def _table_exprs(protocol, part, position, preproc) -> list:
 MAX_SUBSET_TESTS = 2 ** 16  # independence tests of one adversarial_inputs call
 
 
-def adversarial_inputs(pmf: Pmf, views, targets) -> tuple:
-    """Least corrupt-to-honest views not independent of the targets.
+def adversarial_inputs(dist, views, targets) -> tuple:
+    """Least corrupt-to-honest views not independent of the targets, in a
+    Pmf or a dist.Counts (a Pmf is tested as its Counts).
 
     Tests candidate subsets by growing size: if any single view is
     dependent, the result is the set of dependent single views; otherwise
@@ -422,8 +424,10 @@ def adversarial_inputs(pmf: Pmf, views, targets) -> tuple:
     subsets of a size are tried, BudgetError is raised if they would take
     the tests past MAX_SUBSET_TESTS.
     """
-    present = tuple(v for v in views if v in pmf.domain)
-    targets = tuple(t for t in targets if t in pmf.domain)
+    if isinstance(dist, Pmf):
+        dist = Counts.of(dist)
+    present = tuple(v for v in views if v in dist.domain)
+    targets = tuple(t for t in targets if t in dist.domain)
     if not targets:
         return ()
     tests = 0
@@ -434,7 +438,7 @@ def adversarial_inputs(pmf: Pmf, views, targets) -> tuple:
                               f"the budget of {MAX_SUBSET_TESTS}")
         found = set()
         for subset in itertools.combinations(present, k):
-            if not pmf.independent(subset, targets):
+            if not dist.independent(subset, targets):
                 found.update(subset)
         if found:
             return tuple(sorted(found, key=str))
@@ -460,57 +464,30 @@ def _response_vars(protocol: Protocol, part: Partition) -> tuple:
     return tuple(dict.fromkeys(corrupt_views(protocol, part) + outs_h))
 
 
-def _fold_family(protocol, part, strategies, preproc, keep) -> tuple:
-    """Fold the passive protocol and every strategy once.  Returns the
-    adversarial inputs, then the value matrices over keep of the passive
-    table and of each strategy's table.  The adversarial inputs come from
-    the dependence test on the uniform mixture of the passive distribution
-    with the distribution of every strategy in the family, so views the
-    adversary can influence become visible as dependencies."""
-    from . import engine
-
-    if preproc is None:
-        preproc = default_preprocessing(protocol)
-    dist_mod.check_deal(protocol, preproc)
-    v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
-    x_h = _response_vars(protocol, part)
-    vars_ = tuple(dict.fromkeys(v_ch + x_h))
-    passive = engine.fold(protocol, preproc)
-    components, values = [], []
-    for s in strategies:
-        table = engine.fold(protocol, preproc, s, part)
-        if s.replacements or s.abort_at:
-            components.append(engine.project_pmf(table, vars_))
-        values.append(engine.value_matrix(table, keep))
-    mixture = engine.project_pmf(passive, vars_).mixed_with(components)
-    return (adversarial_inputs(mixture, v_ch, x_h),
-            engine.value_matrix(passive, keep), values)
-
-
-def _first_unexplained(adv, passive) -> Optional[int]:
-    """First row of the adversarial value matrix whose values on its
-    non-BOT columns no passive row without BOT there shares; None when
-    every row is explained.  Rows are tested in groups of one BOT pattern,
-    by membership of their keys among the passive keys."""
+def _first_unexplained(table, agree, known) -> Optional[int]:
+    """The first run of the table whose codes over agree, on their non-BOT
+    columns, no row of known (the passive runs' distinct code rows over
+    agree) without BOT there shares; None when every run is explained.
+    The table's distinct rows are tested in groups of one BOT pattern, by
+    membership of their keys among the passive keys."""
     import numpy as np
 
     from . import engine
 
+    adv, _, first = engine.distinct_rows(table, agree)
     defined = adv != engine.BOT_CODE
     patterns, group = np.unique(engine.row_keys(defined.view(np.uint8)),
                                 return_inverse=True)
-    first = None
+    unexplained = []
     for g in range(len(patterns)):
         rows = np.flatnonzero(group == g)
         cols = defined[rows[0]]
-        known = passive[:, cols]
-        known = known[(known != engine.BOT_CODE).all(axis=1)]
+        passive = known[:, cols]
+        passive = passive[(passive != engine.BOT_CODE).all(axis=1)]
         missing = ~np.isin(engine.row_keys(adv[rows][:, cols]),
-                           engine.row_keys(known))
-        if missing.any():
-            row = int(rows[np.argmax(missing)])
-            first = row if first is None else min(first, row)
-    return first
+                           engine.row_keys(passive))
+        unexplained += first[rows[missing]].tolist()
+    return min(unexplained, default=None)
 
 
 def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
@@ -518,7 +495,18 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
     """Every adversarial run is explained by some passive run: a run of the
     unmodified protocol agreeing on the adversarial inputs, the defined
     honest responses, and the honest secrets (secret_scope='secrets') or
-    all honest-held initial values (secret_scope='initial')."""
+    all honest-held initial values (secret_scope='initial').
+
+    The family is folded as stacked runs, chunk by chunk (engine.chunks),
+    in two passes.  The first counts the rows over the honest views and
+    responses of the passive runs and of every tampering strategy's runs:
+    in that uniform mixture of the passive distribution with each
+    strategy's, the views the adversary can influence show as
+    dependencies, and the adversarial inputs are the least dependent
+    ones.  The second finds the first stacked row no passive run
+    explains: the first failing strategy's first failing run."""
+    import numpy as np
+
     from . import engine
 
     prop = f"cheating-detection[scope={secret_scope}, corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
@@ -526,17 +514,35 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
         preproc = default_preprocessing(protocol)
     x_h_all = _response_vars(protocol, part)
     scope = _scope_vars(protocol, part, preproc, secret_scope)
-    # the adversarial inputs are honest views, so keep covers every agreement
-    keep = tuple(dict.fromkeys(honest_views(protocol, part) + x_h_all + scope))
-    x_c, known, values = _fold_family(protocol, part, strategies, preproc, keep)
+    dist_mod.check_deal(protocol, preproc)
+    spans = engine.chunks(protocol, preproc, engine.family_of(strategies))
+    v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
+    vars_ = tuple(dict.fromkeys(v_ch + x_h_all))
+    passive = engine.fold(protocol, preproc)
+    codes, counts, _ = engine.distinct_rows(passive, vars_, first=False)
+    total = passive.nrows
+    for _, family in spans:
+        table = engine.fold(protocol, preproc, family, part)
+        tampered = family.choice.any(axis=1).repeat(passive.nrows)
+        more, more_counts, _ = engine.distinct_rows(
+            table, vars_, None if tampered.all() else tampered, first=False)
+        codes = np.concatenate([codes, more])
+        _, first, which = np.unique(engine.row_keys(codes), return_index=True,
+                                    return_inverse=True)
+        # exact in float64: no count passes MAX_STACKED_RUNS + MAX_RUNS < 2 ** 53
+        counts = np.bincount(which, np.concatenate([counts, more_counts])).astype(np.int64)
+        codes, total = codes[first], total + int(np.count_nonzero(tampered))
+    x_c = adversarial_inputs(Counts(vars_, codes, counts, total), v_ch, x_h_all)
     inputs = f"adversarial inputs: {', '.join(map(str, x_c)) or '(none)'}"
     agree = tuple(dict.fromkeys(x_c + x_h_all + scope))
-    cols = [keep.index(v) for v in agree]
-    known = known[:, cols]
-    for strategy, adv in zip(strategies, values):
-        row = _first_unexplained(adv[:, cols], known)
+    known, _, _ = engine.distinct_rows(passive, agree, first=False)
+    for lo, family in spans:
+        if len(spans) > 1:  # else the one chunk's table is still at hand
+            table = engine.fold(protocol, preproc, family, part)
+        row = _first_unexplained(table, agree, known)
         if row is not None:
-            m = engine.memory_at(engine.fold(protocol, preproc, strategy, part), row)
+            strategy = strategies[lo + row // passive.nrows]
+            m = engine.memory_at(table, row)
             w = Witness(
                 f"no passive run explains the adversarial run (strategy: {strategy.describe()})",
                 memories=(
@@ -547,41 +553,31 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
             return Verdict(False, prop, (inputs,), w)
     details = (
         inputs,
-        f"{len(known) * len(strategies)} adversarial runs over {len(strategies)} strategies explained",
+        f"{passive.nrows * len(strategies)} adversarial runs over {len(strategies)} strategies explained",
     )
     return Verdict(True, prop, details)
 
 
 # --- Integrity ----------------------------------------------------------------------
 
-def _count_table(table, cond_vars, resp_vars) -> dict:
-    """The runs of a fold grouped by their codes over cond_vars: condition
-    key -> [runs, {response key over resp_vars: runs}], each key the
-    engine.row_keys of the code row."""
-    from . import engine
-
-    codes, counts, _ = engine.distinct_rows(table, cond_vars + resp_vars)
-    conds = engine.row_keys(codes[:, :len(cond_vars)]).tolist()
-    responses = engine.row_keys(codes[:, len(cond_vars):]).tolist()
-    out: dict = {}
-    for ck, rk, c in zip(conds, responses, counts.tolist()):
-        entry = out.setdefault(ck, [0, {}])
-        entry[0] += c
-        entry[1][rk] = c
-    return out
-
-
-def _bit_rows(n: int):
-    """The 2**n assignments of n bits as uint8 rows, in itertools.product
-    order: column j is bit n-1-j of the row index."""
+def _conditionals(codes, counts, ncond: int, ids: dict):
+    """engine.distinct_rows output grouped by its first ncond codes: each
+    group's first row and an id from ids, equal exactly when two groups
+    give the same conditional: the same response rows with proportional
+    counts, which is the same counts once each group's are divided by
+    their gcd."""
     import numpy as np
 
     from . import engine
 
-    rows = np.empty((2 ** n, n), dtype=np.uint8)
-    for j in range(n):
-        rows[:, j] = engine.bit_column(2 ** n, n - 1 - j)
-    return rows
+    cond = engine.row_keys(codes[:, :ncond])
+    starts = np.flatnonzero(np.r_[True, cond[1:] != cond[:-1]])
+    ends = np.r_[starts[1:], len(cond)]
+    reduced = (counts // np.gcd.reduceat(counts, starts).repeat(ends - starts)).tolist()
+    responses = engine.row_keys(codes[:, ncond:]).tolist()
+    sig = [ids.setdefault(tuple(zip(responses[lo:hi], reduced[lo:hi])), len(ids))
+           for lo, hi in zip(starts.tolist(), ends.tolist())]
+    return starts, np.array(sig, dtype=np.intp)
 
 
 def check_integrity(protocol: Protocol, part: Partition, strategies,
@@ -593,8 +589,15 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     inputs (secret_scope='secrets' substitutes corrupt secrets only,
     'initial' also substitutes corrupt preprocessing draws).
 
-    Runs on the F_2 fold: each conditional is a table of integer run
-    counts, and two are equal when their counts are proportional."""
+    Runs on the F_2 fold, with the family folded as stacked runs chunk by
+    chunk (engine.chunks).  The bits of each row's strategy index lead its
+    condition key, so one engine.distinct_rows per chunk and response
+    pattern counts every strategy's conditionals.  Only the input memories
+    of passive runs can match, and each is a dealt memory or an assignment
+    of the secrets, so the conditions of a chunk are keyed as one matrix
+    and looked up among the passive conditionals: a condition is explained
+    when one agrees on the honest inputs and the delivered views and has
+    the same id (_conditionals)."""
     import numpy as np
 
     from . import engine
@@ -603,78 +606,80 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
     if preproc is None:
         preproc = default_preprocessing(protocol)
     dist_mod.check_deal(protocol, preproc)
+    spans = engine.chunks(protocol, preproc, engine.family_of(strategies))
     x_h_all = _response_vars(protocol, part)
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     if secret_scope == "secrets":
         inputs = _dealt_secrets(protocol, preproc)
-        if 2 ** len(inputs) > engine.MAX_RUNS:
-            raise BudgetError(f"{2 ** len(inputs)} candidate inputs exceed "
-                              f"the run budget of {engine.MAX_RUNS}")
-        candidates = _bit_rows(len(inputs))
     elif secret_scope == "initial":
         inputs = tuple(preproc.domain)
-        columns = preproc.columns()
-        candidates = np.empty((preproc.count(), len(inputs)), dtype=np.uint8)
-        for j, v in enumerate(inputs):
-            candidates[:, j] = columns[v]
     else:
         raise UsageError(f"unknown secret scope {secret_scope!r}")
     vars_ = inputs + v_ch + x_h_all
     n_in, n_cond = len(inputs), len(inputs) + len(v_ch)
     honest_cols = [j for j, v in enumerate(inputs) if v.owner in part.honest]
-    # candidates sorted by their honest inputs' keys, to be found by searchsorted
-    honest = engine.row_keys(candidates[:, honest_cols])
-    by_honest = np.argsort(honest)
-    honest = honest[by_honest]
     passive = engine.fold(protocol, preproc)
     passive_tables: dict = {}
-    for strategy in strategies:
-        table = engine.fold(protocol, preproc, strategy, part)
-        adv = engine.value_matrix(table, vars_)
-        defined = adv != engine.BOT_CODE
-        # a condition: inputs, honest views (BOT kept), response BOT pattern
-        conditions = np.concatenate([adv[:, :n_cond], defined[:, n_cond:]], axis=1)
-        _, first = np.unique(engine.row_keys(conditions), return_index=True)
-        rows = np.sort(first)
-        adv_tables: dict = {}
-        honest_keys = engine.row_keys(adv[rows][:, honest_cols])
-        bounds = zip(np.searchsorted(honest, honest_keys).tolist(),
-                     np.searchsorted(honest, honest_keys, "right").tolist())
-        for row, (lo, hi) in zip(rows.tolist(), bounds):
-            delivered = [j for j in range(n_in, n_cond) if defined[row, j]]
-            responses = [j for j in range(n_cond, len(vars_)) if defined[row, j]]
+    ids: dict = {}
+    for lo, family in spans:
+        table = engine.fold(protocol, preproc, family, part)
+        index = np.arange(len(family.choice))
+        lead = [(index >> b & 1).astype(np.uint8).repeat(passive.nrows)
+                for b in reversed(range(len(index).bit_length()))]
+        # the distinct rows of strategy bits and codes over vars_, by first run
+        codes, _, first = engine.distinct_rows(table, vars_, lead=lead)
+        order = np.argsort(first)
+        codes, first = codes[order], first[order]
+        n_lead = len(lead)
+        c_in, c_cond = n_lead + n_in, n_lead + n_cond
+        defined = codes != engine.BOT_CODE
+        # a condition: strategy, inputs, honest views (BOT kept), response BOT pattern
+        conditions = np.concatenate([codes[:, :c_cond], defined[:, c_cond:]], axis=1)
+        rows = np.sort(np.unique(engine.row_keys(conditions), return_index=True)[1])
+        patterns, of_row = np.unique(engine.row_keys(defined[rows, c_in:]),
+                                     return_inverse=True)
+        failed = []
+        for g in range(len(patterns)):
+            at = rows[of_row == g]
+            delivered = [j for j in range(c_in, c_cond) if defined[at[0], j]]
+            responses = [j for j in range(c_cond, codes.shape[1]) if defined[at[0], j]]
+            cond_cols = list(range(c_in)) + delivered
+            cond_vars = tuple(vars_[j - n_lead] for j in cond_cols[n_lead:])
+            resp_vars = tuple(vars_[j - n_lead] for j in responses)
+            # what a substitution keeps: the honest inputs and the delivered views
+            kept = honest_cols + list(range(n_in, len(cond_vars)))
             pattern = (tuple(delivered), tuple(responses))
-            cond_cols = list(range(n_in)) + delivered
-            if pattern not in adv_tables:
-                cond_vars = tuple(vars_[j] for j in cond_cols)
-                resp_vars = tuple(vars_[j] for j in responses)
-                adv_tables[pattern] = _count_table(table, cond_vars, resp_vars)
-                if pattern not in passive_tables:
-                    passive_tables[pattern] = _count_table(passive, cond_vars, resp_vars)
-            # row 0: the condition; then each matching candidate's inputs
-            # with the delivered views of the condition
-            matching = by_honest[lo:hi]
-            lookup = np.empty((1 + len(matching), len(cond_cols)), dtype=np.uint8)
-            lookup[0] = adv[row, cond_cols]
-            lookup[1:, :n_in] = candidates[matching]
-            lookup[1:, n_in:] = adv[row, delivered]
-            lhs_key, *keys = engine.row_keys(lookup).tolist()
-            lhs = adv_tables[pattern][lhs_key]
-            rhs_table = passive_tables[pattern]
-            if not any(k in rhs_table and same_conditional(lhs, rhs_table[k])
-                       for k in keys):
-                m = engine.memory_at(table, row)
-                given = {v: m[v] for v in inputs}
-                given.update((v, m[v]) for v in v_ch if m[v] is not BOT)
-                w = Witness(
-                    f"no input substitution reproduces the honest responses "
-                    f"(strategy: {strategy.describe()})",
-                    memories=(
-                        ("adversarial run", m),
-                        ("conditioned on", given),
-                    ),
-                )
-                return Verdict(False, prop, (), w)
+            if pattern not in passive_tables:
+                known, counts, _ = engine.distinct_rows(passive, cond_vars + resp_vars,
+                                                        first=False)
+                starts, known_ids = _conditionals(known, counts, len(cond_vars), ids)
+                passive_tables[pattern] = known[starts][:, kept], known_ids
+            adv, counts, _ = engine.distinct_rows(table, cond_vars + resp_vars, lead=lead,
+                                                  first=False)
+            starts, adv_ids = _conditionals(adv, counts, len(cond_cols), ids)
+            own = np.searchsorted(engine.row_keys(adv[starts][:, :len(cond_cols)]),
+                                  engine.row_keys(codes[at][:, cond_cols]))
+            known, known_ids = passive_tables[pattern]
+            shared = [n_lead + j for j in honest_cols] + delivered
+            shared = np.concatenate([known, codes[at][:, shared]])
+            _, shared = np.unique(engine.row_keys(shared), return_inverse=True)
+            key = shared * len(ids) + np.concatenate([known_ids, adv_ids[own]])
+            explained = np.isin(key[len(known):], key[:len(known)])
+            failed += at[~explained][:1].tolist()
+        if failed:
+            row = int(first[min(failed)])
+            m = engine.memory_at(table, row)
+            given = {v: m[v] for v in inputs}
+            given.update((v, m[v]) for v in v_ch if m[v] is not BOT)
+            w = Witness(
+                f"no input substitution reproduces the honest responses "
+                f"(strategy: {strategies[lo + row // passive.nrows].describe()})",
+                memories=(
+                    ("adversarial run", m),
+                    ("conditioned on", given),
+                ),
+            )
+            return Verdict(False, prop, (), w)
     return Verdict(True, prop, (f"{len(strategies)} strategies explained",))
 
 

@@ -179,6 +179,18 @@ def test_table_budget_checked_before_building(capsys, monkeypatch):
     assert err == "error: strategy family exceeds 100000\n"
 
 
+def test_stacked_run_budget_exits_two(capsys, monkeypatch):
+    # client 2 of gmw-and: 81 strategies of 32 runs, refused before any column
+    monkeypatch.setattr(engine, "MAX_STACKED_RUNS", 81 * 32 - 1)
+    monkeypatch.setattr(engine, "bit_column", never_allocate)
+    for prop in ("cheating-detection", "integrity"):
+        rc, out, err = run_cli(capsys, "verify", "gmw-and", "--property", prop,
+                               "--corrupt", "2")
+        assert (rc, out) == (2, "")
+        assert err == ("error: 81 strategies of 32 runs exceed the stacked-run "
+                       "budget of 2591\n")
+
+
 def test_run_budget_exits_two(tmp_path, capsys, monkeypatch):
     # a dealt secret and 64 flips, 2^65 runs: refused before any column is built
     monkeypatch.setattr(UniformPreprocessing, "columns", never_allocate)
@@ -235,6 +247,15 @@ def test_usage_errors_exit_two(capsys):
     assert err == "error: cannot parse variable 's[x]@'\n"
     rc, _, err = run_cli(capsys, "pmf", "otp", "--marginal", "s[x")
     assert err == "error: cannot parse variable 's[x'\n"
+
+
+def test_functionality_value_must_be_an_integer(tmp_path, capsys):
+    table = tmp_path / "bad.fn"
+    table.write_text("s[x]@1=0 -> out@2=0\ns[x]@1=q -> out@2=1\n")
+    rc, out, err = run_cli(capsys, "verify", "otp", "--property", "correct",
+                           "--functionality", str(table))
+    assert (rc, out) == (2, "")
+    assert err == "error: expected an integer value, got 's[x]@1=q'\n"
 
 
 def test_parse_error_exit_two(tmp_path, capsys):

@@ -25,7 +25,7 @@ from overture.ovt import parse_protocol
 from overture.stdlib import (
     FUNCTIONALITIES, PACKAGES, PREPROCS, load_package, read_source,
 )
-from overture.verifier import enumerate_adversaries
+from overture.verifier import adversarial_inputs, enumerate_adversaries
 from test_engine import ABORTING, StubDeal, sweep
 
 OTP_OVT = read_source("otp.ovt")
@@ -684,6 +684,44 @@ def check_against_oracle(pmf: Pmf, rng: random.Random) -> None:
                                                            pmf.modulus)
         assert views.domain == want_domain
         assert list(views.weights.items()) == list(want_weights.items())
+
+
+def reference_adversarial_inputs(pmf, views, targets) -> tuple:
+    """verifier.adversarial_inputs with the Fraction independence oracle."""
+    for k in range(1, len(views) + 1):
+        found = {v for subset in itertools.combinations(views, k)
+                 if frac_independent_witness(pmf.domain, pmf.weights, subset, targets)
+                 for v in subset}
+        if found:
+            return tuple(sorted(found, key=str))
+    return ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_count_independence_matches_pmf(data):
+    """Random small count tables, codes with BOT and rows that leave pairs of
+    positive marginals out of the joint support, some with totals whose
+    squares pass int64: the count-table verdict and witness equal
+    Pmf.independent_witness and the Fraction oracle, and adversarial_inputs
+    gives the reference answer on the Pmf and on its count table."""
+    domain = tuple(Var("m", f"v{j}", 1 + j % 2) for j in range(data.draw(st.integers(2, 5))))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(domain)),
+                              min_size=1, max_size=10, unique=True))
+    scale = data.draw(st.sampled_from((1, 1, 3, 2 ** 40)))
+    counts = [c * scale for c in data.draw(
+        st.lists(st.integers(1, 4), min_size=len(rows), max_size=len(rows)))]
+    order = data.draw(st.permutations(domain))
+    k = data.draw(st.integers(1, len(domain) - 1))
+    x1, x2 = tuple(order[:k]), tuple(order[k:k + data.draw(st.integers(1, len(domain) - k))])
+    pmf = Pmf(domain, {tuple(BOT if x == engine.BOT_CODE else x for x in row): c
+                       for row, c in zip(rows, counts)}, sum(counts))
+    table = dist.Counts(domain, np.array(rows, dtype=np.uint8), np.array(counts), sum(counts))
+    want = frac_independent_witness(domain, pmf.weights, x1, x2)
+    assert table.independent_witness(x1, x2) == pmf.independent_witness(x1, x2) == want
+    assert table.independent(x1, x2) == pmf.independent(x1, x2) == (want is None)
+    reference = reference_adversarial_inputs(pmf, x1, x2)
+    assert adversarial_inputs(pmf, x1, x2) == adversarial_inputs(table, x1, x2) == reference
 
 
 def test_count_pmf_matches_fraction_oracle():

@@ -17,8 +17,10 @@ from overture.dist import (
     default_preprocessing,
 )
 from overture.errors import BudgetError
-from overture.interp import AdversaryStrategy, run, run_adv
-from overture.lang import BOT, Partition, Var, parse_var
+from overture.interp import IDENTITY, AdversaryStrategy, run, run_adv
+from overture.lang import (
+    BOT, AssertCmd, BinOp, Const, Partition, Protocol, Ref, Var, parse_var,
+)
 from overture.ovt import parse_protocol
 from overture.stdlib import bdoz_beaver_preprocessing, bdoz_beaver_trimmed, load_package
 from overture.verifier import all_partitions, enumerate_adversaries
@@ -70,21 +72,96 @@ def test_fold_covers_aborts():
     assert_rows_match(p)
 
 
-def test_adversarial_fold_rows_match_run_adv():
+def table_codes(table) -> list:
+    """Each run's codes over the table's domain (BOT as BOT_CODE), as lists."""
+    return np.stack([table.cols[v] if table.bots[v] is None
+                     else np.where(table.bots[v], engine.BOT_CODE, table.cols[v])
+                     for v in table.domain], axis=1).tolist()
+
+
+def assert_family_rows_match(monkeypatch, protocol, preproc, strategies, part):
+    """The family folded as stacked runs, two strategies a chunk: the rows
+    of each strategy equal its own fold and the interpreter's run_adv sweep."""
+    if preproc is None:
+        preproc = default_preprocessing(protocol)
+    monkeypatch.setattr(engine, "CHUNK_ROWS", 2 * preproc.count() * 2 ** len(protocol.flips()))
+    monkeypatch.setattr(engine, "MIN_CHUNKS", 1)
+    spans = engine.chunks(protocol, preproc, engine.family_of(strategies))
+    assert [lo for lo, _ in spans] == list(range(0, len(strategies), 2))
+    stacked = []
+    for lo, family in spans:
+        table = engine.fold(protocol, preproc, family, part)
+        assert table.nrows == len(family.choice) * preproc.count() * 2 ** len(protocol.flips())
+        stacked += table_codes(table)
+    runs = len(stacked) // len(strategies)
+    for s, strategy in enumerate(strategies):
+        own = engine.fold(protocol, preproc, strategy, part)
+        assert own.domain == table.domain and own.nrows == runs
+        finals = sweep(protocol, preproc, strategy, part)
+        domain = set(own.domain)
+        assert all(m.keys() == domain for m in finals)
+        want = [[engine.BOT_CODE if x is BOT else x for x in map(m.__getitem__, own.domain)]
+                for m in finals]
+        assert stacked[s * runs:(s + 1) * runs] == table_codes(own) == want, strategy
+
+
+def test_chunks_hold_whole_strategies():
+    protocol = parse_protocol("out@1 := s[x] @ 1;\n")
+
+    def family(n):
+        return engine.Family((), (), (), np.zeros((n, 0), dtype=np.intp))
+
+    # 2,048 runs a strategy: 256 strategies fill CHUNK_ROWS, unless an eighth
+    # of the family is fewer; a strategy above CHUNK_ROWS is a chunk alone
+    starts = lambda n, runs: [lo for lo, _ in engine.chunks(protocol, StubDeal(runs), family(n))]
+    assert starts(9, 2048) == [0, 2, 4, 6, 8]
+    assert starts(100000, 2048) == list(range(0, 100000, 256))
+    assert starts(3, 2 ** 20) == [0, 1, 2]
+    assert [len(f.choice) for _, f in engine.chunks(protocol, StubDeal(2048), family(9))] \
+        == [2, 2, 2, 2, 1]
+    with pytest.raises(BudgetError, match="stacked-run budget"):
+        engine.chunks(protocol, StubDeal(2048), family(engine.MAX_STACKED_RUNS // 2048 + 1))
+
+
+def test_adversarial_fold_rows_match_run_adv(monkeypatch):
     for name in ("gmw-and", "bdoz-open"):
         protocol, _, preproc = load_package(name)
         for part in all_partitions(protocol):
-            for strategy in enumerate_adversaries(protocol, part, preproc=preproc):
-                assert_rows_match(protocol, preproc, strategy, part)
+            fam = enumerate_adversaries(protocol, part, preproc=preproc)
+            assert_family_rows_match(monkeypatch, protocol, preproc, fam, part)
     aborting = parse_protocol(ABORTING)
     assert_rows_match(aborting)
     for corrupt, abort_at in (([1], frozenset({3})), ([2], frozenset({1}))):
         part = Partition.of(aborting.federation, corrupt)
-        for strategy in enumerate_adversaries(aborting, part):
-            assert_rows_match(aborting, None, strategy, part)
-            assert_rows_match(aborting, None, AdversaryStrategy(
-                strategy.replacements, abort_at=abort_at), part)
-
+        fam = enumerate_adversaries(aborting, part)
+        # the same strategies again, halting at the assertion: per-row aborts
+        fam += tuple(AdversaryStrategy(s.replacements, abort_at=abort_at) for s in fam)
+        assert_family_rows_match(monkeypatch, aborting, None, fam, part)
+    # hand-built families of expressions over visible bits: the share flip
+    # of the stripped open and the noisy echo
+    protocol, _, preproc = load_package("bdoz-open")
+    stripped = Protocol(tuple(c for c in protocol.commands if not isinstance(c, AssertCmd)),
+                        protocol.federation, protocol.modulus)
+    part = Partition.of(stripped.federation, [2])
+    flip = BinOp("+", stripped.commands[2].expr, Const(1))
+    assert_family_rows_match(monkeypatch, stripped, preproc, (
+        IDENTITY, AdversaryStrategy(((2, flip),), label="share-flip"),
+        AdversaryStrategy(((2, flip), (3, Const(1)))), IDENTITY), part)
+    echo = parse_protocol("m[z]@2 := r[h] @ 1;\n"
+                          "m[b]@1 := r[u] + r[v] @ 2;\n"
+                          "out@1 := m[b] + s[x] @ 1;\n")
+    noisy = BinOp("xor", Ref("m", "z"), BinOp("and", Ref("r", "u"), Ref("r", "v")))
+    part = Partition.of(echo.federation, [2])
+    assert_family_rows_match(monkeypatch, echo, None, (IDENTITY, AdversaryStrategy(((1, noisy),)),
+                                          AdversaryStrategy(((1, Ref("m", "z")),)),
+                                          AdversaryStrategy(((1, noisy), (1, Const(0))))), part)
+    # --budget 1: every truth table over the visible bits of one position
+    otp, _, _ = load_package("otp")
+    for corrupt, position in (([1], 0), ([2], 2)):
+        part = Partition.of(otp.federation, corrupt)
+        fam = enumerate_adversaries(otp, part, tables_budget=1, positions=(position,))
+        assert len(fam) > 3
+        assert_family_rows_match(monkeypatch, otp, None, fam, part)
 
 
 def counts_by_memory_at(table, vars_) -> dict:

@@ -13,7 +13,7 @@ import pytest
 
 from overture import engine, verifier
 from overture.dist import (
-    ExplicitPreprocessing, Pmf, bd, bd_adv, default_preprocessing,
+    Counts, ExplicitPreprocessing, Pmf, bd, bd_adv, default_preprocessing,
 )
 from overture.errors import BudgetError, UsageError
 from overture.interp import IDENTITY, AdversaryStrategy, run
@@ -24,10 +24,10 @@ from overture.lang import (
 from overture.ovt import parse_protocol
 from overture.stdlib import FUNCTIONALITIES, PACKAGES, load_package
 from overture.verifier import (
-    Verdict, Witness, _bit_rows, _dealt_secrets, _response_vars, adversarial_inputs,
+    Verdict, Witness, _dealt_secrets, _response_vars, adversarial_inputs,
     all_partitions, check_and_gate_tactic, check_cheating_detection,
     check_gmw_invariant, check_gradual_release, check_integrity, check_nimo,
-    check_passive_correct, corrupt_positions, enumerate_adversaries,
+    check_passive_correct, corrupt_positions, enumerate_adversaries, projected_bd,
 )
 
 from test_dist import interpreter_bd
@@ -223,6 +223,12 @@ def test_identity_strategies_always_explained():
     for name in ("otp", "leaky", "shamir-add3", "gmw-and", "bdoz-open"):
         protocol, _, preproc = load_package(name)
         for part in all_partitions(protocol, max_corrupt=1):
+            # the identity tampers with nothing, so the mixture is the passive
+            # distribution alone (the identity skips corrupt assertions)
+            views = tuple(dict.fromkeys(honest_views(protocol, part)))
+            responses = _response_vars(protocol, part)
+            passive = projected_bd(protocol, views + responses, preproc)
+            inputs = adversarial_inputs(passive, views, responses)
             for scope in ("secrets", "initial"):
                 vd = check_cheating_detection(protocol, part, [IDENTITY],
                                               preproc, secret_scope=scope)
@@ -230,6 +236,8 @@ def test_identity_strategies_always_explained():
                                      secret_scope=scope)
                 assert vd.ok, (name, scope, vd.format())
                 assert vi.ok, (name, scope, vi.format())
+                assert vd.details[0] == \
+                    f"adversarial inputs: {', '.join(map(str, inputs)) or '(none)'}"
 
 
 def test_constant_lies_at_inputs_are_substitutions():
@@ -455,36 +463,47 @@ def test_integrity_requires_f2():
             check(p, part, [IDENTITY, lie])
 
 
-def test_integrity_candidate_budget_checked_before_building(monkeypatch):
-    def secrets_protocol(n):
-        xs = [parse_var(f"s[x{i}]@1") for i in range(n)]
-        p = parse_protocol("out@1 := " + " + ".join(f"s[x{i}]" for i in range(n))
-                           + " @ 1;\nout@2 := s[y] @ 2;\n")
-        secrets = xs + [parse_var("s[y]@2")]
-        # one dealt memory: a single run, but 2^(n + 1) candidate inputs
-        return p, ExplicitPreprocessing(secrets, [dict.fromkeys(secrets, 0)])
+def test_integrity_tries_only_passive_inputs(monkeypatch):
+    # one dealt memory over 25 secrets: a single run, whose inputs are the
+    # only ones tried; the 2^25 assignments of the secrets are never built
+    xs = [parse_var(f"s[x{i}]@1") for i in range(24)]
+    p = parse_protocol("m[z]@1 := s[y] @ 2;\nout@1 := m[z] + "
+                       + " + ".join(f"s[x{i}]" for i in range(24)) + " @ 1;\n")
+    secrets = xs + [parse_var("s[y]@2")]
+    deal = ExplicitPreprocessing(secrets, [dict.fromkeys(secrets, 0)])
+    part = Partition.of(p.federation, [2])
+    fam = enumerate_adversaries(p, part)
+    monkeypatch.setattr(engine, "bit_column", lambda *a: pytest.fail("bit columns built"))
+    for scope in ("secrets", "initial"):
+        assert check_integrity(p, part, fam[:2], deal, secret_scope=scope).ok
+        # sending 1 would need s[y] = 1, which no passive run has
+        v = check_integrity(p, part, fam, deal, secret_scope=scope)
+        assert v.witness.description.endswith("(strategy: m[z]@1:=1)")
+        assert v.witness.memories[1] == (
+            "conditioned on", {**dict.fromkeys(secrets, 0), parse_var("m[z]@1"): 1})
+
+
+def test_stacked_run_budget_checked_before_building(monkeypatch):
+    # bdoz-open with client 2 corrupt: 81 strategies of 64 runs
+    protocol, _, preproc = load_package("bdoz-open")
+    part = Partition.of(protocol.federation, [2])
+    fam = enumerate_adversaries(protocol, part, preproc=preproc)
 
     def never_build(*args, **kwargs):
-        raise AssertionError("candidate inputs built")
+        raise AssertionError("columns built")
 
-    p, deal = secrets_protocol(24)
-    part = Partition.of(p.federation, [2])
+    monkeypatch.setattr(engine, "MAX_STACKED_RUNS", 81 * 64 - 1)
     with monkeypatch.context() as m:
         m.setattr(engine, "bit_column", never_build)
-        with pytest.raises(BudgetError, match="candidate inputs"):
-            check_integrity(p, part, [IDENTITY], deal)
-    # at the budget the candidates are built and the check runs
-    monkeypatch.setattr(engine, "MAX_RUNS", 2 ** 4)
-    p, deal = secrets_protocol(3)
-    assert check_integrity(p, part, [IDENTITY], deal).ok
-    p, deal = secrets_protocol(4)
-    with pytest.raises(BudgetError, match="candidate inputs"):
-        check_integrity(p, part, [IDENTITY], deal)
-    # the candidates are the rows of itertools.product, first input most significant
-    for n in range(6):
-        old = np.array(list(itertools.product((0, 1), repeat=n)),
-                       dtype=np.uint8).reshape(2 ** n, n)
-        assert np.array_equal(_bit_rows(n), old) and _bit_rows(n).dtype == np.uint8
+        m.setattr(type(preproc), "columns", never_build)
+        for check in (check_cheating_detection, check_integrity):
+            with pytest.raises(BudgetError, match="81 strategies of 64 runs exceed "
+                                                  "the stacked-run budget of 5183"):
+                check(protocol, part, fam, preproc)
+    # at the budget the family is folded, and the forgeries are found
+    monkeypatch.setattr(engine, "MAX_STACKED_RUNS", 81 * 64)
+    for check in (check_cheating_detection, check_integrity):
+        assert not check(protocol, part, fam, preproc).ok
 
 
 def test_subset_tests_budget_checked_before_walking(monkeypatch):
@@ -493,8 +512,8 @@ def test_subset_tests_budget_checked_before_walking(monkeypatch):
     t = Var("m", "t", 2)
     pmf = Pmf(views + (t,), {(0,) * 20 + (0,): 1, (0,) * 20 + (1,): 1}, 2)
     calls = []
-    independent = Pmf.independent
-    monkeypatch.setattr(Pmf, "independent",
+    independent = Counts.independent
+    monkeypatch.setattr(Counts, "independent",
                         lambda self, *a: calls.append(a) or independent(self, *a))
     # the 20 singles and 190 pairs fit; the 1,140 triples would pass 1,000
     monkeypatch.setattr(verifier, "MAX_SUBSET_TESTS", 1000)
