@@ -4,10 +4,19 @@ A Pmf counts runs: each memory over a fixed variable domain maps to the
 number of runs that end in it, out of one total shared by the whole
 distribution, so marginals, conditionals and mixtures add integers and
 compare by cross-multiplication; Fractions are built only where a
-probability is returned.  Keys are value tuples aligned with the domain;
-BOT marks padded entries of aborted runs.  bd(protocol) is the basic
-distribution: uniform over the runs produced by every (preprocessing
-memory, random tape) pair.
+probability is returned.  A Pmf's keys are value tuples aligned with the
+domain; BOT marks padded entries of aborted runs.  Pmf is the value of bd
+and the form the API returns distributions in.
+
+Counts holds a distribution as an integer matrix of code rows with their
+run counts, the form engine.distinct_rows counts, and every check tests
+on it: one conditional-independence test serves independence,
+conditional separation and noninterference, and conditioned determinism,
+uniformity and the <m[w]> global views are column operations.  Pmf's
+tests convert to Counts and delegate.
+
+bd(protocol) is the basic distribution: uniform over the runs produced by
+every (preprocessing memory, random tape) pair.
 
 Conditioning predicates quantify over realizations of the conditioning set
 with positive probability; rows of probability zero are skipped (the
@@ -21,12 +30,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .errors import BudgetError, EvalError, UsageError
-from .interp import IDENTITY, AdversaryStrategy, run, run_adv
-from .lang import (
-    BOT, GLOBAL, MESG, Partition, Protocol, Var, assigned_var, mem_restrict,
-    validate,
-)
+from .errors import BudgetError, UsageError
+from .interp import AdversaryStrategy, run, run_adv
+from .lang import BOT, GLOBAL, MESG, Partition, Protocol, Var, validate
 
 # --- Preprocessing enumerators ----------------------------------------------
 
@@ -126,14 +132,6 @@ def domain_positions(domain, vars_) -> tuple:
     return tuple(index[v] for v in vars_)
 
 
-def same_conditional(a, b) -> bool:
-    """Whether two count tables, each a pair (mass, {key: count}), are the
-    same distribution: the same keys, with proportional counts."""
-    (n_a, c_a), (n_b, c_b) = a, b
-    return c_a.keys() == c_b.keys() and all(c * n_b == c_b[k] * n_a
-                                            for k, c in c_a.items())
-
-
 @dataclass(frozen=True)
 class Pmf:
     """counts[key] runs out of total have the key; the probability of a key
@@ -149,9 +147,11 @@ class Pmf:
             raise UsageError("duplicate variables in pmf domain")
 
     def __eq__(self, other):
+        """The same domain and keys, with proportional counts."""
         return isinstance(other, Pmf) and self.domain == other.domain \
-            and self.modulus == other.modulus \
-            and same_conditional((self.total, self.counts), (other.total, other.counts))
+            and self.modulus == other.modulus and self.counts.keys() == other.counts.keys() \
+            and all(c * other.total == other.counts[k] * self.total
+                    for k, c in self.counts.items())
 
     @property
     def weights(self) -> dict:
@@ -225,76 +225,33 @@ class Pmf:
         return Counts.of(self).independent(x1, x2)
 
     def independent_witness(self, x1, x2):
-        """None when x1 and x2 are independent; else (k1, k2, joint, product)
-        at the first pair of realizations, in str order, where the joint
-        probability is not the product of the marginals."""
+        """Counts.independent_witness of this distribution."""
         return Counts.of(self).independent_witness(x1, x2)
 
     def cond_det(self, x1, x2) -> bool:
         return self.cond_det_witness(x1, x2) is None
 
     def cond_det_witness(self, x1, x2):
-        """None when, for every positive x1-realization, some x2-realization
-        has conditional probability 1; else an offending row."""
-        table = self.conditional(x1, x2)
-        for k1, row in table.rows.items():
-            if table.masses[k1] not in row.values():
-                return table.witness(k1)
-        return None
+        """Counts.cond_det_witness, the first row in key order."""
+        return Counts.of(self).cond_det_witness(x1, x2)
 
     def cond_uni(self, x1, x2) -> bool:
         return self.cond_uni_witness(x1, x2) is None
 
     def cond_uni_witness(self, x1, x2):
-        table = self.conditional(x1, x2)
-        full = self.modulus ** len(table.x2)
-        for k1, row in table.rows.items():
-            mass = table.masses[k1]
-            if len(row) != full or any(c * full != mass for c in row.values()) \
-                    or any(BOT in k2 for k2 in row):
-                return table.witness(k1)
-        return None
+        """Counts.cond_uni_witness, the first row in key order."""
+        return Counts.of(self).cond_uni_witness(x1, x2)
 
     def cond_sep(self, x1, x2, x3) -> bool:
         return self.cond_sep_witness(x1, x2, x3) is None
 
     def cond_sep_witness(self, x1, x2, x3):
-        """None when x2 and x3 are independent conditioned on every positive
-        x1-realization."""
-        x1, x2, x3 = tuple(x1), tuple(x2), tuple(x3)
-        joint = self.conditional(x1, x2 + x3)
-        t2 = self.conditional(x1, x2)
-        t3 = self.conditional(x1, x3)
-        n2 = len(x2)
-        for k1, row in joint.rows.items():
-            row2, row3, mass = t2.rows[k1], t3.rows[k1], joint.masses[k1]
-            pairs = {(key[:n2], key[n2:]) for key in row}
-            pairs.update(itertools.product(row2, row3))
-            for a, b in pairs:
-                lhs, rhs = row.get(a + b, 0), row2.get(a, 0) * row3.get(b, 0)
-                if lhs * mass != rhs:
-                    return (k1, a, b, Fraction(lhs, mass), Fraction(rhs, mass * mass))
-        return None
+        """Counts.cond_sep_witness, the first row in key order."""
+        return Counts.of(self).cond_sep_witness(x1, x2, x3)
 
     def with_global_views(self, names) -> "Pmf":
-        """Extend with synthetic variables <m[w]>: the field sum of all
-        shares m[w]@i present in the domain (BOT if any share is BOT)."""
-        shares = {}
-        for w in names:
-            vs = [v for v in self.domain if v.kind == MESG and v.name == w]
-            if len(vs) < 2:
-                raise UsageError(f"global view <m[{w}]> needs at least two shares in domain")
-            shares[w] = self._positions(vs)
-        new_domain = self.domain + tuple(Var(GLOBAL, w) for w in shares)
-        out: dict = {}
-        for key, c in self.counts.items():
-            extra = []
-            for pos in shares.values():
-                vals = [key[i] for i in pos]
-                extra.append(BOT if BOT in vals else sum(vals) % self.modulus)
-            k = key + tuple(extra)
-            out[k] = out.get(k, 0) + c
-        return Pmf(new_domain, out, self.total, self.modulus)
+        """Counts.with_global_views, as a Pmf in the same key order."""
+        return Counts.of(self).with_global_views(names).to_pmf()
 
     def mixed_with(self, others) -> "Pmf":
         """Uniform mixture of self with the given same-domain pmfs: each
@@ -314,9 +271,12 @@ class Pmf:
 
 @dataclass(frozen=True)
 class Counts:
-    """A distribution as distinct code rows: counts[i] of total runs have
-    the codes[i] row over domain.  A code is the value, or the modulus for
-    BOT, so engine.distinct_rows output (BOT_CODE = 2) is an F_2 Counts."""
+    """A distribution as code rows: counts[i] of total runs have the
+    codes[i] row over domain.  A code is the value, or the modulus for
+    BOT, so engine.distinct_rows output (BOT_CODE = 2) is an F_2 Counts.
+    Every check's test runs here, on whole columns; "the first" failing
+    realization of a conditioning set is the one whose first row comes
+    first: first-run order for engine.project, key order for Counts.of."""
 
     domain: tuple
     codes: object   # (rows, len(domain)) integer matrix
@@ -333,6 +293,32 @@ class Counts:
         return Counts(pmf.domain, codes, np.array(list(pmf.counts.values())),
                       pmf.total, pmf.modulus)
 
+    def to_pmf(self) -> Pmf:
+        """The same distribution as a Pmf; the rows must be distinct."""
+        keys = self._keys(slice(None), self.domain)
+        return Pmf(self.domain, dict(zip(keys, self.counts.tolist())), self.total, self.modulus)
+
+    def _columns(self, vars_):
+        """The code columns of vars_, in their order."""
+        return self.codes[:, list(domain_positions(self.domain, vars_))]
+
+    def _keys(self, rows, vars_) -> list:
+        """The key tuples over vars_ of the rows at the given indices, BOT
+        for the code modulus."""
+        codes = self._columns(vars_)[rows]
+        has_bot = (codes == self.modulus).any(axis=1).tolist()
+        keys = codes.tolist()
+        for j, key in enumerate(keys):
+            # in place, so the row lists and the key tuples are never all held at once
+            keys[j] = tuple([BOT if x == self.modulus else x for x in key] if has_bot[j] else key)
+        return keys
+
+    def _matching(self, vars_, key) -> "Counts":
+        """The rows whose key over vars_ is key, out of their own runs."""
+        rows = (self._columns(vars_) == [self.modulus if x is BOT else x for x in key]).all(axis=1)
+        counts = self.counts[rows]
+        return Counts(self.domain, self.codes[rows], counts, int(counts.sum()), self.modulus)
+
     def _groups(self, vars_):
         """Each row's group 0, 1, ... by its codes over vars_, each group's
         run count (exact: Python ints once total ** 2 passes int64) and
@@ -341,44 +327,144 @@ class Counts:
 
         # one byte key per row, which sorts far faster than np.unique(axis=0);
         # a zero first column keeps the key nonempty when vars_ is empty
-        rows = np.zeros((len(self.codes), 1 + len(vars_)), dtype=np.int64)
-        rows[:, 1:] = self.codes[:, list(domain_positions(self.domain, vars_))]
+        rows = np.zeros((len(self.codes), 1 + len(vars_)), dtype=self.codes.dtype)
+        rows[:, 1:] = self._columns(vars_)
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         mass = np.zeros(len(first), dtype=np.int64 if self.total < 2 ** 31 else object)
         np.add.at(mass, group, self.counts)
         return group, mass, first
 
+    def _masses(self, *var_sets) -> list:
+        """For each set of variables, each row's run count over its
+        realization of them."""
+        return [mass[group] for group, mass, _ in map(self._groups, var_sets)]
+
+    def _table(self, vars_) -> dict:
+        """Key tuple over vars_ -> run count, for the positive keys."""
+        _, mass, first = self._groups(vars_)
+        return dict(zip(self._keys(first, vars_), mass.tolist()))
+
+    def _dependent(self, x1, x2, x3):
+        """The conditional-independence test, one bool per row: whether
+        joint(k1, a, b) * m(k1) != m(k1, a) * m(k1, b) at the row's
+        realizations k1, a, b of x1, x2, x3, m counting runs.  x2 and x3
+        are independent given x1 exactly when no row is: summed over the
+        support of a k1, the products m(k1, a) * m(k1, b) then make up
+        m(k1) ** 2, all of their mass, so no pair of positive marginals
+        lies outside the support."""
+        x1, x2, x3 = tuple(x1), tuple(x2), tuple(x3)
+        m1, m12, m13, m123 = self._masses(x1, x1 + x2, x1 + x3, x1 + x2 + x3)
+        return m123 * m1 != m12 * m13
+
     def independent(self, x1, x2) -> bool:
-        """Whether joint * total == m1 * m2 on every pair in the joint
-        support.  That suffices: those pairs then carry all the product
-        mass, sum m1 * m2 / total = total, so no pair of positive
-        marginals lies outside the support."""
+        return not self._dependent((), x1, x2).any()
+
+    def _first_failing(self, x1, bad):
+        """None when the bool mask bad holds no row; else the first
+        x1-realization with a row in it, the one whose first row comes
+        first: its key and all of its rows."""
         import numpy as np
 
-        (g1, m1, _), (g2, m2, _) = self._groups(x1), self._groups(x2)
-        pairs, at = np.unique(g1 * len(m2) + g2, return_inverse=True)
-        joint = np.zeros(len(pairs), dtype=m1.dtype)
-        np.add.at(joint, at, self.counts)
-        return bool((joint * self.total == m1[pairs // len(m2)] * m2[pairs % len(m2)]).all())
+        if not bad.any():
+            return None
+        group = self._groups(x1)[0]
+        k1 = self._keys([np.argmax(np.isin(group, group[bad]))], x1)[0]
+        return k1, self._matching(x1, k1)
+
+    def _least_failing(self, x1, x2, x3):
+        """None when x2 and x3 are independent given x1; else the str-least
+        k1, then k2, then k3 where m(k1, k2, k3) * m(k1) != m(k1, k2) *
+        m(k1, k3), m counting runs, with m(k1), m(k1, k2), m(k1, k3) and
+        m(k1, k2, k3).  Each of k1 and k2 is the str-least with a row the
+        test fails: the conditionals of x3 given it and given the condition
+        alone both sum to 1, so where they differ the first is the larger
+        somewhere on its own support."""
+        bad = self._dependent(x1, x2, x3)
+        if not bad.any():
+            return None
+        k1 = min(set(self._keys(bad, x1)), key=str)
+        given = self._matching(x1, k1)
+        k2 = min(set(given._keys(given._dependent((), x2, x3), x2)), key=str)
+        inner = given._matching(x2, k2)
+        m3, joint = given._table(x3), inner._table(x3)
+        k3 = min((k for k, c in m3.items() if joint.get(k, 0) * given.total != inner.total * c),
+                 key=str)
+        return k1, k2, k3, given.total, inner.total, m3[k3], joint.get(k3, 0)
 
     def independent_witness(self, x1, x2):
-        """Pmf.independent_witness: the scan over every pair of positive
-        marginals runs only when the test fails."""
+        """None when x1 and x2 are independent; else (k1, k2, joint, product)
+        at the first pair of realizations, in str order, where the joint
+        probability is not the product of the marginals."""
+        found = self._least_failing((), x1, x2)
+        if found is None:
+            return None
+        _, k1, k2, n, n1, n2, n12 = found
+        return k1, k2, Fraction(n12, n), Fraction(n1 * n2, n * n)
+
+    def _cond_witness(self, x1, x2, bad):
+        """(k1, {k2: P(k2 | k1)}) at the first x1-realization with a row in
+        the bool mask bad; None when there is none."""
+        found = self._first_failing(x1, bad)
+        if found is None:
+            return None
+        k1, rows = found
+        return k1, {k2: Fraction(c, rows.total) for k2, c in rows._table(x2).items()}
+
+    def cond_det_witness(self, x1, x2):
+        """None when, for every positive x1-realization, some x2-realization
+        has conditional probability 1; else an offending row.  Where one
+        has, every row of the x1-realization holds it and all of its mass."""
+        m1, m12 = self._masses(x1, tuple(x1) + tuple(x2))
+        return self._cond_witness(x1, x2, m12 != m1)
+
+    def cond_uni_witness(self, x1, x2):
+        """None when, given every positive x1-realization, each x2-realization
+        present has a modulus ** len(x2)-th of the mass (so all are) and
+        none holds BOT; else an offending row."""
+        m1, m12 = self._masses(x1, tuple(x1) + tuple(x2))
+        full = self.modulus ** len(x2)
+        bad = (self._columns(x2) == self.modulus).any(axis=1)
+        # with more values than runs none is uniform, and m12 * full could overflow
+        bad |= m12 * full != m1 if full <= self.total else True
+        return self._cond_witness(x1, x2, bad)
+
+    def cond_sep_witness(self, x1, x2, x3):
+        """None when x2 and x3 are independent given every positive
+        x1-realization; else (k1, a, b, P(a, b | k1), P(a | k1) * P(b | k1))
+        at the first failing k1 and its str-least failing pair."""
+        found = self._first_failing(x1, self._dependent(x1, x2, x3))
+        if found is None:
+            return None
+        k1, rows = found
+        return (k1,) + rows.independent_witness(x2, x3)
+
+    def cond_shift_witness(self, x1, x2, x3):
+        """None when x2 and x3 are independent given x1, that is P(x3 | k1)
+        = P(x3 | k1, k2) at every positive realization k1, k2 of x1, x2;
+        else (k1, k2, k3, P(k3 | k1), P(k3 | k1, k2)) at the str-least
+        (k1, k2, k3) where the two differ."""
+        found = self._least_failing(x1, x2, x3)
+        if found is None:
+            return None
+        k1, k2, k3, n1, n12, n13, n123 = found
+        return k1, k2, k3, Fraction(n13, n1), Fraction(n123, n12)
+
+    def with_global_views(self, names) -> "Counts":
+        """Extend with synthetic variables <m[w]>: the field sum of all
+        shares m[w]@i present in the domain (BOT if any share is BOT)."""
         import numpy as np
 
-        if self.independent(x1, x2):
-            return None
-        (g1, m1, first1), (g2, m2, first2) = self._groups(x1), self._groups(x2)
-        joint = np.zeros((len(m1), len(m2)), dtype=m1.dtype)
-        np.add.at(joint, (g1, g2), self.counts)
-        keys = [[tuple(BOT if x == self.modulus else x for x in row)
-                 for row in self.codes[first][:, list(domain_positions(self.domain, xs))].tolist()]
-                for first, xs in ((first1, x1), (first2, x2))]
-        a, b = min(np.argwhere(joint * self.total != np.outer(m1, m2)).tolist(),
-                   key=lambda ab: str((keys[0][ab[0]], keys[1][ab[1]])))
-        return (keys[0][a], keys[1][b], Fraction(int(joint[a, b]), self.total),
-                Fraction(int(m1[a]) * int(m2[b]), self.total ** 2))
+        names, columns = tuple(dict.fromkeys(names)), [self.codes]
+        for w in names:
+            vs = [v for v in self.domain if v.kind == MESG and v.name == w]
+            if len(vs) < 2:
+                raise UsageError(f"global view <m[{w}]> needs at least two shares in domain")
+            shares = self._columns(vs).astype(np.int64)
+            columns.append(np.where((shares == self.modulus).any(axis=1), self.modulus,
+                                    shares.sum(axis=1) % self.modulus))
+        return Counts(self.domain + tuple(Var(GLOBAL, w) for w in names),
+                      np.column_stack(columns), self.counts, self.total, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -431,8 +517,6 @@ class Functionality:
 
     @staticmethod
     def parse(text: str, modulus: int = 2) -> "Functionality":
-        from .lang import parse_var
-
         table = {}
         secrets = outputs = None
         for raw in text.splitlines():
@@ -544,7 +628,8 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
         preproc = default_preprocessing(protocol)
     check_deal(protocol, preproc)
     if protocol.modulus == 2:
-        return engine.to_pmf(engine.fold(protocol, preproc, strategy, part))
+        table = engine.fold(protocol, preproc, strategy, part)
+        return engine.project(table, table.domain).to_pmf()
     total = preproc.count() * protocol.modulus ** len(protocol.flips())
     if total > engine.MAX_RUNS:
         raise BudgetError(f"{total} runs exceed the run budget of {engine.MAX_RUNS}")

@@ -34,10 +34,10 @@ stacked runs (strategies times runs) raises BudgetError.
 
 Every check counts the distinct rows of codes over some variables: a
 variable's code is its value, or BOT_CODE where it is BOT.  distinct_rows
-does this for projections (project_counts), the pmf text (dist.write_pmf)
-and the malicious checks' count tables.  It keys each run over w bits, 1
-per variable, or 2 when a variable has a BOT mask, and takes one of three
-paths by input size:
+does this for every check (project gives the passive checks their
+dist.Counts), for bd and for the pmf text (dist.write_pmf).  It keys each
+run over w bits, 1 per variable, or 2 when a variable has a BOT mask, and
+takes one of three paths by input size:
 - 2**w at most the runs counted: one integer key per run, counted by
   np.bincount into a dense table of 2**w bins.  This is linear in runs,
   with no sort, and the ascending bins are already in code order.  A tall
@@ -370,21 +370,21 @@ def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
     return codes, counts, found[0] if first else None
 
 
-def project_counts(table: RunTable, vars_):
-    """Exact counts of (value, bot) realizations over the given variables,
-    keyed in the order of each realization's first run: the distinct_rows
-    counts, with key tuples built only for the distinct rows."""
+def project(table: RunTable, vars_):
+    """The runs of the table over vars_ as a dist.Counts, its distinct rows
+    in the order of their first runs."""
+    from .dist import Counts
+
     codes, counts, first = distinct_rows(table, vars_)
     order = np.argsort(first)
-    codes = codes[order]
-    has_bot = (codes == BOT_CODE).any(axis=1).tolist()
-    keys = codes.tolist()
-    for j, key in enumerate(keys):
-        # in place, so the row lists and the key tuples are never all held at once
-        if has_bot[j]:
-            key = [BOT if x == BOT_CODE else x for x in key]
-        keys[j] = tuple(key)
-    return dict(zip(keys, counts[order].tolist()))
+    return Counts(tuple(vars_), codes[order], counts[order], table.nrows)
+
+
+def project_counts(table: RunTable, vars_):
+    """Exact counts of (value, bot) realizations over the given variables,
+    keyed in the order of each realization's first run, with key tuples
+    built only for the distinct rows."""
+    return project(table, vars_).to_pmf().counts
 
 
 def rows_matching(table: RunTable, memory: dict) -> "np.ndarray":
@@ -397,16 +397,6 @@ def rows_matching(table: RunTable, memory: dict) -> "np.ndarray":
         if bot is not None:
             rows &= ~bot
     return rows
-
-
-def project_pmf(table: RunTable, vars_):
-    from .dist import Pmf
-
-    return Pmf(tuple(vars_), project_counts(table, vars_), table.nrows)
-
-
-def to_pmf(table: RunTable):
-    return project_pmf(table, table.domain)
 
 
 def memory_at(table: RunTable, row: int) -> dict:

@@ -2,22 +2,22 @@
 
 The check_* functions decide passive correctness, noninterference modulo
 output, gradual release, the AND gate conditioning conditions, the
-share-based circuit invariant, cheating detection, and integrity.  Runs
-over F_2 are enumerated by the vectorized fold in engine.py, directly or
-through bd; every failing verdict carries a witness that can be
-recomputed from the distributions.
+share-based circuit invariant, cheating detection, and integrity.  Each
+check tests count tables: over F_2 the runs of the vectorized fold in
+engine.py counted by engine.distinct_rows, with no Pmf; over F_p the
+passive checks take the dist.Counts of a marginal of bd.  Every failing
+verdict carries a witness that can be recomputed from the distributions.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import dist as dist_mod
 from .dist import (
-    Counts, Functionality, Pmf, UniformPreprocessing, bd, default_preprocessing,
-    same_conditional,
+    Counts, Functionality, Pmf, UniformPreprocessing, bd, bd_domain,
+    default_preprocessing,
 )
 from .errors import BudgetError, UsageError
 from .interp import IDENTITY, AdversaryStrategy
@@ -61,18 +61,24 @@ class Verdict:
 
 # --- Projected distributions --------------------------------------------------
 
-def projected_bd(protocol: Protocol, vars_, preproc=None, strategy=None,
-                 part=None) -> Pmf:
-    """Marginal of the basic distribution over the given variables."""
+def projected_counts(protocol: Protocol, vars_, preproc=None) -> Counts:
+    """The basic distribution over the given variables, repeats dropped,
+    its rows in first-run order: over F_2 counted on the fold, with no
+    Pmf; over F_p the Counts of the marginal of bd."""
     from . import engine
 
     if preproc is None:
         preproc = default_preprocessing(protocol)
     vars_ = tuple(dict.fromkeys(vars_))
     if protocol.modulus != 2:
-        return bd(protocol, preproc, strategy, part).marginal(vars_)
+        return Counts.of(bd(protocol, preproc).marginal(vars_))
     dist_mod.check_deal(protocol, preproc)
-    return engine.project_pmf(engine.fold(protocol, preproc, strategy, part), vars_)
+    return engine.project(engine.fold(protocol, preproc), vars_)
+
+
+def projected_bd(protocol: Protocol, vars_, preproc=None) -> Pmf:
+    """Marginal of the basic distribution over the given variables."""
+    return projected_counts(protocol, vars_, preproc).to_pmf()
 
 
 # --- Passive correctness ------------------------------------------------------
@@ -88,31 +94,21 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
     prop = "passive-correct"
     if preproc is None:
         preproc = default_preprocessing(protocol)
-    dealt = set(v for v in preproc.domain if v.kind == SECRET) | set(protocol.secrets())
-    if set(fn.secrets) != dealt:
+    if set(fn.secrets) != set(_dealt_secrets(protocol, preproc)):
         raise UsageError("functionality secrets differ from the dealt secrets")
     if set(fn.outputs) != set(protocol.output_vars()):
         raise UsageError("functionality outputs differ from protocol outputs")
     dist_mod.check_deal(protocol, preproc)
     table = engine.fold(protocol, preproc)
-    idx = np.zeros(table.nrows, dtype=np.uint64)
-    for i, s in enumerate(fn.secrets):
-        idx |= table.cols[s].astype(np.uint64) << np.uint64(i)
-    bad = ~table.alive
-    for j, out_var in enumerate(fn.outputs):
-        lut = np.zeros(2 ** len(fn.secrets), dtype=np.uint8)
-        for key, out_key in fn.table.items():
-            k = sum(x << i for i, x in enumerate(key))
-            lut[k] = out_key[j]
-        expected = lut[idx]
-        bot = table.bots.get(out_var)
-        col = table.cols[out_var]
-        bad |= expected != col
-        if bot is not None:
-            bad |= bot
-    if not bad.any():
+    # each distinct row of abort bit, secrets and outputs, with its first run
+    codes, _, first = engine.distinct_rows(table, fn.secrets + fn.outputs,
+                                           lead=[(~table.alive).view(np.uint8)])
+    n = 1 + len(fn.secrets)
+    bad = [f for row, f in zip(codes.tolist(), first.tolist())
+           if row[0] or fn.table.get(tuple(row[1:n])) != tuple(row[n:])]
+    if not bad:
         return Verdict(True, prop, (f"all {table.nrows} runs agree with the functionality",))
-    row = int(np.argmax(bad))
+    row = min(bad)
     final = engine.memory_at(table, row)
     want = fn.apply({s: final[s] for s in fn.secrets})
     w = Witness(
@@ -124,12 +120,17 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
 
 # --- Noninterference modulo output -------------------------------------------
 
+def _initial_vars(protocol: Protocol, preproc) -> tuple:
+    """Variables of the initial memories: the dealt ones, then the secrets
+    and coin flips the deal leaves out."""
+    dealt = tuple(preproc.domain) if preproc is not None else ()
+    return tuple(dict.fromkeys(dealt + protocol.secrets() + protocol.flips()))
+
+
 def _dealt_secrets(protocol: Protocol, preproc) -> tuple:
     """Secrets of the run distribution: dealt by the preprocessing plus any
     referenced directly by commands."""
-    dealt = tuple(v for v in preproc.domain if v.kind == SECRET) \
-        if preproc is not None else ()
-    return dealt + tuple(v for v in protocol.secrets() if v not in dealt)
+    return tuple(v for v in _initial_vars(protocol, preproc) if v.kind == SECRET)
 
 
 def check_nimo(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
@@ -145,30 +146,22 @@ def check_nimo(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
     x1 = tuple(dict.fromkeys(s_c + outs))
     if not s_h:
         return Verdict(True, prop, ("no honest secrets",))
-    p = projected_bd(protocol, x1 + views + s_h, preproc)
-    ta = p.conditional(x1, s_h)
-    tb = p.conditional(x1 + views, s_h)
-    for key12 in sorted(tb.rows, key=str):
-        key1 = key12[: len(x1)]
-        row_b, n_b = tb.rows[key12], tb.masses[key12]
-        row_a, n_a = ta.rows[key1], ta.masses[key1]
-        if not same_conditional((n_a, row_a), (n_b, row_b)):
-            diff = next(k for k in sorted(set(row_a) | set(row_b), key=str)
-                        if row_a.get(k, 0) * n_b != row_b.get(k, 0) * n_a)
-            w = Witness(
-                "conditioning on corrupt views changes the honest-secret distribution",
-                memories=(
-                    ("m1 (corrupt secrets and outputs)", dict(zip(x1, key1))),
-                    ("m2 (corrupt views)", dict(zip(views, key12[len(x1):]))),
-                    ("honest secrets", dict(zip(s_h, diff))),
-                ),
-                numbers=(
-                    ("P(secrets | m1)", Fraction(row_a.get(diff, 0), n_a)),
-                    ("P(secrets | m1, m2)", Fraction(row_b.get(diff, 0), n_b)),
-                ),
-            )
-            return Verdict(False, prop, (), w)
-    return Verdict(True, prop, (f"{len(tb.rows)} positive view realizations checked",))
+    p = projected_counts(protocol, x1 + views + s_h, preproc)
+    witness = p.cond_shift_witness(x1, views, s_h)
+    if witness is None:
+        checked = len(p._groups(x1 + views)[1])
+        return Verdict(True, prop, (f"{checked} positive view realizations checked",))
+    key1, key2, diff, before, after = witness
+    w = Witness(
+        "conditioning on corrupt views changes the honest-secret distribution",
+        memories=(
+            ("m1 (corrupt secrets and outputs)", dict(zip(x1, key1))),
+            ("m2 (corrupt views)", dict(zip(views, key2))),
+            ("honest secrets", dict(zip(s_h, diff))),
+        ),
+        numbers=(("P(secrets | m1)", before), ("P(secrets | m1, m2)", after)),
+    )
+    return Verdict(False, prop, (), w)
 
 
 # --- Gradual release ----------------------------------------------------------
@@ -182,8 +175,7 @@ def check_gradual_release(protocol: Protocol, part: Partition, preproc=None) -> 
     s_h = owned_by(_dealt_secrets(protocol, preproc), part.honest)
     if not m_c or not s_h:
         return Verdict(True, prop, ("no corrupt messages or no honest secrets",))
-    p = projected_bd(protocol, m_c + s_h, preproc)
-    witness = p.independent_witness(m_c, s_h)
+    witness = projected_counts(protocol, m_c + s_h, preproc).independent_witness(m_c, s_h)
     if witness is None:
         return Verdict(True, prop, (f"{len(m_c)} corrupt messages independent of honest secrets",))
     k1, k2, lhs, rhs = witness
@@ -228,7 +220,8 @@ def check_and_gate_tactic(protocol: Protocol) -> Verdict:
     x, y, z, sender, receiver = _and_gate_shape(protocol)
     shares = tuple(Var(MESG, w, c) for w in (x, y) for c in sorted((sender, receiver)))
     preproc = UniformPreprocessing(shares)
-    p = bd(protocol, preproc).with_global_views([x, y, z])
+    p = projected_counts(protocol, bd_domain(protocol, preproc), preproc)
+    p = p.with_global_views([x, y, z])
     gx, gy, gz = Var(GLOBAL, x), Var(GLOBAL, y), Var(GLOBAL, z)
     z1, z2 = Var(MESG, z, sender), Var(MESG, z, receiver)
     inputs = (gx, gy)
@@ -277,7 +270,7 @@ def check_gmw_invariant(protocol: Protocol, wire: str, part: Partition,
         raise UsageError(f"wire {wire} does not have exactly two shares")
     received = tuple(v for v in corrupt_views(protocol, part) if v.kind == MESG)
     gw = Var(GLOBAL, wire)
-    p = projected_bd(protocol, secrets + shares + received, preproc)
+    p = projected_counts(protocol, secrets + shares + received, preproc)
     p = p.with_global_views([wire])
     checks = (
         (f"cond_det(S -> {gw})", p.cond_det_witness(secrets, (gw,))),
@@ -362,14 +355,7 @@ def _expr_label(e) -> str:
 def _visible_vars(protocol: Protocol, part: Partition, position: int, preproc) -> tuple:
     """Variables the computing client of the command can read there."""
     client = computing_client(protocol.commands[position])
-    seen = []
-    initial = list(preproc.domain) if preproc is not None else []
-    for v in protocol.secrets() + protocol.flips():
-        if v not in initial:
-            initial.append(v)
-    for v in initial:
-        if v.owner == client:
-            seen.append(v)
+    seen = [v for v in _initial_vars(protocol, preproc) if v.owner == client]
     for cmd in protocol.commands[:position]:
         v = assigned_var(cmd)
         if v is None:
@@ -414,8 +400,8 @@ MAX_SUBSET_TESTS = 2 ** 16  # independence tests of one adversarial_inputs call
 
 
 def adversarial_inputs(dist, views, targets) -> tuple:
-    """Least corrupt-to-honest views not independent of the targets, in a
-    Pmf or a dist.Counts (a Pmf is tested as its Counts).
+    """Least corrupt-to-honest views not independent of the targets in a
+    dist.Counts.
 
     Tests candidate subsets by growing size: if any single view is
     dependent, the result is the set of dependent single views; otherwise
@@ -424,8 +410,6 @@ def adversarial_inputs(dist, views, targets) -> tuple:
     subsets of a size are tried, BudgetError is raised if they would take
     the tests past MAX_SUBSET_TESTS.
     """
-    if isinstance(dist, Pmf):
-        dist = Counts.of(dist)
     present = tuple(v for v in views if v in dist.domain)
     targets = tuple(t for t in targets if t in dist.domain)
     if not targets:
@@ -451,11 +435,7 @@ def _scope_vars(protocol: Protocol, part: Partition, preproc, secret_scope: str)
     if secret_scope == "secrets":
         return owned_by(_dealt_secrets(protocol, preproc), part.honest)
     if secret_scope == "initial":
-        initial = list(preproc.domain)
-        for v in protocol.secrets() + protocol.flips():
-            if v not in initial:
-                initial.append(v)
-        return tuple(v for v in dict.fromkeys(initial) if v.owner in part.honest)
+        return owned_by(_initial_vars(protocol, preproc), part.honest)
     raise UsageError(f"unknown secret scope {secret_scope!r}")
 
 

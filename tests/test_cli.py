@@ -8,9 +8,12 @@ import pytest
 
 from overture import dist, engine, stdlib, verifier
 from overture.cli import main
-from overture.dist import Pmf, UniformPreprocessing, bd
+from overture.dist import CondTable, Pmf, UniformPreprocessing, bd
+from overture.lang import Partition
+from overture.ovt import parse_protocol
 from overture.stdlib import protocols_dir
 from test_dist import per_line_format_pmf
+from test_golden_cli import never_build
 from test_engine import FLIPS64, never_allocate
 
 
@@ -68,6 +71,19 @@ def test_pmf_streams_from_the_fold(monkeypatch):
     assert len(writes) > 1
     assert max(map(len, writes)) <= dist.CHUNK_BYTES
     assert "".join(writes) == want
+
+
+def test_failing_cond_checks_build_no_pmf(monkeypatch):
+    """The failing AND-gate and share-invariant checks, which the golden
+    file lacks, also run with no Pmf and no CondTable built (the golden
+    test checks every verify command it holds)."""
+    gate = parse_protocol("m[z]@2 := OT4(m[x], m[y] @ 2 ; 0, 0, 0, 0) @ 1;\n"
+                          "m[z]@1 := r[z] @ 1;\n")
+    copy = parse_protocol("m[w]@1 := s[x] @ 1;\nm[w]@2 := 0 @ 1;\nout@1 := m[w] @ 1;\n")
+    monkeypatch.setattr(Pmf, "__init__", never_build)
+    monkeypatch.setattr(CondTable, "__init__", never_build)
+    assert not verifier.check_and_gate_tactic(gate).ok
+    assert not verifier.check_gmw_invariant(copy, "w", Partition.of(copy.federation, [2])).ok
 
 
 def test_run_defaults_missing_inputs_to_zero(capsys):

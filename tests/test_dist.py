@@ -615,7 +615,7 @@ def frac_cond_sep_witness(domain, weights, x1, x2, x3):
         for a in row2:
             for b in row3:
                 pairs.add((a, b))
-        for a, b in pairs:
+        for a, b in sorted(pairs, key=str):
             lhs = row.get(a + b, Fraction(0))
             rhs = row2.get(a, Fraction(0)) * row3.get(b, Fraction(0))
             if lhs != rhs:
@@ -754,3 +754,78 @@ def test_count_pmf_matches_fraction_oracle():
                                    "out@2 := m[z] - m[k] @ 2;\n", modulus=3)))
     for pmf in cases:
         check_against_oracle(pmf, rng)
+
+
+def frac_cond_shift_witness(domain, weights, x1, x2, x3):
+    """check_nimo's loop over Fraction conditionals: the str-least (k1, k2)
+    whose conditional over x3 differs from the one given k1 alone, and in
+    it the str-least k3 where they differ."""
+    given1 = frac_conditional(domain, weights, x1, x3)
+    given12 = frac_conditional(domain, weights, x1 + x2, x3)
+    for k12 in sorted(given12, key=str):
+        row1, row12 = given1[k12[:len(x1)]], given12[k12]
+        diff = [k for k in sorted(set(row1) | set(row12), key=str)
+                if row1.get(k, 0) != row12.get(k, 0)]
+        if diff:
+            return (k12[:len(x1)], k12[len(x1):], diff[0], row1.get(diff[0], Fraction(0)),
+                    row12.get(diff[0], Fraction(0)))
+    return None
+
+
+def wide_field_pmf(rng: random.Random) -> Pmf:
+    """Random joint over F_263 with values past one byte, BOT entries and
+    two shares of one wire."""
+    domain = (Var("m", "w", 1), Var("m", "w", 2), Var("m", "a", 1), Var("m", "b", 2))
+    counts: dict = {}
+    for _ in range(rng.randint(1, 12)):
+        key = tuple(rng.choice((0, 1, 255, 256, 262, 262, BOT)) for _ in domain)
+        counts[key] = counts.get(key, 0) + rng.randint(1, 3)
+    return Pmf(domain, counts, sum(counts.values()), 263)
+
+
+def test_cond_shift_matches_fraction_oracle():
+    """Counts.cond_shift_witness, the witness of check_nimo, against the
+    nimo loop over Fraction conditionals on random splits of random pmfs
+    with BOT, every bundled package, the F_3 one-time pad and F_263 pmfs
+    whose codes pass a byte (those also against every other oracle)."""
+    rng = random.Random(20261019)
+    cases = [random_pmf(rng) for _ in range(100)]
+    for name in PACKAGES:
+        protocol, _, preproc = load_package(name)
+        if name == "bdoz-beaver":
+            preproc = PREPROCS["bdoz-beaver-trim"](protocol)
+        cases.append(bd(protocol, preproc))
+    cases.append(bd(parse_protocol("m[z]@2 := s[x] + r[k] @ 1;\n"
+                                   "m[k]@2 := r[k] @ 1;\n"
+                                   "out@2 := m[z] - m[k] @ 2;\n", modulus=3)))
+    wide = [wide_field_pmf(rng) for _ in range(40)]
+    for pmf in cases + wide:
+        for _ in range(4):
+            vars_ = list(pmf.domain)
+            rng.shuffle(vars_)
+            cut1 = rng.randint(0, min(3, len(vars_)))
+            cut2 = rng.randint(cut1, min(cut1 + 3, len(vars_)))
+            cut3 = rng.randint(cut2, min(cut2 + 3, len(vars_)))
+            x1, x2, x3 = (tuple(vars_[:cut1]), tuple(vars_[cut1:cut2]),
+                          tuple(vars_[cut2:cut3]))
+            assert dist.Counts.of(pmf).cond_shift_witness(x1, x2, x3) \
+                == frac_cond_shift_witness(pmf.domain, pmf.weights, x1, x2, x3)
+    for pmf in wide:
+        check_against_oracle(pmf, rng)
+
+
+def test_conditioned_tests_over_f3():
+    """Uniformity counts all modulus ** len(x2) values, and the global view
+    sums shares mod 3."""
+    pmf = bd(parse_protocol("m[z]@2 := s[x] + r[k] @ 1;\n"
+                            "m[k]@2 := r[k] @ 1;\n"
+                            "out@2 := m[z] - m[k] @ 2;\n", modulus=3))
+    assert pmf.cond_uni((S_X,), (M_Z,)) and pmf.cond_uni((), (M_Z, M_K))
+    assert not pmf.cond_uni((S_X,), (M_Z, M_K))
+    assert pmf.cond_det((S_X,), (OUT2,)) and not pmf.cond_det((M_Z,), (S_X,))
+    assert pmf.cond_sep((OUT2,), (M_K,), (S_X,))
+    assert not pmf.cond_sep((), (S_X,), (M_Z, M_K))
+    shared = bd(parse_protocol("m[w]@2 := s[x] - r[a] @ 1;\nm[w]@1 := r[a] @ 1;\n"
+                               "out@1 := 0 @ 1;\n", modulus=3)).with_global_views(["w"])
+    g = Var("gv", "w")
+    assert all(shared.memory(key)[g] == shared.memory(key)[S_X] for key in shared.counts)

@@ -13,6 +13,7 @@ directory shared by the commands of one session.
 import contextlib
 import io
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -117,13 +118,88 @@ def test_golden_covers_every_command():
     assert [c for c, _, _ in read_golden()] == commands()
 
 
-def test_cli_outputs_match_golden(tmp_path):
-    mismatches = []
+def never_build(*args, **kwargs):
+    raise AssertionError("an F_2 check built a Pmf or a CondTable")
+
+
+def test_cli_outputs_match_golden(tmp_path, monkeypatch):
+    """Every command gives its golden output; the verify commands, which
+    cover all seven properties, do so with no Pmf and no CondTable built."""
+    from overture.dist import CondTable, Pmf
+
+    mismatches, properties = [], set()
     for command, code, stdout in read_golden():
-        got = run_command(command, str(tmp_path))
+        with monkeypatch.context() as patch:
+            if command.startswith("verify "):
+                properties.add(command.split("--property ")[1].split()[0])
+                patch.setattr(Pmf, "__init__", never_build)
+                patch.setattr(CondTable, "__init__", never_build)
+            got = run_command(command, str(tmp_path))
         if got != (code, stdout):
             mismatches.append(format_entry(command, *got))
     assert not mismatches, "".join(mismatches)
+    assert properties == {"correct", "nimo", "gradual-release", "and-tactic",
+                          "gmw-invariant", "cheating-detection", "integrity"}
+
+
+def parse_memory(text: str) -> dict:
+    from overture.lang import BOT, parse_var
+
+    pairs = (cell.rsplit("=", 1) for cell in text.split())
+    return {parse_var(v): BOT if x == "bot" else int(x) for v, x in pairs}
+
+
+def test_passive_witnesses_replay_on_the_interpreter():
+    """Every failing nimo and gradual-release verdict of the golden file,
+    its numbers recomputed as Fractions over the reference interpreter's
+    runs of the package: the printed realizations have those
+    probabilities, and the two printed numbers differ."""
+    from fractions import Fraction
+
+    from overture.stdlib import load_package
+    from test_dist import interpreter_bd
+
+    def prob(pmf, memory):
+        at = [pmf.domain.index(v) for v in memory]
+        return sum((w for key, w in pmf.weights.items()
+                    if all(key[i] == x for i, x in zip(at, memory.values()))), Fraction(0))
+
+    header = re.compile(r"[\w-]+(\[[^\]]*\])?: (holds|FAILS)$")
+    verdicts = set()
+    for command, _, stdout in read_golden():
+        blocks = []
+        for line in stdout.splitlines():
+            if header.match(line):
+                blocks.append([line])
+            elif blocks:
+                blocks[-1].append(line)
+        verdicts.update((command.split()[1], tuple(block)) for block in blocks
+                        if block[0].startswith(("nimo[", "gradual-release["))
+                        and block[0].endswith(": FAILS"))
+    replayed = set()
+    for name, lines in sorted(verdicts):
+        protocol, _, preproc = load_package(name)
+        pmf = interpreter_bd(protocol, preproc)
+        memories = {label.strip(): parse_memory(text) for label, text in
+                    (line.split(": ", 1) for line in lines[2:] if " = " not in line)}
+        numbers = dict(line.strip().split(" = ") for line in lines[2:] if " = " in line)
+        numbers = {label: Fraction(x) for label, x in numbers.items()}
+        if "P(joint)" in numbers:
+            messages, secrets = memories["corrupt messages"], memories["honest secrets"]
+            assert numbers["P(joint)"] == prob(pmf, messages | secrets)
+            assert numbers["P(messages) * P(secrets)"] == prob(pmf, messages) * prob(pmf, secrets)
+            assert numbers["P(joint)"] != numbers["P(messages) * P(secrets)"]
+            replayed.add((name, "gradual-release"))
+        else:
+            m1 = memories["m1 (corrupt secrets and outputs)"]
+            m12 = m1 | memories["m2 (corrupt views)"]
+            secrets = memories["honest secrets"]
+            assert numbers["P(secrets | m1)"] == prob(pmf, m1 | secrets) / prob(pmf, m1)
+            assert numbers["P(secrets | m1, m2)"] == prob(pmf, m12 | secrets) / prob(pmf, m12)
+            assert numbers["P(secrets | m1)"] != numbers["P(secrets | m1, m2)"]
+            replayed.add((name, "nimo"))
+    assert replayed == {("leaky", "nimo"), ("leaky", "gradual-release"),
+                        ("otp", "gradual-release")}
 
 
 def write_golden(path: str = GOLDEN):

@@ -13,7 +13,7 @@ import pytest
 
 from overture import engine, verifier
 from overture.dist import (
-    Counts, ExplicitPreprocessing, Pmf, bd, bd_adv, default_preprocessing,
+    Counts, ExplicitPreprocessing, Functionality, Pmf, bd, bd_adv, default_preprocessing,
 )
 from overture.errors import BudgetError, UsageError
 from overture.interp import IDENTITY, AdversaryStrategy, run
@@ -57,6 +57,17 @@ def test_passive_correct_witness():
                  if any(m[u] != x for u, x in wrong.apply(m).items()))
     assert run_memory == first
     assert (run_memory[parse_var("s[s1]@1")], run_memory[parse_var("s[s2]@2")]) == (0, 1)
+
+
+def test_passive_correct_rejects_aborted_runs():
+    # the output is right in every run, but runs with s[x] = 1 abort after it
+    protocol = parse_protocol("out@1 := s[x] @ 1;\nassert (s[x] == 0) @ 1;\n")
+    fn = Functionality.parse("s[x]@1=0 -> out@1=0\ns[x]@1=1 -> out@1=1\n")
+    assert check_passive_correct(protocol, fn).format() == (
+        "passive-correct: FAILS\n"
+        "run output differs from the functionality\n"
+        "  run: out@1=1 s[x]@1=1\n"
+        "  expected outputs: out@1=1")
 
 
 def test_passive_correct_domain_checks():
@@ -129,7 +140,15 @@ def test_and_gate_tactic_rejects_unmasked_gate():
     assert status["cond_det({<m[x]>,<m[y]>} -> <m[z]>)"] == "FAILS"
     assert status["cond_uni({<m[x]>,<m[y]>} -> m[z]@1)"] == "holds"
     assert status["cond_uni({<m[x]>,<m[y]>} -> m[z]@2)"] == "FAILS"
-    assert v.witness is not None
+    # the first failing check, at its first failing conditioning realization
+    assert v.format() == (
+        "and-gate-tactic: FAILS\n"
+        "  cond_det({<m[x]>,<m[y]>} -> <m[z]>): FAILS\n"
+        "  cond_uni({<m[x]>,<m[y]>} -> m[z]@1): holds\n"
+        "  cond_uni({<m[x]>,<m[y]>} -> m[z]@2): FAILS\n"
+        "  cond_sep({<m[x]>,<m[y]>}; <m[z]>; {m[z]@1,m[z]@2}): FAILS\n"
+        "cond_det({<m[x]>,<m[y]>} -> <m[z]>) fails at conditioning realization\n"
+        "  conditioned on: <m[x]>=0 <m[y]>=0")
 
 
 def test_and_gate_tactic_shape_errors():
@@ -158,8 +177,54 @@ def test_gmw_invariant_rejects_direct_copy():
     v = check_gmw_invariant(copy, "w", part)
     assert not v.ok
     assert any("cond_uni" in d and d.endswith("FAILS") for d in v.details)
+    assert v.format() == (
+        "gmw-invariant[w, corrupt={2}]: FAILS\n"
+        "  cond_det(S -> <m[w]>): holds\n"
+        "  cond_uni(S -> received messages {m[w]@2}): FAILS\n"
+        "  cond_sep(S; <m[w]>; shares): holds\n"
+        "cond_uni(S -> received messages {m[w]@2}) fails at conditioning realization\n"
+        "  conditioned on: s[x]@1=0")
     with pytest.raises(UsageError):
         check_gmw_invariant(copy, "nope", part)
+
+
+OTP_F3 = ("m[z]@2 := s[x] + r[k] @ 1;\n"
+          "m[k]@2 := r[k] @ 1;\n")
+
+
+def test_passive_checks_over_f3():
+    """The F_p branch of nimo and gradual release, through the API (the CLI
+    verifies F_2 only): the F_3 one-time pad, and a variant whose output
+    drops the secret while ciphertext and pad still carry it, shifted by 1
+    so that the first failing views exclude the secret they are tested at."""
+    otp = parse_protocol(OTP_F3 + "out@2 := m[z] - m[k] @ 2;\n", modulus=3)
+    leak = parse_protocol(OTP_F3.replace("r[k] @ 1;", "r[k] + 1 @ 1;", 1)
+                          + "out@2 := 0 @ 2;\n", modulus=3)
+    released = ("corrupt messages are correlated with honest secrets\n"
+                "  corrupt messages: m[k]@2=0 m[z]@2=0\n"
+                "  honest secrets: s[x]@1=0\n")
+    for p in (otp, leak):
+        part = Partition.of(p.federation, [1])
+        assert check_nimo(p, part).format() == "nimo[corrupt={1}]: holds\n  no honest secrets"
+        assert check_gradual_release(p, part).format() == \
+            "gradual-release[corrupt={1}]: holds\n  no corrupt messages or no honest secrets"
+    part = Partition.of(otp.federation, [2])
+    assert check_nimo(otp, part).format() == \
+        "nimo[corrupt={2}]: holds\n  9 positive view realizations checked"
+    assert check_gradual_release(otp, part).format() == (
+        "gradual-release[corrupt={2}]: FAILS\n" + released
+        + "  P(joint) = 1/9\n  P(messages) * P(secrets) = 1/27")
+    assert check_nimo(leak, part).format() == (
+        "nimo[corrupt={2}]: FAILS\n"
+        "conditioning on corrupt views changes the honest-secret distribution\n"
+        "  m1 (corrupt secrets and outputs): out@2=0\n"
+        "  m2 (corrupt views): m[k]@2=0 m[z]@2=0\n"
+        "  honest secrets: s[x]@1=0\n"
+        "  P(secrets | m1) = 1/3\n"
+        "  P(secrets | m1, m2) = 0")
+    assert check_gradual_release(leak, part).format() == (
+        "gradual-release[corrupt={2}]: FAILS\n" + released
+        + "  P(joint) = 0\n  P(messages) * P(secrets) = 1/27")
 
 
 def test_corrupt_positions_and_enumeration():
