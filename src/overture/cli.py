@@ -14,7 +14,8 @@ import sys
 from . import stdlib
 from .datalog import Clause, Program, format_program, lhm, parse_program_dl, to_datalog
 from .dist import (
-    Functionality, check_deal, default_preprocessing, domain_positions, write_pmf,
+    Functionality, bd_domain, check_deal, default_preprocessing, domain_positions,
+    write_pmf,
 )
 from .errors import OvertureError, ParseError, UsageError
 from .interp import run as run_protocol
@@ -131,10 +132,10 @@ def _preproc_for(args, protocol):
 def cmd_pmf(args) -> int:
     """Print the exact distribution of the runs, marginalized to --marginal
     (default: every variable but those of --given) and conditioned on the
-    runs matching --given.  The runs are folded once and the text is
-    written from the run table a chunk at a time (dist.write_pmf), with no
-    Pmf, no key tuple and no whole text: about 5 s and 360 MB for the
-    1.3 GB of text of bdoz-beaver's 2^21 runs on a 2-core machine."""
+    runs matching --given.  The runs are folded and counted a block at a
+    time (engine.count_runs) and the text is written a chunk at a time
+    (dist.write_pmf), with no Pmf, no key tuple, no whole run table and
+    no whole text."""
     from . import engine
 
     if args.field != 2:
@@ -142,18 +143,18 @@ def cmd_pmf(args) -> int:
     protocol, _, preproc = _load_protocol(args.file, args.lib, args.field)
     chosen = _preproc_for(args, protocol) or preproc or default_preprocessing(protocol)
     check_deal(protocol, chosen)
-    table = engine.fold(protocol, chosen)
+    domain = bd_domain(protocol, chosen)
     given = _parse_assignment_list(args.given) if args.given else {}
     shown = _parse_vars(args.marginal) if args.marginal else \
-        tuple(v for v in table.domain if v not in given)
-    domain_positions(table.domain, tuple(given))
-    domain_positions(table.domain, shown)
+        tuple(v for v in domain if v not in given)
+    domain_positions(domain, tuple(given))
+    domain_positions(domain, shown)
     if len(set(shown)) != len(shown):
         raise UsageError("duplicate variables in pmf domain")
-    rows = engine.rows_matching(table, given) if given else None
-    if rows is not None and not rows.any():
+    rows = (lambda table: engine.rows_matching(table, given)) if given else None
+    if not write_pmf(sys.stdout.write, shown, lambda vars_: engine.count_runs(
+            protocol, chosen, vars_, rows=rows, first=False)):
         raise UsageError("conditioning row has probability zero")
-    write_pmf(sys.stdout.write, table, shown, rows)
     return 0
 
 

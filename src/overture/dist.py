@@ -49,12 +49,16 @@ class Preprocessing:
         raise NotImplementedError
 
     def columns(self):
-        """Columnar view for the vectorized engine: dict var -> uint8 array."""
+        """Columnar view for the vectorized engine: dict var -> uint8 array
+        of one entry per memory, in memories() order."""
+        return self.slice_columns(0, self.count())
+
+    def slice_columns(self, lo: int, hi: int):
+        """columns() of the memories lo..hi-1 alone, here read from memories()."""
         import numpy as np
 
-        n = self.count()
-        cols = {v: np.empty(n, dtype=np.uint8) for v in self.domain}
-        for i, m in enumerate(self.memories()):
+        cols = {v: np.empty(hi - lo, dtype=np.uint8) for v in self.domain}
+        for i, m in enumerate(itertools.islice(self.memories(), lo, hi)):
             for v in self.domain:
                 cols[v][i] = m[v]
         return cols
@@ -77,13 +81,14 @@ class UniformPreprocessing(Preprocessing):
         for values in itertools.product(range(self.modulus), repeat=len(self.domain)):
             yield dict(zip(self.domain, values))
 
-    def columns(self):
-        from .engine import bit_column
+    def slice_columns(self, lo: int, hi: int):
+        """Over F_2 memory i's bits, first variable most significant."""
+        from .engine import bit_range
 
         if self.modulus != 2:
-            return super().columns()
-        n, last = self.count(), len(self.domain) - 1
-        return {v: bit_column(n, last - i) for i, v in enumerate(self.domain)}
+            return super().slice_columns(lo, hi)
+        last = len(self.domain) - 1
+        return {v: bit_range(lo, hi, last - i) for i, v in enumerate(self.domain)}
 
 
 class ExplicitPreprocessing(Preprocessing):
@@ -325,11 +330,18 @@ class Counts:
         one row of each group."""
         import numpy as np
 
-        # one byte key per row, which sorts far faster than np.unique(axis=0);
-        # a zero first column keeps the key nonempty when vars_ is empty
-        rows = np.zeros((len(self.codes), 1 + len(vars_)), dtype=self.codes.dtype)
-        rows[:, 1:] = self._columns(vars_)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        codes, bits = self._columns(vars_), self.modulus.bit_length()
+        if self.modulus < 256 and bits * len(vars_) <= 64:
+            # one integer key per row, first column most significant: while
+            # every code fits a byte, it sorts as the byte key below does
+            shifts = np.arange(len(vars_) - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
+            keys = (codes.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+        else:
+            # one byte key per row, which sorts far faster than np.unique(axis=0);
+            # a zero first column keeps the key nonempty when vars_ is empty
+            rows = np.zeros((len(codes), 1 + len(vars_)), dtype=codes.dtype)
+            rows[:, 1:] = codes
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         mass = np.zeros(len(first), dtype=np.int64 if self.total < 2 ** 31 else object)
         np.add.at(mass, group, self.counts)
@@ -628,8 +640,8 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
         preproc = default_preprocessing(protocol)
     check_deal(protocol, preproc)
     if protocol.modulus == 2:
-        table = engine.fold(protocol, preproc, strategy, part)
-        return engine.project(table, table.domain).to_pmf()
+        return engine.project_runs(protocol, preproc, bd_domain(protocol, preproc),
+                                   strategy, part).to_pmf()
     total = preproc.count() * protocol.modulus ** len(protocol.flips())
     if total > engine.MAX_RUNS:
         raise BudgetError(f"{total} runs exceed the run budget of {engine.MAX_RUNS}")
@@ -715,25 +727,26 @@ def _byte_rows(cells, width: int):
     return out
 
 
-def write_pmf(write, table, vars_, rows=None) -> None:
-    """Write the pmf text of a fold's run table over vars_, counting the
-    runs in the bool mask rows (all by default) out of their number: the
+def write_pmf(write, vars_, count) -> int:
+    """Write the pmf text over vars_ of the runs that count counts: the
     lines format_pmf gives for that distribution, made with no Pmf and no
-    key tuple.  Over F_2 every line holds the same cells in the same
-    order and "0" < "1" < "bot", with the separator below every value
-    character, so the lines sort as the code rows in display-column order
-    do: engine.distinct_rows counts them in that order, and render_pmf
-    writes them a chunk at a time."""
+    key tuple.  count(vars) returns engine.distinct_rows output over the
+    variables in the order given.  Over F_2 every line holds the same
+    cells in the same order and "0" < "1" < "bot", with the separator
+    below every value character, so the lines sort as the code rows in
+    display-column order do: they are counted in that order, and
+    render_pmf writes them a chunk at a time.  Returns the number of runs
+    counted (with none, no line)."""
     from . import engine
 
     names = [str(v) for v in vars_]
     order = sorted(range(len(names)), key=names.__getitem__)
-    codes, counts, _ = engine.distinct_rows(table, [vars_[i] for i in order], rows, first=False)
-    has_bot = (codes == engine.BOT_CODE).any(axis=0).tolist() \
-        if any(table.bots.get(v) is not None for v in vars_) else [False] * len(order)
+    codes, counts, _ = count([vars_[i] for i in order])
+    has_bot = (codes == engine.BOT_CODE).any(axis=0).tolist()
     labels = [_F2_LABELS if b else _F2_LABELS[:2] for b in has_bot]
-    total = table.nrows if rows is None else int(counts.sum())
+    total = int(counts.sum())
     render_pmf(write, [names[i] for i in order], labels, codes, counts, total)
+    return total
 
 
 def format_pmf(pmf: Pmf) -> str:

@@ -8,12 +8,41 @@ initial memory of the reference interpreter's sweep: preprocessing
 memories in their memories() order, then coin-flip tapes with the first
 flip as the most significant bit.  Projections list realizations in the
 order of their first run, so distributions built here iterate like those
-built by the interpreter.
+built by the interpreter.  Each command is compiled once per protocol
+into a function of the columns (_plan), its references resolved to
+variables there, and every fold of that protocol reuses it.
 
-Deal and flip columns are built as bit columns (bit_column) by tiling a
-repeated 0/1 block, with no 64-bit row index; without flips the deal's
-columns are used as they are.  A fold of more than MAX_RUNS runs raises
-BudgetError before any column is built.
+fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table.  Deal
+columns come from the deal's columns() for a whole table and from its
+slice_columns(lo, hi) for the memories of a block; flip columns are bits
+of the row index.  Bit columns (bit_column, bit_range) are built by tiling
+a repeated 0/1 block, with no 64-bit row index, and a column of a block
+of at most BLOCK_ROWS rows that is constant or aligned to its bit's
+period is one shared read-only array: a block of a tall uniform deal
+builds only the columns derived from its bits.  A fold of more than
+MAX_RUNS runs raises BudgetError before any column is built.
+
+The passive checks, bd and the pmf text count the runs block by block
+(count_runs), so that no whole run table, nor any whole deal column, of a
+tall deal is held: each block of BLOCK_ROWS = 2^16 runs is folded and its
+distinct rows counted, and the blocks' counts are merged exactly, in code
+order, each row's first run taken from the earliest block that has it
+(a block needs first runs only when it brings new rows).  A table of at
+most BLOCK_ROWS runs is one block and one count.  This is the
+cache-resident vector of MonetDB/X100 (Boncz, Zukowski and Nes, CIDR
+2005) applied to the fold: a block's columns are 64 KB, so those an
+operation reads and writes stay in a core's 2 MB L2 cache, where whole
+columns of 2 MB do not.  Fold plus count of the 12
+variables of nimo over the 2^21-run Beaver deal, on a 2-core x86 machine
+(Python 3.11, numpy 2.4; median of 3 processes of 15 counts each, and
+each process's peak RSS):
+
+    block   whole   2^14    2^15    2^16    2^17    2^18    2^19    2^20
+    time    0.12 s  0.18 s  0.11 s  0.08 s  0.07 s  0.07 s  0.08 s  0.08 s
+    RSS     160 MB  45 MB   40 MB   39 MB   44 MB   54 MB   76 MB   120 MB
+
+Below 2^16 the fixed cost of a fold and a count per block dominates;
+above it the columns leave the cache and the memory grows with the block.
 
 A strategy family folds as stacked runs, in the way parallel fault
 simulation runs many faults in one pass.  family_of turns a sequence of
@@ -34,15 +63,14 @@ stacked runs (strategies times runs) raises BudgetError.
 
 Every check counts the distinct rows of codes over some variables: a
 variable's code is its value, or BOT_CODE where it is BOT.  distinct_rows
-does this for every check (project gives the passive checks their
-dist.Counts), for bd and for the pmf text (dist.write_pmf).  It keys each
-run over w bits, 1 per variable, or 2 when a variable has a BOT mask, and
-takes one of three paths by input size:
+does this for one table, and count_runs for the blocks of a fold.  It
+keys each run over w bits, 1 per variable, or 2 when a variable has a BOT
+mask, and takes one of three paths by input size:
 - 2**w at most the runs counted: one integer key per run, counted by
   np.bincount into a dense table of 2**w bins.  This is linear in runs,
   with no sort, and the ascending bins are already in code order.  A tall
-  table projected to a few variables (the 2^21-run Beaver deal to 12)
-  takes this path.
+  table projected to a few variables (a block of the 2^21-run Beaver deal
+  to 12) takes this path.
 - otherwise, with w at most 64, the integer keys are sorted by np.unique:
   2^19 random 40-bit keys take 0.023 s as uint64 against 0.23 s as bytes
   on a 2-core x86 machine, or 0.13 s against 0.25 s when first runs are
@@ -52,10 +80,13 @@ takes one of three paths by input size:
 pack_keys is the one byte-key format: b bits per column, first column most
 significant, in big-endian bytes, so byte order is code order, as integer
 order is for the integer keys.  Every path unpacks the codes from the
-distinct keys.  row_keys applies pack_keys to a code matrix for the
-verifier's comparisons.
+bytes of the distinct keys.  The merge of blocks keys their code rows
+with np.packbits in the same formats and counts them the same way, with
+a stable sort, which merges the blocks' already sorted rows.  row_keys
+applies pack_keys to a code matrix for the verifier's comparisons.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,9 +96,8 @@ import numpy as np
 from .errors import BudgetError, EvalError, UsageError
 from .interp import AdversaryStrategy, _check_replacement_visibility
 from .lang import (
-    BOT, AssertCmd, BinOp, Cmp, Const, MesgSend, Not, OT, OT4, OutputCmd,
-    PAnd, PNot, POr, Partition, Protocol, Ref, RevealCmd, Var, assigned_var,
-    computing_client, REVEAL,
+    AssertCmd, BinOp, BOT, Cmp, Const, Not, OT, OT4, PAnd, PNot, POr,
+    Partition, Protocol, Ref, Var, assigned_var, computing_client, REVEAL,
 )
 
 
@@ -81,6 +111,7 @@ class RunTable:
 
 
 MAX_RUNS = 2 ** 24  # run budget of one fold; the full Beaver deal is 2^21
+BLOCK_ROWS = 2 ** 16  # runs folded and counted at once by count_runs
 
 
 _BIT_PAIR = np.array([0, 1], dtype=np.uint8)
@@ -96,6 +127,36 @@ def bit_column(n: int, i: int) -> "np.ndarray":
     return block[None].repeat(n // (2 * half), axis=0).reshape(n)
 
 
+@functools.lru_cache(maxsize=64)  # at most 4 MB of columns of BLOCK_ROWS
+def _shared(n: int, i, value: int = 0) -> "np.ndarray":
+    """A read-only column of n entries, built once per argument: bit_column(n,
+    i), or value everywhere when i is None.  bit_range calls it unwrapped
+    for columns longer than a block."""
+    col = np.full(n, value, dtype=np.uint8) if i is None else bit_column(n, i)
+    col.flags.writeable = False
+    return col
+
+
+def bit_range(lo: int, hi: int, i: int) -> "np.ndarray":
+    """Bit i of each of lo..hi-1 as a uint8 column.  Where the bit is
+    constant over the range, or the range is aligned to its period, and
+    the range is at most BLOCK_ROWS long, every call shares one read-only
+    column: the blocks of a deal then build few columns each."""
+    n, half = hi - lo, 1 << i
+    value, change = lo >> i & 1, half - lo % half  # bit i at lo, and where it next changes
+    make = _shared if n <= BLOCK_ROWS else _shared.__wrapped__  # whole deals are not kept
+    if change >= n:
+        return make(n, None, value)
+    start = lo % (2 * half)
+    if not start and not n % (2 * half):
+        return make(n, i)
+    if half >= n:  # it changes once
+        col = np.full(n, value, dtype=np.uint8)
+        col[change:] ^= 1
+        return col
+    return bit_column(-(-(start + n) // (2 * half)) * 2 * half, i)[start:start + n]
+
+
 def _runs(protocol: Protocol, preproc) -> int:
     """The number of runs; BudgetError above MAX_RUNS."""
     nrows = preproc.count() * 2 ** len(protocol.flips())
@@ -104,79 +165,134 @@ def _runs(protocol: Protocol, preproc) -> int:
     return nrows
 
 
-def _initial_columns(protocol: Protocol, preproc, copies: int = 1):
-    """The deal and flip columns of the runs, tiled copies times."""
-    nrows = _runs(protocol, preproc)
+def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int) -> dict:
+    """The deal and flip columns of runs lo..hi-1: from the deal's
+    columns() for all of them, else from its slice_columns over the
+    memories they cover.  Run = memory index * 2**k + tape for k coin
+    flips, so flip i is bit k-1-i of the run."""
     flips = protocol.flips()
-    ntape = 2 ** len(flips)
-    pre_cols = preproc.columns()
-    if ntape == 1:
-        cols = {v: pre_cols[v] for v in preproc.domain}
-    else:
-        cols = {v: np.repeat(pre_cols[v], ntape) for v in preproc.domain}
-    # row = memory index * ntape + tape, so flip i is bit k-1-i of the row
     k = len(flips)
+    reps = 1 << k
+    if (lo, hi) == (0, runs):
+        pre = preproc.columns()
+    else:
+        first, last = lo >> k, ((hi - 1) >> k) + 1
+        pre = preproc.slice_columns(first, last)
+        if (lo | hi) % reps:  # the runs of each memory inside the range
+            reps = np.diff(np.clip(np.arange(first, last + 1) << k, lo, hi))
+    cols = {v: np.repeat(pre[v], reps) if k else pre[v] for v in preproc.domain}
     for i, v in enumerate(flips):
-        cols[v] = bit_column(nrows, k - 1 - i)
-    if copies > 1:
-        cols = {v: np.tile(col, copies) for v, col in cols.items()}
-    domain = tuple(preproc.domain) + flips
-    return domain, cols, nrows * copies
+        cols[v] = bit_range(lo, hi, k - 1 - i)
+    return cols
 
 
-def _eval_col(cols, e, client: int, nrows: int):
+def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None):
+    """The deal and flip columns of the rows lo..hi-1 (block; all rows by
+    default) of the runs stacked copies times, row r holding run r % runs:
+    (domain, columns, number of rows)."""
+    runs = _runs(protocol, preproc)
+    lo, hi = (0, runs * copies) if block is None else block
+    # the runs each copy that the rows cross contributes, each range built once
+    pieces = [(max(lo - s * runs, 0), min(hi - s * runs, runs))
+              for s in range(lo // runs, -(-hi // runs))]
+    built = {p: _run_columns(protocol, preproc, runs, *p) for p in dict.fromkeys(pieces)}
+    cols = built[pieces[0]]
+    if len(pieces) > 1:
+        cols = {v: np.concatenate([built[p][v] for p in pieces]) for v in cols}
+    return tuple(preproc.domain) + protocol.flips(), cols, hi - lo
+
+
+_BINOPS = {"+": np.bitwise_xor, "-": np.bitwise_xor, "xor": np.bitwise_xor,
+           "*": np.bitwise_and, "and": np.bitwise_and, "or": np.bitwise_or}
+
+
+def _compile(e, client: int):
+    """A function (cols, nrows) -> the column of expression e evaluated by
+    client over the runs, each Ref resolved to its Var here, once."""
     if isinstance(e, Const):
         if e.value not in (0, 1):
             raise EvalError(f"constant {e.value} out of range for F_2")
-        return np.full(nrows, e.value, dtype=np.uint8)
+        return lambda cols, n: np.full(n, e.value, dtype=np.uint8)
     if isinstance(e, Ref):
-        owner = None if e.kind == REVEAL else client
-        var = Var(e.kind, e.name, owner)
-        if var not in cols:
-            raise EvalError(f"{var} unbound")
-        return cols[var]
+        var = Var(e.kind, e.name, None if e.kind == REVEAL else client)
+
+        def read(cols, n):
+            col = cols.get(var)
+            if col is None:
+                raise EvalError(f"{var} unbound")
+            return col
+        return read
     if isinstance(e, BinOp):
-        a = _eval_col(cols, e.left, client, nrows)
-        b = _eval_col(cols, e.right, client, nrows)
-        if e.op in ("+", "-", "xor"):
-            return a ^ b
-        if e.op in ("*", "and"):
-            return a & b
-        if e.op == "or":
-            return a | b
-        raise EvalError(f"unknown operator {e.op}")
+        if e.op not in _BINOPS:
+            raise EvalError(f"unknown operator {e.op}")
+        op, a, b = _BINOPS[e.op], _compile(e.left, client), _compile(e.right, client)
+        if isinstance(e.left, Ref):
+            return lambda cols, n: op(a(cols, n), b(cols, n))
+
+        def into_left(cols, n):  # the left operand is a fresh column: reuse it
+            x = a(cols, n)
+            return op(x, b(cols, n), out=x)
+        return into_left
     if isinstance(e, Not):
-        return _eval_col(cols, e.operand, client, nrows) ^ np.uint8(1)
+        a = _compile(e.operand, client)
+        return lambda cols, n: a(cols, n) ^ np.uint8(1)
     if isinstance(e, OT):
-        c = _eval_col(cols, e.choice, e.receiver, nrows)
-        a = _eval_col(cols, e.if1, client, nrows)
-        b = _eval_col(cols, e.if0, client, nrows)
-        return np.where(c == 1, a, b)
+        c = _compile(e.choice, e.receiver)
+        a, b = _compile(e.if1, client), _compile(e.if0, client)
+        return lambda cols, n: np.where(c(cols, n) == 1, a(cols, n), b(cols, n))
     if isinstance(e, OT4):
-        c1 = _eval_col(cols, e.c1, e.receiver, nrows)
-        c2 = _eval_col(cols, e.c2, e.receiver, nrows)
-        rows = [_eval_col(cols, r, client, nrows) for r in e.rows]
-        sel = (c1 << 1) | c2  # (1,1)->3, (1,0)->2, (0,1)->1, (0,0)->0
-        out = rows[3].copy()  # (0,0)
-        np.copyto(out, rows[2], where=sel == 1)
-        np.copyto(out, rows[1], where=sel == 2)
-        np.copyto(out, rows[0], where=sel == 3)
-        return out
+        c1, c2 = _compile(e.c1, e.receiver), _compile(e.c2, e.receiver)
+        rows = [_compile(r, client) for r in e.rows]
+
+        def ot4(cols, n):
+            sel = (c1(cols, n) << 1) | c2(cols, n)  # (1,1)->3, (1,0)->2, (0,1)->1, (0,0)->0
+            out = rows[3](cols, n).copy()  # (0,0)
+            np.copyto(out, rows[2](cols, n), where=sel == 1)
+            np.copyto(out, rows[1](cols, n), where=sel == 2)
+            np.copyto(out, rows[0](cols, n), where=sel == 3)
+            return out
+        return ot4
     raise EvalError(f"not an expression: {e!r}")
 
 
-def _eval_pred_col(cols, pred, client: int, nrows: int):
+def _compile_pred(pred, client: int):
+    """_compile for an assertion predicate: a function giving a bool column."""
     if isinstance(pred, Cmp):
-        a = _eval_col(cols, pred.left, client, nrows)
-        b = _eval_col(cols, pred.right, client, nrows)
-        return (a == b) if pred.op == "==" else (a != b)
-    if isinstance(pred, PAnd):
-        return _eval_pred_col(cols, pred.left, client, nrows) & _eval_pred_col(cols, pred.right, client, nrows)
-    if isinstance(pred, POr):
-        return _eval_pred_col(cols, pred.left, client, nrows) | _eval_pred_col(cols, pred.right, client, nrows)
+        a, b = _compile(pred.left, client), _compile(pred.right, client)
+        if pred.op == "==":
+            return lambda cols, n: a(cols, n) == b(cols, n)
+        return lambda cols, n: a(cols, n) != b(cols, n)
+    if isinstance(pred, (PAnd, POr)):
+        op = np.logical_and if isinstance(pred, PAnd) else np.logical_or
+        a, b = _compile_pred(pred.left, client), _compile_pred(pred.right, client)
+        return lambda cols, n: op(a(cols, n), b(cols, n))
     if isinstance(pred, PNot):
-        return ~_eval_pred_col(cols, pred.operand, client, nrows)
+        a = _compile_pred(pred.operand, client)
+        return lambda cols, n: ~a(cols, n)
     raise EvalError(f"not a predicate: {pred!r}")
+
+
+# the protocol last folded and its plan; holding the protocol keeps its
+# identity from passing to another object, so identity is a sound key
+_compiled = (None, ())
+
+
+def _plan(protocol: Protocol) -> tuple:
+    """Per command of the protocol: its computing client, its compiled
+    expression or predicate and the variable it assigns (None for an
+    assertion).  Kept for the last protocol folded, so the blocks of one
+    count compile it once."""
+    global _compiled
+    if _compiled[0] is not protocol:
+        plan = []
+        for cmd in protocol.commands:
+            client = computing_client(cmd)
+            if isinstance(cmd, AssertCmd):
+                plan.append((client, _compile_pred(cmd.pred, client), None))
+            else:
+                plan.append((client, _compile(cmd.expr, client), assigned_var(cmd)))
+        _compiled = (protocol, tuple(plan))
+    return _compiled[1]
 
 
 class Family(NamedTuple):
@@ -237,44 +353,50 @@ def chunks(protocol: Protocol, preproc, family: Family) -> list:
 
 
 def fold(protocol: Protocol, preproc, strategy=None,
-         part: Partition = None) -> RunTable:
+         part: Partition = None, block=None) -> RunTable:
     """The run table of the protocol: passive with no strategy, else under
     an AdversaryStrategy or every strategy of a Family, stacked (see the
-    module docstring)."""
+    module docstring).  With block = (lo, hi), only the rows lo..hi-1 of
+    that table, as a table of hi - lo rows."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     copies = 1 if strategy is None else len(strategy.choice)
-    domain, cols, nrows = _initial_columns(protocol, preproc, copies)
-    runs = nrows // copies
+    domain, cols, nrows = _initial_columns(protocol, preproc, copies, block)
+    if strategy is not None:
+        # the rows of each strategy the block crosses, row r being strategy r // runs
+        runs, lo = _runs(protocol, preproc), 0 if block is None else block[0]
+        s0 = lo // runs
+        reps = np.diff(np.clip(np.arange(s0, -(-(lo + nrows) // runs) + 1) * runs,
+                               lo, lo + nrows))
+
+        def per_row(x):
+            return np.repeat(x[s0:s0 + len(reps)], reps)
     domain = list(domain)
     bots = {v: None for v in domain}
     alive = np.ones(nrows, dtype=bool)
     dead = None  # the BOT mask of later assignments, one array until alive changes
     corrupt = part.corrupt if part is not None else frozenset()
-    for i, cmd in enumerate(protocol.commands):
-        client = computing_client(cmd)
+    for i, (client, compiled, var) in enumerate(_plan(protocol)):
         is_corrupt = client in corrupt and strategy is not None
-        if isinstance(cmd, AssertCmd):
+        if var is None:  # an assertion
             if not is_corrupt:
-                alive &= _eval_pred_col(cols, cmd.pred, cmd.client, nrows)
+                alive &= compiled(cols, nrows)
             elif i in strategy.aborts:
                 j = len(strategy.positions) + strategy.aborts.index(i)
-                alive &= (strategy.choice[:, j] == 0).repeat(runs)
+                alive &= per_row(strategy.choice[:, j] == 0)
             dead = None if alive.all() else ~alive
             continue
-        col = _eval_col(cols, cmd.expr, client, nrows)
+        col = compiled(cols, nrows)
         if is_corrupt and i in strategy.positions:
             j = strategy.positions.index(i)
             choice = strategy.choice[:, j]
             for k in np.unique(choice[choice > 0]).tolist():
                 expr = strategy.options[j][k - 1]
-                if expr is not cmd.expr:
+                if expr is not protocol.commands[i].expr:
                     _check_replacement_visibility(expr, client, part)
-                col = np.where((choice == k).repeat(runs),
-                               _eval_col(cols, expr, client, nrows), col)
-        var = assigned_var(cmd)
+                col = np.where(per_row(choice == k), _compile(expr, client)(cols, nrows), col)
         if var in cols:
             raise EvalError(f"{var} assigned twice")
         cols[var] = col
@@ -322,9 +444,83 @@ def pack_keys(columns, bits: int, n: int) -> "np.ndarray":
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def row_keys(values) -> "np.ndarray":
-    """pack_keys of the rows of a value matrix, 2 bits per column."""
-    return pack_keys(values.T, 2, len(values))
+def row_keys(values, bits: int = 2) -> "np.ndarray":
+    """pack_keys of the columns of a code matrix, bits bits per column,
+    made row by row by np.packbits."""
+    n, ncols = values.shape
+    if not ncols:
+        return pack_keys((), bits, n)
+    planes = values if bits == 1 else \
+        np.stack([values >> 1, values & 1], axis=2).reshape(n, 2 * ncols)
+    packed = np.packbits(planes, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _column_keys(columns, bits: int, ncols: int, n: int) -> "np.ndarray":
+    """One key per run from an iterable of ncols n-long uint8 code columns:
+    while bits * ncols fits 64 bits, an unsigned integer of bits bits a
+    column, first column most significant; else pack_keys."""
+    width = bits * ncols
+    if width > 64:
+        return pack_keys(columns, bits, n)
+    keys = np.zeros(n, dtype=np.min_scalar_type(2 ** width - 1))
+    for code in columns:
+        keys <<= bits
+        keys |= code
+    return keys
+
+
+def _matrix_keys(codes, bits: int) -> "np.ndarray":
+    """_column_keys of the columns of a code matrix: its row_keys, read as
+    a big-endian integer with the key right-aligned while it fits 64 bits."""
+    keys, width = row_keys(codes, bits), bits * codes.shape[1]
+    if width > 64:
+        return keys
+    dtype = np.min_scalar_type(2 ** width - 1)
+    wide = np.zeros((len(keys), dtype.itemsize), dtype=np.uint8)
+    wide[:, dtype.itemsize - keys.itemsize:] = keys.view(np.uint8).reshape(len(keys), -1)
+    keys = wide.view(dtype.newbyteorder(">")).ravel() >> (8 * keys.itemsize - width)
+    return keys.astype(dtype)
+
+
+def _unpack(keys, bits: int, ncols: int) -> "np.ndarray":
+    """The code rows of keys in _column_keys' format, as a uint8 matrix:
+    the key bytes unpacked by np.unpackbits, with no wider matrix."""
+    width = bits * ncols
+    if keys.dtype.kind == "V":
+        raw = keys.view(np.uint8).reshape(len(keys), keys.itemsize)
+        planes = np.unpackbits(raw, axis=1, count=width)
+    else:
+        big = keys.astype(keys.dtype.newbyteorder(">"))
+        raw = big.view(np.uint8).reshape(len(keys), keys.itemsize)
+        planes = np.unpackbits(raw, axis=1)[:, 8 * keys.itemsize - width:]
+    return planes if bits == 1 else (planes[:, 0::2] << 1) | planes[:, 1::2]
+
+
+def _distinct(keys, bits: int, ncols: int, first: bool, weights=None):
+    """The distinct code rows of runs keyed by _column_keys, in code order:
+    (codes, counts, first), first the index of each one's first run if
+    asked for, else None.  weights, if given, is each key's run count, and
+    a distinct row's count their sum.  The module docstring says which
+    counting path a call takes, and why."""
+    n = len(keys)
+    if keys.dtype.kind != "V" and 2 ** (bits * ncols) <= n:
+        counts = np.bincount(keys, weights, 2 ** (bits * ncols))
+        if first:
+            found = np.full(len(counts), n, dtype=np.intp)
+            np.minimum.at(found, keys, np.arange(n))
+        keys = np.flatnonzero(counts)
+        counts, found = counts[keys], found[keys] if first else None
+    else:
+        keys, *found, counts = np.unique(keys, return_index=first,
+                                         return_inverse=weights is not None,
+                                         return_counts=True)
+        if weights is not None:
+            counts = np.bincount(found.pop(), weights, len(keys))
+        found = found[0] if first else None
+    if weights is not None:  # summed as float64: exact, no count passes MAX_STACKED_RUNS
+        counts = counts.astype(np.int64)
+    return _unpack(keys, bits, ncols), counts, found
 
 
 def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
@@ -335,49 +531,85 @@ def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
     (codes, counts, first): a (distinct rows, len(lead) + len(vars_))
     uint8 matrix, each row's run count and, if first is true, the index
     of its first counted run (else None: the sort then needs no stable
-    argsort).  The module docstring says which counting path a call
-    takes, and why."""
+    argsort)."""
     vars_ = _check_vars(table, vars_)
     bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
-    ncols = len(lead) + len(vars_)
-    width = bits * ncols
     n = table.nrows if rows is None else int(np.count_nonzero(rows))
     columns = [c if rows is None else c[rows] for c in lead]
     columns = itertools.chain(columns, (_code(table, v, rows) for v in vars_))
-    if width > 64:
-        keys, *found, counts = np.unique(pack_keys(columns, bits, n),
-                                         return_index=first, return_counts=True)
-        codes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), keys.itemsize),
-                              axis=1, count=width)
-        if bits == 2:
-            codes = (codes[:, 0::2] << 1) | codes[:, 1::2]
-        return codes, counts, found[0] if first else None
-    keys = np.zeros(n, dtype=np.min_scalar_type(2 ** width - 1))
-    for code in columns:
-        keys <<= bits
-        keys |= code
-    if 2 ** width <= n:
-        counts = np.bincount(keys, minlength=2 ** width)
-        if first:
-            found = np.full(len(counts), n, dtype=np.intp)
-            np.minimum.at(found, keys, np.arange(n))
-        keys = np.flatnonzero(counts)
-        counts, found = counts[keys], [found[keys]] if first else []
-    else:
-        keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
-    shifts = (bits * np.arange(ncols - 1, -1, -1)).astype(keys.dtype)
-    codes = ((keys[:, None] >> shifts) & (2 ** bits - 1)).astype(np.uint8)
-    return codes, counts, found[0] if first else None
+    ncols = len(lead) + len(vars_)
+    return _distinct(_column_keys(columns, bits, ncols, n), bits, ncols, first)
+
+
+def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
+               rows=None, lead=None, first=True):
+    """distinct_rows over vars_ of the runs of fold(protocol, preproc,
+    strategy, part), folded and counted BLOCK_ROWS runs at a time, so that
+    no whole run table is held.  rows(table) and lead(table), if given,
+    are a block's row mask and lead columns.  The blocks' distinct rows
+    are merged exactly: counts added, a row's first counted run the
+    least of its blocks', rows in code order; so the result is
+    distinct_rows' over the whole table.  A table of at most BLOCK_ROWS
+    runs is one fold and one distinct_rows."""
+    if isinstance(strategy, AdversaryStrategy):
+        strategy = family_of([strategy])
+    nrows = _runs(protocol, preproc) * (1 if strategy is None else len(strategy.choice))
+
+    def count(table, first):
+        return distinct_rows(table, vars_, None if rows is None else rows(table),
+                             () if lead is None else lead(table), first)
+
+    if nrows <= BLOCK_ROWS:
+        return count(fold(protocol, preproc, strategy, part), first)
+    codes, counts, found, done = [], [], [], 0
+    # a row's first run is its earliest block's, so past the first block
+    # first runs are needed only where a block brings new rows: seen keys
+    # the rows counted so far, one int64 each while 3 ** columns < 2 ** 63
+    seen = None
+    for lo in range(0, nrows, BLOCK_ROWS):
+        table = fold(protocol, preproc, strategy, part, (lo, min(lo + BLOCK_ROWS, nrows)))
+        block_codes, block_counts, block_first = count(table, first and seen is None)
+        if first and seen is not None:
+            keys = block_codes.astype(np.int64) @ digits
+            new = ~np.isin(keys, seen)
+            if new.any():
+                block_first = count(table, True)[2]
+                seen = np.union1d(seen, keys[new])
+        elif first and block_codes.shape[1] <= 39:
+            digits = 3 ** np.arange(block_codes.shape[1], dtype=np.int64)
+            seen = block_codes.astype(np.int64) @ digits
+        codes.append(block_codes)
+        counts.append(block_counts)
+        if first:  # rows without first runs are in an earlier block, so never picked
+            found.append(np.zeros(len(block_codes), dtype=np.intp) if block_first is None
+                         else block_first + done)
+        done += int(block_counts.sum())
+    codes, counts = np.concatenate(codes), np.concatenate(counts)
+    bits = 2 if (codes == BOT_CODE).any() else 1
+    # a stable sort, so a row's first entry is its earliest block's, and
+    # one that merges the blocks' runs of rows, each in code order
+    codes, counts, at = _distinct(_matrix_keys(codes, bits), bits, codes.shape[1], True, counts)
+    return codes, counts, np.concatenate(found)[at] if first else None
+
+
+def _first_run_order(vars_, codes, counts, first, total: int):
+    """Distinct rows as a dist.Counts over vars_, in the order of their first runs."""
+    from .dist import Counts
+
+    order = np.argsort(first)
+    return Counts(tuple(vars_), codes[order], counts[order], total)
 
 
 def project(table: RunTable, vars_):
     """The runs of the table over vars_ as a dist.Counts, its distinct rows
     in the order of their first runs."""
-    from .dist import Counts
+    return _first_run_order(vars_, *distinct_rows(table, vars_), table.nrows)
 
-    codes, counts, first = distinct_rows(table, vars_)
-    order = np.argsort(first)
-    return Counts(tuple(vars_), codes[order], counts[order], table.nrows)
+
+def project_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None):
+    """project of the fold's run table, counted block by block (count_runs)."""
+    codes, counts, first = count_runs(protocol, preproc, vars_, strategy, part)
+    return _first_run_order(vars_, codes, counts, first, int(counts.sum()))
 
 
 def project_counts(table: RunTable, vars_):

@@ -106,14 +106,15 @@ class BdozPreprocessing(Preprocessing):
     def count(self) -> int:
         return 2 ** len(self._free)
 
-    def columns(self):
+    def slice_columns(self, lo: int, hi: int):
+        """Memory i's free bits, first free variable least significant."""
         import numpy as np
 
-        from .engine import bit_column
+        from .engine import bit_range
 
-        col = {v: bit_column(self.count(), i) for i, v in enumerate(self._free)}
+        col = {v: bit_range(lo, hi, i) for i, v in enumerate(self._free)}
         for v, value in self.fixed.items():
-            col[v] = np.full(self.count(), value, dtype=np.uint8)
+            col[v] = np.full(hi - lo, value, dtype=np.uint8)
         for w, owner in self.secret_owners.items():
             col[Var(MESG, f"{w}2", 2)] = (
                 col[Var(SECRET, w, owner)] ^ col[Var(MESG, f"{w}1", 1)])

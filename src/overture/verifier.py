@@ -4,9 +4,11 @@ The check_* functions decide passive correctness, noninterference modulo
 output, gradual release, the AND gate conditioning conditions, the
 share-based circuit invariant, cheating detection, and integrity.  Each
 check tests count tables: over F_2 the runs of the vectorized fold in
-engine.py counted by engine.distinct_rows, with no Pmf; over F_p the
-passive checks take the dist.Counts of a marginal of bd.  Every failing
-verdict carries a witness that can be recomputed from the distributions.
+engine.py counted by engine.distinct_rows, with no Pmf (the passive
+checks fold and count a block of runs at a time, engine.count_runs);
+over F_p the passive checks take the dist.Counts of a marginal of bd.
+Every failing verdict carries a witness that can be recomputed from the
+distributions.
 """
 
 import itertools
@@ -63,8 +65,8 @@ class Verdict:
 
 def projected_counts(protocol: Protocol, vars_, preproc=None) -> Counts:
     """The basic distribution over the given variables, repeats dropped,
-    its rows in first-run order: over F_2 counted on the fold, with no
-    Pmf; over F_p the Counts of the marginal of bd."""
+    its rows in first-run order: over F_2 counted on the fold block by
+    block, with no Pmf; over F_p the Counts of the marginal of bd."""
     from . import engine
 
     if preproc is None:
@@ -73,7 +75,7 @@ def projected_counts(protocol: Protocol, vars_, preproc=None) -> Counts:
     if protocol.modulus != 2:
         return Counts.of(bd(protocol, preproc).marginal(vars_))
     dist_mod.check_deal(protocol, preproc)
-    return engine.project(engine.fold(protocol, preproc), vars_)
+    return engine.project_runs(protocol, preproc, vars_)
 
 
 def projected_bd(protocol: Protocol, vars_, preproc=None) -> Pmf:
@@ -99,17 +101,17 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
     if set(fn.outputs) != set(protocol.output_vars()):
         raise UsageError("functionality outputs differ from protocol outputs")
     dist_mod.check_deal(protocol, preproc)
-    table = engine.fold(protocol, preproc)
     # each distinct row of abort bit, secrets and outputs, with its first run
-    codes, _, first = engine.distinct_rows(table, fn.secrets + fn.outputs,
-                                           lead=[(~table.alive).view(np.uint8)])
+    codes, counts, first = engine.count_runs(
+        protocol, preproc, fn.secrets + fn.outputs,
+        lead=lambda table: [(~table.alive).view(np.uint8)])
     n = 1 + len(fn.secrets)
     bad = [f for row, f in zip(codes.tolist(), first.tolist())
            if row[0] or fn.table.get(tuple(row[1:n])) != tuple(row[n:])]
     if not bad:
-        return Verdict(True, prop, (f"all {table.nrows} runs agree with the functionality",))
+        return Verdict(True, prop, (f"all {int(counts.sum())} runs agree with the functionality",))
     row = min(bad)
-    final = engine.memory_at(table, row)
+    final = engine.memory_at(engine.fold(protocol, preproc, block=(row, row + 1)), 0)
     want = fn.apply({s: final[s] for s in fn.secrets})
     w = Witness(
         "run output differs from the functionality",

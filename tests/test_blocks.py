@@ -1,0 +1,252 @@
+"""Folding and counting in row blocks (engine.count_runs) against one block.
+
+With BLOCK_ROWS cut to 8, and to 5, which no deal's memories or coin-flip
+tapes line up with (both scaled up for the larger packages), every
+bundled package takes the multi-block path: its
+distinct rows, counts and first runs, bd, pmf text and verdicts must equal
+those of one block.  The Beaver protocol runs on its trimmed deal here;
+its full deal, on the default blocks, is checked against one block too.
+"""
+
+import contextlib
+import io
+import random
+
+import numpy as np
+import pytest
+
+from overture import cli, engine, verifier
+from overture.dist import (
+    ExplicitPreprocessing, Functionality, UniformPreprocessing, bd, bd_adv, bd_domain,
+    default_preprocessing,
+)
+from overture.interp import AdversaryStrategy
+from overture.lang import BOT, BinOp, Const, Partition, parse_var
+from overture.ovt import parse_protocol
+from overture.stdlib import (
+    FUNCTIONALITIES, PACKAGES, bdoz_beaver_preprocessing, bdoz_beaver_trimmed, load_package,
+)
+from overture.verifier import enumerate_adversaries
+from test_engine import ABORTING, shifted_bits, table_codes
+
+SIZES = (8, 5)
+
+
+def deals():
+    """(CLI arguments naming it, protocol, deal, functionality, block scale)
+    of every bundled package and of the aborting protocol of test_engine.
+    A package of more than 128 runs (shamir-add3, the 4,096 runs of the
+    trimmed Beaver deal) is cut in blocks runs / 128 times the size, so
+    that it folds in a few dozen blocks, not hundreds."""
+    for name in PACKAGES:
+        protocol, fn, deal = load_package(name)
+        argv = [name]
+        if name == "bdoz-beaver":
+            deal, argv = bdoz_beaver_trimmed(), [name, "--preproc", "bdoz-beaver-trim"]
+        deal = deal or default_preprocessing(protocol)
+        scale = max(1, deal.count() * 2 ** len(protocol.flips()) // 128)
+        yield argv, protocol, deal, fn, scale
+    aborting = parse_protocol(ABORTING)
+    yield None, aborting, default_preprocessing(aborting), None, 1
+
+
+def one_and_blocked(monkeypatch, size, f):
+    """f() on the default blocks, then on blocks of size runs."""
+    one = f()
+    with monkeypatch.context() as m:
+        m.setattr(engine, "BLOCK_ROWS", size)
+        return one, f()
+
+
+def assert_same_rows(one, blocked):
+    """Equal (codes, counts, first) triples of distinct_rows output."""
+    for a, b in zip(one, blocked):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def alive_lead(table):
+    return [(~table.alive).view(np.uint8)]
+
+
+def cli_out(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_blocked_counts_equal_one_block(monkeypatch, size):
+    for argv, protocol, deal, _, scale in deals():
+        block = size * scale
+        domain = bd_domain(protocol, deal)
+        given = {domain[0]: 1}
+        cases = (
+            dict(vars_=domain),
+            dict(vars_=domain[::-1], first=False),
+            dict(vars_=protocol.output_vars() + protocol.secrets(), lead=alive_lead),
+            dict(vars_=domain[-3:], rows=lambda table: engine.rows_matching(table, given)),
+            dict(vars_=domain[1:4], rows=lambda table: engine.rows_matching(table, given),
+                 lead=alive_lead, first=False),
+        )
+        for kw in cases:
+            assert_same_rows(*one_and_blocked(
+                monkeypatch, block, lambda: engine.count_runs(protocol, deal, **kw)))
+        one, blocked = one_and_blocked(monkeypatch, block, lambda: bd(protocol, deal))
+        assert list(one.counts.items()) == list(blocked.counts.items())
+        assert one.total == blocked.total
+        if argv is None:
+            continue
+        for extra in ([], ["--given", f"{domain[0]}=1"]):
+            one, blocked = one_and_blocked(monkeypatch, block,
+                                           lambda: cli_out(["pmf", *argv, *extra]))
+            assert one == blocked and one[0] == 0, (argv, extra)
+
+
+def test_blocked_verdicts_equal_one_block(monkeypatch):
+    for argv, protocol, deal, fn, scale in deals():
+        block = SIZES[0] * scale
+        if argv is None:
+            continue
+        commands = [["verify", *argv, "--property", prop, "--all-partitions"]
+                    for prop in ("nimo", "gradual-release")]
+        if fn is not None:
+            commands.append(["verify", *argv, "--property", "correct"])
+        for command in commands:
+            one, blocked = one_and_blocked(monkeypatch, block, lambda: cli_out(command))
+            assert one == blocked, command
+
+
+def test_blocked_aborts_and_lead(monkeypatch):
+    """The aborting protocol's ~alive lead column and BOT masks differ from
+    block to block; correct fails on its aborted runs either way."""
+    aborting = parse_protocol(ABORTING)
+    deal = default_preprocessing(aborting)
+    table = engine.fold(aborting, deal)
+    assert not table.alive.all() and table.alive.any()
+    fn = Functionality.parse("".join(f"s[x]@1={x} s[y]@1={y} -> out@1={x}\n"
+                                     for x in (0, 1) for y in (0, 1)))
+    for size in (1, 2, 3):
+        one, blocked = one_and_blocked(monkeypatch, size, lambda: verifier.check_passive_correct(
+            aborting, fn, deal).format())
+        assert one == blocked and "FAILS" in one
+
+
+def test_blocked_share_lie_bd(monkeypatch):
+    """bd_adv under the one-bit share lie on the trimmed Beaver deal: half
+    of the runs abort, so some blocks have BOT masks and others none."""
+    protocol, _, _ = load_package("bdoz-beaver")
+    trim = bdoz_beaver_trimmed()
+    part = Partition.of(protocol.federation, [2])
+    lie = AdversaryStrategy(((3, BinOp("+", protocol.commands[3].expr, Const(1))),),
+                            label="share lie")
+    for size in SIZES:  # times 16: blocks of 128 and of 80 runs
+        one, blocked = one_and_blocked(monkeypatch, 16 * size,
+                                       lambda: bd_adv(protocol, lie, part, trim))
+        assert list(one.counts.items()) == list(blocked.counts.items())
+        assert one.total == blocked.total == trim.count()
+        assert any(BOT in key for key in one.counts)
+
+
+def test_failing_correct_witness_from_a_later_block(monkeypatch):
+    protocol, _, _ = load_package("gmw-and")
+    wrong = FUNCTIONALITIES["xor2"]
+    one = verifier.check_passive_correct(protocol, wrong).format()
+    folded = []
+    fold = engine.fold
+
+    def recording(*args, **kwargs):
+        folded.append(kwargs.get("block", args[4] if len(args) > 4 else None))
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "fold", recording)
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 8)
+    assert verifier.check_passive_correct(protocol, wrong).format() == one
+    # four blocks of 8 runs, then the witness: a one-row fold past the first block
+    assert folded[:4] == [(0, 8), (8, 16), (16, 24), (24, 32)]
+    row, end = folded[-1]
+    assert end == row + 1 and row >= 8
+
+
+def test_full_beaver_deal_blocks_equal_one_block(monkeypatch):
+    protocol, fn, deal = load_package("bdoz-beaver")
+    vars_ = fn.secrets + fn.outputs + tuple(v for v in protocol.assigned() if v.owner == 2)[:4]
+    for kw in (dict(lead=alive_lead), dict(first=False)):
+        blocked = engine.count_runs(protocol, deal, vars_, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "BLOCK_ROWS", deal.count())
+            one = engine.count_runs(protocol, deal, vars_, **kw)
+        assert_same_rows(one, blocked)
+        assert len(one[0]) > 1
+
+
+def test_stacked_blocks_are_rows_of_the_family_table():
+    protocol, _, _ = load_package("gmw-and")
+    deal = default_preprocessing(protocol)
+    part = Partition.of(protocol.federation, [2])
+    aborting = parse_protocol(ABORTING)
+    fam = enumerate_adversaries(aborting, Partition.of(aborting.federation, [1]))
+    fam += tuple(AdversaryStrategy(s.replacements, abort_at=frozenset({3})) for s in fam)
+    cases = ((protocol, deal, enumerate_adversaries(protocol, part), part),
+             (aborting, default_preprocessing(aborting), fam,
+              Partition.of(aborting.federation, [1])))
+    for protocol, deal, strategies, part in cases:
+        family = engine.family_of(strategies)
+        whole = table_codes(engine.fold(protocol, deal, family, part))
+        n = len(whole)
+        for lo, hi in ((0, 7), (20, 50), (31, 33), (5, 6), (n // 3, n - 5), (n - 3, n)):
+            assert table_codes(engine.fold(protocol, deal, family, part, (lo, hi))) \
+                == whole[lo:hi], (lo, hi)
+
+
+def test_bit_range_matches_shifted_index(monkeypatch):
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 16)
+    for lo in range(40):
+        for hi in range(lo + 1, lo + 40, 3):
+            for i in range(6):
+                want = ((np.arange(lo, hi) >> i) & 1).astype(np.uint8)
+                got = engine.bit_range(lo, hi, i)
+                assert got.dtype == np.uint8 and np.array_equal(got, want), (lo, hi, i)
+
+
+def test_slice_columns_equal_columns_sliced():
+    x = [parse_var(v) for v in ("s[a]@1", "s[b]@2", "m[c]@1", "m[d]@2", "s[e]@1")]
+    rng = random.Random(5)
+    explicit = ExplicitPreprocessing(x[:2], [dict(zip(x[:2], (rng.randrange(2), rng.randrange(2))))
+                                             for _ in range(37)])
+    deals = (UniformPreprocessing(x), UniformPreprocessing(x[:3], modulus=3), explicit,
+             bdoz_beaver_trimmed(), bdoz_beaver_preprocessing())
+    for deal in deals:
+        cols, n = deal.columns(), deal.count()
+        assert set(cols) == set(deal.domain)
+        ranges = [(0, n), (0, 1), (n - 1, n), (3, min(17, n)), (n // 2 - 3, n // 2 + 5)]
+        ranges += [tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(6)]
+        if n > 2 ** 17:
+            ranges += [(2 ** 16, 2 ** 17), (2 ** 16 - 5, 2 ** 17 + 3), (1000, n - 5)]
+        for lo, hi in ranges:
+            part = deal.slice_columns(lo, hi)
+            assert set(part) == set(deal.domain)
+            for v in deal.domain:
+                assert part[v].dtype == np.uint8 and np.array_equal(part[v], cols[v][lo:hi]), \
+                    (type(deal).__name__, v, lo, hi)
+    # a Uniform deal's columns are its memories' bits, first variable most significant
+    deal = UniformPreprocessing(x)
+    for v, want in zip(x, shifted_bits(deal.count(), len(x), True)):
+        assert np.array_equal(deal.slice_columns(7, 29)[v], want[7:29])
+
+
+def test_matrix_keys_equal_column_keys():
+    """The merge keys code rows row by row (np.packbits), distinct_rows
+    column by column: both must give pack_keys' bytes and the same
+    integer keys, or the merged rows would leave code order."""
+    rng = np.random.default_rng(3)
+    for ncols in (0, 1, 3, 7, 8, 9, 31, 32, 33, 40, 70):
+        for bits in (1, 2):
+            codes = rng.integers(0, 2 ** bits - (bits == 2), (50, ncols)).astype(np.uint8)
+            assert np.array_equal(engine.row_keys(codes, bits),
+                                  engine.pack_keys(codes.T, bits, 50))
+            matrix = engine._matrix_keys(codes, bits)
+            columns = engine._column_keys(codes.T, bits, ncols, 50)
+            assert matrix.dtype == columns.dtype and np.array_equal(matrix, columns), (ncols, bits)

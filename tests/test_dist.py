@@ -391,12 +391,14 @@ def test_render_matches_per_line_on_random_f2_tables(data):
     want = per_line_format_pmf(pmf)
     assert format_pmf(pmf) == want
     out = []
-    dist.write_pmf(out.append, table, domain)
+    assert dist.write_pmf(out.append, domain, lambda vars_: engine.distinct_rows(
+        table, vars_, first=False)) == len(runs)
     assert "".join(out) == want
     # conditioning: the runs of the first row, counted out of their number
     first = np.all(codes == np.array(rows[0], dtype=np.uint8), axis=1)
     out = []
-    dist.write_pmf(out.append, table, domain, first)
+    assert dist.write_pmf(out.append, domain, lambda vars_: engine.distinct_rows(
+        table, vars_, first, first=False)) == counts[0]
     assert "".join(out) == per_line_format_pmf(Pmf(domain, {next(iter(pmf.counts)): 1}, 1))
 
 
@@ -770,6 +772,36 @@ def frac_cond_shift_witness(domain, weights, x1, x2, x3):
             return (k12[:len(x1)], k12[len(x1):], diff[0], row1.get(diff[0], Fraction(0)),
                     row12.get(diff[0], Fraction(0)))
     return None
+
+
+def byte_key_groups(counts, vars_) -> tuple:
+    """Counts._groups' group of each row and first row of each group,
+    keyed as a void byte row of the codes behind a zero column."""
+    rows = np.zeros((len(counts.codes), 1 + len(vars_)), dtype=counts.codes.dtype)
+    rows[:, 1:] = counts._columns(vars_)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return group, first
+
+
+def test_groups_integer_keys_sort_as_byte_keys():
+    """Where the codes pack into 64 bits, _groups keys rows by integers;
+    its groups, their order and their first rows are the byte keys'."""
+    rng = np.random.default_rng(7)
+    for modulus, ncols, dtype in ((2, 5, np.uint8), (2, 32, np.uint8), (2, 33, np.uint8),
+                                  (3, 12, np.int64), (5, 21, np.int64), (251, 8, np.int64),
+                                  (263, 3, np.int64)):
+        domain = tuple(Var("m", f"v{j}", 1) for j in range(ncols))
+        for nrows in (1, 2, 9, 300):
+            codes = rng.integers(0, modulus + 1, (nrows, ncols)).astype(dtype)
+            codes[rng.random(nrows) < 0.5] = codes[0]  # repeated rows
+            counts = dist.Counts(domain, codes, rng.integers(1, 4, nrows), 10 ** 6, modulus)
+            for vars_ in (domain, domain[::-1], domain[1:3], ()):
+                group, mass, first = counts._groups(vars_)
+                want_group, want_first = byte_key_groups(counts, vars_)
+                assert np.array_equal(group, want_group) and np.array_equal(first, want_first)
+                assert mass.tolist() == [int(counts.counts[group == g].sum())
+                                         for g in range(len(first))]
 
 
 def wide_field_pmf(rng: random.Random) -> Pmf:

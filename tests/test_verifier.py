@@ -320,6 +320,24 @@ def test_constant_lies_at_inputs_are_substitutions():
     assert check_integrity(leaky, part, fam).ok
 
 
+def test_initial_scope_holds_the_flips_the_deal_leaves_out():
+    # the corrupt client's constant message masks out@1 with client 1's
+    # coin flip r[k]; the default deal holds only s[x].  Lying 1 keeps
+    # out@1 a value some passive run gives, so the secrets scope explains
+    # it, but no passive run has out@1 = s[x] xor r[k] xor 1
+    p = parse_protocol("m[a]@1 := 0 @ 2;\n"
+                       "out@1 := m[a] xor r[k] xor s[x] @ 1;\n")
+    part = Partition.of(p.federation, [2])
+    assert default_preprocessing(p).domain == (parse_var("s[x]@1"),)
+    fam = enumerate_adversaries(p, part)
+    assert check_cheating_detection(p, part, fam, secret_scope="secrets").ok
+    v = check_cheating_detection(p, part, fam, secret_scope="initial")
+    assert not v.ok and "m[a]@1:=1" in v.witness.description
+    agree = dict(v.witness.memories[1][1])
+    assert set(agree) == {parse_var(x) for x in ("out@1", "r[k]@1", "s[x]@1")}
+    assert bd(p).prob(agree) == 0
+
+
 def test_lying_decode_is_not_explained():
     protocol, _, _ = load_package("gmw-and")
     part = Partition.of(protocol.federation, [2])
