@@ -1,75 +1,62 @@
 """Shared tokenizer for the protocol and metaprogram syntaxes."""
 
-from dataclasses import dataclass
+import functools
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | string | punct | eof
     value: str
     line: int
     col: int
 
 
+@functools.lru_cache(maxsize=None)
+def _scanner(puncts: tuple, comment: str, strings: bool):
+    """One pattern for every token and skipped span.  Integers are ASCII
+    digits only: other digits are not valid int() literals."""
+    alts = [r"(?P<nl>\n)", r"(?P<ws>[ \t\r]+)", f"(?P<comment>{re.escape(comment)}[^\n]*)"]
+    if strings:
+        alts.append(r'(?P<string>"[^"\n]*")')
+    alts += [r"(?P<int>[0-9]+)", r"(?P<ident>[^\W\d]\w*)",
+             "(?P<punct>" + "|".join(map(re.escape, puncts)) + ")"]
+    return re.compile("|".join(alts)).match
+
+
 def tokenize(src: str, puncts, comment="#", strings=False) -> list:
-    """Split src into tokens; puncts must be sorted longest-first by caller."""
+    """Split src into tokens; puncts must be sorted longest-first by caller.
+
+    Columns count characters from 1; a comment ending the source leaves the
+    end-of-input column at its '#'."""
+    match = _scanner(tuple(puncts), comment, strings)
     toks = []
-    i, line, col = 0, 1, 1
     n = len(src)
+    i, line, line_start, eof_at = 0, 1, 0, n
     while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == comment:
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if strings and c == '"':
-            j = i + 1
-            while j < n and src[j] != '"':
-                if src[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            toks.append(Token("string", src[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in puncts:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        m = match(src, i)
+        if m is None:
+            if strings and src[i] == '"':
+                raise ParseError("unterminated string", line, i - line_start + 1)
+            raise ParseError(f"unexpected character {src[i]!r}", line, i - line_start + 1)
+        kind, j = m.lastgroup, m.end()
+        if kind == "nl":
+            line, line_start = line + 1, j
+        elif kind == "ident":
+            # \w also holds numeric characters that str.isalpha rejects
+            if not (src[i] == "_" or src[i].isalpha()):
+                raise ParseError(f"unexpected character {src[i]!r}", line, i - line_start + 1)
+            toks.append(Token("ident", m.group(), line, i - line_start + 1))
+        elif kind == "string":
+            toks.append(Token("string", src[i + 1:j - 1], line, i - line_start + 1))
+        elif kind == "comment" and j == n:
+            eof_at = i
+        elif kind in ("int", "punct"):
+            toks.append(Token(kind, m.group(), line, i - line_start + 1))
+        i = j
+    toks.append(Token("eof", "", line, eof_at - line_start + 1))
     return toks
 
 
@@ -94,17 +81,19 @@ class TokenStream:
         self.pos = pos
 
     def at(self, kind, value=None) -> bool:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return t.kind == kind and (value is None or t.value == value)
 
     def at_punct(self, value) -> bool:
-        return self.at("punct", value)
+        t = self.tokens[self.pos]
+        return t.value == value and t.kind == "punct"
 
     def at_word(self, value) -> bool:
-        return self.at("ident", value)
+        t = self.tokens[self.pos]
+        return t.value == value and t.kind == "ident"
 
     def eat(self, kind, value=None) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != kind or (value is not None and t.value != value):
             want = value if value is not None else kind
             raise ParseError(f"expected {want!r}, found {t.value or t.kind!r}", t.line, t.col)

@@ -1,11 +1,20 @@
 """Metalanguage for generating protocols (.pre files).
 
 A metaprogram is a set of function declarations plus a main expression.
-Evaluation is substitution-based, small-step, left-to-right and
-deterministic; whenever a command form has reduced all of its parts, the
-concrete command is appended to the residual protocol and the form reduces
-to unit.  Values are client numbers, strings, field expressions (message
-and flip handles are field expressions), unit, and records.
+Its semantics is small-step substitution, left to right and deterministic:
+_step performs one reduction and subst replaces a variable by a value.
+Whenever a command form has reduced all of its parts, the concrete command
+is appended to the residual protocol and the form reduces to unit.  Values
+are client numbers, strings, field expressions (message and flip handles are
+field expressions), unit, and records.
+
+eval_meta runs the same semantics with an environment from names to values
+instead of substituting (a CEK-style machine): it emits the same commands,
+raises the same errors and counts the same reductions against its step
+limit.  It never copies the program, and a frame copies its environment at
+most once, so a chain of n lets costs O(n); the reference, which rewrites
+the whole term at every step, costs O(n^2).  _step and subst stay as the
+reference the tests compare eval_meta with; nothing else calls them.
 
 Syntax summary:
 
@@ -27,6 +36,7 @@ Field operators follow the protocol syntax: or < xor + - < and * < ++ < not.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import MetaEvalError, ParseError, UsageError
 from .lang import (
@@ -308,7 +318,105 @@ def _show(v) -> str:
     return repr(v)
 
 
-# --- Small-step evaluation --------------------------------------------------------
+# --- Reductions ----------------------------------------------------------------------
+# What one reduction makes of a form whose parts are values.  The small-step
+# reference and the environment evaluator share these, so both emit the same
+# commands and raise the same errors.
+
+def _decl(codebase: dict, fname: str, args):
+    decl = codebase.get(fname)
+    if decl is None:
+        raise MetaEvalError(f"unknown function {fname}")
+    if len(decl.params) != len(args):
+        raise MetaEvalError(
+            f"{fname} expects {len(decl.params)} arguments, got {len(args)}")
+    return decl
+
+
+def _project(record, field: str):
+    if not isinstance(record, MRecord):
+        raise MetaEvalError(f"projection .{field} of non-record {_show(record)}")
+    for f, v in record.fields:
+        if f == field:
+            return v
+    raise MetaEvalError(f"record has no field {field}")
+
+
+def _concat(left, right):
+    if isinstance(left, MStr) and isinstance(right, MStr):
+        return MStr(left.value + right.value)
+    raise MetaEvalError("++ requires two strings")
+
+
+def _ot4(c1, c2, table, receiver, sender):
+    c1, c2 = _as_field_expr(c1), _as_field_expr(c2)
+    if not isinstance(table, MRecord):
+        raise MetaEvalError("OT4 table must be a record")
+    rows = {f: v for f, v in table.fields}
+    if set(rows) != {"row1", "row2", "row3", "row4"}:
+        raise MetaEvalError("OT4 table needs fields row1..row4")
+    receiver = _as_client(receiver)
+    sender = _as_client(sender)
+    node = OT4(c1, c2, receiver,
+               tuple(_as_field_expr(rows[f]) for f in ("row1", "row2", "row3", "row4")))
+    return MFieldVal(node, sender=sender)
+
+
+def _connective(e, left, right):
+    if not (isinstance(left, MPredVal) and isinstance(right, MPredVal)):
+        raise MetaEvalError("predicate connective over non-predicates")
+    ctor = PAnd if isinstance(e, FPAnd) else POr
+    return MPredVal(ctor(left.pred, right.pred))
+
+
+def _pred_not(operand):
+    if not isinstance(operand, MPredVal):
+        raise MetaEvalError("not over a non-predicate")
+    return MPredVal(PNot(operand.pred))
+
+
+def _send(out, name, dest, rhs, src):
+    """src is None when the send names no computing client."""
+    name = _as_name(name)
+    dest = _as_client(dest)
+    if isinstance(rhs, MFieldVal) and rhs.sender is not None:
+        sender = rhs.sender
+        if src is not None and _as_client(src) != sender:
+            raise MetaEvalError("send computing client conflicts with OT4 sender")
+        expr = rhs.expr
+    else:
+        if src is None:
+            raise MetaEvalError("send without a computing client")
+        sender = _as_client(src)
+        expr = _as_field_expr(rhs)
+    out.append(MesgSend(name, dest, expr, sender))
+    return UNIT
+
+
+def _reveal(out, name, rhs, src):
+    out.append(RevealCmd(_as_name(name), _as_field_expr(rhs), _as_client(src)))
+    return UNIT
+
+
+def _output(out, client, rhs, src):
+    client = _as_client(client)
+    src = _as_client(src)
+    if client != src:
+        raise MetaEvalError(f"output for client {client} computed at {src}")
+    out.append(OutputCmd(client, _as_field_expr(rhs)))
+    return UNIT
+
+
+def _assert(out, pred, client):
+    if not isinstance(pred, MPredVal):
+        raise MetaEvalError("assert requires a predicate")
+    out.append(AssertCmd(pred.pred, _as_client(client)))
+    return UNIT
+
+
+# --- Small-step reference -------------------------------------------------------------
+# The semantics by substitution: each _step performs one reduction, the
+# leftmost-innermost.  eval_meta does not use it; the tests compare against it.
 
 class _Stuck(MetaEvalError):
     pass
@@ -329,12 +437,7 @@ def _step(e, cb, out):
             if not is_value(a):
                 args[i] = _step(a, cb, out)
                 return MCall(e.fname, tuple(args))
-        decl = cb.get(e.fname)
-        if decl is None:
-            raise MetaEvalError(f"unknown function {e.fname}")
-        if len(decl.params) != len(args):
-            raise MetaEvalError(
-                f"{e.fname} expects {len(decl.params)} arguments, got {len(args)}")
+        decl = _decl(cb, e.fname, args)
         body = decl.body
         for param, arg in zip(decl.params, args):
             body = subst(body, param, arg)
@@ -349,20 +452,13 @@ def _step(e, cb, out):
     if isinstance(e, MProj):
         if not is_value(e.record):
             return MProj(_step(e.record, cb, out), e.field)
-        if not isinstance(e.record, MRecord):
-            raise MetaEvalError(f"projection .{e.field} of non-record {_show(e.record)}")
-        for f, v in e.record.fields:
-            if f == e.field:
-                return v
-        raise MetaEvalError(f"record has no field {e.field}")
+        return _project(e.record, e.field)
     if isinstance(e, MConcat):
         if not is_value(e.left):
             return MConcat(_step(e.left, cb, out), e.right)
         if not is_value(e.right):
             return MConcat(e.left, _step(e.right, cb, out))
-        if isinstance(e.left, MStr) and isinstance(e.right, MStr):
-            return MStr(e.left.value + e.right.value)
-        raise MetaEvalError("++ requires two strings")
+        return _concat(e.left, e.right)
     if isinstance(e, MSeq):
         if not is_value(e.first):
             return MSeq(_step(e.first, cb, out), e.second)
@@ -387,17 +483,7 @@ def _step(e, cb, out):
             if not is_value(part):
                 parts[i] = _step(part, cb, out)
                 return FEOT4(*parts)
-        c1, c2 = _as_field_expr(e.c1), _as_field_expr(e.c2)
-        if not isinstance(e.table, MRecord):
-            raise MetaEvalError("OT4 table must be a record")
-        rows = {f: v for f, v in e.table.fields}
-        if set(rows) != {"row1", "row2", "row3", "row4"}:
-            raise MetaEvalError("OT4 table needs fields row1..row4")
-        receiver = _as_client(e.receiver)
-        sender = _as_client(e.sender)
-        node = OT4(c1, c2, receiver,
-                   tuple(_as_field_expr(rows[f]) for f in ("row1", "row2", "row3", "row4")))
-        return MFieldVal(node, sender=sender)
+        return _ot4(*parts)
     if isinstance(e, FECmp):
         if not is_value(e.left):
             return FECmp(e.op, _step(e.left, cb, out), e.right)
@@ -405,21 +491,16 @@ def _step(e, cb, out):
             return FECmp(e.op, e.left, _step(e.right, cb, out))
         return MPredVal(Cmp(e.op, _as_field_expr(e.left), _as_field_expr(e.right)))
     if isinstance(e, (FPAnd, FPOr)):
-        ctor = PAnd if isinstance(e, FPAnd) else POr
         rebuild = FPAnd if isinstance(e, FPAnd) else FPOr
         if not is_value(e.left):
             return rebuild(_step(e.left, cb, out), e.right)
         if not is_value(e.right):
             return rebuild(e.left, _step(e.right, cb, out))
-        if not (isinstance(e.left, MPredVal) and isinstance(e.right, MPredVal)):
-            raise MetaEvalError("predicate connective over non-predicates")
-        return MPredVal(ctor(e.left.pred, e.right.pred))
+        return _connective(e, e.left, e.right)
     if isinstance(e, FPNot):
         if not is_value(e.operand):
             return FPNot(_step(e.operand, cb, out))
-        if not isinstance(e.operand, MPredVal):
-            raise MetaEvalError("not over a non-predicate")
-        return MPredVal(PNot(e.operand.pred))
+        return _pred_not(e.operand)
     if isinstance(e, CSend):
         parts = [e.name, e.dest, e.rhs] + ([] if e.src is None else [e.src])
         for i, part in enumerate(parts):
@@ -428,67 +509,175 @@ def _step(e, cb, out):
                 if e.src is None:
                     return CSend(parts[0], parts[1], parts[2], None)
                 return CSend(parts[0], parts[1], parts[2], parts[3])
-        name = _as_name(e.name)
-        dest = _as_client(e.dest)
-        rhs = e.rhs
-        if isinstance(rhs, MFieldVal) and rhs.sender is not None:
-            src = rhs.sender
-            if e.src is not None and _as_client(e.src) != src:
-                raise MetaEvalError("send computing client conflicts with OT4 sender")
-            expr = rhs.expr
-        else:
-            if e.src is None:
-                raise MetaEvalError("send without a computing client")
-            src = _as_client(e.src)
-            expr = _as_field_expr(rhs)
-        out.append(MesgSend(name, dest, expr, src))
-        return UNIT
+        return _send(out, e.name, e.dest, e.rhs, e.src)
     if isinstance(e, CReveal):
         parts = [e.name, e.rhs, e.src]
         for i, part in enumerate(parts):
             if not is_value(part):
                 parts[i] = _step(part, cb, out)
                 return CReveal(*parts)
-        out.append(RevealCmd(_as_name(e.name), _as_field_expr(e.rhs), _as_client(e.src)))
-        return UNIT
+        return _reveal(out, *parts)
     if isinstance(e, COut):
         parts = [e.client, e.rhs, e.src]
         for i, part in enumerate(parts):
             if not is_value(part):
                 parts[i] = _step(part, cb, out)
                 return COut(*parts)
-        client = _as_client(e.client)
-        src = _as_client(e.src)
-        if client != src:
-            raise MetaEvalError(f"output for client {client} computed at {src}")
-        out.append(OutputCmd(client, _as_field_expr(e.rhs)))
-        return UNIT
+        return _output(out, *parts)
     if isinstance(e, CAssert):
         parts = [e.pred, e.client]
         for i, part in enumerate(parts):
             if not is_value(part):
                 parts[i] = _step(part, cb, out)
                 return CAssert(*parts)
-        if not isinstance(e.pred, MPredVal):
-            raise MetaEvalError("assert requires a predicate")
-        out.append(AssertCmd(e.pred.pred, _as_client(e.client)))
-        return UNIT
+        return _assert(out, *parts)
     raise MetaEvalError(f"cannot evaluate {e!r}")
+
+
+# --- Environment evaluator ------------------------------------------------------------
+
+_LITERALS = frozenset((MInt, MStr, MUnit, MFieldVal, MPredVal))
+
+
+class _Machine:
+    """Evaluates by the small-step rules without rewriting the program.
+
+    Variables are looked up in an environment, a dict from name to value,
+    instead of being substituted.  Reductions are counted where _step would
+    perform them, in the same left-to-right order: a variable's lookup and a
+    record of values cost none, every other form one once its parts are
+    values.  Tail positions (a let's body, the second part of ';', a
+    function's body) continue the loop of the current frame, and a frame
+    copies the environment it was given before its first let, so a chain of
+    n lets costs O(n)."""
+
+    def __init__(self, codebase: dict, step_limit: int):
+        self.codebase = codebase
+        self.step_limit = step_limit
+        self.steps = 0
+        self.out: list = []
+
+    def reduce(self):
+        self.steps += 1
+        if self.steps > self.step_limit:
+            raise MetaEvalError(f"no value after {self.step_limit} steps")
+
+    def eval(self, e, env: dict, owned: bool = False):
+        """Value of e under env; owned says whether this frame may bind in env."""
+        ev = self.eval
+        while True:
+            t = type(e)
+            if t is MVar:
+                if e.name in env:
+                    return env[e.name]
+                self.reduce()
+                raise MetaEvalError(f"unbound variable {e.name}")
+            if t in _LITERALS:
+                return e
+            if t is FEBin:
+                left = ev(e.left, env)
+                right = ev(e.right, env)
+                self.reduce()
+                return MFieldVal(BinOp(e.op, _as_field_expr(left), _as_field_expr(right)))
+            if t is MLet:
+                value = ev(e.bound, env)
+                self.reduce()
+                if not owned:
+                    env, owned = dict(env), True
+                env[e.name] = value
+                e = e.body
+            elif t is MSeq:
+                ev(e.first, env)
+                self.reduce()
+                e = e.second
+            elif t is MCall:
+                args = [ev(a, env) for a in e.args]
+                self.reduce()
+                decl = _decl(self.codebase, e.fname, args)
+                # substitution binds the first of two equal parameter names
+                env, owned = {}, True
+                for param, arg in zip(decl.params, args):
+                    env.setdefault(param, arg)
+                e = decl.body
+            else:
+                return self.strict(e, env)
+
+    def strict(self, e, env: dict):
+        """Value of any other form: its parts left to right, then one
+        reduction (none for a record)."""
+        t = type(e)
+        ev = self.eval
+        if t is MRecord:
+            return MRecord(tuple((f, ev(v, env)) for f, v in e.fields))
+        if t is CSend:
+            name = ev(e.name, env)
+            dest = ev(e.dest, env)
+            rhs = ev(e.rhs, env)
+            src = None if e.src is None else ev(e.src, env)
+            self.reduce()
+            return _send(self.out, name, dest, rhs, src)
+        if t is FERef:
+            name = ev(e.name, env)
+            self.reduce()
+            return MFieldVal(Ref(e.kind, _as_name(name)))
+        if t is MConcat:
+            left = ev(e.left, env)
+            right = ev(e.right, env)
+            self.reduce()
+            return _concat(left, right)
+        if t is MProj:
+            record = ev(e.record, env)
+            self.reduce()
+            return _project(record, e.field)
+        if t is FENot:
+            operand = ev(e.operand, env)
+            self.reduce()
+            return MFieldVal(Not(_as_field_expr(operand)))
+        if t is FEOT4:
+            parts = [ev(p, env) for p in (e.c1, e.c2, e.table, e.receiver, e.sender)]
+            self.reduce()
+            return _ot4(*parts)
+        if t is FECmp:
+            left = ev(e.left, env)
+            right = ev(e.right, env)
+            self.reduce()
+            return MPredVal(Cmp(e.op, _as_field_expr(left), _as_field_expr(right)))
+        if t is FPAnd or t is FPOr:
+            left = ev(e.left, env)
+            right = ev(e.right, env)
+            self.reduce()
+            return _connective(e, left, right)
+        if t is FPNot:
+            operand = ev(e.operand, env)
+            self.reduce()
+            return _pred_not(operand)
+        if t is CReveal:
+            parts = [ev(p, env) for p in (e.name, e.rhs, e.src)]
+            self.reduce()
+            return _reveal(self.out, *parts)
+        if t is COut:
+            parts = [ev(p, env) for p in (e.client, e.rhs, e.src)]
+            self.reduce()
+            return _output(self.out, *parts)
+        if t is CAssert:
+            parts = [ev(p, env) for p in (e.pred, e.client)]
+            self.reduce()
+            return _assert(self.out, *parts)
+        raise MetaEvalError(f"cannot evaluate {e!r}")
 
 
 def eval_meta(codebase: dict, main, step_limit: int = STEP_LIMIT):
     """Evaluate the main expression to a value; returns (protocol, value).
 
     The residual protocol grows append-only: commands are emitted in
-    evaluation order and never modified.
+    evaluation order and never modified.  A program that needs n reductions
+    evaluates when step_limit > n, as a loop over _step would.
     """
-    commands: list = []
-    e = main
-    for _ in range(step_limit):
-        if is_value(e):
-            return Protocol.of(commands, modulus=2), e
-        e = _step(e, codebase, commands)
-    raise MetaEvalError(f"no value after {step_limit} steps")
+    machine = _Machine(codebase, step_limit)
+    value = machine.eval(main, {}, owned=True)
+    if machine.steps >= step_limit:
+        raise MetaEvalError(f"no value after {step_limit} steps")
+    return Protocol.of(machine.out, modulus=2), value
 
 
 # --- Parsing -----------------------------------------------------------------------
@@ -547,33 +736,36 @@ def _try_decl(ts):
 
 
 def _expr(ts):
-    if ts.at_word("let"):
-        ts.next()
-        name = ts.eat("ident").value
-        if name in _KEYWORDS:
-            raise ts.error(f"{name} is a keyword")
-        ts.eat("punct", "=")
-        bound = _expr(ts)
-        ts.eat("ident", "in")
-        body = _expr(ts)
-        return MLet(name, bound, body)
-    return _seq(ts)
-
-
-def _seq(ts):
-    items = [_item(ts)]
-    while ts.at_punct(";"):
-        ts.next()
-        if _starts_item(ts):
-            if ts.at_word("let"):
-                items.append(_expr(ts))
+    # A let's body and what follows '; let' nest to the right.  The chain is
+    # parsed in a loop and built from its end, so that a long program does
+    # not recurse once per let.
+    wrap = []  # each takes the rest of the chain
+    while True:
+        if ts.at_word("let"):
+            ts.next()
+            name = ts.eat("ident").value
+            if name in _KEYWORDS:
+                raise ts.error(f"{name} is a keyword")
+            ts.eat("punct", "=")
+            bound = _expr(ts)
+            ts.eat("ident", "in")
+            wrap.append(partial(MLet, name, bound))
+            continue
+        e = _item(ts)
+        let_follows = False
+        while ts.at_punct(";"):
+            ts.next()
+            if not _starts_item(ts):
                 break
-            items.append(_item(ts))
-        else:
+            wrap.append(partial(MSeq, e))
+            if ts.at_word("let"):
+                let_follows = True
+                break
+            e = _item(ts)
+        if not let_follows:
             break
-    e = items[-1]
-    for prev in reversed(items[:-1]):
-        e = MSeq(prev, e)
+    for rest in reversed(wrap):
+        e = rest(e)
     return e
 
 
@@ -587,9 +779,11 @@ def _starts_item(ts) -> bool:
 
 
 def _item(ts):
-    cmd = _try_command(ts)
-    if cmd is not None:
-        return cmd
+    t = ts.peek()
+    if t.kind == "ident" and t.value in ("assert", "out", "m", "p"):
+        cmd = _try_command(ts)
+        if cmd is not None:
+            return cmd
     return _opexpr(ts)
 
 
@@ -704,49 +898,20 @@ def _pred_cmp(ts):
     raise ts.error("expected == or != in predicate")
 
 
-def _opexpr(ts):
-    e = _level_xor(ts)
-    while ts.at_word("or"):
-        ts.next()
-        e = FEBin("or", e, _level_xor(ts))
-    return e
+# Binary operators by how tightly they bind; each level associates to the left.
+_BINARY = {"or": 1, "xor": 2, "+": 2, "-": 2, "and": 3, "*": 3, "++": 4}
 
 
-def _level_xor(ts):
-    e = _level_and(ts)
-    while True:
-        if ts.at_word("xor"):
-            ts.next()
-            e = FEBin("xor", e, _level_and(ts))
-        elif ts.at_punct("+"):
-            ts.next()
-            e = FEBin("+", e, _level_and(ts))
-        elif ts.at_punct("-"):
-            ts.next()
-            e = FEBin("-", e, _level_and(ts))
-        else:
-            return e
-
-
-def _level_and(ts):
-    e = _level_concat(ts)
-    while True:
-        if ts.at_word("and"):
-            ts.next()
-            e = FEBin("and", e, _level_concat(ts))
-        elif ts.at_punct("*"):
-            ts.next()
-            e = FEBin("*", e, _level_concat(ts))
-        else:
-            return e
-
-
-def _level_concat(ts):
+def _opexpr(ts, level=1):
     e = _level_unary(ts)
-    while ts.at_punct("++"):
+    while True:
+        t = ts.peek()
+        op_level = _BINARY.get(t.value, 0)
+        if op_level < level or t.kind == "string":
+            return e
         ts.next()
-        e = MConcat(e, _level_unary(ts))
-    return e
+        right = _opexpr(ts, op_level + 1)
+        e = MConcat(e, right) if t.value == "++" else FEBin(t.value, e, right)
 
 
 def _level_unary(ts):
@@ -773,41 +938,40 @@ def _atom(ts):
     if t.kind == "string":
         ts.next()
         return MStr(t.value)
-    if ts.at_word("true"):
-        ts.next()
-        return MFieldVal(Const(1))
-    if ts.at_word("false"):
-        ts.next()
-        return MFieldVal(Const(0))
-    if ts.at_word("OT4"):
-        ts.next()
-        ts.eat("punct", "(")
-        args = [_expr(ts)]
-        for _ in range(4):
-            ts.eat("punct", ",")
-            args.append(_expr(ts))
-        ts.eat("punct", ")")
-        return FEOT4(*args)
-    if t.kind == "ident" and t.value in (SECRET, FLIP, MESG, REVEAL) and \
-            ts.tokens[ts.pos + 1].kind == "punct" and ts.tokens[ts.pos + 1].value == "[":
-        ts.next()
-        ts.next()
-        name = _expr(ts)
-        ts.eat("punct", "]")
-        return FERef(t.value, name)
-    if t.kind == "ident" and t.value not in _KEYWORDS:
-        ts.next()
-        if ts.at_punct("("):
+    if t.kind == "ident":
+        word = t.value
+        if word in ("true", "false"):
             ts.next()
-            args = []
-            if not ts.at_punct(")"):
+            return MFieldVal(Const(1 if word == "true" else 0))
+        if word == "OT4":
+            ts.next()
+            ts.eat("punct", "(")
+            args = [_expr(ts)]
+            for _ in range(4):
+                ts.eat("punct", ",")
                 args.append(_expr(ts))
-                while ts.at_punct(","):
-                    ts.next()
-                    args.append(_expr(ts))
             ts.eat("punct", ")")
-            return MCall(t.value, tuple(args))
-        return MVar(t.value)
+            return FEOT4(*args)
+        after = ts.tokens[ts.pos + 1]
+        if word in (SECRET, FLIP, MESG, REVEAL) and after.kind == "punct" and after.value == "[":
+            ts.next()
+            ts.next()
+            name = _expr(ts)
+            ts.eat("punct", "]")
+            return FERef(word, name)
+        if word not in _KEYWORDS:
+            ts.next()
+            if after.kind == "punct" and after.value == "(":
+                ts.next()
+                args = []
+                if not ts.at_punct(")"):
+                    args.append(_expr(ts))
+                    while ts.at_punct(","):
+                        ts.next()
+                        args.append(_expr(ts))
+                ts.eat("punct", ")")
+                return MCall(word, tuple(args))
+            return MVar(word)
     if ts.at_punct("("):
         ts.next()
         e = _expr(ts)

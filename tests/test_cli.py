@@ -239,7 +239,12 @@ def test_export_datalog_and_lhm(tmp_path, capsys):
     assert out.splitlines() == ["m_z_c2", "out_c2", "s_x_c1"]
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    # '²' is a digit to str.isdigit but no int() literal
+    superscript_pre = tmp_path / "superscript.pre"
+    superscript_pre.write_text('p["w"] := true @ \u00b2')
+    superscript_ovt = tmp_path / "superscript.ovt"
+    superscript_ovt.write_text("p[w] := 1 @ \u00b2;\n")
     cases = (
         ("run", "no-such-package"),
         ("verify", "otp", "--property", "correct", "--functionality", "nope"),
@@ -251,6 +256,8 @@ def test_usage_errors_exit_two(capsys):
         ("pmf", "otp", "--marginal", "out@x"),
         ("pmf", "otp", "--marginal", "s[x"),
         ("run", "otp", "--inputs", "s[x]@=1"),
+        ("expand", str(superscript_pre)),
+        ("run", str(superscript_ovt)),
     )
     for argv in cases:
         rc, _, err = run_cli(capsys, *argv)
@@ -263,6 +270,9 @@ def test_usage_errors_exit_two(capsys):
     assert err == "error: cannot parse variable 's[x]@'\n"
     rc, _, err = run_cli(capsys, "pmf", "otp", "--marginal", "s[x")
     assert err == "error: cannot parse variable 's[x'\n"
+    for argv in cases[-2:]:
+        rc, _, err = run_cli(capsys, *argv)
+        assert err.endswith("unexpected character '\u00b2'\n"), argv
 
 
 def test_functionality_value_must_be_an_integer(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from overture.errors import ParseError
 from overture.lang import BinOp, Const, MesgSend, Not, OT4, Ref
 from overture.ovt import format_expr, format_protocol, parse_protocol
+from overture.prelude import expand
 from overture.stdlib import PACKAGES, load_protocol, read_source
 
 
@@ -101,6 +102,23 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as e:
         parse_protocol("m[z]@2 := s[x] $ 1;\n")
     assert "line 1" in str(e.value) and "col 16" in str(e.value)
+
+
+@pytest.mark.parametrize("parse, src, message", [
+    # a tab is one column; a comment that ends the input leaves the end at its '#'
+    (parse_protocol, "out@1 := s[x]\n\t\tand # trailing",
+     "line 2, col 7: expected an expression, found 'eof'"),
+    (expand, 'p["w"] := true @ 1;\n   p["a] := true @ 1', "line 2, col 6: unterminated string"),
+    (expand, 'p["w"] := true @ 1;\r\n  p["a"] := ~true @ 1',
+     "line 2, col 13: unexpected character '~'"),
+    # only ASCII digits make integers, and a numeral starts no identifier
+    (parse_protocol, "m[z]@2 := s[x] @ \u0663;", "line 1, col 18: unexpected character '\u0663'"),
+    (expand, 'p["w"] := true @ \u2167', "line 1, col 18: unexpected character '\u2167'"),
+])
+def test_token_errors_name_line_and_column(parse, src, message):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == message
     with pytest.raises(ParseError) as e:
         parse_protocol("m[z]@2 := s[x] @ 1\nout@2 := 0 @ 2;\n")
     assert "line 2" in str(e.value)
