@@ -341,6 +341,10 @@ def main(argv=None) -> int:
     except OvertureError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # a parser or evaluator recursing once per nesting level ran out of stack
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,22 +1,22 @@
 """Exact distributions over protocol runs.
 
-A Pmf counts runs: each memory over a fixed variable domain maps to the
-number of runs that end in it, out of one total shared by the whole
-distribution, so marginals, conditionals and mixtures add integers and
-compare by cross-multiplication; Fractions are built only where a
-probability is returned.  A Pmf's keys are value tuples aligned with the
-domain; BOT marks padded entries of aborted runs.  Pmf is the value of bd
-and the form the API returns distributions in.
-
-Counts holds a distribution as an integer matrix of code rows with their
-run counts, the form engine.distinct_rows counts, and every check tests
-on it: one conditional-independence test serves independence,
-conditional separation and noninterference, and conditioned determinism,
-uniformity and the <m[w]> global views are column operations.  Pmf's
-tests convert to Counts and delegate.
+A Pmf is the one representation of a distribution: an integer matrix of
+distinct code rows over a fixed variable domain, each with the number of
+runs that end in it, out of one total shared by the whole distribution.
+A code is the value, or the modulus for BOT, which pads the entries of
+aborted runs.  Marginals, conditionals, mixtures and every check's test
+(one conditional-independence test serves independence, conditional
+separation and noninterference; conditioned determinism, uniformity and
+the <m[w]> global views are column operations) add integers over whole
+columns and compare by cross-multiplication.  Fractions are built only
+where a probability is returned, and key tuples only for the rows a
+witness names, or once per Pmf for its weights view (key tuple ->
+Fraction) and the dict-shaped API around it.
 
 bd(protocol) is the basic distribution: uniform over the runs produced by
-every (preprocessing memory, random tape) pair.
+every (preprocessing memory, random tape) pair.  Over F_2 it is the fold's
+count table as engine.project_runs returns it; over F_p, Pmf.from_dict of
+the interpreter's runs.
 
 Conditioning predicates quantify over realizations of the conditioning set
 with positive probability; rows of probability zero are skipped (the
@@ -26,8 +26,8 @@ conditional itself is defined as 0 there).
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import BudgetError, UsageError
@@ -120,14 +120,6 @@ def _key_of(memory: dict, domain) -> tuple:
     return tuple(memory[v] for v in domain)
 
 
-def _getter(positions):
-    """Key tuple -> sub-tuple at the given positions."""
-    if len(positions) == 1:
-        i, = positions
-        return lambda key: (key[i],)
-    return itemgetter(*positions) if positions else lambda key: ()
-
-
 def domain_positions(domain, vars_) -> tuple:
     """Index of each variable in the domain; UsageError names the missing."""
     index = {v: i for i, v in enumerate(domain)}
@@ -139,11 +131,18 @@ def domain_positions(domain, vars_) -> tuple:
 
 @dataclass(frozen=True)
 class Pmf:
-    """counts[key] runs out of total have the key; the probability of a key
-    is counts[key] / total.  Keys with no run are absent."""
+    """A distribution as code rows: counts[i] of total runs end in the
+    memory codes[i] over domain, no two rows equal (mixed_with and __eq__
+    stack rows that _groups then adds up).  A code is the value, or the
+    modulus for BOT, so engine.distinct_rows output (BOT_CODE = 2) is an
+    F_2 Pmf.  Every test runs here, on whole columns; "the first" failing
+    realization of a conditioning set is the one whose first row comes
+    first: first-run order for engine.project_runs and bd, the dict's
+    order for from_dict."""
 
     domain: tuple
-    counts: dict  # key tuple -> positive int
+    codes: object   # (rows, len(domain)) integer matrix
+    counts: object  # run count of each row
     total: int
     modulus: int = 2
 
@@ -151,26 +150,54 @@ class Pmf:
         if len(set(self.domain)) != len(self.domain):
             raise UsageError("duplicate variables in pmf domain")
 
-    def __eq__(self, other):
-        """The same domain and keys, with proportional counts."""
-        return isinstance(other, Pmf) and self.domain == other.domain \
-            and self.modulus == other.modulus and self.counts.keys() == other.counts.keys() \
-            and all(c * other.total == other.counts[k] * self.total
-                    for k, c in self.counts.items())
+    @staticmethod
+    def from_dict(domain, counts: dict, total: int, modulus: int = 2) -> "Pmf":
+        """The Pmf whose rows are the keys of counts, value tuples over
+        domain (BOT where a value is), in the dict's order, each counted
+        counts[key] runs out of total."""
+        import numpy as np
 
-    @property
-    def weights(self) -> dict:
-        """key tuple -> Fraction, in the order of counts."""
-        of = {c: Fraction(c, self.total) for c in set(self.counts.values())}
-        return {k: of[c] for k, c in self.counts.items()}
+        codes = np.array([[modulus if x is BOT else x for x in key] for key in counts],
+                         dtype=np.int64).reshape(len(counts), len(domain))
+        return Pmf(tuple(domain), codes, np.array(list(counts.values()), dtype=np.int64),
+                   total, modulus)
 
     @staticmethod
     def point(memory: dict, modulus: int = 2) -> "Pmf":
         domain = tuple(sorted(memory, key=str))
-        return Pmf(domain, {_key_of(memory, domain): 1}, 1, modulus)
+        return Pmf.from_dict(domain, {_key_of(memory, domain): 1}, 1, modulus)
+
+    def __eq__(self, other):
+        """The same domain and rows, with proportional counts."""
+        import numpy as np
+
+        if not (isinstance(other, Pmf) and self.domain == other.domain
+                and self.modulus == other.modulus):
+            return False
+        lcm = math.lcm(self.total, other.total)
+        stacked = Pmf(self.domain, np.concatenate([self.codes, other.codes]),
+                      np.concatenate([self._scaled(lcm), -other._scaled(lcm)]), lcm,
+                      self.modulus)
+        # each side's rows are distinct, so a row cancels only against the other side's
+        return not stacked._groups(self.domain)[1].any()
+
+    def _scaled(self, lcm: int):
+        """The counts out of lcm runs instead of total, exact: int64 while
+        lcm fits it (no count passes its total), else Python ints."""
+        import numpy as np
+
+        return self.counts.astype(np.int64 if lcm < 2 ** 63 else object) * (lcm // self.total)
+
+    @cached_property
+    def weights(self) -> dict:
+        """key tuple -> Fraction, in row order: the one view that holds a
+        key tuple per row, built on first use."""
+        counts = self.counts.tolist()
+        of = {c: Fraction(c, self.total) for c in set(counts)}
+        return {k: of[c] for k, c in zip(self.keys(), counts)}
 
     def mass(self) -> Fraction:
-        return Fraction(sum(self.counts.values()), self.total)
+        return Fraction(int(self.counts.sum()), self.total)
 
     def support(self):
         return self.weights.items()
@@ -178,22 +205,38 @@ class Pmf:
     def memory(self, key) -> dict:
         return dict(zip(self.domain, key))
 
-    def _positions(self, vars_) -> tuple:
-        return domain_positions(self.domain, vars_)
+    def keys(self, vars_=None, rows=slice(None)) -> list:
+        """The key tuples over vars_ (the domain by default) of the rows at
+        the given indices (all by default), BOT for the code modulus."""
+        codes = (self.codes if vars_ is None else self._columns(vars_))[rows]
+        has_bot = (codes == self.modulus).any(axis=1).tolist()
+        keys = codes.tolist()
+        for j, key in enumerate(keys):
+            # in place, so the row lists and the key tuples are never all held at once
+            keys[j] = tuple([BOT if x == self.modulus else x for x in key] if has_bot[j] else key)
+        return keys
 
-    def marginal(self, vars_) -> "Pmf":
-        vars_ = tuple(vars_)
-        at = _getter(self._positions(vars_))
-        out: dict = {}
-        for key, c in self.counts.items():
-            sub = at(key)
-            out[sub] = out.get(sub, 0) + c
-        return Pmf(vars_, out, self.total, self.modulus)
+    def _columns(self, vars_):
+        """The code columns of vars_, in their order."""
+        return self.codes[:, list(domain_positions(self.domain, vars_))]
+
+    def _where(self, vars_, key):
+        """Bool mask of the rows whose key over vars_ is key; a value that
+        is no code's matches no row."""
+        import numpy as np
+
+        want = [self.modulus if x is BOT else x if x in range(self.modulus) else -1
+                for x in key]
+        return (self._columns(vars_) == np.array(want, dtype=np.int64)).all(axis=1)
+
+    def _matching(self, vars_, key) -> "Pmf":
+        """The rows whose key over vars_ is key, out of their own runs."""
+        rows = self._where(vars_, key)
+        counts = self.counts[rows]
+        return Pmf(self.domain, self.codes[rows], counts, int(counts.sum()), self.modulus)
 
     def _count(self, partial: dict) -> int:
-        at = _getter(self._positions(tuple(partial)))
-        want = tuple(partial.values())
-        return sum(c for key, c in self.counts.items() if at(key) == want)
+        return int(self.counts[self._where(tuple(partial), tuple(partial.values()))].sum())
 
     def prob(self, partial: dict) -> Fraction:
         """Probability that all entries of the partial memory hold."""
@@ -211,118 +254,44 @@ class Pmf:
             both[v] = x
         return Fraction(self._count(both), denom)
 
+    def _first_rows(self, vars_):
+        """One row of each realization of vars_ and its run count, in the
+        order of their first rows."""
+        import numpy as np
+
+        _, mass, first = self._groups(vars_)
+        order = np.argsort(first)
+        return first[order], mass[order]
+
+    def marginal(self, vars_) -> "Pmf":
+        vars_ = tuple(vars_)
+        rows, mass = self._first_rows(vars_)
+        return Pmf(vars_, self._columns(vars_)[rows], mass, self.total, self.modulus)
+
     def conditional(self, x1, x2) -> "CondTable":
         x1, x2 = tuple(x1), tuple(x2)
-        at1 = _getter(self._positions(x1))
-        at2 = _getter(self._positions(x2))
-        rows: dict = {}
+        rows, mass = self._first_rows(tuple(dict.fromkeys(x1 + x2)))
+        table: dict = {}
         masses: dict = {}
-        for key, c in self.counts.items():
-            k1, k2 = at1(key), at2(key)
-            row = rows.get(k1)
-            if row is None:
-                row = rows[k1] = {}
-            row[k2] = row.get(k2, 0) + c
+        for k1, k2, c in zip(self.keys(x1, rows), self.keys(x2, rows), mass.tolist()):
+            table.setdefault(k1, {})[k2] = c
             masses[k1] = masses.get(k1, 0) + c
-        return CondTable(x1, x2, rows, masses, self.modulus)
-
-    def independent(self, x1, x2) -> bool:
-        return Counts.of(self).independent(x1, x2)
-
-    def independent_witness(self, x1, x2):
-        """Counts.independent_witness of this distribution."""
-        return Counts.of(self).independent_witness(x1, x2)
-
-    def cond_det(self, x1, x2) -> bool:
-        return self.cond_det_witness(x1, x2) is None
-
-    def cond_det_witness(self, x1, x2):
-        """Counts.cond_det_witness, the first row in key order."""
-        return Counts.of(self).cond_det_witness(x1, x2)
-
-    def cond_uni(self, x1, x2) -> bool:
-        return self.cond_uni_witness(x1, x2) is None
-
-    def cond_uni_witness(self, x1, x2):
-        """Counts.cond_uni_witness, the first row in key order."""
-        return Counts.of(self).cond_uni_witness(x1, x2)
-
-    def cond_sep(self, x1, x2, x3) -> bool:
-        return self.cond_sep_witness(x1, x2, x3) is None
-
-    def cond_sep_witness(self, x1, x2, x3):
-        """Counts.cond_sep_witness, the first row in key order."""
-        return Counts.of(self).cond_sep_witness(x1, x2, x3)
-
-    def with_global_views(self, names) -> "Pmf":
-        """Counts.with_global_views, as a Pmf in the same key order."""
-        return Counts.of(self).with_global_views(names).to_pmf()
+        return CondTable(x1, x2, table, masses, self.modulus)
 
     def mixed_with(self, others) -> "Pmf":
         """Uniform mixture of self with the given same-domain pmfs: each
-        one's counts scaled to the lcm of the totals."""
+        one's counts scaled to the lcm of the totals, equal rows added."""
+        import numpy as np
+
         all_ = [self, *others]
         for p in all_:
             if p.domain != self.domain:
                 raise UsageError("mixture requires identical domains")
         lcm = math.lcm(*(p.total for p in all_))
-        out: dict = {}
-        for p in all_:
-            scale = lcm // p.total
-            for key, c in p.counts.items():
-                out[key] = out.get(key, 0) + c * scale
-        return Pmf(self.domain, out, lcm * len(all_), self.modulus)
-
-
-@dataclass(frozen=True)
-class Counts:
-    """A distribution as code rows: counts[i] of total runs have the
-    codes[i] row over domain.  A code is the value, or the modulus for
-    BOT, so engine.distinct_rows output (BOT_CODE = 2) is an F_2 Counts.
-    Every check's test runs here, on whole columns; "the first" failing
-    realization of a conditioning set is the one whose first row comes
-    first: first-run order for engine.project, key order for Counts.of."""
-
-    domain: tuple
-    codes: object   # (rows, len(domain)) integer matrix
-    counts: object  # run count of each row
-    total: int
-    modulus: int = 2
-
-    @staticmethod
-    def of(pmf: Pmf) -> "Counts":
-        import numpy as np
-
-        codes = np.array([[pmf.modulus if x is BOT else x for x in key] for key in pmf.counts],
-                         dtype=np.int64).reshape(len(pmf.counts), len(pmf.domain))
-        return Counts(pmf.domain, codes, np.array(list(pmf.counts.values())),
-                      pmf.total, pmf.modulus)
-
-    def to_pmf(self) -> Pmf:
-        """The same distribution as a Pmf; the rows must be distinct."""
-        keys = self._keys(slice(None), self.domain)
-        return Pmf(self.domain, dict(zip(keys, self.counts.tolist())), self.total, self.modulus)
-
-    def _columns(self, vars_):
-        """The code columns of vars_, in their order."""
-        return self.codes[:, list(domain_positions(self.domain, vars_))]
-
-    def _keys(self, rows, vars_) -> list:
-        """The key tuples over vars_ of the rows at the given indices, BOT
-        for the code modulus."""
-        codes = self._columns(vars_)[rows]
-        has_bot = (codes == self.modulus).any(axis=1).tolist()
-        keys = codes.tolist()
-        for j, key in enumerate(keys):
-            # in place, so the row lists and the key tuples are never all held at once
-            keys[j] = tuple([BOT if x == self.modulus else x for x in key] if has_bot[j] else key)
-        return keys
-
-    def _matching(self, vars_, key) -> "Counts":
-        """The rows whose key over vars_ is key, out of their own runs."""
-        rows = (self._columns(vars_) == [self.modulus if x is BOT else x for x in key]).all(axis=1)
-        counts = self.counts[rows]
-        return Counts(self.domain, self.codes[rows], counts, int(counts.sum()), self.modulus)
+        stacked = Pmf(self.domain, np.concatenate([p.codes for p in all_]),
+                      np.concatenate([p._scaled(lcm) for p in all_]),
+                      lcm * len(all_), self.modulus)
+        return stacked.marginal(self.domain)
 
     def _groups(self, vars_):
         """Each row's group 0, 1, ... by its codes over vars_, each group's
@@ -355,7 +324,7 @@ class Counts:
     def _table(self, vars_) -> dict:
         """Key tuple over vars_ -> run count, for the positive keys."""
         _, mass, first = self._groups(vars_)
-        return dict(zip(self._keys(first, vars_), mass.tolist()))
+        return dict(zip(self.keys(vars_, first), mass.tolist()))
 
     def _dependent(self, x1, x2, x3):
         """The conditional-independence test, one bool per row: whether
@@ -381,7 +350,7 @@ class Counts:
         if not bad.any():
             return None
         group = self._groups(x1)[0]
-        k1 = self._keys([np.argmax(np.isin(group, group[bad]))], x1)[0]
+        k1 = self.keys(x1, [np.argmax(np.isin(group, group[bad]))])[0]
         return k1, self._matching(x1, k1)
 
     def _least_failing(self, x1, x2, x3):
@@ -395,9 +364,9 @@ class Counts:
         bad = self._dependent(x1, x2, x3)
         if not bad.any():
             return None
-        k1 = min(set(self._keys(bad, x1)), key=str)
+        k1 = min(set(self.keys(x1, bad)), key=str)
         given = self._matching(x1, k1)
-        k2 = min(set(given._keys(given._dependent((), x2, x3), x2)), key=str)
+        k2 = min(set(given.keys(x2, given._dependent((), x2, x3))), key=str)
         inner = given._matching(x2, k2)
         m3, joint = given._table(x3), inner._table(x3)
         k3 = min((k for k, c in m3.items() if joint.get(k, 0) * given.total != inner.total * c),
@@ -423,12 +392,18 @@ class Counts:
         k1, rows = found
         return k1, {k2: Fraction(c, rows.total) for k2, c in rows._table(x2).items()}
 
+    def cond_det(self, x1, x2) -> bool:
+        return self.cond_det_witness(x1, x2) is None
+
     def cond_det_witness(self, x1, x2):
         """None when, for every positive x1-realization, some x2-realization
         has conditional probability 1; else an offending row.  Where one
         has, every row of the x1-realization holds it and all of its mass."""
         m1, m12 = self._masses(x1, tuple(x1) + tuple(x2))
         return self._cond_witness(x1, x2, m12 != m1)
+
+    def cond_uni(self, x1, x2) -> bool:
+        return self.cond_uni_witness(x1, x2) is None
 
     def cond_uni_witness(self, x1, x2):
         """None when, given every positive x1-realization, each x2-realization
@@ -440,6 +415,9 @@ class Counts:
         # with more values than runs none is uniform, and m12 * full could overflow
         bad |= m12 * full != m1 if full <= self.total else True
         return self._cond_witness(x1, x2, bad)
+
+    def cond_sep(self, x1, x2, x3) -> bool:
+        return self.cond_sep_witness(x1, x2, x3) is None
 
     def cond_sep_witness(self, x1, x2, x3):
         """None when x2 and x3 are independent given every positive
@@ -462,7 +440,7 @@ class Counts:
         k1, k2, k3, n1, n12, n13, n123 = found
         return k1, k2, k3, Fraction(n13, n1), Fraction(n123, n12)
 
-    def with_global_views(self, names) -> "Counts":
+    def with_global_views(self, names) -> "Pmf":
         """Extend with synthetic variables <m[w]>: the field sum of all
         shares m[w]@i present in the domain (BOT if any share is BOT)."""
         import numpy as np
@@ -475,8 +453,8 @@ class Counts:
             shares = self._columns(vs).astype(np.int64)
             columns.append(np.where((shares == self.modulus).any(axis=1), self.modulus,
                                     shares.sum(axis=1) % self.modulus))
-        return Counts(self.domain + tuple(Var(GLOBAL, w) for w in names),
-                      np.column_stack(columns), self.counts, self.total, self.modulus)
+        return Pmf(self.domain + tuple(Var(GLOBAL, w) for w in names),
+                   np.column_stack(columns), self.counts, self.total, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -639,20 +617,17 @@ def bd(protocol: Protocol, preproc: Optional[Preprocessing] = None,
     if preproc is None:
         preproc = default_preprocessing(protocol)
     check_deal(protocol, preproc)
-    if protocol.modulus == 2:
-        return engine.project_runs(protocol, preproc, bd_domain(protocol, preproc),
-                                   strategy, part).to_pmf()
-    total = preproc.count() * protocol.modulus ** len(protocol.flips())
-    if total > engine.MAX_RUNS:
-        raise BudgetError(f"{total} runs exceed the run budget of {engine.MAX_RUNS}")
     domain = bd_domain(protocol, preproc)
+    if protocol.modulus == 2:
+        return engine.project_runs(protocol, preproc, domain, strategy, part)
+    total = engine._runs(protocol, preproc)
     counts: dict = {}
     for m0 in _initial_memories(protocol, preproc):
         final = run(m0, protocol) if strategy is None \
             else run_adv(m0, protocol, strategy, part)
         key = _key_of(final, domain)
         counts[key] = counts.get(key, 0) + 1
-    return Pmf(domain, counts, total, protocol.modulus)
+    return Pmf.from_dict(domain, counts, total, protocol.modulus)
 
 
 def bd_adv(protocol: Protocol, strategy: AdversaryStrategy, part: Partition,
@@ -760,18 +735,19 @@ def format_pmf(pmf: Pmf) -> str:
     apart from the sort."""
     import numpy as np
 
-    keys = list(pmf.counts)
     names = [str(v) for v in pmf.domain]
     order = sorted(range(len(names)), key=names.__getitem__)
-    codes = np.empty((len(keys), len(order)), dtype=np.intp)
+    codes = np.empty((len(pmf.codes), len(order)), dtype=np.intp)
     labels = []
     for j, i in enumerate(order):
-        at = itemgetter(i)
-        values = sorted(set(map(at, keys)), key=str)
-        rank = {x: r for r, x in enumerate(values)}
-        codes[:, j] = np.fromiter(map(rank.__getitem__, map(at, keys)), np.intp, len(keys))
-        labels.append([str(x) for x in values])
-    counts = np.array(list(pmf.counts.values()))
+        values, which = np.unique(pmf.codes[:, i], return_inverse=True)
+        text = [str(BOT) if x == pmf.modulus else str(x) for x in values.tolist()]
+        ranked = sorted(range(len(text)), key=text.__getitem__)
+        rank = np.empty(len(text), dtype=np.intp)
+        rank[ranked] = np.arange(len(text))
+        codes[:, j] = rank[which]
+        labels.append([text[r] for r in ranked])
+    counts = pmf.counts
     if order:
         sort = np.lexsort(codes.T[::-1])
         codes, counts = codes[sort], counts[sort]

@@ -6,11 +6,12 @@ a failed honest assertion clears the alive flag of the affected rows and
 every later assignment is marked BOT there.  Row i is the run of the i-th
 initial memory of the reference interpreter's sweep: preprocessing
 memories in their memories() order, then coin-flip tapes with the first
-flip as the most significant bit.  Projections list realizations in the
-order of their first run, so distributions built here iterate like those
-built by the interpreter.  Each command is compiled once per protocol
-into a function of the columns (_plan), its references resolved to
-variables there, and every fold of that protocol reuses it.
+flip as the most significant bit.  A projection (project_runs) is a
+dist.Pmf as count_runs counts it, its code rows reordered by their first
+runs, so distributions built here iterate like those built by the
+interpreter; no key tuple is built.  Each command is compiled once per
+protocol into a function of the columns (_plan), its references resolved
+to variables there, and every fold of that protocol reuses it.
 
 fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table.  Deal
 columns come from the deal's columns() for a whole table and from its
@@ -158,8 +159,8 @@ def bit_range(lo: int, hi: int, i: int) -> "np.ndarray":
 
 
 def _runs(protocol: Protocol, preproc) -> int:
-    """The number of runs; BudgetError above MAX_RUNS."""
-    nrows = preproc.count() * 2 ** len(protocol.flips())
+    """The number of runs, over any field; BudgetError above MAX_RUNS."""
+    nrows = preproc.count() * protocol.modulus ** len(protocol.flips())
     if nrows > MAX_RUNS:
         raise BudgetError(f"{nrows} runs exceed the run budget of {MAX_RUNS}")
     return nrows
@@ -593,30 +594,27 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
 
 
 def _first_run_order(vars_, codes, counts, first, total: int):
-    """Distinct rows as a dist.Counts over vars_, in the order of their first runs."""
-    from .dist import Counts
+    """Distinct rows as a dist.Pmf over vars_, in the order of their first runs."""
+    from .dist import Pmf
 
     order = np.argsort(first)
-    return Counts(tuple(vars_), codes[order], counts[order], total)
-
-
-def project(table: RunTable, vars_):
-    """The runs of the table over vars_ as a dist.Counts, its distinct rows
-    in the order of their first runs."""
-    return _first_run_order(vars_, *distinct_rows(table, vars_), table.nrows)
+    return Pmf(tuple(vars_), codes[order], counts[order], total)
 
 
 def project_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None):
-    """project of the fold's run table, counted block by block (count_runs)."""
+    """The runs of fold(protocol, preproc, strategy, part) over vars_ as a
+    dist.Pmf, counted block by block (count_runs), its distinct rows in the
+    order of their first runs."""
     codes, counts, first = count_runs(protocol, preproc, vars_, strategy, part)
     return _first_run_order(vars_, codes, counts, first, int(counts.sum()))
 
 
 def project_counts(table: RunTable, vars_):
-    """Exact counts of (value, bot) realizations over the given variables,
-    keyed in the order of each realization's first run, with key tuples
-    built only for the distinct rows."""
-    return project(table, vars_).to_pmf().counts
+    """Exact counts of (value, bot) realizations over the given variables
+    of one run table, keyed in the order of each realization's first run,
+    with key tuples built only for the distinct rows."""
+    p = _first_run_order(vars_, *distinct_rows(table, vars_), table.nrows)
+    return dict(zip(p.keys(), p.counts.tolist()))
 
 
 def rows_matching(table: RunTable, memory: dict) -> "np.ndarray":

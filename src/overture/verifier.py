@@ -3,12 +3,12 @@
 The check_* functions decide passive correctness, noninterference modulo
 output, gradual release, the AND gate conditioning conditions, the
 share-based circuit invariant, cheating detection, and integrity.  Each
-check tests count tables: over F_2 the runs of the vectorized fold in
-engine.py counted by engine.distinct_rows, with no Pmf (the passive
-checks fold and count a block of runs at a time, engine.count_runs);
-over F_p the passive checks take the dist.Counts of a marginal of bd.
-Every failing verdict carries a witness that can be recomputed from the
-distributions.
+check tests count tables, dist.Pmf, on whole columns: over F_2 the runs
+of the vectorized fold in engine.py counted by engine.distinct_rows (the
+passive checks fold and count a block of runs at a time through
+projected_bd and engine.count_runs); over F_p the marginal of bd.  No
+check builds a key tuple per row.  Every failing verdict carries a
+witness that can be recomputed from the distributions.
 """
 
 import itertools
@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import dist as dist_mod
 from .dist import (
-    Counts, Functionality, Pmf, UniformPreprocessing, bd, bd_domain,
+    Functionality, Pmf, UniformPreprocessing, bd, bd_domain,
     default_preprocessing,
 )
 from .errors import BudgetError, UsageError
@@ -63,24 +63,19 @@ class Verdict:
 
 # --- Projected distributions --------------------------------------------------
 
-def projected_counts(protocol: Protocol, vars_, preproc=None) -> Counts:
+def projected_bd(protocol: Protocol, vars_, preproc=None) -> Pmf:
     """The basic distribution over the given variables, repeats dropped,
     its rows in first-run order: over F_2 counted on the fold block by
-    block, with no Pmf; over F_p the Counts of the marginal of bd."""
+    block, with no run table held; over F_p the marginal of bd."""
     from . import engine
 
     if preproc is None:
         preproc = default_preprocessing(protocol)
     vars_ = tuple(dict.fromkeys(vars_))
     if protocol.modulus != 2:
-        return Counts.of(bd(protocol, preproc).marginal(vars_))
+        return bd(protocol, preproc).marginal(vars_)
     dist_mod.check_deal(protocol, preproc)
     return engine.project_runs(protocol, preproc, vars_)
-
-
-def projected_bd(protocol: Protocol, vars_, preproc=None) -> Pmf:
-    """Marginal of the basic distribution over the given variables."""
-    return projected_counts(protocol, vars_, preproc).to_pmf()
 
 
 # --- Passive correctness ------------------------------------------------------
@@ -148,7 +143,7 @@ def check_nimo(protocol: Protocol, part: Partition, preproc=None) -> Verdict:
     x1 = tuple(dict.fromkeys(s_c + outs))
     if not s_h:
         return Verdict(True, prop, ("no honest secrets",))
-    p = projected_counts(protocol, x1 + views + s_h, preproc)
+    p = projected_bd(protocol, x1 + views + s_h, preproc)
     witness = p.cond_shift_witness(x1, views, s_h)
     if witness is None:
         checked = len(p._groups(x1 + views)[1])
@@ -177,7 +172,7 @@ def check_gradual_release(protocol: Protocol, part: Partition, preproc=None) -> 
     s_h = owned_by(_dealt_secrets(protocol, preproc), part.honest)
     if not m_c or not s_h:
         return Verdict(True, prop, ("no corrupt messages or no honest secrets",))
-    witness = projected_counts(protocol, m_c + s_h, preproc).independent_witness(m_c, s_h)
+    witness = projected_bd(protocol, m_c + s_h, preproc).independent_witness(m_c, s_h)
     if witness is None:
         return Verdict(True, prop, (f"{len(m_c)} corrupt messages independent of honest secrets",))
     k1, k2, lhs, rhs = witness
@@ -222,7 +217,7 @@ def check_and_gate_tactic(protocol: Protocol) -> Verdict:
     x, y, z, sender, receiver = _and_gate_shape(protocol)
     shares = tuple(Var(MESG, w, c) for w in (x, y) for c in sorted((sender, receiver)))
     preproc = UniformPreprocessing(shares)
-    p = projected_counts(protocol, bd_domain(protocol, preproc), preproc)
+    p = projected_bd(protocol, bd_domain(protocol, preproc), preproc)
     p = p.with_global_views([x, y, z])
     gx, gy, gz = Var(GLOBAL, x), Var(GLOBAL, y), Var(GLOBAL, z)
     z1, z2 = Var(MESG, z, sender), Var(MESG, z, receiver)
@@ -272,7 +267,7 @@ def check_gmw_invariant(protocol: Protocol, wire: str, part: Partition,
         raise UsageError(f"wire {wire} does not have exactly two shares")
     received = tuple(v for v in corrupt_views(protocol, part) if v.kind == MESG)
     gw = Var(GLOBAL, wire)
-    p = projected_counts(protocol, secrets + shares + received, preproc)
+    p = projected_bd(protocol, secrets + shares + received, preproc)
     p = p.with_global_views([wire])
     checks = (
         (f"cond_det(S -> {gw})", p.cond_det_witness(secrets, (gw,))),
@@ -285,6 +280,10 @@ def check_gmw_invariant(protocol: Protocol, wire: str, part: Partition,
 
 # --- Adversary enumeration ------------------------------------------------------
 
+MAX_STRATEGIES = 100000  # strategies of one enumerate_adversaries family
+MAX_SUBSET_TESTS = 2 ** 16  # independence tests of one adversarial_inputs call
+
+
 def corrupt_positions(protocol: Protocol, part: Partition) -> tuple:
     return tuple(i for i, cmd in enumerate(protocol.commands)
                  if not isinstance(cmd, AssertCmd)
@@ -293,7 +292,6 @@ def corrupt_positions(protocol: Protocol, part: Partition) -> tuple:
 
 def enumerate_adversaries(protocol: Protocol, part: Partition,
                           tables_budget: int = 0, preproc=None,
-                          max_strategies: int = 100000,
                           positions=None) -> tuple:
     """Deterministic strategy family, identity first.
 
@@ -303,7 +301,8 @@ def enumerate_adversaries(protocol: Protocol, part: Partition,
     position may compute any boolean function of the variables its client
     holds at that point (its own initial values, earlier messages, and
     reveals).  positions restricts the tampered commands to a subset of the
-    corrupt-computed ones.
+    corrupt-computed ones.  A family of more than MAX_STRATEGIES
+    strategies raises BudgetError before any is built.
     """
     corrupt_pos = corrupt_positions(protocol, part)
     if positions is None:
@@ -321,13 +320,13 @@ def enumerate_adversaries(protocol: Protocol, part: Partition,
             # 2^rows exceeds the budget once rows reaches its bit length,
             # so an astronomical count is never formed
             rows = 2 ** len(_visible_vars(protocol, part, i, preproc))
-            if rows >= max_strategies.bit_length():
-                raise BudgetError(f"strategy family exceeds {max_strategies}")
+            if rows >= MAX_STRATEGIES.bit_length():
+                raise BudgetError(f"strategy family exceeds {MAX_STRATEGIES}")
             count *= 1 + 2 ** rows
         else:
             count *= 3
-        if count > max_strategies:
-            raise BudgetError(f"strategy family exceeds {max_strategies}")
+        if count > MAX_STRATEGIES:
+            raise BudgetError(f"strategy family exceeds {MAX_STRATEGIES}")
     if tables:
         option_lists = [[None] + _table_exprs(protocol, part, i, preproc)
                         for i in positions]
@@ -398,12 +397,9 @@ def _table_exprs(protocol, part, position, preproc) -> list:
 
 # --- Adversarial inputs ----------------------------------------------------------
 
-MAX_SUBSET_TESTS = 2 ** 16  # independence tests of one adversarial_inputs call
-
-
 def adversarial_inputs(dist, views, targets) -> tuple:
     """Least corrupt-to-honest views not independent of the targets in a
-    dist.Counts.
+    dist.Pmf.
 
     Tests candidate subsets by growing size: if any single view is
     dependent, the result is the set of dependent single views; otherwise
@@ -514,7 +510,7 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
         # exact in float64: no count passes MAX_STACKED_RUNS + MAX_RUNS < 2 ** 53
         counts = np.bincount(which, np.concatenate([counts, more_counts])).astype(np.int64)
         codes, total = codes[first], total + int(np.count_nonzero(tampered))
-    x_c = adversarial_inputs(Counts(vars_, codes, counts, total), v_ch, x_h_all)
+    x_c = adversarial_inputs(Pmf(vars_, codes, counts, total), v_ch, x_h_all)
     inputs = f"adversarial inputs: {', '.join(map(str, x_c)) or '(none)'}"
     agree = tuple(dict.fromkeys(x_c + x_h_all + scope))
     known, _, _ = engine.distinct_rows(passive, agree, first=False)

@@ -2,7 +2,9 @@
 inside overture's modules (engine.fold, the deals' columns and memories,
 cli.main, ...), so a change of one of their signatures would make every
 traced pass fail.  Each command below must run under the tracer to a
-verdict or its text (exit 0 or 1), with folds counted."""
+verdict or its text (exit 0 or 1), with folds counted; cheating detection
+must also count its subset tests, the Pmf.independent calls inside
+verifier.adversarial_inputs."""
 
 import contextlib
 import io
@@ -40,3 +42,5 @@ def test_traced_commands_run(argv):
     assert out.getvalue()
     assert tracer.counts["engine.fold_calls"] > 0
     assert tracer.spans and not tracer.stack
+    if "cheating-detection" in argv:
+        assert tracer.counts["verifier.subset_tests"] > 0

@@ -8,12 +8,12 @@ import pytest
 
 from overture import dist, engine, stdlib, verifier
 from overture.cli import main
-from overture.dist import CondTable, Pmf, UniformPreprocessing, bd
+from overture.dist import Pmf, UniformPreprocessing, bd
 from overture.lang import Partition
 from overture.ovt import parse_protocol
 from overture.stdlib import protocols_dir
 from test_dist import per_line_format_pmf
-from test_golden_cli import never_build
+from test_golden_cli import forbid_key_views
 from test_engine import FLIPS64, never_allocate
 
 
@@ -73,15 +73,14 @@ def test_pmf_streams_from_the_fold(monkeypatch):
     assert "".join(writes) == want
 
 
-def test_failing_cond_checks_build_no_pmf(monkeypatch):
+def test_failing_cond_checks_build_no_key_view(monkeypatch):
     """The failing AND-gate and share-invariant checks, which the golden
-    file lacks, also run with no Pmf and no CondTable built (the golden
-    test checks every verify command it holds)."""
+    file lacks, also run with no whole-table key view and no CondTable
+    built (the golden test checks every verify command it holds)."""
     gate = parse_protocol("m[z]@2 := OT4(m[x], m[y] @ 2 ; 0, 0, 0, 0) @ 1;\n"
                           "m[z]@1 := r[z] @ 1;\n")
     copy = parse_protocol("m[w]@1 := s[x] @ 1;\nm[w]@2 := 0 @ 1;\nout@1 := m[w] @ 1;\n")
-    monkeypatch.setattr(Pmf, "__init__", never_build)
-    monkeypatch.setattr(CondTable, "__init__", never_build)
+    forbid_key_views(monkeypatch)
     assert not verifier.check_and_gate_tactic(gate).ok
     assert not verifier.check_gmw_invariant(copy, "w", Partition.of(copy.federation, [2])).ok
 
@@ -240,6 +239,11 @@ def test_export_datalog_and_lhm(tmp_path, capsys):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
+    # operator chains too deep for the parsers' and evaluators' recursion
+    deep_pre = tmp_path / "deep.pre"
+    deep_pre.write_text('p["w"] := true' + " xor true" * 2999 + " @ 1")
+    deep_ovt = tmp_path / "deep.ovt"
+    deep_ovt.write_text("p[w] := 1" + " xor 1" * 2999 + " @ 1;\n")
     # '²' is a digit to str.isdigit but no int() literal
     superscript_pre = tmp_path / "superscript.pre"
     superscript_pre.write_text('p["w"] := true @ \u00b2')
@@ -256,6 +260,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ("pmf", "otp", "--marginal", "out@x"),
         ("pmf", "otp", "--marginal", "s[x"),
         ("run", "otp", "--inputs", "s[x]@=1"),
+        ("expand", str(deep_pre)),
+        ("run", str(deep_ovt)),
         ("expand", str(superscript_pre)),
         ("run", str(superscript_ovt)),
     )

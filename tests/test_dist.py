@@ -98,7 +98,7 @@ def interpreter_bd(protocol, preproc=None, strategy=None, part=None) -> Pmf:
     for final in sweep(protocol, preproc, strategy, part):
         key = tuple(final[v] for v in domain)
         counts[key] = counts.get(key, 0) + 1
-    return Pmf(domain, counts, sum(counts.values()), protocol.modulus)
+    return Pmf.from_dict(domain, counts, sum(counts.values()), protocol.modulus)
 
 
 def test_bd_routes_agree():
@@ -125,6 +125,24 @@ def test_bd_routes_agree_under_adversary():
     assert list(a.weights.items()) == list(b.weights.items())
 
 
+def test_f2_bd_builds_no_key_tuple(monkeypatch):
+    """Over F_2 bd returns the fold's count table as it is: no key tuple
+    is built until a key view is read."""
+    def never(*args):
+        raise AssertionError("bd built key tuples")
+
+    protocol, _, _ = load_package("bdoz-beaver")
+    deal = PREPROCS["bdoz-beaver-trim"](protocol)
+    part = Partition.of(protocol.federation, [2])
+    lie = AdversaryStrategy(replacements=((3, Const(0)),), label="zero share")
+    with monkeypatch.context() as m:
+        m.setattr(Pmf, "keys", never)
+        tables = [bd(protocol, deal), bd_adv(protocol, lie, part, deal)]
+    for p in tables:
+        assert p.codes.shape == (len(p.weights), len(p.domain)) and p.mass() == 1
+    assert any(BOT in key for key in tables[1].weights)
+
+
 class OneMemoryDeal(StubDeal):
     """A deal that claims n memories and yields one empty memory."""
 
@@ -137,7 +155,8 @@ def test_fp_run_budget_checked_before_running(monkeypatch):
         raise AssertionError("interpreter ran")
 
     monkeypatch.setattr(dist, "run", never_run)
-    flips = " + ".join(f"r[k{i}]" for i in range(40))
+    # 3^17 runs pass the budget, where 3 * 2^16 would not
+    flips = " + ".join(f"r[k{i}]" for i in range(16))
     p = parse_protocol(f"out@1 := s[x] + {flips} @ 1;\n", modulus=3)
     with pytest.raises(BudgetError, match="run budget"):
         bd(p)
@@ -217,7 +236,7 @@ def test_cond_det_uni_sep():
 
 def test_cond_uni_rejects_bot_rows():
     a, b = Var("m", "a", 1), Var("m", "b", 1)
-    pmf = Pmf((a, b), {(0, 0): 2, (0, 1): 1, (1, BOT): 1}, 4)
+    pmf = Pmf.from_dict((a, b), {(0, 0): 2, (0, 1): 1, (1, BOT): 1}, 4)
     assert pmf.cond_uni_witness((a,), (b,)) is not None
 
 
@@ -236,27 +255,34 @@ def test_with_global_views():
 
 def test_with_global_views_bot_absorbs():
     a, b = Var("m", "w", 1), Var("m", "w", 2)
-    pmf = Pmf((a, b), {(1, BOT): 1, (1, 1): 1}, 2)
+    pmf = Pmf.from_dict((a, b), {(1, BOT): 1, (1, 1): 1}, 2)
     out = pmf.with_global_views(["w"])
     g = Var("gv", "w")
     assert out.prob({g: BOT}) == Fraction(1, 2)
     assert out.prob({g: 0}) == Fraction(1, 2)
+    # 2 is BOT's code over F_2, but no value
+    assert out.prob({g: 2}) == 0 and out.cond_prob({a: 1}, {g: 2}) == 0
 
 
 def test_mixture():
     a = Var("m", "a", 1)
-    p0 = Pmf((a,), {(0,): 1}, 1)
-    p1 = Pmf((a,), {(1,): 1}, 1)
+    p0 = Pmf.from_dict((a,), {(0,): 1}, 1)
+    p1 = Pmf.from_dict((a,), {(1,): 1}, 1)
     mix = p0.mixed_with([p1])
     assert mix.weights == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
     assert mix.mass() == 1
     # unequal totals: 1/3 (1 + 1/2 + 1/4) and 1/3 (1/2 + 3/4)
-    thirds = p0.mixed_with([Pmf((a,), {(0,): 1, (1,): 1}, 2),
-                            Pmf((a,), {(0,): 1, (1,): 3}, 4)])
+    thirds = p0.mixed_with([Pmf.from_dict((a,), {(0,): 1, (1,): 1}, 2),
+                            Pmf.from_dict((a,), {(0,): 1, (1,): 3}, 4)])
     assert thirds.weights == {(0,): Fraction(7, 12), (1,): Fraction(5, 12)}
     assert thirds.mass() == 1
     with pytest.raises(UsageError):
-        p0.mixed_with([Pmf((Var("m", "b", 1),), {(0,): 1}, 1)])
+        p0.mixed_with([Pmf.from_dict((Var("m", "b", 1),), {(0,): 1}, 1)])
+    # coprime totals whose lcm passes int64: the counts become Python ints
+    big = [Pmf.from_dict((a,), {(0,): 1, (1,): t - 1}, t) for t in (2 ** 61 - 1, 2 ** 31 - 1)]
+    mix = big[0].mixed_with(big[1:])
+    assert mix.weights == frac_mixed_with([p.weights for p in big]) and mix.mass() == 1
+    assert mix == mix.mixed_with([mix]) and mix != big[0]
 
 
 def test_point_and_format():
@@ -291,8 +317,8 @@ def test_format_pmf_matches_per_line_rendering(capsys, monkeypatch, tmp_path):
                               "out@1 := 0 @ 1;\n")).with_global_views(["w"])
     # domain order is not name order, and two variables share the name out@1
     out_b, out_a = Var("out", "b", 1), Var("out", "a", 1)
-    unsorted = Pmf((M_K, out_b, S_X, out_a, M_Z),
-                   {(0, 1, 1, 0, 1): 1, (1, 0, BOT, 1, 0): 2}, 3)
+    unsorted = Pmf.from_dict((M_K, out_b, S_X, out_a, M_Z),
+                             {(0, 1, 1, 0, 1): 1, (1, 0, BOT, 1, 0): 2}, 3)
     rng = random.Random(5)
     cases = [tripped, f3, views, unsorted, tripped.marginal(())]
     for pmf in cases + [random_pmf(rng) for _ in range(20)]:
@@ -339,7 +365,7 @@ def check_cli_pmf_renders_like_per_line(capsys, monkeypatch, tmp_path):
 
     def conditioned(x1, k1, x2):
         table = joint.conditional(x1, x2)
-        return Pmf(x2, table.rows[k1], table.masses[k1])
+        return Pmf.from_dict(x2, table.rows[k1], table.masses[k1])
 
     cases.append((("gmw-and", "--given", "s[s1]@1=1"),
                    conditioned((s1,), (1,), tuple(v for v in joint.domain if v != s1))))
@@ -386,8 +412,8 @@ def test_render_matches_per_line_on_random_f2_tables(data):
                             {v: bot[:, j] if bot[:, j].any() else None
                              for j, v in enumerate(domain)},
                             ~bot.any(axis=1), len(runs))
-    pmf = Pmf(domain, {tuple(BOT if x == engine.BOT_CODE else x for x in row): c
-                       for row, c in zip(rows, counts)}, len(runs))
+    pmf = Pmf(domain, np.array(rows, dtype=np.uint8).reshape(len(rows), n), np.array(counts),
+              len(runs))
     want = per_line_format_pmf(pmf)
     assert format_pmf(pmf) == want
     out = []
@@ -399,7 +425,7 @@ def test_render_matches_per_line_on_random_f2_tables(data):
     out = []
     assert dist.write_pmf(out.append, domain, lambda vars_: engine.distinct_rows(
         table, vars_, first, first=False)) == counts[0]
-    assert "".join(out) == per_line_format_pmf(Pmf(domain, {next(iter(pmf.counts)): 1}, 1))
+    assert "".join(out) == per_line_format_pmf(Pmf(domain, pmf.codes[:1], np.array([1]), 1))
 
 
 def test_functionality_from_callable_and_round_trip():
@@ -456,7 +482,7 @@ def random_pmf(rng: random.Random) -> Pmf:
     if not counts:
         counts[(0,) * n] = 1
         total = 1
-    return Pmf(domain, counts, total)
+    return Pmf.from_dict(domain, counts, total)
 
 
 def check_pmf_laws(pmf: Pmf, rng: random.Random) -> None:
@@ -482,7 +508,8 @@ def check_pmf_laws(pmf: Pmf, rng: random.Random) -> None:
     table = pmf.conditional(x1, x2)
     positive = {k for k, _ in pmf.marginal(x1).support()}
     assert set(table.rows) == positive
-    assert table.masses == pmf.marginal(x1).counts
+    assert {k1: Fraction(c, pmf.total) for k1, c in table.masses.items()} \
+        == pmf.marginal(x1).weights
     for k1, row in table.rows.items():
         m1 = dict(zip(x1, k1))
         assert sum(row.values()) == table.masses[k1]
@@ -536,7 +563,7 @@ def test_random_pmf_laws():
         check_pmf_laws(random_pmf(rng), rng)
 
 
-# --- Counts against the Fraction oracle ---------------------------------------
+# --- Count tables against the Fraction oracle ---------------------------------
 # The Fraction-weight forms of the Pmf operations, as functions over a
 # domain and its weights: each adds and compares Fractions exactly as the
 # operations did before Pmf held integer counts.
@@ -704,9 +731,10 @@ def reference_adversarial_inputs(pmf, views, targets) -> tuple:
 def test_count_independence_matches_pmf(data):
     """Random small count tables, codes with BOT and rows that leave pairs of
     positive marginals out of the joint support, some with totals whose
-    squares pass int64: the count-table verdict and witness equal
-    Pmf.independent_witness and the Fraction oracle, and adversarial_inputs
-    gives the reference answer on the Pmf and on its count table."""
+    squares pass int64: built from its code matrix and from a dict of key
+    tuples (Pmf.from_dict), the table gives the Fraction oracle's verdict
+    and witness, and adversarial_inputs gives the reference answer on
+    both."""
     domain = tuple(Var("m", f"v{j}", 1 + j % 2) for j in range(data.draw(st.integers(2, 5))))
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(domain)),
                               min_size=1, max_size=10, unique=True))
@@ -716,9 +744,9 @@ def test_count_independence_matches_pmf(data):
     order = data.draw(st.permutations(domain))
     k = data.draw(st.integers(1, len(domain) - 1))
     x1, x2 = tuple(order[:k]), tuple(order[k:k + data.draw(st.integers(1, len(domain) - k))])
-    pmf = Pmf(domain, {tuple(BOT if x == engine.BOT_CODE else x for x in row): c
-                       for row, c in zip(rows, counts)}, sum(counts))
-    table = dist.Counts(domain, np.array(rows, dtype=np.uint8), np.array(counts), sum(counts))
+    pmf = Pmf.from_dict(domain, {tuple(BOT if x == engine.BOT_CODE else x for x in row): c
+                                 for row, c in zip(rows, counts)}, sum(counts))
+    table = Pmf(domain, np.array(rows, dtype=np.uint8), np.array(counts), sum(counts))
     want = frac_independent_witness(domain, pmf.weights, x1, x2)
     assert table.independent_witness(x1, x2) == pmf.independent_witness(x1, x2) == want
     assert table.independent(x1, x2) == pmf.independent(x1, x2) == (want is None)
@@ -733,7 +761,7 @@ def test_count_pmf_matches_fraction_oracle():
         pmf = random_pmf(rng)
         # the same counts over two shares of one wire per variable pair
         shares = tuple(Var("m", f"w{i // 2}", 1 + i % 2) for i in range(len(pmf.domain)))
-        cases += [pmf, Pmf(shares, pmf.counts, pmf.total)]
+        cases += [pmf, Pmf(shares, pmf.codes, pmf.counts, pmf.total)]
     by_domain: dict = {}
     for pmf in cases[::2]:
         by_domain.setdefault(pmf.domain, []).append(pmf)
@@ -756,6 +784,13 @@ def test_count_pmf_matches_fraction_oracle():
                                    "out@2 := m[z] - m[k] @ 2;\n", modulus=3)))
     for pmf in cases:
         check_against_oracle(pmf, rng)
+    for pmf in {id(p): p for p in cases}.values():
+        # equality is of distributions: the same weights over twice the
+        # total, rows in reverse order; one row fewer is another distribution
+        doubled = {k: int(w * 2 * pmf.total) for k, w in reversed(pmf.weights.items())}
+        assert pmf == Pmf.from_dict(pmf.domain, doubled, 2 * pmf.total, pmf.modulus)
+        assert pmf != Pmf.from_dict(pmf.domain, dict(list(doubled.items())[1:]),
+                                    2 * pmf.total, pmf.modulus)
 
 
 def frac_cond_shift_witness(domain, weights, x1, x2, x3):
@@ -775,7 +810,7 @@ def frac_cond_shift_witness(domain, weights, x1, x2, x3):
 
 
 def byte_key_groups(counts, vars_) -> tuple:
-    """Counts._groups' group of each row and first row of each group,
+    """Pmf._groups' group of each row and first row of each group,
     keyed as a void byte row of the codes behind a zero column."""
     rows = np.zeros((len(counts.codes), 1 + len(vars_)), dtype=counts.codes.dtype)
     rows[:, 1:] = counts._columns(vars_)
@@ -795,7 +830,7 @@ def test_groups_integer_keys_sort_as_byte_keys():
         for nrows in (1, 2, 9, 300):
             codes = rng.integers(0, modulus + 1, (nrows, ncols)).astype(dtype)
             codes[rng.random(nrows) < 0.5] = codes[0]  # repeated rows
-            counts = dist.Counts(domain, codes, rng.integers(1, 4, nrows), 10 ** 6, modulus)
+            counts = Pmf(domain, codes, rng.integers(1, 4, nrows), 10 ** 6, modulus)
             for vars_ in (domain, domain[::-1], domain[1:3], ()):
                 group, mass, first = counts._groups(vars_)
                 want_group, want_first = byte_key_groups(counts, vars_)
@@ -812,11 +847,11 @@ def wide_field_pmf(rng: random.Random) -> Pmf:
     for _ in range(rng.randint(1, 12)):
         key = tuple(rng.choice((0, 1, 255, 256, 262, 262, BOT)) for _ in domain)
         counts[key] = counts.get(key, 0) + rng.randint(1, 3)
-    return Pmf(domain, counts, sum(counts.values()), 263)
+    return Pmf.from_dict(domain, counts, sum(counts.values()), 263)
 
 
 def test_cond_shift_matches_fraction_oracle():
-    """Counts.cond_shift_witness, the witness of check_nimo, against the
+    """Pmf.cond_shift_witness, the witness of check_nimo, against the
     nimo loop over Fraction conditionals on random splits of random pmfs
     with BOT, every bundled package, the F_3 one-time pad and F_263 pmfs
     whose codes pass a byte (those also against every other oracle)."""
@@ -840,7 +875,7 @@ def test_cond_shift_matches_fraction_oracle():
             cut3 = rng.randint(cut2, min(cut2 + 3, len(vars_)))
             x1, x2, x3 = (tuple(vars_[:cut1]), tuple(vars_[cut1:cut2]),
                           tuple(vars_[cut2:cut3]))
-            assert dist.Counts.of(pmf).cond_shift_witness(x1, x2, x3) \
+            assert pmf.cond_shift_witness(x1, x2, x3) \
                 == frac_cond_shift_witness(pmf.domain, pmf.weights, x1, x2, x3)
     for pmf in wide:
         check_against_oracle(pmf, rng)
@@ -860,4 +895,4 @@ def test_conditioned_tests_over_f3():
     shared = bd(parse_protocol("m[w]@2 := s[x] - r[a] @ 1;\nm[w]@1 := r[a] @ 1;\n"
                                "out@1 := 0 @ 1;\n", modulus=3)).with_global_views(["w"])
     g = Var("gv", "w")
-    assert all(shared.memory(key)[g] == shared.memory(key)[S_X] for key in shared.counts)
+    assert all(shared.memory(key)[g] == shared.memory(key)[S_X] for key in shared.weights)

@@ -13,7 +13,8 @@ import pytest
 
 from overture import engine, verifier
 from overture.dist import (
-    Counts, ExplicitPreprocessing, Functionality, Pmf, bd, bd_adv, default_preprocessing,
+    ExplicitPreprocessing, Functionality, Pmf, bd, bd_adv, default_preprocessing,
+    domain_positions,
 )
 from overture.errors import BudgetError, UsageError
 from overture.interp import IDENTITY, AdversaryStrategy, run
@@ -252,22 +253,23 @@ def test_enumeration_with_table_budget():
     assert fam[0] is IDENTITY
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(monkeypatch):
     otp, _, _ = load_package("otp")
     part = Partition.of(otp.federation, [1])
     with pytest.raises(UsageError):
         enumerate_adversaries(otp, part, positions=(2,))
+    monkeypatch.setattr(verifier, "MAX_STRATEGIES", 5)
     with pytest.raises(BudgetError):
-        enumerate_adversaries(otp, part, max_strategies=5)
+        enumerate_adversaries(otp, part)
 
 
 def test_adversarial_inputs():
     a, b, t = (Var("m", n, 1) for n in "abt")
     keys = [(x, y, x ^ y) for x in (0, 1) for y in (0, 1)]
-    masked = Pmf((a, b, t), {k: 1 for k in keys}, 4)
+    masked = Pmf.from_dict((a, b, t), {k: 1 for k in keys}, 4)
     # neither view alone is dependent; the pair is, so both are returned
     assert adversarial_inputs(masked, (a, b), (t,)) == (a, b)
-    leak = Pmf((a, b, t), {(x, y, x): 1 for x in (0, 1) for y in (0, 1)}, 4)
+    leak = Pmf.from_dict((a, b, t), {(x, y, x): 1 for x in (0, 1) for y in (0, 1)}, 4)
     assert adversarial_inputs(leak, (a, b), (t,)) == (a,)
     assert adversarial_inputs(leak, (a, b), ()) == ()
     assert adversarial_inputs(leak, (Var("m", "zz", 9),), (t,)) == ()
@@ -423,9 +425,9 @@ def test_bdoz_open_forgeries_break_both_checks():
 
 
 def _cond_dist(pmf, x_vars, given: dict) -> dict:
-    pos = pmf._positions(tuple(given))
+    pos = domain_positions(pmf.domain, tuple(given))
     want = tuple(given[v] for v in given)
-    xpos = pmf._positions(tuple(x_vars))
+    xpos = domain_positions(pmf.domain, tuple(x_vars))
     rows: dict = {}
     mass = Fraction(0)
     for key, w in pmf.weights.items():
@@ -593,10 +595,10 @@ def test_subset_tests_budget_checked_before_walking(monkeypatch):
     # 20 constant views, each independent of the target and so is every subset
     views = tuple(Var("m", f"v{i}", 1) for i in range(20))
     t = Var("m", "t", 2)
-    pmf = Pmf(views + (t,), {(0,) * 20 + (0,): 1, (0,) * 20 + (1,): 1}, 2)
+    pmf = Pmf.from_dict(views + (t,), {(0,) * 20 + (0,): 1, (0,) * 20 + (1,): 1}, 2)
     calls = []
-    independent = Counts.independent
-    monkeypatch.setattr(Counts, "independent",
+    independent = Pmf.independent
+    monkeypatch.setattr(Pmf, "independent",
                         lambda self, *a: calls.append(a) or independent(self, *a))
     # the 20 singles and 190 pairs fit; the 1,140 triples would pass 1,000
     monkeypatch.setattr(verifier, "MAX_SUBSET_TESTS", 1000)
@@ -609,7 +611,7 @@ def test_subset_tests_budget_checked_before_walking(monkeypatch):
         adversarial_inputs(pmf, views, (t,))
     assert len(calls) == 20
     # a dependent single view is found within the budget
-    leak = Pmf(views[:1] + (t,), {(0, 0): 1, (1, 1): 1}, 2)
+    leak = Pmf.from_dict(views[:1] + (t,), {(0, 0): 1, (1, 1): 1}, 2)
     assert adversarial_inputs(leak, views[:1], (t,)) == views[:1]
 
 
