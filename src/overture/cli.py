@@ -8,11 +8,14 @@ parse error.
 """
 
 import argparse
+import functools
 import os
 import sys
 
 from . import stdlib
-from .datalog import Clause, Program, format_program, lhm, parse_program_dl, to_datalog
+from .datalog import (
+    Clause, Program, atom_ok, format_program, lhm, parse_program_dl, to_datalog,
+)
 from .dist import (
     Functionality, bd_domain, check_deal, default_preprocessing, domain_positions,
     write_pmf,
@@ -256,17 +259,23 @@ def cmd_lhm(args) -> int:
             if "=" not in part:
                 raise UsageError(f"expected atom=bit, got {part!r}")
             atom, value = part.rsplit("=", 1)
+            atom = atom.strip()
+            if not atom_ok(atom):
+                raise UsageError(f"bad atom {atom!r}")
             if value.strip() not in ("0", "1"):
                 raise UsageError(f"fact value must be 0 or 1, got {part!r}")
             if value.strip() == "1":
-                facts.append(atom.strip())
+                facts.append(atom)
     model = lhm(program, Program(tuple(Clause(a) for a in facts)))
     for atom in sorted(model):
         print(atom)
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later one: parse_args
+    keeps no state in the parser."""
     top = argparse.ArgumentParser(
         prog="overture",
         description="define, run, and verify small multi-party protocols")

@@ -9,8 +9,10 @@ makes the export a checkable semantics in its own right.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .errors import ParseError, StratificationError, UsageError
+from .errors import BudgetError, ParseError, StratificationError, UsageError
 from .interp import eval_expr
 from .lang import (
     AssertCmd, FLIP, MESG, OUT, Protocol, REVEAL, SECRET, Var, assigned_var,
@@ -71,6 +73,30 @@ class Clause:
         return f"{self.head} :- {', '.join(str(x) for x in self.body)}."
 
 
+class Strata(NamedTuple):
+    """A program's rules compiled for evaluation: one group per rule head in
+    first-definition order, each body as (positive atoms, negated atoms),
+    and the message of the program's first forward reference, if any."""
+    heads: tuple
+    bodies: tuple
+    error: str | None
+
+    @classmethod
+    def of(cls, rules) -> "Strata":
+        groups = {}  # head -> its rules; a dict keeps first-definition order
+        for c in rules:
+            groups.setdefault(c.head, []).append(c)
+        rank = {head: i for i, head in enumerate(groups)}
+        error = next((f"{lit.atom} used by {head} before it is defined"
+                      for head, group in groups.items() for c in group for lit in c.body
+                      if rank.get(lit.atom, -1) >= rank[head]), None)
+        return cls(tuple(groups),
+                   tuple(tuple((frozenset(lit.atom for lit in c.body if not lit.negated),
+                                frozenset(lit.atom for lit in c.body if lit.negated))
+                               for c in group) for group in groups.values()),
+                   error)
+
+
 @dataclass(frozen=True)
 class Program:
     clauses: tuple
@@ -81,11 +107,21 @@ class Program:
     def rules(self) -> tuple:
         return tuple(c for c in self.clauses if c.body)
 
+    @cached_property
+    def strata(self) -> Strata:
+        """Compiled once per program; lhm evaluates every fact set on it."""
+        return Strata.of(self.rules())
+
 
 # --- Export ----------------------------------------------------------------------
 
+MAX_TABLE_ROWS = 2 ** 16  # local memories of one command: ~7 s and ~100 MB at ~10k rows/s
+
+
 def to_datalog(protocol: Protocol) -> Program:
-    """One clause per satisfying local memory of each command."""
+    """One clause per satisfying local memory of each command.  A command
+    with more than MAX_TABLE_ROWS local memories raises BudgetError before
+    any of them is evaluated."""
     clauses = []
     for cmd in protocol.commands:
         if isinstance(cmd, AssertCmd):
@@ -93,6 +129,10 @@ def to_datalog(protocol: Protocol) -> Program:
         target = assigned_var(cmd)
         client = computing_client(cmd)
         reads = sorted(command_reads(cmd), key=str)
+        rows = protocol.modulus ** len(reads)
+        if rows > MAX_TABLE_ROWS:
+            raise BudgetError(f"{target} reads {len(reads)} cells: its {rows} local "
+                              f"memories exceed the table budget of {MAX_TABLE_ROWS}")
         head = mangle(target)
         expr = cmd.expr
         for values in itertools.product(range(protocol.modulus), repeat=len(reads)):
@@ -117,35 +157,21 @@ def lhm(program: Program, facts: Program = Program(())) -> frozenset:
 
     Groups follow first-definition order of rule heads.  A body literal may
     only mention facts or heads of strictly earlier groups."""
-    model = set(c.head for c in facts.clauses)
-    for c in facts.clauses:
-        if c.body:
-            raise UsageError("facts must not have bodies")
-    fact_atoms = set(model)
-    group_of, groups = {}, []
-    for c in program.rules():
-        if c.head in fact_atoms:
-            raise StratificationError(f"{c.head} is both a fact and a rule head")
-        if c.head not in group_of:
-            group_of[c.head] = len(groups)
-            groups.append([])
-        groups[group_of[c.head]].append(c)
-    for i, group in enumerate(groups):
-        head = group[0].head
-        for c in group:
-            for lit in c.body:
-                j = group_of.get(lit.atom)
-                if j is not None and j >= i:
-                    raise StratificationError(
-                        f"{lit.atom} used by {head} before it is defined")
-        if any(all((lit.atom in model) != lit.negated for lit in c.body)
-               for c in group):
-            model.add(head)
+    if any(c.body for c in facts.clauses):
+        raise UsageError("facts must not have bodies")
+    model = {c.head for c in facts.clauses}
+    strata = program.strata
+    if not model.isdisjoint(strata.heads):
+        head = next(h for h in strata.heads if h in model)
+        raise StratificationError(f"{head} is both a fact and a rule head")
+    if strata.error:
+        raise StratificationError(strata.error)
+    for head, bodies in zip(strata.heads, strata.bodies):
+        for pos, neg in bodies:
+            if pos <= model and model.isdisjoint(neg):
+                model.add(head)
+                break
     return frozenset(model)
-
-
-def run_datalog(protocol: Protocol, memory: dict) -> frozenset:
-    return lhm(to_datalog(protocol), facts_of(memory))
 
 
 # --- Concrete syntax ------------------------------------------------------------------
@@ -170,22 +196,22 @@ def parse_program_dl(text: str) -> Program:
                 part = part.strip()
                 negated = part.startswith("not ")
                 atom = part[4:].strip() if negated else part
-                if not _atom_ok(atom):
+                if not atom_ok(atom):
                     raise ParseError(f"bad atom {atom!r}", lineno, 1)
                 body.append(Literal(atom, negated))
             if not body:
                 raise ParseError("empty body", lineno, 1)
             head = head.strip()
-            if not _atom_ok(head):
+            if not atom_ok(head):
                 raise ParseError(f"bad atom {head!r}", lineno, 1)
             clauses.append(Clause(head, tuple(body)))
         else:
-            if not _atom_ok(line):
+            if not atom_ok(line):
                 raise ParseError(f"bad atom {line!r}", lineno, 1)
             clauses.append(Clause(line))
     return Program(tuple(clauses))
 
 
-def _atom_ok(atom: str) -> bool:
+def atom_ok(atom: str) -> bool:
     return atom != "" and all(c.isalnum() or c == "_" for c in atom) \
         and not atom[0].isdigit()

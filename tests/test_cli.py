@@ -3,10 +3,11 @@
 import os
 import shutil
 import sys
+import time
 
 import pytest
 
-from overture import dist, engine, stdlib, verifier
+from overture import cli, datalog, dist, engine, stdlib, verifier
 from overture.cli import main
 from overture.dist import Pmf, UniformPreprocessing, bd
 from overture.lang import Partition
@@ -238,6 +239,53 @@ def test_export_datalog_and_lhm(tmp_path, capsys):
     assert out.splitlines() == ["m_z_c2", "out_c2", "s_x_c1"]
 
 
+def test_export_datalog_table_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # one command reading 25 cells: 2^25 local memories, refused before any
+    # is evaluated
+    def never(*args):
+        raise AssertionError("a local memory was evaluated past the budget")
+
+    monkeypatch.setattr(datalog, "eval_expr", never)
+    src = tmp_path / "wide.ovt"
+    src.write_text("m[z]@2 := s[x]" + "".join(f" xor r[k{i}]" for i in range(24))
+                   + " @ 1;\n")
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "export-datalog", str(src))
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == (f"error: m[z]@2 reads 25 cells: its {2 ** 25} local memories "
+                   f"exceed the table budget of {datalog.MAX_TABLE_ROWS}\n")
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one command, argparse's own exits included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:
+        rc = e.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_cached_parser_carries_no_state(capsys):
+    gmw_xor = os.path.join(protocols_dir(), "gmw_xor.pre")
+    gmw = os.path.join(protocols_dir(), "gmw.pre")
+    pairs = (  # (earlier command and its exit code, later command)
+        (("expand", gmw_xor, "--lib", gmw), 0, ("expand", gmw_xor)),
+        (("pmf", "otp", "--marginal", "s[x]@1", "--given", "m[z]@2=1"), 0, ("pmf", "otp")),
+        (("verify", "otp", "--property", "nope"), 2,
+         ("verify", "otp", "--property", "nimo", "--corrupt", "2")),
+    )
+    for earlier, code, later in pairs:
+        cli.make_parser.cache_clear()
+        fresh = outcome(capsys, later)
+        cli.make_parser.cache_clear()
+        assert outcome(capsys, earlier)[0] == code
+        parser = cli.make_parser()
+        assert outcome(capsys, later) == fresh, later
+        assert cli.make_parser() is parser
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     # operator chains too deep for the parsers' and evaluators' recursion
     deep_pre = tmp_path / "deep.pre"
@@ -249,6 +297,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     superscript_pre.write_text('p["w"] := true @ \u00b2')
     superscript_ovt = tmp_path / "superscript.ovt"
     superscript_ovt.write_text("p[w] := 1 @ \u00b2;\n")
+    dl = tmp_path / "a.dl"
+    dl.write_text("a :- not b.\n")
     cases = (
         ("run", "no-such-package"),
         ("verify", "otp", "--property", "correct", "--functionality", "nope"),
@@ -264,6 +314,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ("run", str(deep_ovt)),
         ("expand", str(superscript_pre)),
         ("run", str(superscript_ovt)),
+        ("lhm", str(dl), "--facts", "s_x_c1=1,bad atom!=1"),
+        ("lhm", str(dl), "--facts", "=1"),
     )
     for argv in cases:
         rc, _, err = run_cli(capsys, *argv)
@@ -276,9 +328,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert err == "error: cannot parse variable 's[x]@'\n"
     rc, _, err = run_cli(capsys, "pmf", "otp", "--marginal", "s[x")
     assert err == "error: cannot parse variable 's[x'\n"
-    for argv in cases[-2:]:
+    for argv in cases[-4:-2]:
         rc, _, err = run_cli(capsys, *argv)
         assert err.endswith("unexpected character '\u00b2'\n"), argv
+    # a fact atom obeys the .dl parser's rule for atoms
+    rc, out, err = run_cli(capsys, *cases[-2])
+    assert (out, err) == ("", "error: bad atom 'bad atom!'\n")
+    rc, out, err = run_cli(capsys, *cases[-1])
+    assert (out, err) == ("", "error: bad atom ''\n")
 
 
 def test_functionality_value_must_be_an_integer(tmp_path, capsys):
