@@ -250,7 +250,7 @@ def cmd_export_datalog(args) -> int:
 
 def cmd_lhm(args) -> int:
     program = parse_program_dl(_read(args.file))
-    facts = []
+    facts = {}  # atom -> its bit, the last given for it
     if args.facts:
         for part in args.facts.split(","):
             part = part.strip()
@@ -264,9 +264,8 @@ def cmd_lhm(args) -> int:
                 raise UsageError(f"bad atom {atom!r}")
             if value.strip() not in ("0", "1"):
                 raise UsageError(f"fact value must be 0 or 1, got {part!r}")
-            if value.strip() == "1":
-                facts.append(atom)
-    model = lhm(program, Program(tuple(Clause(a) for a in facts)))
+            facts[atom] = value.strip()
+    model = lhm(program, Program(tuple(Clause(a) for a, bit in facts.items() if bit == "1")))
     for atom in sorted(model):
         print(atom)
     return 0

@@ -74,23 +74,31 @@ class Clause:
 
 
 class Strata(NamedTuple):
-    """A program's rules compiled for evaluation: one group per rule head in
-    first-definition order, each body as (positive atoms, negated atoms),
-    and the message of the program's first forward reference, if any."""
+    """A program compiled for evaluation: the atoms of its bodiless
+    clauses; one group per rule head in first-definition order, each body
+    as (positive atoms, negated atoms); and the message of the program's
+    first error, if any: the first rule head that is also one of its
+    facts, else its first forward reference."""
+    facts: frozenset
     heads: tuple
     bodies: tuple
     error: str | None
 
     @classmethod
-    def of(cls, rules) -> "Strata":
+    def of(cls, clauses) -> "Strata":
+        facts = frozenset(c.head for c in clauses if not c.body)
         groups = {}  # head -> its rules; a dict keeps first-definition order
-        for c in rules:
-            groups.setdefault(c.head, []).append(c)
+        for c in clauses:
+            if c.body:
+                groups.setdefault(c.head, []).append(c)
         rank = {head: i for i, head in enumerate(groups)}
-        error = next((f"{lit.atom} used by {head} before it is defined"
-                      for head, group in groups.items() for c in group for lit in c.body
-                      if rank.get(lit.atom, -1) >= rank[head]), None)
-        return cls(tuple(groups),
+        error = next((f"{head} is both a fact and a rule head"
+                      for head in groups if head in facts), None)
+        error = error or next((f"{lit.atom} used by {head} before it is defined"
+                               for head, group in groups.items() for c in group
+                               for lit in c.body if rank.get(lit.atom, -1) >= rank[head]),
+                              None)
+        return cls(facts, tuple(groups),
                    tuple(tuple((frozenset(lit.atom for lit in c.body if not lit.negated),
                                 frozenset(lit.atom for lit in c.body if lit.negated))
                                for c in group) for group in groups.values()),
@@ -110,7 +118,7 @@ class Program:
     @cached_property
     def strata(self) -> Strata:
         """Compiled once per program; lhm evaluates every fact set on it."""
-        return Strata.of(self.rules())
+        return Strata.of(self.clauses)
 
 
 # --- Export ----------------------------------------------------------------------
@@ -155,13 +163,16 @@ def facts_of(memory: dict) -> Program:
 def lhm(program: Program, facts: Program = Program(())) -> frozenset:
     """Bottom-up least model; atoms absent from every group read as false.
 
-    Groups follow first-definition order of rule heads.  A body literal may
-    only mention facts or heads of strictly earlier groups."""
+    The model starts from the given facts and the program's own bodiless
+    clauses; neither may be a rule head.  Groups follow first-definition
+    order of rule heads.  A body literal may only mention facts or heads of
+    strictly earlier groups."""
     if any(c.body for c in facts.clauses):
         raise UsageError("facts must not have bodies")
-    model = {c.head for c in facts.clauses}
+    given = {c.head for c in facts.clauses}
     strata = program.strata
-    if not model.isdisjoint(strata.heads):
+    model = given | strata.facts
+    if not given.isdisjoint(strata.heads):  # else the program's own facts are in strata.error
         head = next(h for h in strata.heads if h in model)
         raise StratificationError(f"{head} is both a fact and a rule head")
     if strata.error:

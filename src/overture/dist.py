@@ -53,11 +53,14 @@ class Preprocessing:
         of one entry per memory, in memories() order."""
         return self.slice_columns(0, self.count())
 
-    def slice_columns(self, lo: int, hi: int):
-        """columns() of the memories lo..hi-1 alone, here read from memories()."""
+    def slice_columns(self, lo: int, hi: int, out=None):
+        """columns() of the memories lo..hi-1 alone, here read from
+        memories().  out, if given, maps each variable to a uint8 buffer
+        of hi - lo entries: a column the deal builds is written there."""
         import numpy as np
 
-        cols = {v: np.empty(hi - lo, dtype=np.uint8) for v in self.domain}
+        cols = {v: np.empty(hi - lo, dtype=np.uint8) if out is None else out[v]
+                for v in self.domain}
         for i, m in enumerate(itertools.islice(self.memories(), lo, hi)):
             for v in self.domain:
                 cols[v][i] = m[v]
@@ -81,12 +84,13 @@ class UniformPreprocessing(Preprocessing):
         for values in itertools.product(range(self.modulus), repeat=len(self.domain)):
             yield dict(zip(self.domain, values))
 
-    def slice_columns(self, lo: int, hi: int):
-        """Over F_2 memory i's bits, first variable most significant."""
+    def slice_columns(self, lo: int, hi: int, out=None):
+        """Over F_2 memory i's bits, first variable most significant: shared
+        read-only columns (engine.bit_range), so out goes unused."""
         from .engine import bit_range
 
         if self.modulus != 2:
-            return super().slice_columns(lo, hi)
+            return super().slice_columns(lo, hi, out)
         last = len(self.domain) - 1
         return {v: bit_range(lo, hi, last - i) for i, v in enumerate(self.domain)}
 
@@ -299,15 +303,20 @@ class Pmf:
         one row of each group."""
         import numpy as np
 
-        codes, bits = self._columns(vars_), self.modulus.bit_length()
+        from . import engine
+
+        bits = self.modulus.bit_length()
         if self.modulus < 256 and bits * len(vars_) <= 64:
-            # one integer key per row, first column most significant: while
-            # every code fits a byte, it sorts as the byte key below does
-            shifts = np.arange(len(vars_) - 1, -1, -1, dtype=np.uint64) * np.uint64(bits)
-            keys = (codes.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64)
+            # one integer key per row, first column most significant, built a
+            # column at a time: while every code fits a byte, it sorts as the
+            # byte key below does
+            columns = (self.codes[:, j].astype(np.uint8, copy=False)
+                       for j in domain_positions(self.domain, vars_))
+            keys = engine._column_keys(columns, bits, len(vars_), len(self.codes))
         else:
             # one byte key per row, which sorts far faster than np.unique(axis=0);
             # a zero first column keeps the key nonempty when vars_ is empty
+            codes = self._columns(vars_)
             rows = np.zeros((len(codes), 1 + len(vars_)), dtype=codes.dtype)
             rows[:, 1:] = codes
             keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()

@@ -26,21 +26,24 @@ MAX_RUNS runs raises BudgetError before any column is built.
 The passive checks, bd and the pmf text count the runs block by block
 (count_runs), so that no whole run table, nor any whole deal column, of a
 tall deal is held: each block of BLOCK_ROWS = 2^16 runs is folded and its
-distinct rows counted, and the blocks' counts are merged exactly, in code
-order, each row's first run taken from the earliest block that has it
-(a block needs first runs only when it brings new rows).  A table of at
-most BLOCK_ROWS runs is one block and one count.  This is the
+rows keyed and counted, and the blocks' counts are merged exactly.  A
+table of at most BLOCK_ROWS runs is one block and one count.  This is the
 cache-resident vector of MonetDB/X100 (Boncz, Zukowski and Nes, CIDR
 2005) applied to the fold: a block's columns are 64 KB, so those an
 operation reads and writes stay in a core's 2 MB L2 cache, where whole
-columns of 2 MB do not.  Fold plus count of the 12
+columns of 2 MB do not.  The vectors are also reused, as there: a count
+folds every full block into one arena (_Arena) that it owns, because
+columns freed by one block would be handed back to the system and
+faulted in again by the next.  Shared read-only bit columns are never
+written into, and the arena never leaves count_runs.  The blocks' counts
+merge with no set of the rows seen so far.  Fold plus count of the 12
 variables of nimo over the 2^21-run Beaver deal, on a 2-core x86 machine
 (Python 3.11, numpy 2.4; median of 3 processes of 15 counts each, and
-each process's peak RSS):
+that process's peak RSS):
 
     block   whole   2^14    2^15    2^16    2^17    2^18    2^19    2^20
-    time    0.12 s  0.18 s  0.11 s  0.08 s  0.07 s  0.07 s  0.08 s  0.08 s
-    RSS     160 MB  45 MB   40 MB   39 MB   44 MB   54 MB   76 MB   120 MB
+    time    0.12 s  0.11 s  0.07 s  0.06 s  0.05 s  0.05 s  0.05 s  0.07 s
+    RSS     142 MB  31 MB   32 MB   34 MB   38 MB   46 MB   63 MB   97 MB
 
 Below 2^16 the fixed cost of a fold and a count per block dominates;
 above it the columns leave the cache and the memory grows with the block.
@@ -81,10 +84,9 @@ mask, and takes one of three paths by input size:
 pack_keys is the one byte-key format: b bits per column, first column most
 significant, in big-endian bytes, so byte order is code order, as integer
 order is for the integer keys.  Every path unpacks the codes from the
-bytes of the distinct keys.  The merge of blocks keys their code rows
-with np.packbits in the same formats and counts them the same way, with
-a stable sort, which merges the blocks' already sorted rows.  row_keys
-applies pack_keys to a code matrix for the verifier's comparisons.
+bytes of the distinct keys.  count_runs re-keys code rows with
+np.packbits in the same formats (_matrix_keys), and row_keys applies
+pack_keys to a code matrix for the verifier's comparisons.
 """
 
 import functools
@@ -166,11 +168,13 @@ def _runs(protocol: Protocol, preproc) -> int:
     return nrows
 
 
-def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int) -> dict:
+def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int, out=None) -> dict:
     """The deal and flip columns of runs lo..hi-1: from the deal's
     columns() for all of them, else from its slice_columns over the
     memories they cover.  Run = memory index * 2**k + tape for k coin
-    flips, so flip i is bit k-1-i of the run."""
+    flips, so flip i is bit k-1-i of the run.  out, if given, is an
+    _Arena of hi - lo entries: the deal's derived columns, or its columns
+    repeated over the tapes, are written into its buffers."""
     flips = protocol.flips()
     k = len(flips)
     reps = 1 << k
@@ -178,28 +182,38 @@ def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int) -> di
         pre = preproc.columns()
     else:
         first, last = lo >> k, ((hi - 1) >> k) + 1
-        pre = preproc.slice_columns(first, last)
+        pre = preproc.slice_columns(first, last, None if k else out)
         if (lo | hi) % reps:  # the runs of each memory inside the range
             reps = np.diff(np.clip(np.arange(first, last + 1) << k, lo, hi))
-    cols = {v: np.repeat(pre[v], reps) if k else pre[v] for v in preproc.domain}
+    if not k:
+        cols = {v: pre[v] for v in preproc.domain}
+    elif not isinstance(reps, int):
+        cols = {v: np.repeat(pre[v], reps) for v in preproc.domain}
+    else:  # each memory's entry copied to the rows of its reps tapes
+        cols = {}
+        for v in preproc.domain:
+            cols[v] = np.empty(hi - lo, np.uint8) if out is None else out[v]
+            cols[v].reshape(-1, reps)[...] = pre[v][:, None]
     for i, v in enumerate(flips):
         cols[v] = bit_range(lo, hi, k - 1 - i)
     return cols
 
 
-def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None):
+def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None, out=None):
     """The deal and flip columns of the rows lo..hi-1 (block; all rows by
     default) of the runs stacked copies times, row r holding run r % runs:
-    (domain, columns, number of rows)."""
+    (domain, columns, number of rows).  out as for _run_columns, used when
+    the rows lie in one copy."""
     runs = _runs(protocol, preproc)
     lo, hi = (0, runs * copies) if block is None else block
     # the runs each copy that the rows cross contributes, each range built once
     pieces = [(max(lo - s * runs, 0), min(hi - s * runs, runs))
               for s in range(lo // runs, -(-hi // runs))]
+    if len(pieces) == 1:
+        return tuple(preproc.domain) + protocol.flips(), \
+            _run_columns(protocol, preproc, runs, *pieces[0], out), hi - lo
     built = {p: _run_columns(protocol, preproc, runs, *p) for p in dict.fromkeys(pieces)}
-    cols = built[pieces[0]]
-    if len(pieces) > 1:
-        cols = {v: np.concatenate([built[p][v] for p in pieces]) for v in cols}
+    cols = {v: np.concatenate([built[p][v] for p in pieces]) for v in built[pieces[0]]}
     return tuple(preproc.domain) + protocol.flips(), cols, hi - lo
 
 
@@ -207,17 +221,30 @@ _BINOPS = {"+": np.bitwise_xor, "-": np.bitwise_xor, "xor": np.bitwise_xor,
            "*": np.bitwise_and, "and": np.bitwise_and, "or": np.bitwise_or}
 
 
+def _filled(n: int, value, out=None, dtype=np.uint8) -> "np.ndarray":
+    """A column of n entries of dtype, each value: out, filled, if given."""
+    if out is None:
+        return np.full(n, value, dtype=dtype)
+    out.fill(value)
+    return out
+
+
 def _compile(e, client: int):
-    """A function (cols, nrows) -> the column of expression e evaluated by
-    client over the runs, each Ref resolved to its Var here, once."""
+    """A function (cols, nrows, out=None) -> the column of expression e
+    evaluated by client over the runs, each Ref resolved to its Var here,
+    once.  A bare Ref gives the variable's own column; any other
+    expression gives out, written in place, or a fresh column if out is
+    None.  A compound left operand is evaluated into that column and the
+    operation runs in place there; a compound right operand takes a fresh
+    column."""
     if isinstance(e, Const):
         if e.value not in (0, 1):
             raise EvalError(f"constant {e.value} out of range for F_2")
-        return lambda cols, n: np.full(n, e.value, dtype=np.uint8)
+        return lambda cols, n, out=None: _filled(n, e.value, out)
     if isinstance(e, Ref):
         var = Var(e.kind, e.name, None if e.kind == REVEAL else client)
 
-        def read(cols, n):
+        def read(cols, n, out=None):
             col = cols.get(var)
             if col is None:
                 raise EvalError(f"{var} unbound")
@@ -228,26 +255,41 @@ def _compile(e, client: int):
             raise EvalError(f"unknown operator {e.op}")
         op, a, b = _BINOPS[e.op], _compile(e.left, client), _compile(e.right, client)
         if isinstance(e.left, Ref):
-            return lambda cols, n: op(a(cols, n), b(cols, n))
+            return lambda cols, n, out=None: op(a(cols, n), b(cols, n), out=out)
 
-        def into_left(cols, n):  # the left operand is a fresh column: reuse it
-            x = a(cols, n)
+        def into_left(cols, n, out=None):
+            x = a(cols, n, out)
             return op(x, b(cols, n), out=x)
         return into_left
     if isinstance(e, Not):
         a = _compile(e.operand, client)
-        return lambda cols, n: a(cols, n) ^ np.uint8(1)
+        if isinstance(e.operand, Ref):
+            return lambda cols, n, out=None: np.bitwise_xor(a(cols, n), np.uint8(1), out=out)
+
+        def negated(cols, n, out=None):
+            x = a(cols, n, out)
+            return np.bitwise_xor(x, np.uint8(1), out=x)
+        return negated
     if isinstance(e, OT):
         c = _compile(e.choice, e.receiver)
         a, b = _compile(e.if1, client), _compile(e.if0, client)
-        return lambda cols, n: np.where(c(cols, n) == 1, a(cols, n), b(cols, n))
+
+        def ot(cols, n, out=None):
+            pick = c(cols, n) == 1
+            if1, if0 = a(cols, n), b(cols, n)
+            out = np.empty(n, dtype=np.uint8) if out is None else out
+            np.copyto(out, if0)
+            np.copyto(out, if1, where=pick)
+            return out
+        return ot
     if isinstance(e, OT4):
         c1, c2 = _compile(e.c1, e.receiver), _compile(e.c2, e.receiver)
         rows = [_compile(r, client) for r in e.rows]
 
-        def ot4(cols, n):
+        def ot4(cols, n, out=None):
             sel = (c1(cols, n) << 1) | c2(cols, n)  # (1,1)->3, (1,0)->2, (0,1)->1, (0,0)->0
-            out = rows[3](cols, n).copy()  # (0,0)
+            out = np.empty(n, dtype=np.uint8) if out is None else out
+            np.copyto(out, rows[3](cols, n))  # (0,0)
             np.copyto(out, rows[2](cols, n), where=sel == 1)
             np.copyto(out, rows[1](cols, n), where=sel == 2)
             np.copyto(out, rows[0](cols, n), where=sel == 3)
@@ -257,19 +299,27 @@ def _compile(e, client: int):
 
 
 def _compile_pred(pred, client: int):
-    """_compile for an assertion predicate: a function giving a bool column."""
+    """_compile for an assertion predicate: a function giving a bool
+    column, out (a bool buffer) if given, else a fresh one."""
     if isinstance(pred, Cmp):
         a, b = _compile(pred.left, client), _compile(pred.right, client)
-        if pred.op == "==":
-            return lambda cols, n: a(cols, n) == b(cols, n)
-        return lambda cols, n: a(cols, n) != b(cols, n)
+        op = np.equal if pred.op == "==" else np.not_equal
+        return lambda cols, n, out=None: op(a(cols, n), b(cols, n), out=out)
     if isinstance(pred, (PAnd, POr)):
         op = np.logical_and if isinstance(pred, PAnd) else np.logical_or
         a, b = _compile_pred(pred.left, client), _compile_pred(pred.right, client)
-        return lambda cols, n: op(a(cols, n), b(cols, n))
+
+        def both(cols, n, out=None):
+            x = a(cols, n, out)
+            return op(x, b(cols, n), out=x)
+        return both
     if isinstance(pred, PNot):
         a = _compile_pred(pred.operand, client)
-        return lambda cols, n: ~a(cols, n)
+
+        def negated(cols, n, out=None):
+            x = a(cols, n, out)
+            return np.logical_not(x, out=x)
+        return negated
     raise EvalError(f"not a predicate: {pred!r}")
 
 
@@ -353,18 +403,45 @@ def chunks(protocol: Protocol, preproc, family: Family) -> list:
             for lo in range(0, n, step)]
 
 
+class _Arena(dict):
+    """The columns of count_runs' blocks of n runs: one uint8 buffer per
+    key (a variable, or a name of fold's own), made on first use and
+    rewritten by every later block, so a block allocates no column of
+    its table.  Never returned: count_runs keeps only the counts."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key):  # a uint8 column, as slice_columns and the commands write
+        return self.of(key, np.uint8)
+
+    def of(self, key, dtype) -> "np.ndarray":
+        """The buffer of n entries of dtype kept under key."""
+        buf = self.get(key)
+        if buf is None:
+            buf = self[key] = np.empty(self.n, dtype=dtype)
+        return buf
+
+
 def fold(protocol: Protocol, preproc, strategy=None,
-         part: Partition = None, block=None) -> RunTable:
+         part: Partition = None, block=None, arena=None) -> RunTable:
     """The run table of the protocol: passive with no strategy, else under
     an AdversaryStrategy or every strategy of a Family, stacked (see the
     module docstring).  With block = (lo, hi), only the rows lo..hi-1 of
-    that table, as a table of hi - lo rows."""
+    that table, as a table of hi - lo rows.  arena, an _Arena of that many
+    entries, is given by count_runs alone: the table's columns and masks
+    are then its buffers, valid until the next fold into it."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     copies = 1 if strategy is None else len(strategy.choice)
-    domain, cols, nrows = _initial_columns(protocol, preproc, copies, block)
+    domain, cols, nrows = _initial_columns(protocol, preproc, copies, block, arena)
+
+    def bools(key):  # the arena's bool buffer for key, None without an arena
+        return None if arena is None else arena.of(key, bool)
+
     if strategy is not None:
         # the rows of each strategy the block crosses, row r being strategy r // runs
         runs, lo = _runs(protocol, preproc), 0 if block is None else block[0]
@@ -376,20 +453,20 @@ def fold(protocol: Protocol, preproc, strategy=None,
             return np.repeat(x[s0:s0 + len(reps)], reps)
     domain = list(domain)
     bots = {v: None for v in domain}
-    alive = np.ones(nrows, dtype=bool)
+    alive = _filled(nrows, True, bools("alive"), bool)
     dead = None  # the BOT mask of later assignments, one array until alive changes
     corrupt = part.corrupt if part is not None else frozenset()
     for i, (client, compiled, var) in enumerate(_plan(protocol)):
         is_corrupt = client in corrupt and strategy is not None
         if var is None:  # an assertion
             if not is_corrupt:
-                alive &= compiled(cols, nrows)
+                alive &= compiled(cols, nrows, bools("holds"))
             elif i in strategy.aborts:
                 j = len(strategy.positions) + strategy.aborts.index(i)
                 alive &= per_row(strategy.choice[:, j] == 0)
-            dead = None if alive.all() else ~alive
+            dead = None if alive.all() else np.logical_not(alive, out=bools(("dead", i)))
             continue
-        col = compiled(cols, nrows)
+        col = compiled(cols, nrows, None if arena is None or var in cols else arena[var])
         if is_corrupt and i in strategy.positions:
             j = strategy.positions.index(i)
             choice = strategy.choice[:, j]
@@ -457,14 +534,15 @@ def row_keys(values, bits: int = 2) -> "np.ndarray":
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _column_keys(columns, bits: int, ncols: int, n: int) -> "np.ndarray":
+def _column_keys(columns, bits: int, ncols: int, n: int, out=None) -> "np.ndarray":
     """One key per run from an iterable of ncols n-long uint8 code columns:
     while bits * ncols fits 64 bits, an unsigned integer of bits bits a
-    column, first column most significant; else pack_keys."""
+    column, first column most significant; else pack_keys.  out, if
+    given, is an n-entry integer buffer wide enough to build them in."""
     width = bits * ncols
     if width > 64:
         return pack_keys(columns, bits, n)
-    keys = np.zeros(n, dtype=np.min_scalar_type(2 ** width - 1))
+    keys = _filled(n, 0, out, np.min_scalar_type(2 ** width - 1))
     for code in columns:
         keys <<= bits
         keys |= code
@@ -498,30 +576,42 @@ def _unpack(keys, bits: int, ncols: int) -> "np.ndarray":
     return planes if bits == 1 else (planes[:, 0::2] << 1) | planes[:, 1::2]
 
 
-def _distinct(keys, bits: int, ncols: int, first: bool, weights=None):
+def _distinct(keys, bits: int, ncols: int, first: bool):
     """The distinct code rows of runs keyed by _column_keys, in code order:
     (codes, counts, first), first the index of each one's first run if
-    asked for, else None.  weights, if given, is each key's run count, and
-    a distinct row's count their sum.  The module docstring says which
-    counting path a call takes, and why."""
+    asked for, else None.  The module docstring says which counting path
+    a call takes, and why."""
     n = len(keys)
     if keys.dtype.kind != "V" and 2 ** (bits * ncols) <= n:
-        counts = np.bincount(keys, weights, 2 ** (bits * ncols))
-        if first:
-            found = np.full(len(counts), n, dtype=np.intp)
-            np.minimum.at(found, keys, np.arange(n))
+        counts = np.bincount(keys, None, 2 ** (bits * ncols))
+        found = _first_bins(keys, len(counts)) if first else None
         keys = np.flatnonzero(counts)
         counts, found = counts[keys], found[keys] if first else None
     else:
-        keys, *found, counts = np.unique(keys, return_index=first,
-                                         return_inverse=weights is not None,
-                                         return_counts=True)
-        if weights is not None:
-            counts = np.bincount(found.pop(), weights, len(keys))
+        keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
         found = found[0] if first else None
-    if weights is not None:  # summed as float64: exact, no count passes MAX_STACKED_RUNS
-        counts = counts.astype(np.int64)
     return _unpack(keys, bits, ncols), counts, found
+
+
+def _first_bins(keys, size: int) -> "np.ndarray":
+    """For each of size integer keys, the index of its first run in keys
+    (len(keys) where it has none)."""
+    found = np.full(size, len(keys), dtype=np.intp)
+    np.minimum.at(found, keys, np.arange(len(keys)))
+    return found
+
+
+def _code_columns(table: RunTable, vars_, rows=None, lead=()):
+    """The code columns over lead, then vars_, of the runs in the bool
+    mask rows (all by default), as _column_keys takes them: (an iterator
+    of the columns, bits per column, number of columns, runs).  A column
+    takes 2 bits where some variable has a BOT mask."""
+    vars_ = _check_vars(table, vars_)
+    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
+    n = table.nrows if rows is None else int(np.count_nonzero(rows))
+    columns = [c if rows is None else c[rows] for c in lead]
+    columns = itertools.chain(columns, (_code(table, v, rows) for v in vars_))
+    return columns, bits, len(lead) + len(vars_), n
 
 
 def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
@@ -533,13 +623,22 @@ def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
     uint8 matrix, each row's run count and, if first is true, the index
     of its first counted run (else None: the sort then needs no stable
     argsort)."""
-    vars_ = _check_vars(table, vars_)
-    bits = 2 if any(table.bots.get(v) is not None for v in vars_) else 1
-    n = table.nrows if rows is None else int(np.count_nonzero(rows))
-    columns = [c if rows is None else c[rows] for c in lead]
-    columns = itertools.chain(columns, (_code(table, v, rows) for v in vars_))
-    ncols = len(lead) + len(vars_)
+    columns, bits, ncols, n = _code_columns(table, vars_, rows, lead)
     return _distinct(_column_keys(columns, bits, ncols, n), bits, ncols, first)
+
+
+def _merge(keys, counts, first):
+    """The distinct keys of entries (keys, counts, first runs; first may
+    be None), in key order, each entry's counts added and its first run
+    the least: one stable sort, then a sum and a minimum per run of
+    equal keys."""
+    if len(keys) < 2:
+        return keys, counts, first
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = None if first is None else np.minimum.reduceat(first[order], starts)
+    return keys[starts], np.add.reduceat(counts[order], starts), first
 
 
 def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
@@ -547,50 +646,70 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
     """distinct_rows over vars_ of the runs of fold(protocol, preproc,
     strategy, part), folded and counted BLOCK_ROWS runs at a time, so that
     no whole run table is held.  rows(table) and lead(table), if given,
-    are a block's row mask and lead columns.  The blocks' distinct rows
-    are merged exactly: counts added, a row's first counted run the
-    least of its blocks', rows in code order; so the result is
-    distinct_rows' over the whole table.  A table of at most BLOCK_ROWS
-    runs is one fold and one distinct_rows."""
+    are a block's row mask and lead columns.  A table of at most
+    BLOCK_ROWS runs is one fold and one distinct_rows; a taller one is
+    folded block by block into one _Arena and its counts merged exactly
+    by key width, so the result is distinct_rows' over the whole table.
+    A width of w bits with 2**w <= BLOCK_ROWS adds each block into one
+    running table of 2**w bins, a block that first reaches some bins
+    giving their first runs; a wider one keeps each block's distinct
+    keys and merges them at the end (_merge).  Blocks with BOT key 2
+    bits a column and those without 1 bit: where both occur, the 1-bit
+    rows are re-keyed at 2 bits at the end, on their distinct rows."""
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     nrows = _runs(protocol, preproc) * (1 if strategy is None else len(strategy.choice))
 
-    def count(table, first):
-        return distinct_rows(table, vars_, None if rows is None else rows(table),
-                             () if lead is None else lead(table), first)
+    def counted(table):
+        return _code_columns(table, vars_, None if rows is None else rows(table),
+                             () if lead is None else lead(table))
 
     if nrows <= BLOCK_ROWS:
-        return count(fold(protocol, preproc, strategy, part), first)
-    codes, counts, found, done = [], [], [], 0
-    # a row's first run is its earliest block's, so past the first block
-    # first runs are needed only where a block brings new rows: seen keys
-    # the rows counted so far, one int64 each while 3 ** columns < 2 ** 63
-    seen = None
+        columns, bits, ncols, n = counted(fold(protocol, preproc, strategy, part))
+        return _distinct(_column_keys(columns, bits, ncols, n), bits, ncols, first)
+    arena = _Arena(BLOCK_ROWS)
+    dense = {}   # bits -> running (counts, first runs or -1) of each key, while 2**w <= BLOCK_ROWS
+    sparse = {}  # bits -> each block's (distinct keys, counts, first runs), for wider keys
+    done = 0     # runs counted in earlier blocks
     for lo in range(0, nrows, BLOCK_ROWS):
-        table = fold(protocol, preproc, strategy, part, (lo, min(lo + BLOCK_ROWS, nrows)))
-        block_codes, block_counts, block_first = count(table, first and seen is None)
-        if first and seen is not None:
-            keys = block_codes.astype(np.int64) @ digits
-            new = ~np.isin(keys, seen)
-            if new.any():
-                block_first = count(table, True)[2]
-                seen = np.union1d(seen, keys[new])
-        elif first and block_codes.shape[1] <= 39:
-            digits = 3 ** np.arange(block_codes.shape[1], dtype=np.int64)
-            seen = block_codes.astype(np.int64) @ digits
-        codes.append(block_codes)
-        counts.append(block_counts)
-        if first:  # rows without first runs are in an earlier block, so never picked
-            found.append(np.zeros(len(block_codes), dtype=np.intp) if block_first is None
-                         else block_first + done)
-        done += int(block_counts.sum())
-    codes, counts = np.concatenate(codes), np.concatenate(counts)
-    bits = 2 if (codes == BOT_CODE).any() else 1
-    # a stable sort, so a row's first entry is its earliest block's, and
-    # one that merges the blocks' runs of rows, each in code order
-    codes, counts, at = _distinct(_matrix_keys(codes, bits), bits, codes.shape[1], True, counts)
-    return codes, counts, np.concatenate(found)[at] if first else None
+        hi = min(lo + BLOCK_ROWS, nrows)
+        table = fold(protocol, preproc, strategy, part, (lo, hi),
+                     arena if hi - lo == BLOCK_ROWS else None)
+        columns, bits, ncols, n = counted(table)
+        size = 2 ** (bits * ncols)
+        if size <= BLOCK_ROWS:
+            dtype = np.min_scalar_type(size - 1)
+            keys = _column_keys(columns, bits, ncols, n, arena.of(("keys", dtype), dtype)[:n])
+            if bits not in dense:
+                dense[bits] = np.zeros(size, dtype=np.int64), np.full(size, -1, dtype=np.intp)
+            total, found = dense[bits]
+            block = np.bincount(keys, minlength=size)
+            total += block
+            if first:
+                new = (block > 0) & (found < 0)  # bins this block reaches first
+                if new.any():
+                    found[new] = _first_bins(keys, size)[new] + done
+        else:
+            keys = _column_keys(columns, bits, ncols, n)
+            keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
+            sparse.setdefault(bits, []).append((keys, counts, found[0] + done if first else None))
+        done += n
+    merged = {}  # bits -> (distinct keys, counts, first runs) of that key width's blocks
+    for bits, (total, found) in dense.items():
+        keys = np.flatnonzero(total)
+        merged[bits] = keys, total[keys], found[keys] if first else None
+    for bits, blocks in sparse.items():
+        keys, counts, found = zip(*blocks)
+        merged[bits] = _merge(np.concatenate(keys), np.concatenate(counts),
+                              np.concatenate(found) if first else None)
+    if len(merged) == 2:  # blocks with BOT and without: the rows of those without at 2 bits
+        keys, counts, found = merged.pop(1)
+        wide = merged[2]
+        merged[2] = _merge(np.concatenate([_matrix_keys(_unpack(keys, 1, ncols), 2), wide[0]]),
+                           np.concatenate([counts, wide[1]]),
+                           np.concatenate([found, wide[2]]) if first else None)
+    (bits, (keys, counts, found)), = merged.items()
+    return _unpack(keys, bits, ncols), counts, found
 
 
 def _first_run_order(vars_, codes, counts, first, total: int):

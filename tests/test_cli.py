@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from overture import cli, datalog, dist, engine, stdlib, verifier
+from overture import cli, datalog, dist, engine, interp, stdlib, verifier
 from overture.cli import main
 from overture.dist import Pmf, UniformPreprocessing, bd
-from overture.lang import Partition
+from overture.lang import Partition, parse_var
 from overture.ovt import parse_protocol
 from overture.stdlib import protocols_dir
 from test_dist import per_line_format_pmf
@@ -237,6 +237,33 @@ def test_export_datalog_and_lhm(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "lhm", str(dl), "--facts", "s_x_c1=1")
     assert rc == 0
     assert out.splitlines() == ["m_z_c2", "out_c2", "s_x_c1"]
+
+
+def test_exported_constant_is_a_fact_of_the_model(tmp_path, capsys):
+    # m[z]@2 := 1 exports as the bodiless clause m_z_c2., which lhm must
+    # hold in its model as it holds a --facts atom
+    src = tmp_path / "const.ovt"
+    src.write_text("m[z]@2 := 1 @ 1;\nout@2 := m[z] xor s[x] @ 2;\n")
+    rc, out, _ = run_cli(capsys, "export-datalog", str(src))
+    assert rc == 0 and "m_z_c2.\n" in out.splitlines(keepends=True)
+    dl = tmp_path / "const.dl"
+    dl.write_text(out)
+    protocol = parse_protocol(src.read_text())
+    for x in (0, 1):
+        final = interp.run({parse_var("s[x]@2"): x}, protocol)
+        rc, out, _ = run_cli(capsys, "lhm", str(dl), "--facts", f"s_x_c2={x}")
+        assert rc == 0
+        assert out.splitlines() == sorted(datalog.mangle(v) for v, y in final.items() if y == 1)
+    rc, out, _ = run_cli(capsys, "run", str(src), "--inputs", "s[x]@2=0")
+    assert "out@2=1" in out
+
+
+def test_lhm_facts_last_value_wins(tmp_path, capsys):
+    dl = tmp_path / "ab.dl"
+    dl.write_text("b :- a.\nc :- not a.\n")
+    for facts, model in (("a=1,a=0", ["c"]), ("a=0,a=1", ["a", "b"]), ("a=1,a=1", ["a", "b"])):
+        rc, out, _ = run_cli(capsys, "lhm", str(dl), "--facts", facts)
+        assert (rc, out.splitlines()) == (0, model), facts
 
 
 def test_export_datalog_table_budget_exits_two(tmp_path, capsys, monkeypatch):

@@ -103,6 +103,16 @@ def test_stratification_errors():
         lhm(redefined, Program((Clause("a"),)))
 
 
+def test_program_facts_seed_the_model():
+    program = parse_program_dl("a.\nb :- a.\nc :- not a.\n")
+    assert lhm(program) == {"a", "b"}
+    assert lhm(program, Program((Clause("a"),))) == {"a", "b"}
+    # a fact of the program is a fact like one given: no rule may define it
+    redefined = parse_program_dl("b :- not c.\nb.\n")
+    with pytest.raises(StratificationError, match="^b is both a fact and a rule head$"):
+        lhm(redefined)
+
+
 def test_lhm_negation_reads_absence():
     program = Program((Clause("a", (Literal("b", negated=True),)),))
     assert lhm(program) == {"a"}
@@ -145,8 +155,9 @@ def test_table_budget_checked_before_evaluating(monkeypatch):
 
 def reference_lhm(program: Program, facts: Program = Program(())) -> frozenset:
     """lhm as it was before programs were compiled: regroup and restratify
-    on every call, and test each body one literal at a time."""
-    model = set(c.head for c in facts.clauses)
+    on every call, and test each body one literal at a time.  The model
+    starts from the given facts and the program's bodiless clauses."""
+    model = set(c.head for c in facts.clauses + program.facts())
     for c in facts.clauses:
         if c.body:
             raise UsageError("facts must not have bodies")
@@ -255,11 +266,11 @@ def test_lhm_errors_in_order_of_precedence():
 def test_program_compiled_once(monkeypatch):
     compiled = []
     of = Strata.of
-    monkeypatch.setattr(Strata, "of", lambda rules: compiled.append(rules) or of(rules))
+    monkeypatch.setattr(Strata, "of", lambda clauses: compiled.append(clauses) or of(clauses))
     protocol, _, _ = load_package("otp")
     program = to_datalog(protocol)
     inputs = protocol.secrets() + protocol.flips()
     for values in itertools.product((0, 1), repeat=len(inputs)):
         m0 = dict(zip(inputs, values))
         assert lhm(program, facts_of(m0)) == reference_lhm(program, facts_of(m0))
-    assert compiled == [program.rules()]
+    assert compiled == [program.clauses]
