@@ -22,7 +22,7 @@ from .dist import (
 )
 from .errors import OvertureError, ParseError, UsageError
 from .interp import run as run_protocol
-from .lang import Partition, format_memory, parse_var, validate
+from .lang import Partition, format_memory, parse_var, validate, violations_of
 from .ovt import format_protocol, parse_protocol
 from .prelude import expand
 from .verifier import (
@@ -58,7 +58,7 @@ def _load_protocol(target: str, libs, field: int):
         protocol = parse_protocol(_read(target), modulus=field)
     if protocol.modulus != field:
         raise UsageError(f"--field {field} applies only to .ovt files; {target} is over F_2")
-    violations = validate(protocol, preprocessed=preproc.domain if preproc else ())
+    violations = violations_of(protocol, preproc.domain if preproc else ())
     if violations:
         raise UsageError("invalid protocol:\n  " + "\n  ".join(violations))
     return protocol, fn, preproc
@@ -154,9 +154,8 @@ def cmd_pmf(args) -> int:
     domain_positions(domain, shown)
     if len(set(shown)) != len(shown):
         raise UsageError("duplicate variables in pmf domain")
-    rows = (lambda table: engine.rows_matching(table, given)) if given else None
     if not write_pmf(sys.stdout.write, shown, lambda vars_: engine.count_runs(
-            protocol, chosen, vars_, rows=rows, first=False)):
+            protocol, chosen, vars_, given=given, first=False)):
         raise UsageError("conditioning row has probability zero")
     return 0
 

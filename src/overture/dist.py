@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 
 from .errors import BudgetError, UsageError
 from .interp import AdversaryStrategy, run, run_adv
-from .lang import BOT, GLOBAL, MESG, Partition, Protocol, Var, validate
+from .lang import BOT, GLOBAL, MESG, Partition, Protocol, Var, violations_of
 
 # --- Preprocessing enumerators ----------------------------------------------
 
@@ -605,7 +605,7 @@ def check_deal(protocol: Protocol, preproc: Preprocessing):
     """UsageError unless the deal is nonempty and covers the protocol's reads."""
     if preproc.count() == 0:
         raise UsageError("preprocessing enumerator is empty")
-    violations = validate(protocol, preprocessed=preproc.domain)
+    violations = violations_of(protocol, preproc.domain)
     if violations:
         raise UsageError("invalid protocol: " + "; ".join(violations))
 

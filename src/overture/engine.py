@@ -9,9 +9,22 @@ memories in their memories() order, then coin-flip tapes with the first
 flip as the most significant bit.  A projection (project_runs) is a
 dist.Pmf as count_runs counts it, its code rows reordered by their first
 runs, so distributions built here iterate like those built by the
-interpreter; no key tuple is built.  Each command is compiled once per
-protocol into a function of the columns (_plan), its references resolved
-to variables there, and every fold of that protocol reuses it.
+interpreter; no key tuple is built.
+
+fold runs a program compiled once per protocol (_compile, kept by _program
+for the last protocol folded passively and the last family): straight-line
+code over integer slots, each slot a column.  Refs resolve to slots there,
+and values are numbered: equal (op, operand slots) pairs, commutative
+operands sorted, share one slot, so a sum that an earlier command built (as
+m[x1] + m[a1] in the Beaver protocol, whose 79 vector operations become 61)
+is computed once.  x == y compiles to the negation of x xor y, and an
+assertion of it to a refutation of x xor y; OT4 compiles to three OTs, and
+a strategy's options and halts to OTs and assertions over 0/1 columns of
+its choices.  A schedule (_schedule) then gives each value a register, a
+buffer, by a linear scan that frees it after the value's last read
+(Poletto and Sarkar, TOPLAS 1999): a whole table keeps every assigned
+variable's column, a count only those of the variables it counts or
+conditions on, and skips what nothing kept needs.
 
 fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table.  Deal
 columns come from the deal's columns() for a whole table and from its
@@ -34,16 +47,19 @@ operation reads and writes stay in a core's 2 MB L2 cache, where whole
 columns of 2 MB do not.  The vectors are also reused, as there: a count
 folds every full block into one arena (_Arena) that it owns, because
 columns freed by one block would be handed back to the system and
-faulted in again by the next.  Shared read-only bit columns are never
-written into, and the arena never leaves count_runs.  The blocks' counts
-merge with no set of the rows seen so far.  Fold plus count of the 12
-variables of nimo over the 2^21-run Beaver deal, on a 2-core x86 machine
-(Python 3.11, numpy 2.4; median of 3 processes of 15 counts each, and
-that process's peak RSS):
+faulted in again by the next.  It holds the deal's derived columns, the
+schedule's registers and fold's masks: 28 buffers for the count of nimo's
+12 variables over the Beaver deal, where a column per assigned variable
+took 35.  Shared read-only bit and constant columns are never written
+into, and the arena never leaves count_runs.  The blocks' counts merge
+with no set of the rows seen so far.  Fold plus count of those 12
+variables over the 2^21-run deal, on a 2-core x86 machine (Python 3.11,
+numpy 2.4; median of 3 processes of 15 counts each, and that process's
+peak RSS):
 
     block   whole   2^14    2^15    2^16    2^17    2^18    2^19    2^20
-    time    0.12 s  0.11 s  0.07 s  0.06 s  0.05 s  0.05 s  0.05 s  0.07 s
-    RSS     142 MB  31 MB   32 MB   34 MB   38 MB   46 MB   63 MB   97 MB
+    time    0.08 s  0.05 s  0.05 s  0.03 s  0.03 s  0.03 s  0.03 s  0.04 s
+    RSS     137 MB  31 MB   32 MB   34 MB   37 MB   45 MB   60 MB   90 MB
 
 Below 2^16 the fixed cost of a fold and a count per block dominates;
 above it the columns leave the cache and the memory grows with the block.
@@ -57,7 +73,9 @@ fold of a Family of s strategies over n runs builds the deal once, tiles
 it s times, and gives s * n rows: row r is run r % n of strategy r // n.
 A tampered command's column is the command's own where a row's option is
 0 and the evaluated option expression elsewhere; a halting row is dead
-from its assertion on, and corrupt assertions are otherwise skipped.  A
+from its assertion on, and corrupt assertions are otherwise skipped.  Every
+option is compiled, and checked to read only what the corrupt clients see,
+when the family is first folded, whichever strategies a chunk holds.  A
 single AdversaryStrategy folds as a Family of one.  chunks cuts a family
 into pieces of whole strategies, of about CHUNK_ROWS stacked runs but at
 most an eighth of the family, so that a large family amortizes the fixed
@@ -100,7 +118,7 @@ from .errors import BudgetError, EvalError, UsageError
 from .interp import AdversaryStrategy, _check_replacement_visibility
 from .lang import (
     AssertCmd, BinOp, BOT, Cmp, Const, Not, OT, OT4, PAnd, PNot, POr,
-    Partition, Protocol, Ref, Var, assigned_var, computing_client, REVEAL,
+    Partition, Protocol, REVEAL, Ref, Var, assigned_var, computing_client, postorder,
 )
 
 
@@ -186,7 +204,7 @@ def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int, out=N
         if (lo | hi) % reps:  # the runs of each memory inside the range
             reps = np.diff(np.clip(np.arange(first, last + 1) << k, lo, hi))
     if not k:
-        cols = {v: pre[v] for v in preproc.domain}
+        cols = dict(pre)  # a dict's copy hashes none of its keys again
     elif not isinstance(reps, int):
         cols = {v: np.repeat(pre[v], reps) for v in preproc.domain}
     else:  # each memory's entry copied to the rows of its reps tapes
@@ -219,6 +237,7 @@ def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None, o
 
 _BINOPS = {"+": np.bitwise_xor, "-": np.bitwise_xor, "xor": np.bitwise_xor,
            "*": np.bitwise_and, "and": np.bitwise_and, "or": np.bitwise_or}
+_ARITY = {BinOp: 2, Cmp: 2, PAnd: 2, POr: 2, Not: 1, PNot: 1, OT: 3, OT4: 6}
 
 
 def _filled(n: int, value, out=None, dtype=np.uint8) -> "np.ndarray":
@@ -229,121 +248,181 @@ def _filled(n: int, value, out=None, dtype=np.uint8) -> "np.ndarray":
     return out
 
 
-def _compile(e, client: int):
-    """A function (cols, nrows, out=None) -> the column of expression e
-    evaluated by client over the runs, each Ref resolved to its Var here,
-    once.  A bare Ref gives the variable's own column; any other
-    expression gives out, written in place, or a fresh column if out is
-    None.  A compound left operand is evaluated into that column and the
-    operation runs in place there; a compound right operand takes a fresh
-    column."""
-    if isinstance(e, Const):
-        if e.value not in (0, 1):
-            raise EvalError(f"constant {e.value} out of range for F_2")
-        return lambda cols, n, out=None: _filled(n, e.value, out)
-    if isinstance(e, Ref):
-        var = Var(e.kind, e.name, None if e.kind == REVEAL else client)
-
-        def read(cols, n, out=None):
-            col = cols.get(var)
-            if col is None:
-                raise EvalError(f"{var} unbound")
-            return col
-        return read
-    if isinstance(e, BinOp):
-        if e.op not in _BINOPS:
-            raise EvalError(f"unknown operator {e.op}")
-        op, a, b = _BINOPS[e.op], _compile(e.left, client), _compile(e.right, client)
-        if isinstance(e.left, Ref):
-            return lambda cols, n, out=None: op(a(cols, n), b(cols, n), out=out)
-
-        def into_left(cols, n, out=None):
-            x = a(cols, n, out)
-            return op(x, b(cols, n), out=x)
-        return into_left
-    if isinstance(e, Not):
-        a = _compile(e.operand, client)
-        if isinstance(e.operand, Ref):
-            return lambda cols, n, out=None: np.bitwise_xor(a(cols, n), np.uint8(1), out=out)
-
-        def negated(cols, n, out=None):
-            x = a(cols, n, out)
-            return np.bitwise_xor(x, np.uint8(1), out=x)
-        return negated
-    if isinstance(e, OT):
-        c = _compile(e.choice, e.receiver)
-        a, b = _compile(e.if1, client), _compile(e.if0, client)
-
-        def ot(cols, n, out=None):
-            pick = c(cols, n) == 1
-            if1, if0 = a(cols, n), b(cols, n)
-            out = np.empty(n, dtype=np.uint8) if out is None else out
-            np.copyto(out, if0)
-            np.copyto(out, if1, where=pick)
-            return out
-        return ot
-    if isinstance(e, OT4):
-        c1, c2 = _compile(e.c1, e.receiver), _compile(e.c2, e.receiver)
-        rows = [_compile(r, client) for r in e.rows]
-
-        def ot4(cols, n, out=None):
-            sel = (c1(cols, n) << 1) | c2(cols, n)  # (1,1)->3, (1,0)->2, (0,1)->1, (0,0)->0
-            out = np.empty(n, dtype=np.uint8) if out is None else out
-            np.copyto(out, rows[3](cols, n))  # (0,0)
-            np.copyto(out, rows[2](cols, n), where=sel == 1)
-            np.copyto(out, rows[1](cols, n), where=sel == 2)
-            np.copyto(out, rows[0](cols, n), where=sel == 3)
-            return out
-        return ot4
-    raise EvalError(f"not an expression: {e!r}")
+def _ot(choice, if1, if0, out=None):
+    """if1 where the 0/1 column choice is 1, else if0."""
+    if out is None:
+        out = if0.copy()
+    else:
+        np.copyto(out, if0)
+    np.copyto(out, if1, where=choice.view(bool))
+    return out
 
 
-def _compile_pred(pred, client: int):
-    """_compile for an assertion predicate: a function giving a bool
-    column, out (a bool buffer) if given, else a fresh one."""
-    if isinstance(pred, Cmp):
-        a, b = _compile(pred.left, client), _compile(pred.right, client)
-        op = np.equal if pred.op == "==" else np.not_equal
-        return lambda cols, n, out=None: op(a(cols, n), b(cols, n), out=out)
-    if isinstance(pred, (PAnd, POr)):
-        op = np.logical_and if isinstance(pred, PAnd) else np.logical_or
-        a, b = _compile_pred(pred.left, client), _compile_pred(pred.right, client)
+class _Program(NamedTuple):
+    """A protocol compiled for fold: straight-line code over integer slots,
+    each slot a column of 0/1 values.  An instruction is (op, out slot,
+    operand slots, extra): op is a numpy ufunc or _ot, which write into
+    their out= buffer, "def" (assign the operand to the variable extra),
+    "assert" (the operand holds, or the run aborts from command extra on)
+    or "refute" (as "assert", where the operand is 0)."""
 
-        def both(cols, n, out=None):
-            x = a(cols, n, out)
-            return op(x, b(cols, n), out=x)
-        return both
-    if isinstance(pred, PNot):
-        a = _compile_pred(pred.operand, client)
-
-        def negated(cols, n, out=None):
-            x = a(cols, n, out)
-            return np.logical_not(x, out=x)
-        return negated
-    raise EvalError(f"not a predicate: {pred!r}")
+    inputs: tuple     # (slot, initial variable, constant 0 or 1, or ("choice", column, option))
+    code: tuple
+    nslots: int
+    whole: list       # the _schedule of a whole table, once one is folded
 
 
-# the protocol last folded and its plan; holding the protocol keeps its
-# identity from passing to another object, so identity is a sound key
-_compiled = (None, ())
+def _compile(protocol: Protocol, family=None, part=None) -> _Program:
+    """The program of the protocol's commands: passive with no family, else
+    with those that part's corrupt clients compute at family.positions
+    tampered and their assertions halting or skipped (see the module
+    docstring).  Values are numbered: a Ref resolves to the slot of its
+    variable's value, and equal (op, operand slots) pairs, commutative
+    operands sorted, share one slot."""
+    numbers = {}  # (op, *operand slots), or an input's key -> slot
+    current = {}  # (kind, name, owner) of a variable -> the slot that a read gets
+    inputs, code, assigned, slots = [], [], set(), itertools.count()
+
+    def leaf(key):
+        slot = numbers.get(key)
+        if slot is None:
+            slot = numbers[key] = next(slots)
+            inputs.append((slot, key))
+        return slot
+
+    def emit(op, *args):
+        key = (op, *(args if op is _ot else sorted(args)))
+        slot = numbers.get(key)
+        if slot is None:
+            slot = numbers[key] = next(slots)
+            code.append((op, slot, key[1:], None))
+        return slot
+
+    def value(root, client):
+        stack = []
+        for node, c in postorder(root, client):
+            kind = type(node)
+            if kind is Ref:  # a tuple key hashes faster than a Var
+                name = node.kind, node.name, None if node.kind == REVEAL else c
+                slot = current.get(name)
+                if slot is None:  # an initial variable
+                    slot = current[name] = leaf(Var(*name))
+                stack.append(slot)
+                continue
+            if kind is Const:
+                if node.value not in (0, 1):
+                    raise EvalError(f"constant {node.value} out of range for F_2")
+                stack.append(leaf(node.value))
+                continue
+            args = stack[-_ARITY[kind]:]
+            del stack[-_ARITY[kind]:]
+            if kind is BinOp and node.op not in _BINOPS:
+                raise EvalError(f"unknown operator {node.op}")
+            if kind is BinOp or kind is POr or kind is PAnd:
+                op = _BINOPS[node.op] if kind is BinOp else \
+                    np.bitwise_or if kind is POr else np.bitwise_and
+                stack.append(emit(op, *args))
+            elif kind is OT:
+                stack.append(emit(_ot, *args))
+            elif kind is OT4:  # (c1, c2) = (1,1), (1,0), (0,1), (0,0) pick rows 0 to 3
+                c1, c2, *rows = args
+                stack.append(emit(_ot, c1, emit(_ot, c2, *rows[:2]), emit(_ot, c2, *rows[2:])))
+            else:  # Not, PNot, and Cmp: x != y is x xor y, and x == y its negation
+                x = args[0] if len(args) == 1 else emit(np.bitwise_xor, *args)
+                negate = kind is not Cmp or node.op == "=="
+                stack.append(emit(np.bitwise_xor, x, leaf(1)) if negate else x)
+        return stack.pop()
+
+    corrupt = frozenset() if part is None or family is None else part.corrupt
+    positions = {} if family is None else {i: j for j, i in enumerate(family.positions)}
+    halts = {} if family is None else {i: len(positions) + j for j, i in enumerate(family.aborts)}
+    for i, cmd in enumerate(protocol.commands):
+        client = computing_client(cmd)
+        if isinstance(cmd, AssertCmd):
+            pred = cmd.pred
+            if client not in corrupt and isinstance(pred, Cmp) and pred.op == "==":
+                # fails where x xor y is 1, which saves negating it
+                code.append(("refute", None, (value(Cmp("!=", pred.left, pred.right), client),), i))
+            elif client not in corrupt:
+                code.append(("assert", None, (value(pred, client),), i))
+            elif i in halts:  # it holds where a strategy does not halt there
+                code.append(("assert", None, (leaf(("choice", halts[i], 0)),), i))
+            continue
+        slot = value(cmd.expr, client)
+        if client in corrupt and i in positions:
+            j = positions[i]
+            for k, expr in enumerate(family.options[j], 1):
+                if expr is not cmd.expr:
+                    _check_replacement_visibility(expr, client, part)
+                slot = emit(_ot, leaf(("choice", j, k)), value(expr, client), slot)
+        var = assigned_var(cmd)
+        if var in assigned:
+            raise EvalError(f"{var} assigned twice")
+        assigned.add(var)
+        current[var.kind, var.name, var.owner] = slot
+        code.append(("def", None, (slot,), var))
+    return _Program(tuple(inputs), tuple(code), next(slots), [])
 
 
-def _plan(protocol: Protocol) -> tuple:
-    """Per command of the protocol: its computing client, its compiled
-    expression or predicate and the variable it assigns (None for an
-    assertion).  Kept for the last protocol folded, so the blocks of one
-    count compile it once."""
-    global _compiled
-    if _compiled[0] is not protocol:
-        plan = []
-        for cmd in protocol.commands:
-            client = computing_client(cmd)
-            if isinstance(cmd, AssertCmd):
-                plan.append((client, _compile_pred(cmd.pred, client), None))
-            else:
-                plan.append((client, _compile(cmd.expr, client), assigned_var(cmd)))
-        _compiled = (protocol, tuple(plan))
-    return _compiled[1]
+def _schedule(program: _Program, keep=None, initial=()) -> tuple:
+    """The program's instructions for a fold, as (the inputs they read,
+    the instructions with a register each: (op, out, args, extra, register
+    or None), the number of registers).  With keep, a set of variables,
+    only the instructions that the assertions and the assignments of
+    keep's variables need, and those assigning initial variables, which
+    raise.  A linear scan gives each value a register, a buffer index,
+    free again after the value's last read unless it is an assigned
+    variable's (with keep, a kept one's): a ufunc may write over an operand
+    it reads for the last time, _ot never."""
+    code = program.code
+    if keep is not None:
+        needed, kept = set(), []
+        for ins in reversed(code):
+            op, out, args, extra = ins
+            if op == "def" and extra not in keep and extra not in initial \
+                    or out is not None and out not in needed:
+                continue
+            needed.update(args)
+            kept.append(ins)
+        code = kept[::-1]
+    last = {s: at for at, ins in enumerate(code) for s in ins[2]}
+    pinned = {args[0] for op, _, args, _ in code if op == "def"}
+    register, free, scheduled, registers = {}, [], [], 0
+    for at, (op, out, args, extra) in enumerate(code):
+        dying = [register.pop(s) for s in dict.fromkeys(args)
+                 if last[s] == at and s in register and s not in pinned]
+        inplace = isinstance(op, np.ufunc)
+        free += dying if inplace else []
+        reg = None
+        if out is not None:
+            if not free:
+                free.append(registers)
+                registers += 1
+            reg = register[out] = free.pop()
+        free += [] if inplace else dying
+        scheduled.append((op, out, args, extra, reg))
+    inputs = tuple((slot, key) for slot, key in program.inputs if slot in last)
+    return inputs, tuple(scheduled), registers
+
+
+# by whether a family is folded, the last (protocol, family options, corrupt
+# clients) compiled and its program; holding the protocol and the options
+# keeps their identity from passing to another object, so identity is a
+# sound key
+_compiled = {}
+
+
+def _program(protocol: Protocol, family, part) -> _Program:
+    """_compile(protocol, family, part), kept for the last passive protocol
+    and the last family folded, so the blocks of a count, the chunks of a
+    family and a check's passive folds compile it once."""
+    options = None if family is None else family.options
+    corrupt = None if family is None or part is None else part.corrupt
+    last = _compiled.get(family is None)
+    if last is None or last[0] is not protocol or last[1] is not options or last[2] != corrupt:
+        last = _compiled[family is None] = (protocol, options, corrupt,
+                                            _compile(protocol, family, part))
+    return last[3]
 
 
 class Family(NamedTuple):
@@ -405,13 +484,17 @@ def chunks(protocol: Protocol, preproc, family: Family) -> list:
 
 class _Arena(dict):
     """The columns of count_runs' blocks of n runs: one uint8 buffer per
-    key (a variable, or a name of fold's own), made on first use and
-    rewritten by every later block, so a block allocates no column of
-    its table.  Never returned: count_runs keeps only the counts."""
+    key (a deal variable, a register of the fold's schedule, or a name of
+    fold's own), made on first use and rewritten by every later block, so
+    a block allocates no column of its table.  keep holds the variables
+    the count reads: every other assigned variable's value lives in a
+    register only until its last read.  Never returned: count_runs keeps
+    only the counts."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, keep=()):
         super().__init__()
-        self.n = n
+        self.n, self.keep = n, frozenset(keep)
+        self.plan = None  # (program, its _schedule's inputs and code, bots of the deal, registers)
 
     def __missing__(self, key):  # a uint8 column, as slice_columns and the commands write
         return self.of(key, np.uint8)
@@ -431,13 +514,28 @@ def fold(protocol: Protocol, preproc, strategy=None,
     module docstring).  With block = (lo, hi), only the rows lo..hi-1 of
     that table, as a table of hi - lo rows.  arena, an _Arena of that many
     entries, is given by count_runs alone: the table's columns and masks
-    are then its buffers, valid until the next fold into it."""
+    are then its buffers, valid until the next fold into it, and the
+    table holds the initial variables and the assigned ones in arena.keep
+    only."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     copies = 1 if strategy is None else len(strategy.choice)
     domain, cols, nrows = _initial_columns(protocol, preproc, copies, block, arena)
+    program = _program(protocol, strategy, part)
+    if arena is None:
+        if not program.whole:
+            program.whole.append(_schedule(program))
+        (inputs, code, registers), = program.whole
+        registers, bots = [None] * registers, dict.fromkeys(domain)
+    else:
+        if arena.plan is None or arena.plan[0] is not program:
+            inputs, code, registers = _schedule(program, arena.keep, cols)
+            arena.plan = (program, inputs, code, dict.fromkeys(domain),
+                          [arena["register", r] for r in range(registers)])
+        _, inputs, code, bots, registers = arena.plan
+        bots = bots.copy()  # a copy of a dict hashes none of its keys again
 
     def bools(key):  # the arena's bool buffer for key, None without an arena
         return None if arena is None else arena.of(key, bool)
@@ -448,38 +546,36 @@ def fold(protocol: Protocol, preproc, strategy=None,
         s0 = lo // runs
         reps = np.diff(np.clip(np.arange(s0, -(-(lo + nrows) // runs) + 1) * runs,
                                lo, lo + nrows))
-
-        def per_row(x):
-            return np.repeat(x[s0:s0 + len(reps)], reps)
+    values = [None] * program.nslots
+    for slot, key in inputs:
+        if type(key) is Var:
+            values[slot] = cols.get(key)
+            if values[slot] is None:
+                raise EvalError(f"{key} unbound")
+        elif type(key) is tuple:  # where each row's strategy chooses option key[2] in column key[1]
+            values[slot] = np.repeat(strategy.choice[s0:s0 + len(reps), key[1]] == key[2], reps)
+        else:  # a constant column, read-only and shared as bit_range's
+            make = _shared if nrows <= BLOCK_ROWS else _shared.__wrapped__
+            values[slot] = make(nrows, None, key)
     domain = list(domain)
-    bots = {v: None for v in domain}
     alive = _filled(nrows, True, bools("alive"), bool)
     dead = None  # the BOT mask of later assignments, one array until alive changes
-    corrupt = part.corrupt if part is not None else frozenset()
-    for i, (client, compiled, var) in enumerate(_plan(protocol)):
-        is_corrupt = client in corrupt and strategy is not None
-        if var is None:  # an assertion
-            if not is_corrupt:
-                alive &= compiled(cols, nrows, bools("holds"))
-            elif i in strategy.aborts:
-                j = len(strategy.positions) + strategy.aborts.index(i)
-                alive &= per_row(strategy.choice[:, j] == 0)
-            dead = None if alive.all() else np.logical_not(alive, out=bools(("dead", i)))
-            continue
-        col = compiled(cols, nrows, None if arena is None or var in cols else arena[var])
-        if is_corrupt and i in strategy.positions:
-            j = strategy.positions.index(i)
-            choice = strategy.choice[:, j]
-            for k in np.unique(choice[choice > 0]).tolist():
-                expr = strategy.options[j][k - 1]
-                if expr is not protocol.commands[i].expr:
-                    _check_replacement_visibility(expr, client, part)
-                col = np.where(per_row(choice == k), _compile(expr, client)(cols, nrows), col)
-        if var in cols:
-            raise EvalError(f"{var} assigned twice")
-        cols[var] = col
-        domain.append(var)
-        bots[var] = dead
+    get = values.__getitem__
+    for op, out, args, extra, reg in code:
+        if reg is not None:
+            registers[reg] = values[out] = op(*map(get, args), out=registers[reg])
+        elif op == "def":
+            if extra in cols:
+                raise EvalError(f"{extra} assigned twice")
+            cols[extra] = values[args[0]]
+            domain.append(extra)
+            bots[extra] = dead
+        else:  # an assertion: runs stay alive where the operand is 1 ("assert") or 0 ("refute")
+            if op == "assert":
+                alive &= values[args[0]].view(bool)
+            else:
+                np.greater(alive.view(np.uint8), values[args[0]], out=alive)
+            dead = None if alive.all() else np.logical_not(alive, out=bools(("dead", extra)))
     return RunTable(tuple(domain), cols, bots, alive, nrows)
 
 
@@ -534,18 +630,45 @@ def row_keys(values, bits: int = 2) -> "np.ndarray":
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _column_keys(columns, bits: int, ncols: int, n: int, out=None) -> "np.ndarray":
+def _column_keys(columns, bits: int, ncols: int, n: int, out=None, byte=None) -> "np.ndarray":
     """One key per run from an iterable of ncols n-long uint8 code columns:
     while bits * ncols fits 64 bits, an unsigned integer of bits bits a
     column, first column most significant; else pack_keys.  out, if
-    given, is an n-entry integer buffer wide enough to build them in."""
+    given, is an n-entry integer buffer wide enough to build them in, and
+    byte an n-entry uint8 buffer for each byte of a wider key.  The key is
+    built a byte at a time, the columns shifted in by adding a byte
+    to itself: numpy vectorizes that, while its shifts, and operations on
+    a wider key and a uint8 column, take two to three times as long."""
     width = bits * ncols
     if width > 64:
         return pack_keys(columns, bits, n)
-    keys = _filled(n, 0, out, np.min_scalar_type(2 ** width - 1))
-    for code in columns:
-        keys <<= bits
-        keys |= code
+    dtype = np.min_scalar_type(2 ** width - 1)
+    if not ncols or 8 % bits:  # no column, or columns that would straddle bytes
+        keys = _filled(n, 0, out, dtype)
+        for code in columns:
+            keys <<= bits
+            keys |= code
+        return keys
+    keys = np.empty(n, dtype) if out is None else out
+    if dtype == np.uint8:
+        byte = keys
+    elif byte is None:
+        byte = np.empty(n, np.uint8)
+    per = 8 // bits  # columns to a byte
+    skip = -ncols % per  # those the first, most significant byte lacks
+    for j, code in enumerate(columns, skip):
+        if j % per and j > skip:
+            for _ in range(bits):
+                np.add(byte, byte, out=byte)
+            byte |= code
+        else:
+            np.copyto(byte, code)
+        if j % per == per - 1 and byte is not keys:  # a byte is done
+            if j >= per:
+                keys <<= 8
+                keys |= byte
+            else:
+                np.copyto(keys, byte)
     return keys
 
 
@@ -642,14 +765,16 @@ def _merge(keys, counts, first):
 
 
 def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
-               rows=None, lead=None, first=True):
+               given=None, abort_lead=False, first=True):
     """distinct_rows over vars_ of the runs of fold(protocol, preproc,
-    strategy, part), folded and counted BLOCK_ROWS runs at a time, so that
-    no whole run table is held.  rows(table) and lead(table), if given,
-    are a block's row mask and lead columns.  A table of at most
-    BLOCK_ROWS runs is one fold and one distinct_rows; a taller one is
-    folded block by block into one _Arena and its counts merged exactly
-    by key width, so the result is distinct_rows' over the whole table.
+    strategy, part) where every variable of the partial memory given holds
+    its value (all runs by default), folded and counted BLOCK_ROWS runs at
+    a time, so that no whole run table is held.  With abort_lead, a column
+    that is 1 where the run aborted leads those of vars_.  A table of at
+    most BLOCK_ROWS runs is one fold and one distinct_rows; a taller one is
+    folded block by block into one _Arena, which keeps the columns of
+    vars_ and given alone, and its counts merged exactly by key width, so
+    the result is distinct_rows' over the whole table.
     A width of w bits with 2**w <= BLOCK_ROWS adds each block into one
     running table of 2**w bins, a block that first reaches some bins
     giving their first runs; a wider one keeps each block's distinct
@@ -659,15 +784,16 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     nrows = _runs(protocol, preproc) * (1 if strategy is None else len(strategy.choice))
+    given = dict(given or {})
 
     def counted(table):
-        return _code_columns(table, vars_, None if rows is None else rows(table),
-                             () if lead is None else lead(table))
+        return _code_columns(table, vars_, rows_matching(table, given) if given else None,
+                             [(~table.alive).view(np.uint8)] if abort_lead else ())
 
     if nrows <= BLOCK_ROWS:
         columns, bits, ncols, n = counted(fold(protocol, preproc, strategy, part))
         return _distinct(_column_keys(columns, bits, ncols, n), bits, ncols, first)
-    arena = _Arena(BLOCK_ROWS)
+    arena = _Arena(BLOCK_ROWS, (*vars_, *given))
     dense = {}   # bits -> running (counts, first runs or -1) of each key, while 2**w <= BLOCK_ROWS
     sparse = {}  # bits -> each block's (distinct keys, counts, first runs), for wider keys
     done = 0     # runs counted in earlier blocks
@@ -679,7 +805,8 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
         size = 2 ** (bits * ncols)
         if size <= BLOCK_ROWS:
             dtype = np.min_scalar_type(size - 1)
-            keys = _column_keys(columns, bits, ncols, n, arena.of(("keys", dtype), dtype)[:n])
+            keys = _column_keys(columns, bits, ncols, n, arena.of(("keys", dtype), dtype)[:n],
+                                arena["byte"][:n])
             if bits not in dense:
                 dense[bits] = np.zeros(size, dtype=np.int64), np.full(size, -1, dtype=np.intp)
             total, found = dense[bits]

@@ -245,59 +245,66 @@ def computing_client(cmd: Command) -> int:
     return cmd.client
 
 
-def expr_vars(e: Expr, client: int) -> set:
-    """Variables read when client evaluates e; OT parts resolve per role."""
-    out: set = set()
-    _expr_vars(e, client, out)
-    return out
+_OPERANDS = {
+    Const: lambda node, client: (),
+    Ref: lambda node, client: (),
+    BinOp: lambda node, client: ((node.left, client), (node.right, client)),
+    Cmp: lambda node, client: ((node.left, client), (node.right, client)),
+    PAnd: lambda node, client: ((node.left, client), (node.right, client)),
+    POr: lambda node, client: ((node.left, client), (node.right, client)),
+    Not: lambda node, client: ((node.operand, client),),
+    PNot: lambda node, client: ((node.operand, client),),
+    OT: lambda node, client: ((node.choice, node.receiver), (node.if1, client),
+                              (node.if0, client)),
+    OT4: lambda node, client: ((node.c1, node.receiver), (node.c2, node.receiver))
+    + tuple((row, client) for row in node.rows),
+}
 
 
-def _expr_vars(e, client, out):
-    if isinstance(e, Const):
-        return
-    if isinstance(e, Ref):
-        owner = None if e.kind == REVEAL else client
-        out.add(Var(e.kind, e.name, owner))
-    elif isinstance(e, BinOp):
-        _expr_vars(e.left, client, out)
-        _expr_vars(e.right, client, out)
-    elif isinstance(e, Not):
-        _expr_vars(e.operand, client, out)
-    elif isinstance(e, OT):
-        _expr_vars(e.choice, e.receiver, out)
-        _expr_vars(e.if1, client, out)
-        _expr_vars(e.if0, client, out)
-    elif isinstance(e, OT4):
-        _expr_vars(e.c1, e.receiver, out)
-        _expr_vars(e.c2, e.receiver, out)
-        for row in e.rows:
-            _expr_vars(row, client, out)
-    else:
-        raise UsageError(f"not an expression: {e!r}")
+def operands(node, client: int) -> tuple:
+    """The operands of an expression or predicate node that client
+    evaluates, each with the client evaluating it: an OT's choice bits are
+    its receiver's, every other operand is client's."""
+    walk = _OPERANDS.get(type(node))
+    if walk is None:
+        raise UsageError(f"not an expression: {node!r}")
+    return walk(node, client)
 
 
-def pred_vars(pred: Pred, client: int) -> set:
-    if isinstance(pred, Cmp):
-        return expr_vars(pred.left, client) | expr_vars(pred.right, client)
-    if isinstance(pred, (PAnd, POr)):
-        return pred_vars(pred.left, client) | pred_vars(pred.right, client)
-    return pred_vars(pred.operand, client)
+def postorder(node, client: int):
+    """The (node, evaluating client) pairs of an expression or predicate
+    that client evaluates, each node after its operands, which come in
+    their order.  The walk keeps an explicit stack, so a chain of any
+    length needs no recursion."""
+    stack = [(node, client, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, client, expanded = pop()
+        if not expanded:
+            below = operands(node, client)
+            if below:
+                push((node, client, True))
+                for n, c in reversed(below):
+                    push((n, c, False))
+                continue
+        yield node, client
+
+
+def expr_vars(e, client: int) -> set:
+    """Variables read when client evaluates an expression or predicate e;
+    OT parts resolve per role."""
+    read = {(n.kind, n.name, None if n.kind == REVEAL else c)
+            for n, c in postorder(e, client) if type(n) is Ref}
+    return {Var(*v) for v in read}
 
 
 def command_reads(cmd: Command) -> set:
-    if isinstance(cmd, AssertCmd):
-        return pred_vars(cmd.pred, cmd.client)
-    return expr_vars(cmd.expr, computing_client(cmd))
+    return expr_vars(cmd.pred if isinstance(cmd, AssertCmd) else cmd.expr,
+                     computing_client(cmd))
 
 
-def _contains_ot(e: Expr) -> bool:
-    if isinstance(e, (OT, OT4)):
-        return True
-    if isinstance(e, BinOp):
-        return _contains_ot(e.left) or _contains_ot(e.right)
-    if isinstance(e, Not):
-        return _contains_ot(e.operand)
-    return False
+def _contains_ot(e) -> bool:
+    return any(isinstance(n, (OT, OT4)) for n, _ in postorder(e, 0))
 
 
 # --- Protocols -------------------------------------------------------------
@@ -330,6 +337,10 @@ class Protocol:
         return tuple(v for v in self._mentioned if v.kind == SECRET)
 
     def flips(self) -> tuple:
+        return self._flips
+
+    @cached_property
+    def _flips(self) -> tuple:
         return tuple(v for v in self._mentioned if v.kind == FLIP)
 
     def iovars(self) -> tuple:
@@ -441,7 +452,7 @@ def validate(protocol: Protocol, preprocessed=()) -> list:
             elif _contains_ot(cmd.expr):
                 violations.append(f"{where}: OT must be the entire right-hand side of a send")
         elif isinstance(cmd, AssertCmd):
-            if any(_contains_ot(e) for e in _pred_exprs(cmd.pred)):
+            if _contains_ot(cmd.pred):
                 violations.append(f"{where}: OT not allowed in assertions")
         elif _contains_ot(cmd.expr):
             violations.append(f"{where}: OT must be the entire right-hand side of a send")
@@ -450,18 +461,28 @@ def validate(protocol: Protocol, preprocessed=()) -> list:
     return violations
 
 
+# the last (protocol, dealt messages, violations) of violations_of; holding
+# the protocol keeps its identity from passing to another object
+_validated = (None, (), ())
+
+
+def violations_of(protocol: Protocol, preprocessed=()) -> list:
+    """validate(protocol, preprocessed), kept for the last protocol and deal
+    asked about, so that the checks of one command validate it once.  Only
+    the dealt variables other than secrets and coin flips can change the
+    result (validate checks those two kinds by owner), so the deal is
+    keyed by them, and no deal and a uniform one over the secrets agree."""
+    global _validated
+    dealt = tuple(v for v in preprocessed if v.kind not in (SECRET, FLIP))
+    if _validated[0] is not protocol or _validated[1] != dealt:
+        _validated = (protocol, dealt, tuple(validate(protocol, preprocessed)))
+    return list(_validated[2])
+
+
 def _ot_parts(e):
     if isinstance(e, OT):
         return (e.choice, e.if1, e.if0)
     return (e.c1, e.c2) + e.rows
-
-
-def _pred_exprs(pred):
-    if isinstance(pred, Cmp):
-        return (pred.left, pred.right)
-    if isinstance(pred, (PAnd, POr)):
-        return _pred_exprs(pred.left) + _pred_exprs(pred.right)
-    return _pred_exprs(pred.operand)
 
 
 # --- Memory helpers --------------------------------------------------------

@@ -84,8 +84,6 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
                           preproc=None) -> Verdict:
     """Every run computes the functionality of its secrets with probability
     one: outputs equal F(secrets) in each enumerated run, no aborts."""
-    import numpy as np
-
     from . import engine
 
     prop = "passive-correct"
@@ -98,8 +96,7 @@ def check_passive_correct(protocol: Protocol, fn: Functionality,
     dist_mod.check_deal(protocol, preproc)
     # each distinct row of abort bit, secrets and outputs, with its first run
     codes, counts, first = engine.count_runs(
-        protocol, preproc, fn.secrets + fn.outputs,
-        lead=lambda table: [(~table.alive).view(np.uint8)])
+        protocol, preproc, fn.secrets + fn.outputs, abort_lead=True)
     n = 1 + len(fn.secrets)
     bad = [f for row, f in zip(codes.tolist(), first.tolist())
            if row[0] or fn.table.get(tuple(row[1:n])) != tuple(row[n:])]

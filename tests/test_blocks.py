@@ -6,6 +6,8 @@ bundled package takes the multi-block path: its
 distinct rows, counts and first runs, bd, pmf text and verdicts must equal
 those of one block.  The Beaver protocol runs on its trimmed deal here;
 its full deal, on the default blocks, is checked against one block too.
+The compiled fold's value numbering and buffer reuse are checked here
+too, on small protocols against the interpreter as well.
 """
 
 import contextlib
@@ -23,14 +25,16 @@ from overture.dist import (
     ExplicitPreprocessing, Functionality, UniformPreprocessing, bd, bd_adv, bd_domain,
     default_preprocessing,
 )
-from overture.interp import AdversaryStrategy
-from overture.lang import BOT, SECRET, BinOp, Const, Partition, parse_var
+from overture.interp import IDENTITY, AdversaryStrategy
+from overture.lang import BOT, FLIP, SECRET, BinOp, Const, Partition, Ref, parse_var
 from overture.ovt import parse_protocol
 from overture.stdlib import (
     FUNCTIONALITIES, PACKAGES, bdoz_beaver_preprocessing, bdoz_beaver_trimmed, load_package,
 )
 from overture.verifier import enumerate_adversaries
-from test_engine import ABORTING, assert_rows_match, shifted_bits, table_codes
+from test_engine import (
+    ABORTING, assert_family_rows_match, assert_rows_match, shifted_bits, sweep, table_codes,
+)
 
 SIZES = (8, 5)
 
@@ -76,10 +80,6 @@ def assert_same_table(one, blocked):
     assert np.array_equal(one.counts, blocked.counts)
 
 
-def alive_lead(table):
-    return [(~table.alive).view(np.uint8)]
-
-
 def cli_out(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -96,10 +96,10 @@ def test_blocked_counts_equal_one_block(monkeypatch, size):
         cases = (
             dict(vars_=domain),
             dict(vars_=domain[::-1], first=False),
-            dict(vars_=protocol.output_vars() + protocol.secrets(), lead=alive_lead),
-            dict(vars_=domain[-3:], rows=lambda table: engine.rows_matching(table, given)),
-            dict(vars_=domain[1:4], rows=lambda table: engine.rows_matching(table, given),
-                 lead=alive_lead, first=False),
+            dict(vars_=protocol.output_vars() + protocol.secrets(), abort_lead=True),
+            dict(vars_=domain[-3:], given=given),
+            dict(vars_=domain[1:4], given=given,
+                 abort_lead=True, first=False),
         )
         for kw in cases:
             assert_same_rows(*one_and_blocked(
@@ -182,7 +182,7 @@ def test_failing_correct_witness_from_a_later_block(monkeypatch):
 def test_full_beaver_deal_blocks_equal_one_block(monkeypatch):
     protocol, fn, deal = load_package("bdoz-beaver")
     vars_ = fn.secrets + fn.outputs + tuple(v for v in protocol.assigned() if v.owner == 2)[:4]
-    for kw in (dict(lead=alive_lead), dict(first=False)):
+    for kw in (dict(abort_lead=True), dict(first=False)):
         blocked = engine.count_runs(protocol, deal, vars_, **kw)
         with monkeypatch.context() as m:
             m.setattr(engine, "BLOCK_ROWS", deal.count())
@@ -296,9 +296,9 @@ def test_arena_never_escapes(monkeypatch):
 
     monkeypatch.setattr(engine, "fold", recording)
     for vars_ in (bd_domain(protocol, deal), fn.secrets + fn.outputs):
-        first = engine.count_runs(protocol, deal, vars_, lead=alive_lead)
+        first = engine.count_runs(protocol, deal, vars_, abort_lead=True)
         kept = [a.copy() for a in first]
-        second = engine.count_runs(protocol, deal, vars_, lead=alive_lead)
+        second = engine.count_runs(protocol, deal, vars_, abort_lead=True)
         assert_same_rows(kept, first)
         assert_same_rows(first, second)
         buffers = [buf for arena in arenas for buf in arena.values()]
@@ -339,8 +339,8 @@ def test_blocked_counts_with_bot_in_some_blocks(monkeypatch, late):
         # the key width and the path each block takes: (v) 2 or 4 bins, dense
         # both ways; (u, v) 4 bins dense, 16 sorted; (v, ..., b) sorted both
         for vars_ in ((v["m[v]@2"],), (v["m[u]@2"], v["m[v]@2"]), tuple(v.values())[1:]):
-            for kw in (dict(), dict(first=False), dict(lead=alive_lead),
-                       dict(rows=lambda table: engine.rows_matching(table, given))):
+            for kw in (dict(), dict(first=False), dict(abort_lead=True),
+                       dict(given=given)):
                 one, blocked = one_and_blocked(
                     monkeypatch, size, lambda: engine.count_runs(protocol, deal, vars_, **kw))
                 assert_same_rows(one, blocked)
@@ -419,3 +419,143 @@ def test_blocks_fault_in_no_fresh_columns():
     out = subprocess.run([sys.executable, "-c", COUNT_FAULTS], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert int(out) < FRESH_COLUMN_FAULTS / 10
+
+
+def interpreter_counts(protocol, deal, vars_, strategy=None, part=None, given=None) -> dict:
+    """Run counts by codes over vars_ (BOT as BOT_CODE) of the interpreter's
+    runs where every variable of given holds its value."""
+    counts: dict = {}
+    for m in sweep(protocol, deal, strategy, part):
+        if all(m[v] == x for v, x in (given or {}).items()):
+            key = tuple(engine.BOT_CODE if m[v] is BOT else m[v] for v in vars_)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def assert_counts(monkeypatch, protocol, vars_, strategy=None, part=None, given=None):
+    """count_runs over vars_ equal on one block and on blocks of 8 and of
+    5 runs, where a count keeps only the columns of vars_ and given, and
+    equal to the interpreter's counts."""
+    deal = default_preprocessing(protocol)
+    want = interpreter_counts(protocol, deal, vars_, strategy, part, given)
+    for size in SIZES:
+        one, blocked = one_and_blocked(monkeypatch, size, lambda: engine.count_runs(
+            protocol, deal, vars_, strategy, part, given=given))
+        assert_same_rows(one, blocked)
+        assert dict(zip(map(tuple, one[0].tolist()), one[1].tolist())) == want
+
+
+# one expression text under two computing clients: m[a] and m[b] read
+# different variables, so they share no value, while m[c], the commuted
+# text under client 1 again, shares m[a]'s
+TWO_CLIENTS = ("m[a]@2 := s[x] xor r[k] @ 1;\n"
+               "m[b]@1 := s[x] xor r[k] @ 2;\n"
+               "m[c]@2 := r[k] xor s[x] @ 1;\n"
+               "out@1 := m[b] xor s[x] @ 1;\n"
+               "out@2 := m[a] xor m[c] @ 2;\n")
+
+
+def test_one_text_under_two_clients_is_not_merged(monkeypatch):
+    protocol = parse_protocol(TWO_CLIENTS)
+    program = engine._compile(protocol)
+    assert sum(ins[0] is np.bitwise_xor for ins in program.code) == 4  # a = c, b and the outputs
+    slot = {ins[3]: ins[2][0] for ins in program.code if ins[0] == "def"}
+    a, b, c = (parse_var(v) for v in ("m[a]@2", "m[b]@1", "m[c]@2"))
+    assert slot[a] == slot[c] != slot[b]
+    assert_rows_match(protocol)
+    assert_counts(monkeypatch, protocol, bd_domain(protocol, default_preprocessing(protocol)))
+
+
+# m[a] and m[b] compute one expression and share its value; a family
+# tampers m[a] alone, with the option s[x] and r[k], m[c]'s expression
+SHARED = ("m[a]@2 := s[x] xor r[k] @ 1;\n"
+          "m[b]@2 := s[x] xor r[k] @ 1;\n"
+          "m[c]@2 := s[x] and r[k] @ 1;\n"
+          "out@2 := m[a] xor m[b] xor m[c] @ 2;\n")
+
+
+def test_tampered_position_whose_expression_a_later_command_shares(monkeypatch):
+    protocol = parse_protocol(SHARED)
+    part = Partition.of(protocol.federation, [1])
+    both = BinOp("and", Ref(SECRET, "x"), Ref(FLIP, "k"))
+    strategies = (IDENTITY, AdversaryStrategy(((0, Const(1)),)), AdversaryStrategy(((0, both),)),
+                  AdversaryStrategy(((0, BinOp("xor", both, Const(1))),)))
+    assert_family_rows_match(monkeypatch, protocol, None, strategies, part)
+    vars_ = bd_domain(protocol, default_preprocessing(protocol))
+    for strategy in strategies[1:]:
+        assert_counts(monkeypatch, protocol, vars_, strategy, part)
+
+
+# OT and OT4 over 32 runs; m[p] repeats m[o]'s transfer and shares its value
+OTS = ("m[o]@2 := OT(s[c] @ 2 ; s[a] xor r[k], s[b]) @ 1;\n"
+       "m[q]@2 := OT4(s[c], r[j] @ 2 ; s[a], not s[b], s[a] and r[k], 1) @ 1;\n"
+       "m[p]@2 := OT(s[c] @ 2 ; s[a] xor r[k], s[b]) @ 1;\n"
+       "out@2 := m[o] xor m[q] xor m[p] @ 2;\n")
+
+
+def test_ot_and_ot4_across_block_edges(monkeypatch):
+    protocol = parse_protocol(OTS)
+    assert_rows_match(protocol)
+    domain = bd_domain(protocol, default_preprocessing(protocol))
+    assert len(interpreter_counts(protocol, default_preprocessing(protocol), domain)) == 32
+    for vars_ in (domain, domain[-3:], (parse_var("m[q]@2"),)):
+        assert_counts(monkeypatch, protocol, vars_)
+
+
+def test_counted_variable_that_a_later_command_reads(monkeypatch):
+    """m[u] is read by the last two commands after it is counted; alone,
+    its register must outlive the registers reused around it."""
+    protocol = parse_protocol(PARTLY_ABORTING.format(0, 1))
+    u, n, out = (parse_var(v) for v in ("m[u]@2", "m[n]@1", "out@2"))
+    for vars_ in ((u,), (u, out), (n, u)):
+        assert_counts(monkeypatch, protocol, vars_)
+
+
+def test_pmf_given_outside_the_shown_marginal(monkeypatch, tmp_path):
+    """The given variables are kept through the count though not shown;
+    m[v] is BOT in the aborted runs, which no given value matches."""
+    path = tmp_path / "partly.ovt"
+    path.write_text(PARTLY_ABORTING.format(0, 1))
+    protocol = parse_protocol(path.read_text())
+    u, v, w, out = (parse_var(x) for x in ("m[u]@2", "m[v]@2", "m[w]@1", "out@2"))
+    for given, shown in (({u: 1}, (out,)), ({v: 0}, (w, out)), ({u: 0, v: 1}, (w,))):
+        assert_counts(monkeypatch, protocol, shown, given=given)
+        argv = ["pmf", str(path), "--given", ",".join(f"{x}={y}" for x, y in given.items()),
+                "--marginal", ",".join(map(str, shown))]
+        for size in SIZES:
+            one, blocked = one_and_blocked(monkeypatch, size, lambda: cli_out(argv))
+            assert one == blocked and one[0] == 0 and one[1]
+
+
+def nimo_vars(protocol, deal, corrupt):
+    """The variables that nimo counts for the corrupt clients."""
+    part = Partition.of(protocol.federation, corrupt)
+    secrets = verifier._dealt_secrets(protocol, deal)
+    x1 = verifier.owned_by(secrets, part.corrupt) + protocol.output_vars()
+    views = tuple(dict.fromkeys(verifier.corrupt_views(protocol, part)))
+    return tuple(dict.fromkeys(x1 + views + verifier.owned_by(secrets, part.honest)))
+
+
+# buffers in the arena of a count of nimo --corrupt 2's 12 variables over
+# the full Beaver deal: 13 derived deal columns, 12 registers, alive, and
+# the key and its byte.  When each assigned variable and fold mask had its
+# own, 35
+ARENA_BUFFERS = 28
+
+
+def test_count_keeps_few_arena_buffers(monkeypatch):
+    protocol, _, deal = load_package("bdoz-beaver")
+    vars_ = nimo_vars(protocol, deal, [2])
+    assert len(vars_) == 12
+    arenas = []
+    fold = engine.fold
+
+    def recording(*args):
+        arenas.append(args[5])
+        return fold(*args)
+
+    monkeypatch.setattr(engine, "fold", recording)
+    engine.count_runs(protocol, deal, vars_)
+    assert len(arenas) == deal.count() // engine.BLOCK_ROWS
+    assert all(arena is arenas[0] for arena in arenas)
+    assert len(arenas[0]) <= ARENA_BUFFERS

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from overture import cli, datalog, dist, engine, interp, stdlib, verifier
+from overture import cli, datalog, dist, engine, interp, lang, stdlib, verifier
 from overture.cli import main
+from overture.errors import UsageError
 from overture.dist import Pmf, UniformPreprocessing, bd
 from overture.lang import Partition, parse_var
 from overture.ovt import parse_protocol
@@ -143,6 +144,31 @@ def test_verify_all_partitions(capsys):
                          "--all-partitions")
     assert rc == 0
     assert out.count("holds") == 6
+
+
+def test_each_check_validates_once(capsys, monkeypatch):
+    """The CLI and every check of one command validate the protocol once;
+    a check called through the API still validates, with its own message."""
+    calls = []
+    validate = lang.validate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(lang, "validate", counting)
+    for argv in (("verify", "shamir-add3", "--property", "nimo", "--all-partitions"),
+                 ("verify", "bdoz-beaver", "--preproc", "bdoz-beaver-trim",
+                  "--property", "correct"),
+                 ("verify", "gmw-and", "--property", "gradual-release", "--all-partitions")):
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 1, argv
+    invalid = parse_protocol("m[z]@2 := s[x] xor m[y] @ 1;\n")
+    part = Partition.of(invalid.federation, [2])
+    for check in (verifier.check_nimo, verifier.check_nimo, verifier.check_gradual_release):
+        with pytest.raises(UsageError, match=r"invalid protocol: command 0: m\[y\]@1 read before"):
+            check(invalid, part)
 
 
 def test_verify_malicious_properties(capsys):

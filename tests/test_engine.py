@@ -5,7 +5,9 @@ i-th initial memory, passive and adversarial alike; witnesses and the
 order of distributions depend on it.
 """
 
+import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from overture.dist import (
 from overture.errors import BudgetError
 from overture.interp import IDENTITY, AdversaryStrategy, run, run_adv
 from overture.lang import (
-    BOT, AssertCmd, BinOp, Const, Partition, Protocol, Ref, Var, parse_var,
+    BOT, REVEAL, SECRET, AssertCmd, BinOp, Const, Partition, Protocol, Ref, RevealCmd, Var,
+    parse_var,
 )
 from overture.ovt import parse_protocol
 from overture.stdlib import bdoz_beaver_preprocessing, bdoz_beaver_trimmed, load_package
@@ -375,3 +378,22 @@ def test_run_budget_checked_before_allocating(monkeypatch):
         engine.fold(one_flip, StubDeal(engine.MAX_RUNS // 2))
     with pytest.raises(BudgetError):
         engine.fold(one_flip, StubDeal(engine.MAX_RUNS))
+
+
+def test_long_chain_counts_without_recursion():
+    """A 100,000-operand xor chain, built as an AST: listing its variables,
+    compiling and counting it walk it with explicit stacks, and its parity
+    holds."""
+    leaves = (Ref(SECRET, "a"), Ref(SECRET, "b"), Ref(SECRET, "c"), Const(1))
+    rng = random.Random(11)
+    operands = [rng.choice(leaves) for _ in range(100_000)]
+    chain = functools.reduce(lambda e, x: BinOp("xor", e, x), operands)
+    protocol = Protocol.of([RevealCmd("w", chain, 1)])
+    deal = default_preprocessing(protocol)
+    secrets = tuple(Var(SECRET, name, 1) for name in "abc")
+    assert deal.domain == secrets
+    codes, counts, _ = engine.count_runs(protocol, deal, secrets + (Var(REVEAL, "w"),))
+    odd = [sum(x is leaf for x in operands) % 2 for leaf in leaves]
+    want = [[*bits, (sum(b * o for b, o in zip(bits, odd)) + odd[3]) % 2]
+            for bits in itertools.product((0, 1), repeat=3)]
+    assert codes.tolist() == want and counts.tolist() == [1] * 8
