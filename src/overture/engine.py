@@ -16,13 +16,12 @@ for the last protocol folded passively and the last family): straight-line
 code over integer slots, each slot a column.  Refs resolve to slots there,
 and values are numbered: equal (op, operand slots) pairs, commutative
 operands sorted, share one slot, so a sum that an earlier command built (as
-m[x1] + m[a1] in the Beaver protocol, whose 79 vector operations become 61)
-is computed once.  x == y compiles to the negation of x xor y, and an
-assertion of it to a refutation of x xor y; OT4 compiles to three OTs, and
-a strategy's options and halts to OTs and assertions over 0/1 columns of
-its choices.  A schedule (_schedule) then gives each value a register, a
-buffer, by a linear scan that frees it after the value's last read
-(Poletto and Sarkar, TOPLAS 1999): a whole table keeps every assigned
+m[x1] + m[a1] in the Beaver protocol, whose 79 vector operations become 67)
+is computed once.  x == y compiles to the negation of x xor y, OT4 to three
+OTs, and a strategy's options and halts to OTs and assertions over 0/1
+columns of its choices.  A schedule (_schedule) then gives each value a
+register, a buffer, by a linear scan that frees it after the value's last
+read (Poletto and Sarkar, TOPLAS 1999): a whole table keeps every assigned
 variable's column, a count only those of the variables it counts or
 conditions on, and skips what nothing kept needs.
 
@@ -48,7 +47,7 @@ columns of 2 MB do not.  The vectors are also reused, as there: a count
 folds every full block into one arena (_Arena) that it owns, because
 columns freed by one block would be handed back to the system and
 faulted in again by the next.  It holds the deal's derived columns, the
-schedule's registers and fold's masks: 28 buffers for the count of nimo's
+schedule's registers and fold's masks: 27 buffers for the count of nimo's
 12 variables over the Beaver deal, where a column per assigned variable
 took 35.  Shared read-only bit and constant columns are never written
 into, and the arena never leaves count_runs.  The blocks' counts merge
@@ -58,8 +57,8 @@ numpy 2.4; median of 3 processes of 15 counts each, and that process's
 peak RSS):
 
     block   whole   2^14    2^15    2^16    2^17    2^18    2^19    2^20
-    time    0.08 s  0.05 s  0.05 s  0.03 s  0.03 s  0.03 s  0.03 s  0.04 s
-    RSS     137 MB  31 MB   32 MB   34 MB   37 MB   45 MB   60 MB   90 MB
+    time    0.07 s  0.05 s  0.03 s  0.03 s  0.03 s  0.03 s  0.03 s  0.05 s
+    RSS     138 MB  31 MB   32 MB   34 MB   37 MB   45 MB   59 MB   89 MB
 
 Below 2^16 the fixed cost of a fold and a count per block dominates;
 above it the columns leave the cache and the memory grows with the block.
@@ -75,7 +74,8 @@ A tampered command's column is the command's own where a row's option is
 0 and the evaluated option expression elsewhere; a halting row is dead
 from its assertion on, and corrupt assertions are otherwise skipped.  Every
 option is compiled, and checked to read only what the corrupt clients see,
-when the family is first folded, whichever strategies a chunk holds.  A
+when the family is first folded, whichever strategies a chunk holds; a
+chunk evaluates only the options its strategies take (_untampered).  A
 single AdversaryStrategy folds as a Family of one.  chunks cuts a family
 into pieces of whole strategies, of about CHUNK_ROWS stacked runs but at
 most an eighth of the family, so that a large family amortizes the fixed
@@ -204,7 +204,7 @@ def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int, out=N
         if (lo | hi) % reps:  # the runs of each memory inside the range
             reps = np.diff(np.clip(np.arange(first, last + 1) << k, lo, hi))
     if not k:
-        cols = dict(pre)  # a dict's copy hashes none of its keys again
+        cols = {v: pre[v] for v in preproc.domain}
     elif not isinstance(reps, int):
         cols = {v: np.repeat(pre[v], reps) for v in preproc.domain}
     else:  # each memory's entry copied to the rows of its reps tapes
@@ -262,9 +262,8 @@ class _Program(NamedTuple):
     """A protocol compiled for fold: straight-line code over integer slots,
     each slot a column of 0/1 values.  An instruction is (op, out slot,
     operand slots, extra): op is a numpy ufunc or _ot, which write into
-    their out= buffer, "def" (assign the operand to the variable extra),
-    "assert" (the operand holds, or the run aborts from command extra on)
-    or "refute" (as "assert", where the operand is 0)."""
+    their out= buffer, "def" (assign the operand to the variable extra) or
+    "assert" (the operand holds, or the run aborts from command extra on)."""
 
     inputs: tuple     # (slot, initial variable, constant 0 or 1, or ("choice", column, option))
     code: tuple
@@ -339,12 +338,8 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
     for i, cmd in enumerate(protocol.commands):
         client = computing_client(cmd)
         if isinstance(cmd, AssertCmd):
-            pred = cmd.pred
-            if client not in corrupt and isinstance(pred, Cmp) and pred.op == "==":
-                # fails where x xor y is 1, which saves negating it
-                code.append(("refute", None, (value(Cmp("!=", pred.left, pred.right), client),), i))
-            elif client not in corrupt:
-                code.append(("assert", None, (value(pred, client),), i))
+            if client not in corrupt:
+                code.append(("assert", None, (value(cmd.pred, client),), i))
             elif i in halts:  # it holds where a strategy does not halt there
                 code.append(("assert", None, (leaf(("choice", halts[i], 0)),), i))
             continue
@@ -405,10 +400,10 @@ def _schedule(program: _Program, keep=None, initial=()) -> tuple:
     return inputs, tuple(scheduled), registers
 
 
-# by whether a family is folded, the last (protocol, family options, corrupt
-# clients) compiled and its program; holding the protocol and the options
-# keeps their identity from passing to another object, so identity is a
-# sound key
+# by whether a family is folded, the last (protocol, family options, the
+# family's positions, aborts and corrupt clients) compiled and its program;
+# holding the protocol and the options keeps their identity from passing to
+# another object, so identity is a sound key for them
 _compiled = {}
 
 
@@ -417,10 +412,11 @@ def _program(protocol: Protocol, family, part) -> _Program:
     and the last family folded, so the blocks of a count, the chunks of a
     family and a check's passive folds compile it once."""
     options = None if family is None else family.options
-    corrupt = None if family is None or part is None else part.corrupt
+    rest = None if family is None else \
+        (family.positions, family.aborts, None if part is None else part.corrupt)
     last = _compiled.get(family is None)
-    if last is None or last[0] is not protocol or last[1] is not options or last[2] != corrupt:
-        last = _compiled[family is None] = (protocol, options, corrupt,
+    if last is None or last[0] is not protocol or last[1] is not options or last[2] != rest:
+        last = _compiled[family is None] = (protocol, options, rest,
                                             _compile(protocol, family, part))
     return last[3]
 
@@ -507,6 +503,22 @@ class _Arena(dict):
         return buf
 
 
+def _untampered(code, unused) -> list:
+    """Scheduled code with each OT that picks an option by a choice column
+    in unused, which no row takes, made a copy of its if0 operand (the
+    command's own value), and the instructions only such OTs read dropped."""
+    needed, kept = set(), []
+    for ins in reversed(code):
+        op, out, args, extra, reg = ins
+        if out is not None and out not in needed:
+            continue
+        if op is _ot and args[0] in unused:
+            ins = (np.positive, out, args[2:], extra, reg)  # a copy into the register
+        needed.update(ins[2])
+        kept.append(ins)
+    return kept[::-1]
+
+
 def fold(protocol: Protocol, preproc, strategy=None,
          part: Partition = None, block=None, arena=None) -> RunTable:
     """The run table of the protocol: passive with no strategy, else under
@@ -540,21 +552,27 @@ def fold(protocol: Protocol, preproc, strategy=None,
     def bools(key):  # the arena's bool buffer for key, None without an arena
         return None if arena is None else arena.of(key, bool)
 
+    values = [None] * program.nslots
     if strategy is not None:
         # the rows of each strategy the block crosses, row r being strategy r // runs
         runs, lo = _runs(protocol, preproc), 0 if block is None else block[0]
         s0 = lo // runs
         reps = np.diff(np.clip(np.arange(s0, -(-(lo + nrows) // runs) + 1) * runs,
                                lo, lo + nrows))
-    values = [None] * program.nslots
+        chosen = strategy.choice[s0:s0 + len(reps)]
+        for slot, key in inputs:  # 1 where a row's strategy chooses option key[2] in column key[1]
+            if type(key) is tuple:
+                rows = chosen[:, key[1]] == key[2]
+                values[slot] = np.repeat(rows, reps) if rows.any() or not key[2] else None
+        unused = {slot for slot, key in inputs if type(key) is tuple and values[slot] is None}
+        if unused:
+            code = _untampered(code, unused)
     for slot, key in inputs:
         if type(key) is Var:
             values[slot] = cols.get(key)
             if values[slot] is None:
                 raise EvalError(f"{key} unbound")
-        elif type(key) is tuple:  # where each row's strategy chooses option key[2] in column key[1]
-            values[slot] = np.repeat(strategy.choice[s0:s0 + len(reps), key[1]] == key[2], reps)
-        else:  # a constant column, read-only and shared as bit_range's
+        elif type(key) is not tuple:  # a constant column, read-only and shared as bit_range's
             make = _shared if nrows <= BLOCK_ROWS else _shared.__wrapped__
             values[slot] = make(nrows, None, key)
     domain = list(domain)
@@ -570,11 +588,8 @@ def fold(protocol: Protocol, preproc, strategy=None,
             cols[extra] = values[args[0]]
             domain.append(extra)
             bots[extra] = dead
-        else:  # an assertion: runs stay alive where the operand is 1 ("assert") or 0 ("refute")
-            if op == "assert":
-                alive &= values[args[0]].view(bool)
-            else:
-                np.greater(alive.view(np.uint8), values[args[0]], out=alive)
+        else:  # an assertion: runs stay alive where its operand is 1
+            alive &= values[args[0]].view(bool)
             dead = None if alive.all() else np.logical_not(alive, out=bools(("dead", extra)))
     return RunTable(tuple(domain), cols, bots, alive, nrows)
 
@@ -630,45 +645,22 @@ def row_keys(values, bits: int = 2) -> "np.ndarray":
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _column_keys(columns, bits: int, ncols: int, n: int, out=None, byte=None) -> "np.ndarray":
+def _column_keys(columns, bits: int, ncols: int, n: int, out=None) -> "np.ndarray":
     """One key per run from an iterable of ncols n-long uint8 code columns:
     while bits * ncols fits 64 bits, an unsigned integer of bits bits a
     column, first column most significant; else pack_keys.  out, if
-    given, is an n-entry integer buffer wide enough to build them in, and
-    byte an n-entry uint8 buffer for each byte of a wider key.  The key is
-    built a byte at a time, the columns shifted in by adding a byte
-    to itself: numpy vectorizes that, while its shifts, and operations on
-    a wider key and a uint8 column, take two to three times as long."""
+    given, is an n-entry integer buffer wide enough to build them in."""
     width = bits * ncols
     if width > 64:
         return pack_keys(columns, bits, n)
-    dtype = np.min_scalar_type(2 ** width - 1)
-    if not ncols or 8 % bits:  # no column, or columns that would straddle bytes
-        keys = _filled(n, 0, out, dtype)
-        for code in columns:
-            keys <<= bits
-            keys |= code
-        return keys
-    keys = np.empty(n, dtype) if out is None else out
-    if dtype == np.uint8:
-        byte = keys
-    elif byte is None:
-        byte = np.empty(n, np.uint8)
-    per = 8 // bits  # columns to a byte
-    skip = -ncols % per  # those the first, most significant byte lacks
-    for j, code in enumerate(columns, skip):
-        if j % per and j > skip:
-            for _ in range(bits):
-                np.add(byte, byte, out=byte)
-            byte |= code
-        else:
-            np.copyto(byte, code)
-        if j % per == per - 1 and byte is not keys:  # a byte is done
-            if j >= per:
-                keys <<= 8
-                keys |= byte
-            else:
-                np.copyto(keys, byte)
+    keys = _filled(n, 0, out, np.min_scalar_type(2 ** width - 1))
+    # numpy multiplies 8- and 16-bit keys 2 to 10 times as fast as it shifts
+    # them; a scalar of the key's own type takes no conversion per call
+    scale = keys.dtype.type(1 << bits) if ncols > 1 else None
+    for j, code in enumerate(columns):
+        if j:
+            np.multiply(keys, scale, out=keys)
+        keys |= code
     return keys
 
 
@@ -805,8 +797,7 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
         size = 2 ** (bits * ncols)
         if size <= BLOCK_ROWS:
             dtype = np.min_scalar_type(size - 1)
-            keys = _column_keys(columns, bits, ncols, n, arena.of(("keys", dtype), dtype)[:n],
-                                arena["byte"][:n])
+            keys = _column_keys(columns, bits, ncols, n, arena.of(("keys", dtype), dtype)[:n])
             if bits not in dense:
                 dense[bits] = np.zeros(size, dtype=np.int64), np.full(size, -1, dtype=np.intp)
             total, found = dense[bits]

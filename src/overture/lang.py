@@ -337,10 +337,6 @@ class Protocol:
         return tuple(v for v in self._mentioned if v.kind == SECRET)
 
     def flips(self) -> tuple:
-        return self._flips
-
-    @cached_property
-    def _flips(self) -> tuple:
         return tuple(v for v in self._mentioned if v.kind == FLIP)
 
     def iovars(self) -> tuple:

@@ -537,10 +537,9 @@ def nimo_vars(protocol, deal, corrupt):
 
 
 # buffers in the arena of a count of nimo --corrupt 2's 12 variables over
-# the full Beaver deal: 13 derived deal columns, 12 registers, alive, and
-# the key and its byte.  When each assigned variable and fold mask had its
-# own, 35
-ARENA_BUFFERS = 28
+# the full Beaver deal: 13 derived deal columns, 12 registers, alive and
+# the key.  When each assigned variable and fold mask had its own, 35
+ARENA_BUFFERS = 27
 
 
 def test_count_keeps_few_arena_buffers(monkeypatch):

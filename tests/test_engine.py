@@ -167,6 +167,19 @@ def test_adversarial_fold_rows_match_run_adv(monkeypatch):
         assert_family_rows_match(monkeypatch, otp, None, fam, part)
 
 
+def test_strategies_without_replacements_fold_back_to_back():
+    """Strategies that replace nothing differ only in where they halt, and
+    each folded right after another equals the interpreter's run_adv."""
+    aborting = parse_protocol(ABORTING)
+    strategies = (IDENTITY, AdversaryStrategy(abort_at=frozenset({3})),
+                  AdversaryStrategy(abort_at=frozenset({1})), IDENTITY,
+                  AdversaryStrategy(abort_at=frozenset({1, 3})))
+    for corrupt in ([1], [2], [1, 2]):
+        part = Partition.of(aborting.federation, corrupt)
+        for strategy in strategies:
+            assert_rows_match(aborting, strategy=strategy, part=part)
+
+
 def counts_by_memory_at(table, vars_) -> dict:
     """project_counts recomputed run by run from memory_at."""
     want = {}
