@@ -200,9 +200,6 @@ class Pmf:
         of = {c: Fraction(c, self.total) for c in set(counts)}
         return {k: of[c] for k, c in zip(self.keys(), counts)}
 
-    def mass(self) -> Fraction:
-        return Fraction(int(self.counts.sum()), self.total)
-
     def support(self):
         return self.weights.items()
 

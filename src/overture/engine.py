@@ -23,7 +23,9 @@ columns of its choices.  A schedule (_schedule) then gives each value a
 register, a buffer, by a linear scan that frees it after the value's last
 read (Poletto and Sarkar, TOPLAS 1999): a whole table keeps every assigned
 variable's column, a count only those of the variables it counts or
-conditions on, and skips what nothing kept needs.
+conditions on, and skips what nothing kept needs.  The program keeps one
+schedule per set of kept variables, so the blocks of a count and the
+chunks of a family schedule once.
 
 fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table.  Deal
 columns come from the deal's columns() for a whole table and from its
@@ -35,23 +37,19 @@ period is one shared read-only array: a block of a tall uniform deal
 builds only the columns derived from its bits.  A fold of more than
 MAX_RUNS runs raises BudgetError before any column is built.
 
-The passive checks, bd and the pmf text count the runs block by block
-(count_runs), so that no whole run table, nor any whole deal column, of a
-tall deal is held: each block of BLOCK_ROWS = 2^16 runs is folded and its
-rows keyed and counted, and the blocks' counts are merged exactly.  A
-table of at most BLOCK_ROWS runs is one block and one count.  This is the
-cache-resident vector of MonetDB/X100 (Boncz, Zukowski and Nes, CIDR
-2005) applied to the fold: a block's columns are 64 KB, so those an
-operation reads and writes stay in a core's 2 MB L2 cache, where whole
-columns of 2 MB do not.  The vectors are also reused, as there: a count
-folds every full block into one arena (_Arena) that it owns, because
-columns freed by one block would be handed back to the system and
-faulted in again by the next.  It holds the deal's derived columns, the
-schedule's registers and fold's masks: 27 buffers for the count of nimo's
-12 variables over the Beaver deal, where a column per assigned variable
-took 35.  Shared read-only bit and constant columns are never written
-into, and the arena never leaves count_runs.  The blocks' counts merge
-with no set of the rows seen so far.  Fold plus count of those 12
+Every fold writes into an arena (_Arena): one buffer per deal column it
+derives, per register of its schedule and per mask, made on first use.
+Shared read-only bit and constant columns are never written into.  A
+caller of fold gets a fresh arena sized to its table, which keeps every
+assigned variable.  count_runs folds BLOCK_ROWS = 2^16 runs at a time
+into one arena that keeps only the variables it counts or conditions
+on, so that no whole run table, nor any whole deal column, of a tall
+deal is held, and a block allocates no column: 26 buffers for the count
+of nimo's 12 variables over the Beaver deal, where a column per assigned
+variable took 35.  This is the cache-resident, reused vector of
+MonetDB/X100 (Boncz, Zukowski and Nes, CIDR 2005): a block's columns are
+64 KB, so those an operation reads and writes stay in a core's 2 MB L2
+cache, where whole columns of 2 MB do not.  Fold plus count of those 12
 variables over the 2^21-run deal, on a 2-core x86 machine (Python 3.11,
 numpy 2.4; median of 3 processes of 15 counts each, and that process's
 peak RSS):
@@ -84,27 +82,29 @@ once.  Before the first chunk, a family of more than MAX_STACKED_RUNS
 stacked runs (strategies times runs) raises BudgetError.
 
 Every check counts the distinct rows of codes over some variables: a
-variable's code is its value, or BOT_CODE where it is BOT.  distinct_rows
-does this for one table, and count_runs for the blocks of a fold.  It
-keys each run over w bits, 1 per variable, or 2 when a variable has a BOT
-mask, and takes one of three paths by input size:
-- 2**w at most the runs counted: one integer key per run, counted by
-  np.bincount into a dense table of 2**w bins.  This is linear in runs,
-  with no sort, and the ascending bins are already in code order.  A tall
-  table projected to a few variables (a block of the 2^21-run Beaver deal
-  to 12) takes this path.
-- otherwise, with w at most 64, the integer keys are sorted by np.unique:
-  2^19 random 40-bit keys take 0.023 s as uint64 against 0.23 s as bytes
-  on a 2-core x86 machine, or 0.13 s against 0.25 s when first runs are
-  asked for, which takes a stable argsort.
-- wider keys are sorted as pack_keys: n log n over ceil(w / 8) bytes per
-  run, for any number of variables (wide projections, full-joint pmfs).
-pack_keys is the one byte-key format: b bits per column, first column most
-significant, in big-endian bytes, so byte order is code order, as integer
-order is for the integer keys.  Every path unpacks the codes from the
-bytes of the distinct keys.  count_runs re-keys code rows with
-np.packbits in the same formats (_matrix_keys), and row_keys applies
-pack_keys to a code matrix for the verifier's comparisons.
+variable's code is its value, or BOT_CODE where it is BOT.  One kernel,
+count_parts, counts them over a sequence of parts, each the runs of a
+table: one table (distinct_rows), the blocks of a fold (count_runs), or
+the passive runs and then each chunk's tampered runs (cheating
+detection).  It keys each run over w bits, 1 per variable, or 2 when a
+variable of the part has a BOT mask, and takes one of two paths:
+- 2**w at most the most runs of any part: one integer key per run,
+  counted by np.bincount into a running table of 2**w bins.  This is
+  linear in runs, with no sort, and the ascending bins are already in
+  code order.  A tall table projected to a few variables (a block of the
+  2^21-run Beaver deal to 12) takes this path.
+- otherwise each part's keys are sorted by np.unique and its distinct
+  keys kept: integers while w is at most 64 (2^19 random 40-bit keys
+  take 0.023 s as uint64 against 0.23 s as bytes on a 2-core x86
+  machine), else pack_keys' bytes, for any number of variables.
+The parts' distinct keys merge exactly by a sort, whenever later parts'
+outnumber the first's and at the end, and where parts keyed at 1 bit and
+at 2 bits both occur, the 1-bit distinct rows are re-keyed at 2 bits.
+pack_keys is the one byte-key format: b bits per column, first column
+most significant, in big-endian bytes, so byte order is code order, as
+integer order is for the integer keys; every path unpacks the codes from
+the bytes of the distinct keys, and row_keys applies pack_keys to a code
+matrix for the verifier's comparisons.
 """
 
 import functools
@@ -220,8 +220,9 @@ def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int, out=N
 def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None, out=None):
     """The deal and flip columns of the rows lo..hi-1 (block; all rows by
     default) of the runs stacked copies times, row r holding run r % runs:
-    (domain, columns, number of rows).  out as for _run_columns, used when
-    the rows lie in one copy."""
+    (domain, columns, number of rows).  out as for _run_columns; where the
+    rows cross copies, each column is their concatenation into out's
+    buffer."""
     runs = _runs(protocol, preproc)
     lo, hi = (0, runs * copies) if block is None else block
     # the runs each copy that the rows cross contributes, each range built once
@@ -231,7 +232,8 @@ def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None, o
         return tuple(preproc.domain) + protocol.flips(), \
             _run_columns(protocol, preproc, runs, *pieces[0], out), hi - lo
     built = {p: _run_columns(protocol, preproc, runs, *p) for p in dict.fromkeys(pieces)}
-    cols = {v: np.concatenate([built[p][v] for p in pieces]) for v in built[pieces[0]]}
+    cols = {v: np.concatenate([built[p][v] for p in pieces], out=None if out is None else out[v])
+            for v in built[pieces[0]]}
     return tuple(preproc.domain) + protocol.flips(), cols, hi - lo
 
 
@@ -248,12 +250,9 @@ def _filled(n: int, value, out=None, dtype=np.uint8) -> "np.ndarray":
     return out
 
 
-def _ot(choice, if1, if0, out=None):
-    """if1 where the 0/1 column choice is 1, else if0."""
-    if out is None:
-        out = if0.copy()
-    else:
-        np.copyto(out, if0)
+def _ot(choice, if1, if0, out):
+    """if1 where the 0/1 column choice is 1, else if0, into out."""
+    np.copyto(out, if0)
     np.copyto(out, if1, where=choice.view(bool))
     return out
 
@@ -268,7 +267,8 @@ class _Program(NamedTuple):
     inputs: tuple     # (slot, initial variable, constant 0 or 1, or ("choice", column, option))
     code: tuple
     nslots: int
-    whole: list       # the _schedule of a whole table, once one is folded
+    assigned: tuple   # the variables the commands assign, in order
+    schedules: dict   # kept variables (None: all) -> their _schedule, once one is folded
 
 
 def _compile(protocol: Protocol, family=None, part=None) -> _Program:
@@ -280,7 +280,7 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
     operands sorted, share one slot."""
     numbers = {}  # (op, *operand slots), or an input's key -> slot
     current = {}  # (kind, name, owner) of a variable -> the slot that a read gets
-    inputs, code, assigned, slots = [], [], set(), itertools.count()
+    inputs, code, assigned, slots = [], [], {}, itertools.count()
 
     def leaf(key):
         slot = numbers.get(key)
@@ -353,29 +353,27 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
         var = assigned_var(cmd)
         if var in assigned:
             raise EvalError(f"{var} assigned twice")
-        assigned.add(var)
+        assigned[var] = None
         current[var.kind, var.name, var.owner] = slot
         code.append(("def", None, (slot,), var))
-    return _Program(tuple(inputs), tuple(code), next(slots), [])
+    return _Program(tuple(inputs), tuple(code), next(slots), tuple(assigned), {})
 
 
-def _schedule(program: _Program, keep=None, initial=()) -> tuple:
+def _schedule(program: _Program, keep=None) -> tuple:
     """The program's instructions for a fold, as (the inputs they read,
     the instructions with a register each: (op, out, args, extra, register
     or None), the number of registers).  With keep, a set of variables,
     only the instructions that the assertions and the assignments of
-    keep's variables need, and those assigning initial variables, which
-    raise.  A linear scan gives each value a register, a buffer index,
-    free again after the value's last read unless it is an assigned
-    variable's (with keep, a kept one's): a ufunc may write over an operand
-    it reads for the last time, _ot never."""
+    keep's variables need.  A linear scan gives each value a register, a
+    buffer index, free again after the value's last read unless it is an
+    assigned variable's (with keep, a kept one's): a ufunc may write over
+    an operand it reads for the last time, _ot never."""
     code = program.code
     if keep is not None:
         needed, kept = set(), []
         for ins in reversed(code):
             op, out, args, extra = ins
-            if op == "def" and extra not in keep and extra not in initial \
-                    or out is not None and out not in needed:
+            if op == "def" and extra not in keep or out is not None and out not in needed:
                 continue
             needed.update(args)
             kept.append(ins)
@@ -479,28 +477,26 @@ def chunks(protocol: Protocol, preproc, family: Family) -> list:
 
 
 class _Arena(dict):
-    """The columns of count_runs' blocks of n runs: one uint8 buffer per
+    """The columns of the folds of n runs into it: one uint8 buffer per
     key (a deal variable, a register of the fold's schedule, or a name of
-    fold's own), made on first use and rewritten by every later block, so
-    a block allocates no column of its table.  keep holds the variables
-    the count reads: every other assigned variable's value lives in a
-    register only until its last read.  Never returned: count_runs keeps
-    only the counts."""
+    fold's own), made on first use and rewritten by every later fold, so
+    that count_runs' blocks allocate no column of their tables.  keep
+    holds the variables a table keeps (None: all), and every other
+    assigned variable's value lives in a register only until its last
+    read."""
 
-    def __init__(self, n: int, keep=()):
+    def __init__(self, n: int, keep=None):
         super().__init__()
-        self.n, self.keep = n, frozenset(keep)
-        self.plan = None  # (program, its _schedule's inputs and code, bots of the deal, registers)
+        self.n, self.keep = n, None if keep is None else frozenset(keep)
 
     def __missing__(self, key):  # a uint8 column, as slice_columns and the commands write
         return self.of(key, np.uint8)
 
     def of(self, key, dtype) -> "np.ndarray":
         """The buffer of n entries of dtype kept under key."""
-        buf = self.get(key)
-        if buf is None:
-            buf = self[key] = np.empty(self.n, dtype=dtype)
-        return buf
+        if key not in self:
+            self[key] = np.empty(self.n, dtype=dtype)
+        return self[key]
 
 
 def _untampered(code, unused) -> list:
@@ -524,41 +520,34 @@ def fold(protocol: Protocol, preproc, strategy=None,
     """The run table of the protocol: passive with no strategy, else under
     an AdversaryStrategy or every strategy of a Family, stacked (see the
     module docstring).  With block = (lo, hi), only the rows lo..hi-1 of
-    that table, as a table of hi - lo rows.  arena, an _Arena of that many
-    entries, is given by count_runs alone: the table's columns and masks
-    are then its buffers, valid until the next fold into it, and the
-    table holds the initial variables and the assigned ones in arena.keep
-    only."""
+    that table, as a table of hi - lo rows.  Its columns and masks are the
+    buffers of arena, an _Arena of that many entries (a fresh one by
+    default), valid until the next fold into it; the table holds the
+    initial variables and the assigned ones in arena.keep."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
+    runs = _runs(protocol, preproc)
     copies = 1 if strategy is None else len(strategy.choice)
-    domain, cols, nrows = _initial_columns(protocol, preproc, copies, block, arena)
-    program = _program(protocol, strategy, part)
+    lo, hi = (0, runs * copies) if block is None else block
     if arena is None:
-        if not program.whole:
-            program.whole.append(_schedule(program))
-        (inputs, code, registers), = program.whole
-        registers, bots = [None] * registers, dict.fromkeys(domain)
-    else:
-        if arena.plan is None or arena.plan[0] is not program:
-            inputs, code, registers = _schedule(program, arena.keep, cols)
-            arena.plan = (program, inputs, code, dict.fromkeys(domain),
-                          [arena["register", r] for r in range(registers)])
-        _, inputs, code, bots, registers = arena.plan
-        bots = bots.copy()  # a copy of a dict hashes none of its keys again
-
-    def bools(key):  # the arena's bool buffer for key, None without an arena
-        return None if arena is None else arena.of(key, bool)
-
+        arena = _Arena(hi - lo)
+    domain, cols, nrows = _initial_columns(protocol, preproc, copies, (lo, hi), arena)
+    program = _program(protocol, strategy, part)
+    for v in program.assigned:  # validate rejects such a deal before any fold
+        if v in cols:
+            raise EvalError(f"{v} assigned twice")
+    plan = program.schedules.get(arena.keep)
+    if plan is None:
+        plan = program.schedules[arena.keep] = _schedule(program, arena.keep)
+    inputs, code, registers = plan
+    registers = [arena["register", r] for r in range(registers)]
     values = [None] * program.nslots
     if strategy is not None:
         # the rows of each strategy the block crosses, row r being strategy r // runs
-        runs, lo = _runs(protocol, preproc), 0 if block is None else block[0]
         s0 = lo // runs
-        reps = np.diff(np.clip(np.arange(s0, -(-(lo + nrows) // runs) + 1) * runs,
-                               lo, lo + nrows))
+        reps = np.diff(np.clip(np.arange(s0, -(-hi // runs) + 1) * runs, lo, hi))
         chosen = strategy.choice[s0:s0 + len(reps)]
         for slot, key in inputs:  # 1 where a row's strategy chooses option key[2] in column key[1]
             if type(key) is tuple:
@@ -575,22 +564,21 @@ def fold(protocol: Protocol, preproc, strategy=None,
         elif type(key) is not tuple:  # a constant column, read-only and shared as bit_range's
             make = _shared if nrows <= BLOCK_ROWS else _shared.__wrapped__
             values[slot] = make(nrows, None, key)
-    domain = list(domain)
-    alive = _filled(nrows, True, bools("alive"), bool)
+    domain, bots = list(domain), dict.fromkeys(domain)
+    alive = _filled(nrows, True, arena.of("alive", bool))
     dead = None  # the BOT mask of later assignments, one array until alive changes
     get = values.__getitem__
     for op, out, args, extra, reg in code:
         if reg is not None:
-            registers[reg] = values[out] = op(*map(get, args), out=registers[reg])
+            values[out] = op(*map(get, args), out=registers[reg])
         elif op == "def":
-            if extra in cols:
-                raise EvalError(f"{extra} assigned twice")
             cols[extra] = values[args[0]]
             domain.append(extra)
             bots[extra] = dead
         else:  # an assertion: runs stay alive where its operand is 1
             alive &= values[args[0]].view(bool)
-            dead = None if alive.all() else np.logical_not(alive, out=bools(("dead", extra)))
+            dead = None if alive.all() else \
+                np.logical_not(alive, out=arena.of(("dead", extra), bool))
     return RunTable(tuple(domain), cols, bots, alive, nrows)
 
 
@@ -664,19 +652,6 @@ def _column_keys(columns, bits: int, ncols: int, n: int, out=None) -> "np.ndarra
     return keys
 
 
-def _matrix_keys(codes, bits: int) -> "np.ndarray":
-    """_column_keys of the columns of a code matrix: its row_keys, read as
-    a big-endian integer with the key right-aligned while it fits 64 bits."""
-    keys, width = row_keys(codes, bits), bits * codes.shape[1]
-    if width > 64:
-        return keys
-    dtype = np.min_scalar_type(2 ** width - 1)
-    wide = np.zeros((len(keys), dtype.itemsize), dtype=np.uint8)
-    wide[:, dtype.itemsize - keys.itemsize:] = keys.view(np.uint8).reshape(len(keys), -1)
-    keys = wide.view(dtype.newbyteorder(">")).ravel() >> (8 * keys.itemsize - width)
-    return keys.astype(dtype)
-
-
 def _unpack(keys, bits: int, ncols: int) -> "np.ndarray":
     """The code rows of keys in _column_keys' format, as a uint8 matrix:
     the key bytes unpacked by np.unpackbits, with no wider matrix."""
@@ -691,28 +666,21 @@ def _unpack(keys, bits: int, ncols: int) -> "np.ndarray":
     return planes if bits == 1 else (planes[:, 0::2] << 1) | planes[:, 1::2]
 
 
-def _distinct(keys, bits: int, ncols: int, first: bool):
-    """The distinct code rows of runs keyed by _column_keys, in code order:
-    (codes, counts, first), first the index of each one's first run if
-    asked for, else None.  The module docstring says which counting path
-    a call takes, and why."""
-    n = len(keys)
-    if keys.dtype.kind != "V" and 2 ** (bits * ncols) <= n:
-        counts = np.bincount(keys, None, 2 ** (bits * ncols))
-        found = _first_bins(keys, len(counts)) if first else None
-        keys = np.flatnonzero(counts)
-        counts, found = counts[keys], found[keys] if first else None
-    else:
-        keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
-        found = found[0] if first else None
-    return _unpack(keys, bits, ncols), counts, found
+@functools.lru_cache(maxsize=1)
+def _block_index(n: int) -> "np.ndarray":
+    """0..n-1 as a read-only column, built once: the full blocks of a
+    count then allocate no index, which would be 8 times a key buffer."""
+    col = np.arange(n)
+    col.flags.writeable = False
+    return col
 
 
 def _first_bins(keys, size: int) -> "np.ndarray":
     """For each of size integer keys, the index of its first run in keys
     (len(keys) where it has none)."""
-    found = np.full(size, len(keys), dtype=np.intp)
-    np.minimum.at(found, keys, np.arange(len(keys)))
+    n = len(keys)
+    found = np.full(size, n, dtype=np.intp)
+    np.minimum.at(found, keys, _block_index(n) if n == BLOCK_ROWS else np.arange(n))
     return found
 
 
@@ -738,96 +706,96 @@ def distinct_rows(table: RunTable, vars_, rows=None, lead=(), first=True):
     uint8 matrix, each row's run count and, if first is true, the index
     of its first counted run (else None: the sort then needs no stable
     argsort)."""
-    columns, bits, ncols, n = _code_columns(table, vars_, rows, lead)
-    return _distinct(_column_keys(columns, bits, ncols, n), bits, ncols, first)
+    return count_parts([(table, rows, lead)], vars_, first)
 
 
-def _merge(keys, counts, first):
-    """The distinct keys of entries (keys, counts, first runs; first may
-    be None), in key order, each entry's counts added and its first run
-    the least: one stable sort, then a sum and a minimum per run of
-    equal keys."""
-    if len(keys) < 2:
-        return keys, counts, first
+def _merge(parts):
+    """The distinct keys of parts, each (distinct keys in key order,
+    counts, first runs or None), in key order, each key's counts added
+    and its first run the least: one part as it is, else one stable sort,
+    then a sum and a minimum per run of equal keys."""
+    if len(parts) == 1:
+        return parts[0]
+    keys, counts, first = (None if x[0] is None else np.concatenate(x) for x in zip(*parts))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    starts = np.flatnonzero(np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1])))
     first = None if first is None else np.minimum.reduceat(first[order], starts)
     return keys[starts], np.add.reduceat(counts[order], starts), first
+
+
+def count_parts(parts, vars_, first=True):
+    """distinct_rows over vars_ of the runs of several parts counted as
+    one table, each part's runs after those of the one before: parts is
+    an iterable of one or more (RunTable, bool mask of its counted runs
+    or None for all, lead columns), read one at a time.  The module
+    docstring gives the counting paths and the merge; a running table of
+    bins gets a part's first runs where the part first reaches them."""
+    dense = {}   # bits -> running (counts, first runs or -1) of each key
+    sparse = {}  # bits -> parts' (distinct keys, counts, first runs), merged as they grow
+    spare = {}   # bits -> an integer key buffer, reused by the parts
+    most = done = 0  # the most runs of a part, and the runs of earlier parts
+    # a part's table is held only until its keys are built
+    keyed = (_code_columns(table, vars_, rows, lead) for table, rows, lead in parts)
+    for columns, bits, ncols, n in keyed:
+        most, width = max(most, n), bits * ncols
+        if width <= 64 and (bits not in spare or len(spare[bits]) < n):
+            spare[bits] = np.empty(most, np.min_scalar_type(2 ** width - 1))
+        keys = _column_keys(columns, bits, ncols, n, spare[bits][:n] if width <= 64 else None)
+        if 2 ** width <= most:
+            if bits not in dense:
+                dense[bits] = np.zeros(2 ** width, np.int64), np.full(2 ** width, -1, np.intp)
+            total, found = dense[bits]
+            block = np.bincount(keys, minlength=len(total))
+            total += block
+            if first:
+                new = (block > 0) & (found < 0)  # bins this part reaches first
+                if new.any():
+                    found[new] = _first_bins(keys, len(total))[new] + done
+        else:
+            keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
+            kept = sparse.setdefault(bits, [])
+            kept.append((keys, counts, found[0] + done if first else None))
+            # merged once later parts outnumber the first: repeated rows are not kept per part
+            if sum(len(k) for k, _, _ in kept[1:]) > len(kept[0][0]):
+                kept[:] = [_merge(kept)]
+        done += n
+    for bits, (total, found) in dense.items():
+        keys = np.flatnonzero(total)
+        sparse.setdefault(bits, []).append((keys, total[keys], found[keys] if first else None))
+    merged = {bits: _merge(entries) for bits, entries in sparse.items()}
+    if len(merged) == 2:  # parts with BOT and without: the rows of those without at 2 bits
+        keys, counts, found = merged.pop(1)
+        keys = _column_keys(_unpack(keys, 1, ncols).T, 2, ncols, len(keys))
+        merged[2] = _merge([(keys, counts, found), merged[2]])
+    (bits, (keys, counts, found)), = merged.items()
+    return _unpack(keys, bits, ncols), counts, found
 
 
 def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
                given=None, abort_lead=False, first=True):
     """distinct_rows over vars_ of the runs of fold(protocol, preproc,
     strategy, part) where every variable of the partial memory given holds
-    its value (all runs by default), folded and counted BLOCK_ROWS runs at
-    a time, so that no whole run table is held.  With abort_lead, a column
-    that is 1 where the run aborted leads those of vars_.  A table of at
-    most BLOCK_ROWS runs is one fold and one distinct_rows; a taller one is
-    folded block by block into one _Arena, which keeps the columns of
-    vars_ and given alone, and its counts merged exactly by key width, so
-    the result is distinct_rows' over the whole table.
-    A width of w bits with 2**w <= BLOCK_ROWS adds each block into one
-    running table of 2**w bins, a block that first reaches some bins
-    giving their first runs; a wider one keeps each block's distinct
-    keys and merges them at the end (_merge).  Blocks with BOT key 2
-    bits a column and those without 1 bit: where both occur, the 1-bit
-    rows are re-keyed at 2 bits at the end, on their distinct rows."""
+    its value (all runs by default), folded BLOCK_ROWS runs at a time and
+    counted as the parts of count_parts, so that no whole run table is
+    held.  With abort_lead, a column that is 1 where the run aborted leads
+    those of vars_.  The blocks fold into one _Arena, which keeps the
+    columns of vars_ and given alone; a shorter last block into its own."""
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     nrows = _runs(protocol, preproc) * (1 if strategy is None else len(strategy.choice))
     given = dict(given or {})
 
-    def counted(table):
-        return _code_columns(table, vars_, rows_matching(table, given) if given else None,
-                             [(~table.alive).view(np.uint8)] if abort_lead else ())
+    def blocks():  # the arena is freed with the last block, before the merge
+        arena = _Arena(min(nrows, BLOCK_ROWS), (*vars_, *given))
+        for lo in range(0, nrows, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, nrows)
+            table = fold(protocol, preproc, strategy, part, (lo, hi),
+                         arena if hi - lo == arena.n else _Arena(hi - lo, arena.keep))
+            yield (table, rows_matching(table, given) if given else None,
+                   [(~table.alive).view(np.uint8)] if abort_lead else ())
 
-    if nrows <= BLOCK_ROWS:
-        columns, bits, ncols, n = counted(fold(protocol, preproc, strategy, part))
-        return _distinct(_column_keys(columns, bits, ncols, n), bits, ncols, first)
-    arena = _Arena(BLOCK_ROWS, (*vars_, *given))
-    dense = {}   # bits -> running (counts, first runs or -1) of each key, while 2**w <= BLOCK_ROWS
-    sparse = {}  # bits -> each block's (distinct keys, counts, first runs), for wider keys
-    done = 0     # runs counted in earlier blocks
-    for lo in range(0, nrows, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, nrows)
-        table = fold(protocol, preproc, strategy, part, (lo, hi),
-                     arena if hi - lo == BLOCK_ROWS else None)
-        columns, bits, ncols, n = counted(table)
-        size = 2 ** (bits * ncols)
-        if size <= BLOCK_ROWS:
-            dtype = np.min_scalar_type(size - 1)
-            keys = _column_keys(columns, bits, ncols, n, arena.of(("keys", dtype), dtype)[:n])
-            if bits not in dense:
-                dense[bits] = np.zeros(size, dtype=np.int64), np.full(size, -1, dtype=np.intp)
-            total, found = dense[bits]
-            block = np.bincount(keys, minlength=size)
-            total += block
-            if first:
-                new = (block > 0) & (found < 0)  # bins this block reaches first
-                if new.any():
-                    found[new] = _first_bins(keys, size)[new] + done
-        else:
-            keys = _column_keys(columns, bits, ncols, n)
-            keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
-            sparse.setdefault(bits, []).append((keys, counts, found[0] + done if first else None))
-        done += n
-    merged = {}  # bits -> (distinct keys, counts, first runs) of that key width's blocks
-    for bits, (total, found) in dense.items():
-        keys = np.flatnonzero(total)
-        merged[bits] = keys, total[keys], found[keys] if first else None
-    for bits, blocks in sparse.items():
-        keys, counts, found = zip(*blocks)
-        merged[bits] = _merge(np.concatenate(keys), np.concatenate(counts),
-                              np.concatenate(found) if first else None)
-    if len(merged) == 2:  # blocks with BOT and without: the rows of those without at 2 bits
-        keys, counts, found = merged.pop(1)
-        wide = merged[2]
-        merged[2] = _merge(np.concatenate([_matrix_keys(_unpack(keys, 1, ncols), 2), wide[0]]),
-                           np.concatenate([counts, wide[1]]),
-                           np.concatenate([found, wide[2]]) if first else None)
-    (bits, (keys, counts, found)), = merged.items()
-    return _unpack(keys, bits, ncols), counts, found
+    return count_parts(blocks(), vars_, first)
 
 
 def _first_run_order(vars_, codes, counts, first, total: int):

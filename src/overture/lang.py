@@ -362,9 +362,6 @@ class Protocol:
     def output_vars(self) -> tuple:
         return tuple(v for v in self.iovars() if v.kind == OUT)
 
-    def reveal_vars(self) -> tuple:
-        return tuple(v for v in self.iovars() if v.kind == REVEAL)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -482,11 +479,6 @@ def _ot_parts(e):
 
 
 # --- Memory helpers --------------------------------------------------------
-
-def mem_restrict(m: dict, vars_) -> dict:
-    vs = set(vars_)
-    return {k: v for k, v in m.items() if k in vs}
-
 
 def format_memory(m: dict) -> str:
     """Canonical one-line rendering: var=val pairs sorted lexicographically."""

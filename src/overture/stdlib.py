@@ -109,9 +109,6 @@ class BdozPreprocessing(Preprocessing):
              deltas[2 - i])  # mac(wi) = key(wi) + delta_j * wi, with j the other party
             for w in self.values for i in (1, 2))
 
-    def free_bits(self) -> int:
-        return len(self._free)
-
     def count(self) -> int:
         return 2 ** len(self._free)
 

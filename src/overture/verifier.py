@@ -474,14 +474,12 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
 
     The family is folded as stacked runs, chunk by chunk (engine.chunks),
     in two passes.  The first counts the rows over the honest views and
-    responses of the passive runs and of every tampering strategy's runs:
-    in that uniform mixture of the passive distribution with each
-    strategy's, the views the adversary can influence show as
-    dependencies, and the adversarial inputs are the least dependent
-    ones.  The second finds the first stacked row no passive run
-    explains: the first failing strategy's first failing run."""
-    import numpy as np
-
+    responses of the passive runs and of every tampering strategy's runs,
+    as the parts of one engine.count_parts: in that uniform mixture of the
+    passive distribution with each strategy's, the views the adversary can
+    influence show as dependencies, and the adversarial inputs are the
+    least dependent ones.  The second finds the first stacked row no
+    passive run explains: the first failing strategy's first failing run."""
     from . import engine
 
     prop = f"cheating-detection[scope={secret_scope}, corrupt={{{','.join(map(str, sorted(part.corrupt)))}}}]"
@@ -494,20 +492,18 @@ def check_cheating_detection(protocol: Protocol, part: Partition, strategies,
     v_ch = tuple(dict.fromkeys(honest_views(protocol, part)))
     vars_ = tuple(dict.fromkeys(v_ch + x_h_all))
     passive = engine.fold(protocol, preproc)
-    codes, counts, _ = engine.distinct_rows(passive, vars_, first=False)
-    total = passive.nrows
-    for _, family in spans:
-        table = engine.fold(protocol, preproc, family, part)
-        tampered = family.choice.any(axis=1).repeat(passive.nrows)
-        more, more_counts, _ = engine.distinct_rows(
-            table, vars_, None if tampered.all() else tampered, first=False)
-        codes = np.concatenate([codes, more])
-        _, first, which = np.unique(engine.row_keys(codes), return_index=True,
-                                    return_inverse=True)
-        # exact in float64: no count passes MAX_STACKED_RUNS + MAX_RUNS < 2 ** 53
-        counts = np.bincount(which, np.concatenate([counts, more_counts])).astype(np.int64)
-        codes, total = codes[first], total + int(np.count_nonzero(tampered))
-    x_c = adversarial_inputs(Pmf(vars_, codes, counts, total), v_ch, x_h_all)
+    table = None  # the last chunk's table
+
+    def mixture():  # the passive runs, then each chunk's tampered runs
+        nonlocal table
+        yield passive, None, ()
+        for _, family in spans:
+            table = engine.fold(protocol, preproc, family, part)
+            tampered = family.choice.any(axis=1).repeat(passive.nrows)
+            yield table, None if tampered.all() else tampered, ()
+
+    codes, counts, _ = engine.count_parts(mixture(), vars_, first=False)
+    x_c = adversarial_inputs(Pmf(vars_, codes, counts, int(counts.sum())), v_ch, x_h_all)
     inputs = f"adversarial inputs: {', '.join(map(str, x_c)) or '(none)'}"
     agree = tuple(dict.fromkeys(x_c + x_h_all + scope))
     known, _, _ = engine.distinct_rows(passive, agree, first=False)

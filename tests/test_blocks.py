@@ -25,6 +25,7 @@ from overture.dist import (
     ExplicitPreprocessing, Functionality, UniformPreprocessing, bd, bd_adv, bd_domain,
     default_preprocessing,
 )
+from overture.errors import EvalError
 from overture.interp import IDENTITY, AdversaryStrategy
 from overture.lang import BOT, FLIP, SECRET, BinOp, Const, Partition, Ref, parse_var
 from overture.ovt import parse_protocol
@@ -247,18 +248,18 @@ def test_slice_columns_equal_columns_sliced():
 
 
 def test_matrix_keys_equal_column_keys():
-    """The merge keys code rows row by row (np.packbits), distinct_rows
-    column by column: both must give pack_keys' bytes and the same
-    integer keys, or the merged rows would leave code order."""
+    """The verifier keys code rows row by row (np.packbits), the counts
+    column by column: both must give pack_keys' bytes, and the column
+    keys unpack to their rows, as the re-key of 1-bit rows at 2 bits
+    reads them, or the merged rows would leave code order."""
     rng = np.random.default_rng(3)
     for ncols in (0, 1, 3, 7, 8, 9, 31, 32, 33, 40, 70):
         for bits in (1, 2):
             codes = rng.integers(0, 2 ** bits - (bits == 2), (50, ncols)).astype(np.uint8)
             assert np.array_equal(engine.row_keys(codes, bits),
                                   engine.pack_keys(codes.T, bits, 50))
-            matrix = engine._matrix_keys(codes, bits)
             columns = engine._column_keys(codes.T, bits, ncols, 50)
-            assert matrix.dtype == columns.dtype and np.array_equal(matrix, columns), (ncols, bits)
+            assert np.array_equal(engine._unpack(columns, bits, ncols), codes), (ncols, bits)
 
 
 def copied(table):
@@ -379,6 +380,33 @@ def test_full_support_blocks_equal_one_block(monkeypatch, tmp_path):
             assert one == blocked, argv
         assert verdict in cli_out(["verify", str(path), "--property", "gradual-release",
                                    "--corrupt", "3"])[1]
+
+
+# m[z]@2 is assigned by the protocol, and dealt too by a deal that holds it
+ASSIGNED = ("m[z]@2 := s[x] xor r[k] @ 1;\n"
+            "m[w]@1 := m[z] and s[y] @ 2;\n"
+            "out@1 := m[w] xor s[x] @ 1;\n")
+
+
+def test_dealt_variable_the_protocol_assigns_raises(monkeypatch):
+    """fold and count_runs, called directly with a deal that holds a
+    variable the protocol assigns, raise on one block and on many, for
+    every set of kept variables, also once that set's schedule is cached
+    from a fold of a deal without it."""
+    protocol = parse_protocol(ASSIGNED)
+    x, y, z, w, out = map(parse_var, ("s[x]@1", "s[y]@2", "m[z]@2", "m[w]@1", "out@1"))
+    clean, clash = UniformPreprocessing([x, y]), UniformPreprocessing([x, y, z])
+    for size in (engine.BLOCK_ROWS, 4):  # the 16 runs of the clash in one block, or in four
+        with monkeypatch.context() as m:
+            m.setattr(engine, "BLOCK_ROWS", size)
+            for vars_ in ((out,), (z,), (x, w), ()):
+                engine.count_runs(protocol, clean, vars_)
+                with pytest.raises(EvalError, match="assigned twice"):
+                    engine.count_runs(protocol, clash, vars_)
+    engine.fold(protocol, clean)
+    for block in (None, (0, 1), (4, 16)):
+        with pytest.raises(EvalError, match=r"m\[z\]@2 assigned twice"):
+            engine.fold(protocol, clash, block=block)
 
 
 # minor faults of one count_runs over 4 blocks of the Beaver deal (its
@@ -537,9 +565,10 @@ def nimo_vars(protocol, deal, corrupt):
 
 
 # buffers in the arena of a count of nimo --corrupt 2's 12 variables over
-# the full Beaver deal: 13 derived deal columns, 12 registers, alive and
-# the key.  When each assigned variable and fold mask had its own, 35
-ARENA_BUFFERS = 27
+# the full Beaver deal: 13 derived deal columns, 12 registers and alive
+# (the key buffer is the count's own).  When each assigned variable and
+# fold mask had its own, 35
+ARENA_BUFFERS = 26
 
 
 def test_count_keeps_few_arena_buffers(monkeypatch):

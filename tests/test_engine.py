@@ -284,12 +284,23 @@ def test_project_counts_key_paths(monkeypatch):
                 assert taken == [counted], (path, nvars, nbot, rows.sum())
 
 
+def rows_part(table, lo, hi, masked) -> engine.RunTable:
+    """Runs lo..hi-1 of a table as a table of their own; a BOT mask with
+    no BOT run there is kept only where masked."""
+    bots = {v: None if bot is None or not (masked or bot[lo:hi].any()) else bot[lo:hi]
+            for v, bot in table.bots.items()}
+    return engine.RunTable(table.domain, {v: c[lo:hi] for v, c in table.cols.items()},
+                           bots, table.alive[lo:hi], hi - lo)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_distinct_rows_match_run_by_run(data):
     """Random code tables with BOT, a BOT mask with no BOT run, repeated
     rows and a random row mask, on both counting paths: distinct_rows
-    against the run-by-run oracle, and project_counts against memory_at."""
+    against the run-by-run oracle, and project_counts against memory_at.
+    The runs cut into consecutive parts, some empty, some keyed with BOT
+    and some without, count through count_parts as the one table."""
     masked = data.draw(st.lists(st.booleans(), max_size=7))
     row = st.tuples(*[st.integers(0, 2 if m else 1) for m in masked])
     codes = np.array(data.draw(st.lists(row, min_size=1, max_size=150)), dtype=np.uint8)
@@ -305,6 +316,16 @@ def test_distinct_rows_match_run_by_run(data):
     assert_distinct_rows(table, vars_, rows)
     assert list(engine.project_counts(table, vars_).items()) == \
         list(counts_by_memory_at(table, vars_).items())
+    cuts = sorted(data.draw(st.lists(st.integers(0, table.nrows), max_size=6)))
+    edges = list(zip([0] + cuts, cuts + [table.nrows]))
+    keeps = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    parts = [(rows_part(table, lo, hi, keep), None if rows is None else rows[lo:hi], ())
+             for (lo, hi), keep in zip(edges, keeps)]
+    want = distinct_by_run(table, vars_, rows)
+    codes, counts, first = engine.count_parts(parts, vars_)
+    assert (list(map(tuple, codes.tolist())), counts.tolist(), first.tolist()) == want
+    codes, counts, first = engine.count_parts(iter(parts), vars_, first=False)
+    assert (list(map(tuple, codes.tolist())), counts.tolist(), first) == (*want[:2], None)
 
 
 def shifted_bits(n, bits, msb_first) -> list:

@@ -6,7 +6,7 @@ from overture.errors import UsageError
 from overture.lang import (
     BOT, MESG, OUT, REVEAL, SECRET, Const, MesgSend, OutputCmd, Partition,
     Protocol, Ref, RevealCmd, Var, corrupt_views, format_memory, honest_views,
-    mem_restrict, owned_by, parse_var, validate,
+    owned_by, parse_var, validate,
 )
 from overture.ovt import parse_protocol
 from overture.stdlib import read_source
@@ -46,7 +46,7 @@ def test_protocol_accessors_otp():
     assert p.flips() == (Var("r", "k", 1),)
     assert p.assigned() == (Var(MESG, "z", 2), Var(MESG, "k", 2), Var(OUT, "", 2))
     assert p.output_vars() == (Var(OUT, "", 2),)
-    assert p.reveal_vars() == ()
+    assert not any(v.kind == REVEAL for v in p.iovars())
 
 
 def test_protocol_modulus_must_be_prime():
@@ -132,5 +132,4 @@ def test_validate_ot_receiver_must_match_dest():
 def test_memory_helpers():
     a, b = parse_var("s[x]@1"), parse_var("m[z]@2")
     m = {a: 1, b: 0}
-    assert mem_restrict(m, [b]) == {b: 0}
     assert format_memory(m) == "m[z]@2=0 s[x]@1=1"

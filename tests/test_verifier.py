@@ -286,6 +286,37 @@ def test_detection_inputs_gmw():
     assert v.details[0] == "adversarial inputs: p[z2]"
 
 
+def test_detection_mixture_does_not_depend_on_chunking(monkeypatch):
+    """Detection counts the passive runs and each chunk's tampered runs as
+    the parts of one count: one strategy a chunk and one chunk for the
+    family give one verdict, and its adversarial inputs are those of the
+    mixture of bd with bd_adv of each tampering strategy."""
+    for name, positions in (("gmw-and", None), ("bdoz-open", (3, 4))):
+        protocol, _, preproc = load_package(name)
+        preproc = preproc or default_preprocessing(protocol)
+        part = Partition.of(protocol.federation, [2])
+        fam = enumerate_adversaries(protocol, part, preproc=preproc, positions=positions)
+        verdicts = []
+        for chunk_rows, min_chunks, nchunks in ((1, 1, len(fam)), (2 ** 40, 1, 1)):
+            with monkeypatch.context() as m:
+                m.setattr(engine, "CHUNK_ROWS", chunk_rows)
+                m.setattr(engine, "MIN_CHUNKS", min_chunks)
+                family = engine.family_of(fam)
+                assert len(engine.chunks(protocol, preproc, family)) == nchunks
+                verdicts.append(check_cheating_detection(protocol, part, fam, preproc))
+        assert verdicts[0].format() == verdicts[1].format()
+        views = tuple(dict.fromkeys(honest_views(protocol, part)))
+        responses = _response_vars(protocol, part)
+        vars_ = tuple(dict.fromkeys(views + responses))
+        tampered = [bd_adv(protocol, s, part, preproc).marginal(vars_)
+                    for s in fam if s.replacements or s.abort_at]
+        mix = bd(protocol, preproc).marginal(vars_).mixed_with(tampered)
+        inputs = adversarial_inputs(mix, views, responses)
+        assert verdicts[0].details[0] == \
+            f"adversarial inputs: {', '.join(map(str, inputs)) or '(none)'}"
+    assert len(fam) == 9 and not verdicts[0].ok  # bdoz-open's forged share
+
+
 def test_identity_strategies_always_explained():
     for name in ("otp", "leaky", "shamir-add3", "gmw-and", "bdoz-open"):
         protocol, _, preproc = load_package(name)
