@@ -352,6 +352,9 @@ def main(argv=None) -> int:
         # a parser or evaluator recursing once per nesting level ran out of stack
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:  # a backstop for a budget that admitted too much
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

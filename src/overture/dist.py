@@ -37,10 +37,18 @@ from .lang import BOT, GLOBAL, MESG, Partition, Protocol, Var, violations_of
 # --- Preprocessing enumerators ----------------------------------------------
 
 class Preprocessing:
-    """Enumerable set of preprocessing memories over a fixed domain."""
+    """Enumerable set of preprocessing memories over a fixed domain.
+
+    An F_2 deal may describe itself, so that the engine compiles it into
+    the protocol's program: description is (free, pinned, derived), where
+    memory i's free[j] is bit j of i (least significant first), pinned maps
+    variables to constants, and derived lists (variable, expression) pairs
+    in order, an expression being a deal variable or (op, e1, e2) with op
+    "xor" or "and".  None: the memories are read from memories()."""
 
     domain: tuple = ()
     modulus: int = 2
+    description = None
 
     def count(self) -> int:
         raise NotImplementedError
@@ -53,29 +61,46 @@ class Preprocessing:
         of one entry per memory, in memories() order."""
         return self.slice_columns(0, self.count())
 
-    def slice_columns(self, lo: int, hi: int, out=None):
-        """columns() of the memories lo..hi-1 alone, here read from
-        memories().  out, if given, maps each variable to a uint8 buffer
-        of hi - lo entries: a column the deal builds is written there."""
+    def slice_columns(self, lo: int, hi: int):
+        """columns() of the memories lo..hi-1 alone: built from the
+        description (free columns are engine.bit_range's), else read from
+        memories()."""
         import numpy as np
 
-        cols = {v: np.empty(hi - lo, dtype=np.uint8) if out is None else out[v]
-                for v in self.domain}
-        for i, m in enumerate(itertools.islice(self.memories(), lo, hi)):
-            for v in self.domain:
-                cols[v][i] = m[v]
+        from .engine import bit_range
+
+        if self.description is None:
+            cols = {v: np.empty(hi - lo, dtype=np.uint8) for v in self.domain}
+            for i, m in enumerate(itertools.islice(self.memories(), lo, hi)):
+                for v in self.domain:
+                    cols[v][i] = m[v]
+            return cols
+        free, pinned, derived = self.description
+        cols = {v: bit_range(lo, hi, i) for i, v in enumerate(free)}
+        cols.update((v, np.full(hi - lo, x, dtype=np.uint8)) for v, x in pinned.items())
+
+        def value(e):
+            if isinstance(e, Var):
+                return cols[e]
+            return (np.bitwise_xor if e[0] == "xor" else np.bitwise_and)(value(e[1]), value(e[2]))
+
+        for v, e in derived:
+            cols[v] = value(e)
         return cols
 
 
 class UniformPreprocessing(Preprocessing):
     """All assignments of the given variables: the default deals exactly
-    the secrets, uniformly."""
+    the secrets, uniformly.  Over F_2 memory i's bits, first variable most
+    significant, are its description's free variables."""
 
     def __init__(self, domain, modulus: int = 2):
         self.domain = tuple(domain)
         self.modulus = modulus
         if len(set(self.domain)) != len(self.domain):
             raise UsageError("duplicate variables in preprocessing domain")
+        if modulus == 2:
+            self.description = (self.domain[::-1], {}, ())
 
     def count(self) -> int:
         return self.modulus ** len(self.domain)
@@ -83,16 +108,6 @@ class UniformPreprocessing(Preprocessing):
     def memories(self):
         for values in itertools.product(range(self.modulus), repeat=len(self.domain)):
             yield dict(zip(self.domain, values))
-
-    def slice_columns(self, lo: int, hi: int, out=None):
-        """Over F_2 memory i's bits, first variable most significant: shared
-        read-only columns (engine.bit_range), so out goes unused."""
-        from .engine import bit_range
-
-        if self.modulus != 2:
-            return super().slice_columns(lo, hi, out)
-        last = len(self.domain) - 1
-        return {v: bit_range(lo, hi, last - i) for i, v in enumerate(self.domain)}
 
 
 class ExplicitPreprocessing(Preprocessing):

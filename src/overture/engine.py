@@ -11,69 +11,75 @@ dist.Pmf as count_runs counts it, its code rows reordered by their first
 runs, so distributions built here iterate like those built by the
 interpreter; no key tuple is built.
 
-fold runs a program compiled once per protocol (_compile, kept by _program
-for the last protocol folded passively and the last family): straight-line
-code over integer slots, each slot a column.  Refs resolve to slots there,
-and values are numbered: equal (op, operand slots) pairs, commutative
-operands sorted, share one slot, so a sum that an earlier command built (as
-m[x1] + m[a1] in the Beaver protocol, whose 79 vector operations become 67)
-is computed once.  x == y compiles to the negation of x xor y, OT4 to three
+fold runs a program compiled once per protocol and deal (_compile, kept
+by _program for the last passive pair and the last family): straight-line
+code over integer slots, each slot a column.  A deal that describes itself
+(dist.Preprocessing.description) compiles into it: its free variables and
+the coin flips are bits of the row index, its pinned ones constants and
+its derived ones instructions; another deal is read from its columns.
+Refs resolve to slots, and values are numbered: equal (op, operand slots)
+pairs, commutative operands sorted, share one slot, so a sum that an
+earlier command built (as m[x1] + m[a1] in the Beaver protocol) is
+computed once.  x == y compiles to the negation of x xor y, OT4 to three
 OTs, and a strategy's options and halts to OTs and assertions over 0/1
-columns of its choices.  A schedule (_schedule) then gives each value a
-register, a buffer, by a linear scan that frees it after the value's last
-read (Poletto and Sarkar, TOPLAS 1999): a whole table keeps every assigned
-variable's column, a count only those of the variables it counts or
-conditions on, and skips what nothing kept needs.  The program keeps one
-schedule per set of kept variables, so the blocks of a count and the
-chunks of a family schedule once.
+columns of its choices.  Bit columns (bit_column, bit_range) tile a
+repeated 0/1 block, with no 64-bit row index, and a column of at most
+BLOCK_ROWS rows that is constant or aligned to its bit's period is one
+shared read-only array.  A fold of more than MAX_RUNS runs raises
+BudgetError before any column is built.
 
-fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table.  Deal
-columns come from the deal's columns() for a whole table and from its
-slice_columns(lo, hi) for the memories of a block; flip columns are bits
-of the row index.  Bit columns (bit_column, bit_range) are built by tiling
-a repeated 0/1 block, with no 64-bit row index, and a column of a block
-of at most BLOCK_ROWS rows that is constant or aligned to its bit's
-period is one shared read-only array: a block of a tall uniform deal
-builds only the columns derived from its bits.  A fold of more than
-MAX_RUNS runs raises BudgetError before any column is built.
-
-Every fold writes into an arena (_Arena): one buffer per deal column it
-derives, per register of its schedule and per mask, made on first use.
-Shared read-only bit and constant columns are never written into.  A
-caller of fold gets a fresh arena sized to its table, which keeps every
-assigned variable.  count_runs folds BLOCK_ROWS = 2^16 runs at a time
-into one arena that keeps only the variables it counts or conditions
-on, so that no whole run table, nor any whole deal column, of a tall
-deal is held, and a block allocates no column: 26 buffers for the count
-of nimo's 12 variables over the Beaver deal, where a column per assigned
-variable took 35.  This is the cache-resident, reused vector of
+fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table, as one
+block of a plan (_plan): the program specialized, in one symbolic pass,
+to blocks of rows, in the way of partial evaluation (Jones, Gomard and
+Sestoft, 1993).  A row-index bit that is constant over a block, or a
+choice column that every row of it agrees on, is a constant there, and
+constants fold through the code by exact F_2 identities: x^0 = x, x&1 =
+x, x^x = x&0 = 0, an OT with a constant choice is that operand, and an
+assertion of 1 is dropped.  Values are numbered across the blocks, so
+one that only low bits decide is computed once for all of them, and a
+linear scan over what the blocks compute gives each value a register, a
+buffer of the fold's arena (_Arena), free again after its last read
+(Poletto and Sarkar, TOPLAS 1999).  Blocks whose kept values, assertions
+and BOT masks are the same ids have equal tables, and only the first is
+folded.  A caller of fold gets a plan of its one block and a fresh arena
+that keeps every variable.  count_runs plans aligned blocks of the largest
+power of two of at most BLOCK_ROWS = 2^16 runs, keeping only the variables
+it counts or conditions on, and folds them into one arena: no whole run
+table, nor any whole deal column, of a tall deal is held, a block
+allocates no column, and a block equal to an earlier one is counted in
+that one's weight.  The 2^21-run Beaver deal's 32 blocks differ in five
+high bits: for nimo's 12 variables its program's 93 instructions take
+102 column operations in all, not 2,976, 20 blocks are folded and 24
+registers are held.  This is also the cache-resident, reused vector of
 MonetDB/X100 (Boncz, Zukowski and Nes, CIDR 2005): a block's columns are
 64 KB, so those an operation reads and writes stay in a core's 2 MB L2
-cache, where whole columns of 2 MB do not.  Fold plus count of those 12
-variables over the 2^21-run deal, on a 2-core x86 machine (Python 3.11,
-numpy 2.4; median of 3 processes of 15 counts each, and that process's
-peak RSS):
+cache, where whole columns of 2 MB do not.  That count over the 2^21
+runs, on a 2-core x86 machine (Python 3.11, numpy 2.4; median of 3
+processes of 15 counts each, and that process's peak RSS):
 
     block   whole   2^14    2^15    2^16    2^17    2^18    2^19    2^20
-    time    0.07 s  0.05 s  0.03 s  0.03 s  0.03 s  0.03 s  0.03 s  0.05 s
-    RSS     138 MB  31 MB   32 MB   34 MB   37 MB   45 MB   59 MB   89 MB
+    time    0.06 s  0.03 s  0.02 s  0.02 s  0.02 s  0.01 s  0.03 s  0.04 s
+    RSS     152 MB  32 MB   33 MB   35 MB   39 MB   47 MB   63 MB   90 MB
 
 Below 2^16 the fixed cost of a fold and a count per block dominates;
-above it the columns leave the cache and the memory grows with the block.
+above it the columns leave the cache, the memory grows with the block
+and fewer high bits are constant.
 
 A strategy family folds as stacked runs, in the way parallel fault
 simulation runs many faults in one pass.  family_of turns a sequence of
 AdversaryStrategy into a Family: a matrix of option indices, strategies
 by tampered positions, with one tuple of replacement expressions per
 position and one 0/1 column per assertion some strategy halts at.  One
-fold of a Family of s strategies over n runs builds the deal once, tiles
-it s times, and gives s * n rows: row r is run r % n of strategy r // n.
+fold of a Family of s strategies over n runs gives s * n rows: row r is
+run r % n of strategy r // n (a described deal's n is a power of two, so
+its columns are the low bits of r).
 A tampered command's column is the command's own where a row's option is
 0 and the evaluated option expression elsewhere; a halting row is dead
 from its assertion on, and corrupt assertions are otherwise skipped.  Every
 option is compiled, and checked to read only what the corrupt clients see,
 when the family is first folded, whichever strategies a chunk holds; a
-chunk evaluates only the options its strategies take (_untampered).  A
+chunk evaluates only the options its strategies take, as a choice column
+that no row of it takes is the constant 0 in its plan.  A
 single AdversaryStrategy folds as a Family of one.  chunks cuts a family
 into pieces of whole strategies, of about CHUNK_ROWS stacked runs but at
 most an eighth of the family, so that a large family amortizes the fixed
@@ -186,55 +192,24 @@ def _runs(protocol: Protocol, preproc) -> int:
     return nrows
 
 
-def _run_columns(protocol: Protocol, preproc, runs: int, lo: int, hi: int, out=None) -> dict:
-    """The deal and flip columns of runs lo..hi-1: from the deal's
-    columns() for all of them, else from its slice_columns over the
-    memories they cover.  Run = memory index * 2**k + tape for k coin
-    flips, so flip i is bit k-1-i of the run.  out, if given, is an
-    _Arena of hi - lo entries: the deal's derived columns, or its columns
-    repeated over the tapes, are written into its buffers."""
-    flips = protocol.flips()
-    k = len(flips)
-    reps = 1 << k
-    if (lo, hi) == (0, runs):
-        pre = preproc.columns()
-    else:
-        first, last = lo >> k, ((hi - 1) >> k) + 1
-        pre = preproc.slice_columns(first, last, None if k else out)
-        if (lo | hi) % reps:  # the runs of each memory inside the range
-            reps = np.diff(np.clip(np.arange(first, last + 1) << k, lo, hi))
-    if not k:
-        cols = {v: pre[v] for v in preproc.domain}
-    elif not isinstance(reps, int):
-        cols = {v: np.repeat(pre[v], reps) for v in preproc.domain}
-    else:  # each memory's entry copied to the rows of its reps tapes
-        cols = {}
-        for v in preproc.domain:
-            cols[v] = np.empty(hi - lo, np.uint8) if out is None else out[v]
-            cols[v].reshape(-1, reps)[...] = pre[v][:, None]
-    for i, v in enumerate(flips):
-        cols[v] = bit_range(lo, hi, k - 1 - i)
+def _read_columns(protocol: Protocol, preproc, lo: int, hi: int) -> dict:
+    """The columns of a deal read from its columns(), and of the coin
+    flips, over the rows lo..hi-1 of its runs, stacked: row r holds run r %
+    runs, and run = memory index * 2**k + tape for k coin flips, so flip i
+    is bit k-1-i of the run.  Rows within one copy of the runs read only
+    the memories they cover (slice_columns); a whole deal read without
+    flips serves its own columns."""
+    flips, runs = protocol.flips(), _runs(protocol, preproc)
+    k, a, b = len(flips), lo % runs, (hi - 1) % runs
+    whole = hi - lo >= runs or a > b
+    first = 0 if whole else a >> k
+    pre = preproc.columns() if whole else preproc.slice_columns(first, (b >> k) + 1)
+    if (lo, hi, k) == (0, runs, 0):
+        return dict(pre)
+    run = np.arange(lo, hi) % runs
+    cols = {v: pre[v][(run >> k) - first] for v in preproc.domain}
+    cols.update((v, (run >> k - 1 - i & 1).astype(np.uint8)) for i, v in enumerate(flips))
     return cols
-
-
-def _initial_columns(protocol: Protocol, preproc, copies: int = 1, block=None, out=None):
-    """The deal and flip columns of the rows lo..hi-1 (block; all rows by
-    default) of the runs stacked copies times, row r holding run r % runs:
-    (domain, columns, number of rows).  out as for _run_columns; where the
-    rows cross copies, each column is their concatenation into out's
-    buffer."""
-    runs = _runs(protocol, preproc)
-    lo, hi = (0, runs * copies) if block is None else block
-    # the runs each copy that the rows cross contributes, each range built once
-    pieces = [(max(lo - s * runs, 0), min(hi - s * runs, runs))
-              for s in range(lo // runs, -(-hi // runs))]
-    if len(pieces) == 1:
-        return tuple(preproc.domain) + protocol.flips(), \
-            _run_columns(protocol, preproc, runs, *pieces[0], out), hi - lo
-    built = {p: _run_columns(protocol, preproc, runs, *p) for p in dict.fromkeys(pieces)}
-    cols = {v: np.concatenate([built[p][v] for p in pieces], out=None if out is None else out[v])
-            for v in built[pieces[0]]}
-    return tuple(preproc.domain) + protocol.flips(), cols, hi - lo
 
 
 _BINOPS = {"+": np.bitwise_xor, "-": np.bitwise_xor, "xor": np.bitwise_xor,
@@ -251,36 +226,57 @@ def _filled(n: int, value, out=None, dtype=np.uint8) -> "np.ndarray":
 
 
 def _ot(choice, if1, if0, out):
-    """if1 where the 0/1 column choice is 1, else if0, into out."""
-    np.copyto(out, if0)
-    np.copyto(out, if1, where=choice.view(bool))
+    """if1 where the 0/1 column choice is 1, else if0, into out, which is
+    none of them: ((if1 ^ if0) & choice) ^ if0, with no masked copy."""
+    np.bitwise_xor(if1, if0, out=out)
+    out &= choice
+    out ^= if0
     return out
 
 
-class _Program(NamedTuple):
-    """A protocol compiled for fold: straight-line code over integer slots,
-    each slot a column of 0/1 values.  An instruction is (op, out slot,
-    operand slots, extra): op is a numpy ufunc or _ot, which write into
-    their out= buffer, "def" (assign the operand to the variable extra) or
-    "assert" (the operand holds, or the run aborts from command extra on)."""
+def _simplified(op, args):
+    """The operand that an exact F_2 identity reduces op over args to, ids
+    0 and 1 being the constants, else None: x^0 = x|0 = x&1 = x, x^x =
+    x&0 = 0, x&x = x, x|1 = 1, and an OT picks by a constant choice.  A
+    ufunc's two args come sorted, so a constant is the first."""
+    if op is _ot:
+        c, if1, if0 = args
+        return (if0, if1)[c] if c < 2 else None
+    x, y = args
+    if x == y:
+        return 0 if op is np.bitwise_xor else x
+    if x < 2 and not (op is np.bitwise_xor and x):
+        return y if (op is np.bitwise_and) == x else x
+    return None
 
-    inputs: tuple     # (slot, initial variable, constant 0 or 1, or ("choice", column, option))
+
+class _Program(NamedTuple):
+    """A protocol and its deal compiled for fold: straight-line code over
+    integer slots, each slot a column of 0/1 values.  An input is (slot,
+    key), the key 0 or 1 (slots 0 and 1, the constants), ("bit", i) of the
+    row index, a variable read from the deal's columns, or ("choice",
+    column, option).  An instruction is (op, out slot, operand slots,
+    extra): op is a numpy ufunc or _ot, which write into their out=
+    buffer, "def" (assign the operand to the variable extra) or "assert"
+    (the operand holds, or the run aborts from command extra on)."""
+
+    inputs: tuple
     code: tuple
     nslots: int
-    assigned: tuple   # the variables the commands assign, in order
-    schedules: dict   # kept variables (None: all) -> their _schedule, once one is folded
 
 
-def _compile(protocol: Protocol, family=None, part=None) -> _Program:
-    """The program of the protocol's commands: passive with no family, else
-    with those that part's corrupt clients compute at family.positions
-    tampered and their assertions halting or skipped (see the module
-    docstring).  Values are numbered: a Ref resolves to the slot of its
-    variable's value, and equal (op, operand slots) pairs, commutative
-    operands sorted, share one slot."""
-    numbers = {}  # (op, *operand slots), or an input's key -> slot
+def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
+    """The program of the deal and then of the protocol's commands:
+    passive with no family, else with those that part's corrupt clients
+    compute at family.positions tampered and their assertions halting or
+    skipped (see the module docstring).  A described deal's variables are
+    bits of the row index, constants and its derived expressions; another
+    deal's are read from its columns.  Values are numbered: a Ref resolves
+    to the slot of its variable's value, and equal (op, operand slots)
+    pairs, commutative operands sorted, share one slot."""
+    numbers = {0: 0, 1: 1}  # (op, *operand slots), or an input's key -> slot
     current = {}  # (kind, name, owner) of a variable -> the slot that a read gets
-    inputs, code, assigned, slots = [], [], {}, itertools.count()
+    inputs, code, slots = [(0, 0), (1, 1)], [], itertools.count(2)
 
     def leaf(key):
         slot = numbers.get(key)
@@ -297,21 +293,27 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
             code.append((op, slot, key[1:], None))
         return slot
 
+    def define(var, slot):
+        name = var.kind, var.name, var.owner
+        if name in current:
+            raise EvalError(f"{var} assigned twice")
+        current[name] = slot
+        code.append(("def", None, (slot,), var))
+
     def value(root, client):
         stack = []
         for node, c in postorder(root, client):
             kind = type(node)
             if kind is Ref:  # a tuple key hashes faster than a Var
                 name = node.kind, node.name, None if node.kind == REVEAL else c
-                slot = current.get(name)
-                if slot is None:  # an initial variable
-                    slot = current[name] = leaf(Var(*name))
-                stack.append(slot)
+                if name not in current:
+                    raise EvalError(f"{Var(*name)} unbound")
+                stack.append(current[name])
                 continue
             if kind is Const:
                 if node.value not in (0, 1):
                     raise EvalError(f"constant {node.value} out of range for F_2")
-                stack.append(leaf(node.value))
+                stack.append(node.value)
                 continue
             args = stack[-_ARITY[kind]:]
             del stack[-_ARITY[kind]:]
@@ -329,9 +331,26 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
             else:  # Not, PNot, and Cmp: x != y is x xor y, and x == y its negation
                 x = args[0] if len(args) == 1 else emit(np.bitwise_xor, *args)
                 negate = kind is not Cmp or node.op == "=="
-                stack.append(emit(np.bitwise_xor, x, leaf(1)) if negate else x)
+                stack.append(emit(np.bitwise_xor, x, 1) if negate else x)
         return stack.pop()
 
+    flips = protocol.flips()
+    if preproc.description is None:
+        initial = {v: leaf(v) for v in (*preproc.domain, *flips)}
+    else:  # run = memory index * 2**k + tape for k coin flips; flip i is bit k-1-i
+        free, pinned, derived = preproc.description
+        initial = {v: leaf(("bit", len(flips) + i)) for i, v in enumerate(free)}
+        initial.update(pinned)
+        initial.update((v, leaf(("bit", len(flips) - 1 - i))) for i, v in enumerate(flips))
+
+        def deal_value(e):
+            if isinstance(e, Var):
+                return initial[e]
+            return emit(_BINOPS[e[0]], deal_value(e[1]), deal_value(e[2]))
+
+        initial.update((v, deal_value(e)) for v, e in derived)
+    for v in (*preproc.domain, *flips):
+        define(v, initial[v])
     corrupt = frozenset() if part is None or family is None else part.corrupt
     positions = {} if family is None else {i: j for j, i in enumerate(family.positions)}
     halts = {} if family is None else {i: len(positions) + j for j, i in enumerate(family.aborts)}
@@ -339,9 +358,12 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
         client = computing_client(cmd)
         if isinstance(cmd, AssertCmd):
             if client not in corrupt:
-                code.append(("assert", None, (value(cmd.pred, client),), i))
+                slot = value(cmd.pred, client)
             elif i in halts:  # it holds where a strategy does not halt there
-                code.append(("assert", None, (leaf(("choice", halts[i], 0)),), i))
+                slot = leaf(("choice", halts[i], 0))
+            else:
+                continue
+            code.append(("assert", None, (slot,), i))
             continue
         slot = value(cmd.expr, client)
         if client in corrupt and i in positions:
@@ -350,73 +372,150 @@ def _compile(protocol: Protocol, family=None, part=None) -> _Program:
                 if expr is not cmd.expr:
                     _check_replacement_visibility(expr, client, part)
                 slot = emit(_ot, leaf(("choice", j, k)), value(expr, client), slot)
-        var = assigned_var(cmd)
-        if var in assigned:
-            raise EvalError(f"{var} assigned twice")
-        assigned[var] = None
-        current[var.kind, var.name, var.owner] = slot
-        code.append(("def", None, (slot,), var))
-    return _Program(tuple(inputs), tuple(code), next(slots), tuple(assigned), {})
+        define(assigned_var(cmd), slot)
+    return _Program(tuple(inputs), tuple(code), next(slots))
 
 
-def _schedule(program: _Program, keep=None) -> tuple:
-    """The program's instructions for a fold, as (the inputs they read,
-    the instructions with a register each: (op, out, args, extra, register
-    or None), the number of registers).  With keep, a set of variables,
-    only the instructions that the assertions and the assignments of
-    keep's variables need.  A linear scan gives each value a register, a
-    buffer index, free again after the value's last read unless it is an
-    assigned variable's (with keep, a kept one's): a ufunc may write over
-    an operand it reads for the last time, _ot never."""
+class _Plan(NamedTuple):
+    """A program specialized to the blocks of rows that fold into one _Arena."""
+
+    # lo of a block -> (inputs to bind, (id, key) with keys as _compile's; code,
+    # (op, id, operand ids, register); events, in command order each the id
+    # of a kept variable's value or ~id of an assertion's operand), or the lo
+    # of the first block of equal events, if it is not that block
+    blocks: dict
+    weights: dict    # lo of a first block -> the number of blocks of its events
+    kept: tuple      # the variables of the def events, in order
+    nids: int
+    registers: int
+
+
+def _plan(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
+    """The program specialized to each block (lo, hi) of rows, in one
+    symbolic pass (see the module docstring), for the family's choices of
+    runs stacked runs; with keep, a set of variables, to the assertions
+    and keep's assignments.  A bit column's id is keyed by the column; a
+    column read from the deal, or a choice column that varies over the
+    block, gets a fresh id in each block.  A ufunc may write over an
+    operand it reads for the last time, _ot never."""
     code = program.code
     if keep is not None:
-        needed, kept = set(), []
+        needed, pruned = set(), []
         for ins in reversed(code):
             op, out, args, extra = ins
             if op == "def" and extra not in keep or out is not None and out not in needed:
                 continue
             needed.update(args)
-            kept.append(ins)
-        code = kept[::-1]
-    last = {s: at for at, ins in enumerate(code) for s in ins[2]}
-    pinned = {args[0] for op, _, args, _ in code if op == "def"}
-    register, free, scheduled, registers = {}, [], [], 0
-    for at, (op, out, args, extra) in enumerate(code):
-        dying = [register.pop(s) for s in dict.fromkeys(args)
-                 if last[s] == at and s in register and s not in pinned]
-        inplace = isinstance(op, np.ufunc)
-        free += dying if inplace else []
-        reg = None
-        if out is not None:
-            if not free:
-                free.append(registers)
-                registers += 1
-            reg = register[out] = free.pop()
-        free += [] if inplace else dying
-        scheduled.append((op, out, args, extra, reg))
-    inputs = tuple((slot, key) for slot, key in program.inputs if slot in last)
-    return inputs, tuple(scheduled), registers
+            pruned.append(ins)
+        code = pruned[::-1]
+    read = {a for ins in code for a in ins[2]}
+    inputs = [(slot, key) for slot, key in program.inputs if slot in read and slot > 1]
+    numbers, made, source, ids = {}, {}, {0: 0, 1: 1}, itertools.count(2)
+
+    def leaf(key, bound):  # an input id, bound to the column of key in fold
+        i = numbers.get(key)
+        if i is None:
+            i = numbers[key] = next(ids)
+            source[i] = bound
+        return i
+
+    entries, first, weights = {}, {}, {}
+    for lo, hi in blocks:
+        at = list(range(program.nslots))  # slots 0 and 1 are ids 0 and 1
+        for slot, key in inputs:
+            if type(key) is Var:
+                at[slot] = leaf((key, lo), key)
+            elif key[0] == "bit":  # bit i over lo..hi-1 depends on lo mod 2**(i+1) and hi - lo
+                i = key[1]
+                at[slot] = lo >> i & 1 if lo >> i == (hi - 1) >> i else \
+                    leaf((key, lo % (2 << i), hi - lo), key)
+            else:  # 1 where a row's strategy takes option key[2] at column key[1]
+                taken = family.choice[lo // runs:(hi - 1) // runs + 1, key[1]] == key[2]
+                at[slot] = int(taken[0]) if (taken == taken[0]).all() else leaf((key, lo), key)
+        events = []
+        for op, out, args, _ in code:
+            if out is None:  # a def, or an assertion that is not constant 1
+                x = at[args[0]]
+                if op == "def" or x != 1:
+                    events.append(x if op == "def" else ~x)
+                continue
+            if op is _ot:
+                key = (op, *map(at.__getitem__, args))
+            else:
+                x, y = at[args[0]], at[args[1]]
+                key = (op, x, y) if x < y else (op, y, x)
+            i = _simplified(op, key[1:])
+            if i is None:
+                i = numbers.get(key)
+                if i is None:
+                    i = numbers[key] = next(ids)
+                    made[i] = op, key[1:]
+            at[out] = i
+        events = tuple(events)
+        rep = first.setdefault((hi - lo, events), lo)
+        entries[lo] = events if rep == lo else rep
+        weights[rep] = weights.get(rep, 0) + 1
+    # what each first block computes anew, then the ids its table reads
+    done, sequence = set(), []
+    for lo, events in entries.items():
+        if type(events) is int:
+            continue
+        reads = tuple(e if e >= 0 else ~e for e in events)
+        new, stack = set(), list(reads)
+        while stack:
+            i = stack.pop()
+            if i in made and i not in done and i not in new:
+                new.add(i)
+                stack.extend(made[i][1])
+        done |= new
+        sequence += [(*made[i], i) for i in sorted(new)]  # ids grow with their operands
+        sequence.append((None, reads, lo))
+    last = {i: at for at, (_, args, _) in enumerate(sequence) for i in args}
+    register, free, registers, block = {}, [], 0, []
+    for at, (op, args, out) in enumerate(sequence):
+        dying = [register.pop(i) for i in set(args) if i in register and last[i] == at]
+        if op is None:  # the end of block out: what it computes, binds and reads
+            free += dying
+            bound = {i for ins in block for i in ins[2]}.union(args).intersection(source)
+            entries[out] = tuple((i, source[i]) for i in sorted(bound)), block, entries[out]
+            block = []
+            continue
+        if op is not _ot:
+            free += dying
+        if not free:
+            free.append(registers)
+            registers += 1
+        register[out] = free.pop()
+        block.append((op, out, args, register[out]))
+        if op is _ot:
+            free += dying
+    kept = tuple(extra for op, _, _, extra in code if op == "def")
+    return _Plan(entries, weights, kept, next(ids), registers)
 
 
-# by whether a family is folded, the last (protocol, family options, the
-# family's positions, aborts and corrupt clients) compiled and its program;
-# holding the protocol and the options keeps their identity from passing to
-# another object, so identity is a sound key for them
+# by whether a family is folded, the last (protocol, deal, family options,
+# the family's positions, aborts and corrupt clients) compiled and its
+# program; holding the protocol, the deal and the options keeps their
+# identity from passing to another object, so identity is a sound key
 _compiled = {}
 
 
-def _program(protocol: Protocol, family, part) -> _Program:
-    """_compile(protocol, family, part), kept for the last passive protocol
-    and the last family folded, so the blocks of a count, the chunks of a
-    family and a check's passive folds compile it once."""
+def _program(protocol: Protocol, preproc, family, part) -> _Program:
+    """_compile(protocol, preproc, family, part), kept for the last passive
+    protocol and deal and the last family folded, so the blocks of a
+    count, the chunks of a family and a check's passive folds compile it
+    once."""
+    if protocol.modulus != 2:
+        raise UsageError("the vectorized engine requires F_2")
     options = None if family is None else family.options
     rest = None if family is None else \
         (family.positions, family.aborts, None if part is None else part.corrupt)
     last = _compiled.get(family is None)
-    if last is None or last[0] is not protocol or last[1] is not options or last[2] != rest:
-        last = _compiled[family is None] = (protocol, options, rest,
-                                            _compile(protocol, family, part))
-    return last[3]
+    if last is None or last[0] is not protocol or last[1] is not preproc \
+            or last[2] is not options or last[3] != rest:
+        last = _compiled[family is None] = (protocol, preproc, options, rest,
+                                            _compile(protocol, preproc, family, part))
+    return last[4]
 
 
 class Family(NamedTuple):
@@ -477,19 +576,18 @@ def chunks(protocol: Protocol, preproc, family: Family) -> list:
 
 
 class _Arena(dict):
-    """The columns of the folds of n runs into it: one uint8 buffer per
-    key (a deal variable, a register of the fold's schedule, or a name of
+    """The buffers of the folds of one _Plan, over blocks of at most n
+    rows: one uint8 buffer per key (a register of the plan, or a name of
     fold's own), made on first use and rewritten by every later fold, so
-    that count_runs' blocks allocate no column of their tables.  keep
-    holds the variables a table keeps (None: all), and every other
-    assigned variable's value lives in a register only until its last
-    read."""
+    that the blocks of a count allocate no column.  columns holds the
+    column of each id of the plan, which a later block reads where the
+    plan shares its value."""
 
-    def __init__(self, n: int, keep=None):
+    def __init__(self, n: int, plan: _Plan):
         super().__init__()
-        self.n, self.keep = n, None if keep is None else frozenset(keep)
+        self.n, self.plan, self.columns = n, plan, [None] * plan.nids
 
-    def __missing__(self, key):  # a uint8 column, as slice_columns and the commands write
+    def __missing__(self, key):  # a uint8 column, as the commands write
         return self.of(key, np.uint8)
 
     def of(self, key, dtype) -> "np.ndarray":
@@ -499,87 +597,56 @@ class _Arena(dict):
         return self[key]
 
 
-def _untampered(code, unused) -> list:
-    """Scheduled code with each OT that picks an option by a choice column
-    in unused, which no row takes, made a copy of its if0 operand (the
-    command's own value), and the instructions only such OTs read dropped."""
-    needed, kept = set(), []
-    for ins in reversed(code):
-        op, out, args, extra, reg = ins
-        if out is not None and out not in needed:
-            continue
-        if op is _ot and args[0] in unused:
-            ins = (np.positive, out, args[2:], extra, reg)  # a copy into the register
-        needed.update(ins[2])
-        kept.append(ins)
-    return kept[::-1]
-
-
 def fold(protocol: Protocol, preproc, strategy=None,
          part: Partition = None, block=None, arena=None) -> RunTable:
     """The run table of the protocol: passive with no strategy, else under
     an AdversaryStrategy or every strategy of a Family, stacked (see the
     module docstring).  With block = (lo, hi), only the rows lo..hi-1 of
-    that table, as a table of hi - lo rows.  Its columns and masks are the
-    buffers of arena, an _Arena of that many entries (a fresh one by
-    default), valid until the next fold into it; the table holds the
-    initial variables and the assigned ones in arena.keep."""
-    if protocol.modulus != 2:
-        raise UsageError("the vectorized engine requires F_2")
+    that table, as a table of hi - lo rows.  Its columns and masks are
+    buffers of arena, an _Arena whose plan holds that block (a fresh one,
+    keeping every variable, by default), valid until the next fold into
+    it; the table holds the variables that the plan keeps."""
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     runs = _runs(protocol, preproc)
+    program = _program(protocol, preproc, strategy, part)
     copies = 1 if strategy is None else len(strategy.choice)
     lo, hi = (0, runs * copies) if block is None else block
     if arena is None:
-        arena = _Arena(hi - lo)
-    domain, cols, nrows = _initial_columns(protocol, preproc, copies, (lo, hi), arena)
-    program = _program(protocol, strategy, part)
-    for v in program.assigned:  # validate rejects such a deal before any fold
-        if v in cols:
-            raise EvalError(f"{v} assigned twice")
-    plan = program.schedules.get(arena.keep)
-    if plan is None:
-        plan = program.schedules[arena.keep] = _schedule(program, arena.keep)
-    inputs, code, registers = plan
-    registers = [arena["register", r] for r in range(registers)]
-    values = [None] * program.nslots
-    if strategy is not None:
-        # the rows of each strategy the block crosses, row r being strategy r // runs
-        s0 = lo // runs
-        reps = np.diff(np.clip(np.arange(s0, -(-hi // runs) + 1) * runs, lo, hi))
-        chosen = strategy.choice[s0:s0 + len(reps)]
-        for slot, key in inputs:  # 1 where a row's strategy chooses option key[2] in column key[1]
-            if type(key) is tuple:
-                rows = chosen[:, key[1]] == key[2]
-                values[slot] = np.repeat(rows, reps) if rows.any() or not key[2] else None
-        unused = {slot for slot, key in inputs if type(key) is tuple and values[slot] is None}
-        if unused:
-            code = _untampered(code, unused)
-    for slot, key in inputs:
-        if type(key) is Var:
-            values[slot] = cols.get(key)
-            if values[slot] is None:
-                raise EvalError(f"{key} unbound")
-        elif type(key) is not tuple:  # a constant column, read-only and shared as bit_range's
+        arena = _Arena(hi - lo, _plan(program, None, [(lo, hi)], strategy, runs))
+    plan, nrows, columns, read = arena.plan, hi - lo, arena.columns, None
+    inputs, code, events = plan.blocks[lo]
+    for i, key in inputs:
+        if type(key) is int:  # a constant column, read-only and shared as bit_range's
             make = _shared if nrows <= BLOCK_ROWS else _shared.__wrapped__
-            values[slot] = make(nrows, None, key)
-    domain, bots = list(domain), dict.fromkeys(domain)
-    alive = _filled(nrows, True, arena.of("alive", bool))
-    dead = None  # the BOT mask of later assignments, one array until alive changes
-    get = values.__getitem__
-    for op, out, args, extra, reg in code:
-        if reg is not None:
-            values[out] = op(*map(get, args), out=registers[reg])
-        elif op == "def":
-            cols[extra] = values[args[0]]
-            domain.append(extra)
-            bots[extra] = dead
+            columns[i] = make(nrows, None, key)
+        elif type(key) is Var:
+            if read is None:
+                read = _read_columns(protocol, preproc, lo, hi)
+            columns[i] = read[key]
+        elif key[0] == "bit":
+            columns[i] = bit_range(lo, hi, key[1])
+        else:  # 1 where a row's strategy chooses option key[2] in column key[1]
+            s0 = lo // runs  # the rows of each strategy the block crosses
+            reps = np.diff(np.clip(np.arange(s0, -(-hi // runs) + 1) * runs, lo, hi))
+            taken = strategy.choice[s0:s0 + len(reps), key[1]] == key[2]
+            columns[i] = np.repeat(taken, reps).view(np.uint8)
+    registers = [arena["register", r][:nrows] for r in range(plan.registers)]
+    get = columns.__getitem__
+    for op, out, args, reg in code:
+        columns[out] = op(*map(get, args), out=registers[reg])
+    alive = _filled(nrows, True, arena.of("alive", bool)[:nrows])
+    cols, bots, kept, dead, asserts = {}, {}, iter(plan.kept), None, 0
+    for e in events:
+        if e >= 0:  # the next kept variable, BOT where a run died before it
+            var = next(kept)
+            cols[var], bots[var] = columns[e], dead
         else:  # an assertion: runs stay alive where its operand is 1
-            alive &= values[args[0]].view(bool)
+            alive &= columns[~e].view(bool)
+            asserts += 1
             dead = None if alive.all() else \
-                np.logical_not(alive, out=arena.of(("dead", extra), bool))
-    return RunTable(tuple(domain), cols, bots, alive, nrows)
+                np.logical_not(alive, out=arena.of(("dead", asserts), bool)[:nrows])
+    return RunTable(tuple(cols), cols, bots, alive, nrows)
 
 
 BOT_CODE = 2  # BOT in a value matrix and in a run key
@@ -728,16 +795,24 @@ def count_parts(parts, vars_, first=True):
     """distinct_rows over vars_ of the runs of several parts counted as
     one table, each part's runs after those of the one before: parts is
     an iterable of one or more (RunTable, bool mask of its counted runs
-    or None for all, lead columns), read one at a time.  The module
-    docstring gives the counting paths and the merge; a running table of
-    bins gets a part's first runs where the part first reaches them."""
+    or None for all, lead columns[, weight]), read one at a time.  A part
+    of weight w counts its runs w times, the first time where it stands:
+    the other w - 1 come later, each as an int part, the number of runs
+    it counts, which only moves the first runs of the parts after it.
+    The module docstring gives the counting paths and the merge; a
+    running table of bins gets a part's first runs where the part first
+    reaches them."""
     dense = {}   # bits -> running (counts, first runs or -1) of each key
     sparse = {}  # bits -> parts' (distinct keys, counts, first runs), merged as they grow
     spare = {}   # bits -> an integer key buffer, reused by the parts
     most = done = 0  # the most runs of a part, and the runs of earlier parts
-    # a part's table is held only until its keys are built
-    keyed = (_code_columns(table, vars_, rows, lead) for table, rows, lead in parts)
-    for columns, bits, ncols, n in keyed:
+    for part in parts:
+        if type(part) is int:
+            done += part
+            continue
+        table, rows, lead, *weight = part
+        columns, bits, ncols, n = _code_columns(table, vars_, rows, lead)
+        weight = weight[0] if weight else 1
         most, width = max(most, n), bits * ncols
         if width <= 64 and (bits not in spare or len(spare[bits]) < n):
             spare[bits] = np.empty(most, np.min_scalar_type(2 ** width - 1))
@@ -747,7 +822,7 @@ def count_parts(parts, vars_, first=True):
                 dense[bits] = np.zeros(2 ** width, np.int64), np.full(2 ** width, -1, np.intp)
             total, found = dense[bits]
             block = np.bincount(keys, minlength=len(total))
-            total += block
+            total += block if weight == 1 else block * weight
             if first:
                 new = (block > 0) & (found < 0)  # bins this part reaches first
                 if new.any():
@@ -755,7 +830,7 @@ def count_parts(parts, vars_, first=True):
         else:
             keys, *found, counts = np.unique(keys, return_index=first, return_counts=True)
             kept = sparse.setdefault(bits, [])
-            kept.append((keys, counts, found[0] + done if first else None))
+            kept.append((keys, counts * weight, found[0] + done if first else None))
             # merged once later parts outnumber the first: repeated rows are not kept per part
             if sum(len(k) for k, _, _ in kept[1:]) > len(kept[0][0]):
                 kept[:] = [_merge(kept)]
@@ -776,24 +851,35 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
                given=None, abort_lead=False, first=True):
     """distinct_rows over vars_ of the runs of fold(protocol, preproc,
     strategy, part) where every variable of the partial memory given holds
-    its value (all runs by default), folded BLOCK_ROWS runs at a time and
-    counted as the parts of count_parts, so that no whole run table is
-    held.  With abort_lead, a column that is 1 where the run aborted leads
-    those of vars_.  The blocks fold into one _Arena, which keeps the
-    columns of vars_ and given alone; a shorter last block into its own."""
+    its value (all runs by default), folded in aligned blocks of the
+    largest power of two of at most BLOCK_ROWS runs and counted as the
+    parts of count_parts, so that no whole run table is held.  With
+    abort_lead, a column that is 1 where the run aborted leads those of
+    vars_.  One _plan specializes the program to every block, keeping the
+    columns of vars_ and given alone: each block folds into one _Arena,
+    and a block whose table equals an earlier one's is not folded but
+    counted in that block's weight."""
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
-    nrows = _runs(protocol, preproc) * (1 if strategy is None else len(strategy.choice))
+    runs = _runs(protocol, preproc)
+    program = _program(protocol, preproc, strategy, part)
+    nrows = runs * (1 if strategy is None else len(strategy.choice))
     given = dict(given or {})
+    size = 1 << BLOCK_ROWS.bit_length() - 1
+    spans = [(lo, min(lo + size, nrows)) for lo in range(0, nrows, size)]
 
     def blocks():  # the arena is freed with the last block, before the merge
-        arena = _Arena(min(nrows, BLOCK_ROWS), (*vars_, *given))
-        for lo in range(0, nrows, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, nrows)
-            table = fold(protocol, preproc, strategy, part, (lo, hi),
-                         arena if hi - lo == arena.n else _Arena(hi - lo, arena.keep))
-            yield (table, rows_matching(table, given) if given else None,
-                   [(~table.alive).view(np.uint8)] if abort_lead else ())
+        plan = _plan(program, frozenset((*vars_, *given)), spans, strategy, runs)
+        arena, counted = _Arena(min(size, nrows), plan), {}
+        for lo, hi in spans:
+            if type(plan.blocks[lo]) is int:  # the runs that an earlier block's weight counts
+                yield counted[plan.blocks[lo]]
+                continue
+            table = fold(protocol, preproc, strategy, part, (lo, hi), arena)
+            rows = rows_matching(table, given) if given else None
+            counted[lo] = table.nrows if rows is None else int(np.count_nonzero(rows))
+            yield (table, rows, [(~table.alive).view(np.uint8)] if abort_lead else (),
+                   plan.weights[lo])
 
     return count_parts(blocks(), vars_, first)
 

@@ -98,46 +98,19 @@ class BdozPreprocessing(Preprocessing):
             free.remove(v)
         self.domain = tuple(domain)
         self._free = tuple(free)
-        # the derived columns, in the order slice_columns builds them
-        self._second_shares = tuple(
-            (Var(MESG, f"{w}2", 2), Var(SECRET, w, owner), Var(MESG, f"{w}1", 1))
-            for w, owner in self.secret_owners.items())
-        self._triple_shares = tuple(Var(MESG, f"{w}{i}", i)
-                                    for w in self.triple or () for i in (1, 2))
-        self._macs = tuple(
-            (Var(MESG, f"mac{w}{i}", i), Var(MESG, f"key{w}{i}", 3 - i), Var(MESG, f"{w}{i}", i),
-             deltas[2 - i])  # mac(wi) = key(wi) + delta_j * wi, with j the other party
-            for w in self.values for i in (1, 2))
+        derived = [(Var(MESG, f"{w}2", 2), ("xor", Var(SECRET, w, owner), Var(MESG, f"{w}1", 1)))
+                   for w, owner in self.secret_owners.items()]
+        if self.triple:  # c2 = (a1 + a2) * (b1 + b2) + c1
+            a1, a2, b1, b2, c1, c2 = (Var(MESG, f"{w}{i}", i) for w in self.triple for i in (1, 2))
+            derived.append((c2, ("xor", ("and", ("xor", a1, a2), ("xor", b1, b2)), c1)))
+        derived += [(Var(MESG, f"mac{w}{i}", i),  # key(wi) + delta_j * wi, j the other party
+                     ("xor", Var(MESG, f"key{w}{i}", 3 - i),
+                      ("and", deltas[2 - i], Var(MESG, f"{w}{i}", i))))
+                    for w in self.values for i in (1, 2)]
+        self.description = (self._free, dict(self.fixed), tuple(derived))
 
     def count(self) -> int:
         return 2 ** len(self._free)
-
-    def slice_columns(self, lo: int, hi: int, out=None):
-        """Memory i's free bits, first free variable least significant.
-        The free columns are shared read-only ones (engine.bit_range); the
-        pinned and derived columns are written into out's buffers, if
-        given (see Preprocessing.slice_columns)."""
-        import numpy as np
-
-        from .engine import _filled, bit_range
-
-        def into(v):
-            return None if out is None else out[v]
-
-        col = {v: bit_range(lo, hi, i) for i, v in enumerate(self._free)}
-        for v, value in self.fixed.items():
-            col[v] = _filled(hi - lo, value, into(v))
-        for share2, secret, share1 in self._second_shares:
-            col[share2] = np.bitwise_xor(col[secret], col[share1], out=into(share2))
-        if self._triple_shares:
-            a1, a2, b1, b2, c1, c2 = self._triple_shares
-            c = np.bitwise_xor(col[a1], col[a2], out=into(c2))
-            c &= col[b1] ^ col[b2]
-            col[c2] = np.bitwise_xor(c, col[c1], out=c)
-        for mac, key, share, delta in self._macs:
-            m = np.bitwise_and(col[delta], col[share], out=into(mac))
-            col[mac] = np.bitwise_xor(m, col[key], out=m)
-        return col
 
     def memories(self):
         cols = self.columns()

@@ -12,6 +12,7 @@ too, on small protocols against the interpreter as well.
 
 import contextlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -30,7 +31,8 @@ from overture.interp import IDENTITY, AdversaryStrategy
 from overture.lang import BOT, FLIP, SECRET, BinOp, Const, Partition, Ref, parse_var
 from overture.ovt import parse_protocol
 from overture.stdlib import (
-    FUNCTIONALITIES, PACKAGES, bdoz_beaver_preprocessing, bdoz_beaver_trimmed, load_package,
+    FUNCTIONALITIES, PACKAGES, BdozPreprocessing, bdoz_beaver_preprocessing, bdoz_beaver_trimmed,
+    load_package,
 )
 from overture.verifier import enumerate_adversaries
 from test_engine import (
@@ -392,21 +394,25 @@ def test_dealt_variable_the_protocol_assigns_raises(monkeypatch):
     """fold and count_runs, called directly with a deal that holds a
     variable the protocol assigns, raise on one block and on many, for
     every set of kept variables, also once that set's schedule is cached
-    from a fold of a deal without it."""
+    from a fold of a deal without it, whether the deal is described or
+    read from its memories."""
     protocol = parse_protocol(ASSIGNED)
     x, y, z, w, out = map(parse_var, ("s[x]@1", "s[y]@2", "m[z]@2", "m[w]@1", "out@1"))
-    clean, clash = UniformPreprocessing([x, y]), UniformPreprocessing([x, y, z])
-    for size in (engine.BLOCK_ROWS, 4):  # the 16 runs of the clash in one block, or in four
-        with monkeypatch.context() as m:
-            m.setattr(engine, "BLOCK_ROWS", size)
-            for vars_ in ((out,), (z,), (x, w), ()):
-                engine.count_runs(protocol, clean, vars_)
-                with pytest.raises(EvalError, match="assigned twice"):
-                    engine.count_runs(protocol, clash, vars_)
-    engine.fold(protocol, clean)
-    for block in (None, (0, 1), (4, 16)):
-        with pytest.raises(EvalError, match=r"m\[z\]@2 assigned twice"):
-            engine.fold(protocol, clash, block=block)
+    clean = UniformPreprocessing([x, y])
+    read = ExplicitPreprocessing([x, y, z], [dict(zip((x, y, z), bits))
+                                             for bits in itertools.product((0, 1), repeat=3)])
+    for clash in (UniformPreprocessing([x, y, z]), read):
+        for size in (engine.BLOCK_ROWS, 4):  # the 16 runs of the clash in one block, or in four
+            with monkeypatch.context() as m:
+                m.setattr(engine, "BLOCK_ROWS", size)
+                for vars_ in ((out,), (z,), (x, w), ()):
+                    engine.count_runs(protocol, clean, vars_)
+                    with pytest.raises(EvalError, match="assigned twice"):
+                        engine.count_runs(protocol, clash, vars_)
+        engine.fold(protocol, clean)
+        for block in (None, (0, 1), (4, 16)):
+            with pytest.raises(EvalError, match=r"m\[z\]@2 assigned twice"):
+                engine.fold(protocol, clash, block=block)
 
 
 # minor faults of one count_runs over 4 blocks of the Beaver deal (its
@@ -485,7 +491,7 @@ TWO_CLIENTS = ("m[a]@2 := s[x] xor r[k] @ 1;\n"
 
 def test_one_text_under_two_clients_is_not_merged(monkeypatch):
     protocol = parse_protocol(TWO_CLIENTS)
-    program = engine._compile(protocol)
+    program = engine._compile(protocol, default_preprocessing(protocol))
     assert sum(ins[0] is np.bitwise_xor for ins in program.code) == 4  # a = c, b and the outputs
     slot = {ins[3]: ins[2][0] for ins in program.code if ins[0] == "def"}
     a, b, c = (parse_var(v) for v in ("m[a]@2", "m[b]@1", "m[c]@2"))
@@ -565,9 +571,10 @@ def nimo_vars(protocol, deal, corrupt):
 
 
 # buffers in the arena of a count of nimo --corrupt 2's 12 variables over
-# the full Beaver deal: 13 derived deal columns, 12 registers and alive
-# (the key buffer is the count's own).  When each assigned variable and
-# fold mask had its own, 35
+# the full Beaver deal: 24 registers, which hold the deal's derived columns
+# too, and alive.  When the 13 derived deal columns had buffers of their
+# own beside 12 registers, 26; when each assigned variable and fold mask
+# had its own, 35
 ARENA_BUFFERS = 26
 
 
@@ -584,6 +591,175 @@ def test_count_keeps_few_arena_buffers(monkeypatch):
 
     monkeypatch.setattr(engine, "fold", recording)
     engine.count_runs(protocol, deal, vars_)
-    assert len(arenas) == deal.count() // engine.BLOCK_ROWS
+    blocks = arenas[0].plan.blocks
+    assert len(blocks) == deal.count() // engine.BLOCK_ROWS
+    # one fold a distinct block, all into one arena
+    assert len(arenas) == sum(type(b) is not int for b in blocks.values()) < len(blocks)
     assert all(arena is arenas[0] for arena in arenas)
     assert len(arenas[0]) <= ARENA_BUFFERS
+
+
+def pinned_beaver(npin: int):
+    """The Beaver protocol and its full deal with npin free variables
+    pinned, chosen and valued by a seed of npin: 2^(21 - npin) runs."""
+    protocol, _, full = load_package("bdoz-beaver")
+    rng = random.Random(npin)
+    fixed = {v: rng.randrange(2) for v in rng.sample(full._free, npin)}
+    return protocol, BdozPreprocessing(full.values, full.secret_owners, full.triple, fixed)
+
+
+def reference_rows(finals, vars_, given) -> dict:
+    """{code row: [runs, first counted run]} of the interpreter's final
+    memories over vars_ where every variable of given holds its value."""
+    rows, counted = {}, 0
+    for m in finals:
+        if all(m[v] == x for v, x in given.items()):
+            key = tuple(engine.BOT_CODE if m[v] is BOT else m[v] for v in vars_)
+            rows.setdefault(key, [0, counted])[0] += 1
+            counted += 1
+    return rows
+
+
+def test_specialized_counts_on_pinned_beaver_deals(monkeypatch):
+    """Pinned Beaver deals of 2^12 to 2^14 runs, counted in blocks of 2^6
+    and 2^8 runs (2^12 runs also of 5, so blocks of 4), over which the high
+    run-index bits are pinned constants: codes, counts and first runs equal
+    one block's, and on 2^12 runs, passive and under the share lie, where
+    half of the runs abort, the interpreter's."""
+    for npin in (9, 8, 7):
+        protocol, deal = pinned_beaver(npin)
+        assert deal.count() == 2 ** (21 - npin)
+        part = Partition.of(protocol.federation, [2])
+        lie = AdversaryStrategy(((3, BinOp("+", protocol.commands[3].expr, Const(1))),))
+        for strategy in (None, lie) if npin == 9 else (None,):
+            finals = sweep(protocol, deal, strategy, part) if npin == 9 else None
+            for wide, vars_ in enumerate((nimo_vars(protocol, deal, [2]),
+                                          bd_domain(protocol, deal)[::3])):
+                given = {deal.secret_vars[0]: 1}
+                for kw in (dict(), dict(abort_lead=True), dict(given=given, first=False),
+                           dict(given=given, abort_lead=True, first=False)):
+                    def count():
+                        return engine.count_runs(protocol, deal, vars_, strategy, part, **kw)
+                    with monkeypatch.context() as m:
+                        m.setattr(engine, "BLOCK_ROWS", deal.count())
+                        one = count()
+                    sizes = (2 ** 6, 2 ** 8) + ((5,) if npin == 9 and not (strategy or wide) else ())
+                    for size in sizes:
+                        with monkeypatch.context() as m:
+                            m.setattr(engine, "BLOCK_ROWS", size)
+                            assert_same_rows(one, count())
+                    if finals is None or "abort_lead" in kw:
+                        continue
+                    codes, counts, first = one
+                    first = first.tolist() if "first" not in kw else [None] * len(counts)
+                    got = {tuple(row): [n, f] for row, n, f in zip(codes.tolist(), counts.tolist(), first)}
+                    want = reference_rows(finals, vars_, kw.get("given", {}))
+                    if "first" in kw:
+                        want = {row: [n, None] for row, (n, _) in want.items()}
+                    assert got == want, (npin, strategy, kw)
+        if npin == 9:
+            assert any(m[v] is BOT for m in finals for v in m)
+
+
+def test_pinned_beaver_count_evaluates_few_columns(monkeypatch):
+    """The count folds each distinct block once and computes each distinct
+    value once: over the full Beaver deal in 32 blocks, and over a pinned
+    one of 2^14 runs in 64 blocks of 2^8, far fewer column operations than
+    blocks times the program's instructions."""
+    plans = []
+    plan = engine._plan
+    monkeypatch.setattr(engine, "_plan", lambda *args: plans.append(plan(*args)) or plans[-1])
+    for (protocol, deal), size in ((load_package("bdoz-beaver")[::2], engine.BLOCK_ROWS),
+                                   (pinned_beaver(7), 2 ** 8)):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "BLOCK_ROWS", size)
+            engine.count_runs(protocol, deal, nimo_vars(protocol, deal, [2]))
+        blocks = plans[-1].blocks
+        assert len(blocks) == deal.count() // size
+        assert sum(type(b) is not int for b in blocks.values()) < len(blocks)
+        computed = sum(len(b[1]) for b in blocks.values() if type(b) is not int)  # (inputs, code, events)
+        program = engine._program(protocol, deal, None, None)
+        instructions = sum(out is not None for _, out, _, _ in program.code)
+        assert 0 < computed * 20 < len(blocks) * instructions, (computed, len(blocks), instructions)
+
+
+def test_count_over_no_variables_totals_every_run(monkeypatch):
+    """Blocks whose tables hold nothing are equal but for their length: a
+    short last block is counted with its own runs, not a full block's."""
+    gmw, _, _ = load_package("gmw-and")
+    flipped = parse_protocol("m[z]@2 := s[a] xor r[k] xor r[j] @ 1;\n"
+                             "out@2 := m[z] @ 2;\n")
+    a = parse_var("s[a]@1")
+    odd = ExplicitPreprocessing([a], [{a: 1}, {a: 0}, {a: 1}])
+    part = Partition.of(gmw.federation, [2])
+    three = engine.family_of(enumerate_adversaries(gmw, part)[:3])
+    for protocol, deal, strategy, runs in ((flipped, odd, None, 12), (gmw, None, three, 96)):
+        deal = deal or default_preprocessing(protocol)
+        for size in (8, 5, 2):
+            with monkeypatch.context() as m:
+                m.setattr(engine, "BLOCK_ROWS", size)
+                codes, counts, first = engine.count_runs(protocol, deal, (), strategy, part)
+            assert codes.shape == (1, 0) and counts.tolist() == [runs] and first.tolist() == [0]
+
+
+def test_read_deal_counts_in_blocks(monkeypatch):
+    """A deal read from its memories, 37 distinct ones under one coin
+    flip, counted in blocks that each read part of it (the last block of
+    16 runs reads memories 32 to 36): equal to one block, first runs
+    included, and to the interpreter."""
+    protocol = parse_protocol("m[z]@2 := s[x0] xor s[x1] xor r[k] @ 1;\n"
+                              "m[w]@1 := m[z] and s[y] @ 2;\n"
+                              "out@1 := m[w] xor s[x2] @ 1;\n")
+    dealt = [parse_var(f"s[x{i}]@1") for i in range(6)] + [parse_var("s[y]@2")]
+    memories = [[i >> j & 1 for j in range(7)] for i in random.Random(9).sample(range(128), 37)]
+    deal = ExplicitPreprocessing(dealt, [dict(zip(dealt, bits)) for bits in memories])
+    vars_ = bd_domain(protocol, deal)
+    want = interpreter_counts(protocol, deal, vars_)
+    assert len(want) == 74
+    for size in (16, *SIZES):
+        one, blocked = one_and_blocked(
+            monkeypatch, size, lambda: engine.count_runs(protocol, deal, vars_))
+        assert_same_rows(one, blocked)
+        assert dict(zip(map(tuple, one[0].tolist()), one[1].tolist())) == want
+
+
+def test_unaligned_blocks_of_one_plan(monkeypatch):
+    """A plan keys a row-index bit's column by its phase and length, so
+    blocks that are not aligned share only equal columns."""
+    protocol, _, _ = load_package("gmw-and")
+    deal = default_preprocessing(protocol)
+    whole = table_codes(engine.fold(protocol, deal))
+    program = engine._program(protocol, deal, None, None)
+    spans = [(3, 7), (8, 12), (19, 23), (25, 29)]
+    arena = engine._Arena(4, engine._plan(program, None, spans))
+    for lo, hi in spans:
+        assert table_codes(engine.fold(protocol, deal, None, None, (lo, hi), arena)) == whole[lo:hi]
+
+
+COUNT_DIGEST = """
+import hashlib, sys
+from overture import engine
+from overture.stdlib import bdoz_beaver_trimmed, load_package
+protocol, fn, full = load_package("bdoz-beaver")
+deals = {"full": full, "trimmed": bdoz_beaver_trimmed()}
+vars_ = fn.secrets + fn.outputs + tuple(v for v in protocol.assigned() if v.owner == 2)[:4]
+for name in sys.argv[1:]:
+    rows = engine.count_runs(protocol, deals[name], vars_, abort_lead=True)
+    print(name, hashlib.sha1(b"".join(a.tobytes() for a in rows)).hexdigest())
+"""
+
+
+def test_counts_of_two_deals_of_one_protocol_equal_fresh_processes():
+    """The compiled program holds the deal: the trimmed deal counted and
+    then the full one (and back) in one process equal each counted in a
+    fresh process."""
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def digests(*names):
+        return subprocess.run([sys.executable, "-c", COUNT_DIGEST, *names], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.splitlines()
+
+    one_process = digests("trimmed", "full", "trimmed")
+    assert one_process == digests("trimmed") + digests("full") + digests("trimmed")
+    assert one_process[0] != one_process[1]

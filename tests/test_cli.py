@@ -391,6 +391,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert (out, err) == ("", "error: bad atom ''\n")
 
 
+def test_memory_error_exits_two(capsys, monkeypatch):
+    """A MemoryError is one error line and exit 2, not a traceback with
+    the exit code of a failing verdict."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "count_runs", exhausted)
+    rc, out, err = run_cli(capsys, "pmf", "otp")
+    assert rc == 2 and out == "" and err == "error: out of memory\n"
+
+
 def test_functionality_value_must_be_an_integer(tmp_path, capsys):
     table = tmp_path / "bad.fn"
     table.write_text("s[x]@1=0 -> out@2=0\ns[x]@1=q -> out@2=1\n")

@@ -328,6 +328,23 @@ def test_distinct_rows_match_run_by_run(data):
     assert (list(map(tuple, codes.tolist())), counts.tolist(), first) == (*want[:2], None)
 
 
+def test_ot_picks_as_where():
+    """_ot's xor-and-xor form equals np.where on random and on structured
+    choice masks, and writes only its out buffer."""
+    rng = np.random.default_rng(7)
+    n = 4099
+    if1, if0 = (rng.integers(0, 2, n, dtype=np.uint8) for _ in range(2))
+    masks = [rng.integers(0, 2, n, dtype=np.uint8), np.zeros(n, np.uint8), np.ones(n, np.uint8),
+             np.arange(n, dtype=np.uint8) & 1, (np.arange(n) >= n // 3).astype(np.uint8),
+             np.repeat(rng.integers(0, 2, n // 64 + 1, dtype=np.uint8), 64)[:n]]
+    for choice in masks:
+        args = choice.copy(), if1.copy(), if0.copy()
+        out = np.empty(n, np.uint8)
+        assert engine._ot(*args, out) is out
+        assert np.array_equal(out, np.where(choice.view(bool), if1, if0))
+        assert all(np.array_equal(a, b) for a, b in zip(args, (choice, if1, if0)))
+
+
 def shifted_bits(n, bits, msb_first) -> list:
     """The arange-and-shift bit columns the deals were first built with."""
     idx = np.arange(n, dtype=np.uint64)
@@ -352,6 +369,11 @@ def test_bit_columns_match_shifted_index():
 
 
 def test_initial_columns_match_repeat_and_tile(monkeypatch):
+    """A fold's deal columns repeat the deal's over the coin-flip tapes and
+    its flip columns tile over the memories, whether the deal is described
+    or read from its columns; stacked strategies and blocks that cross
+    them take the same rows, and without flips the columns read are the
+    deal's own, not copies."""
     gmw, _, _ = load_package("gmw-and")
     dealt = parse_var("s[a]@1")
     flipped = parse_protocol("m[z]@2 := s[a] xor r[k] xor r[j] @ 1;\n"
@@ -363,21 +385,32 @@ def test_initial_columns_match_repeat_and_tile(monkeypatch):
         flips = protocol.flips()
         npre, ntape = deal.count(), 2 ** len(flips)
         assert ntape > 1
-        domain, cols, nrows = engine._initial_columns(protocol, deal)
-        assert domain == tuple(deal.domain) + flips and nrows == npre * ntape
+        table = engine.fold(protocol, deal)
+        assert table.domain[:len(deal.domain) + len(flips)] == tuple(deal.domain) + flips
+        assert table.nrows == npre * ntape
         pre = deal.columns()
         for v in deal.domain:
-            assert np.array_equal(cols[v], np.repeat(pre[v], ntape))
+            assert np.array_equal(table.cols[v], np.repeat(pre[v], ntape))
         for v, bit in zip(flips, shifted_bits(ntape, len(flips), True)):
-            assert np.array_equal(cols[v], np.tile(bit, npre))
+            assert np.array_equal(table.cols[v], np.tile(bit, npre))
+    part = Partition.of(flipped.federation, [1])
+    strategies = enumerate_adversaries(flipped, part)
+    assert len(strategies) > 2
+    assert_family_rows_match(monkeypatch, flipped, odd, strategies, part)
+    family = engine.family_of(strategies)
+    whole = table_codes(engine.fold(flipped, odd, family, part))
+    n = len(whole)
+    for lo, hi in ((0, 5), (5, 17), (11, 13), (n - 13, n)):
+        assert table_codes(engine.fold(flipped, odd, family, part, (lo, hi))) == whole[lo:hi]
     # without flips the deal's columns are used as they are, not copied
     p, _, deal = load_package("bdoz-open")
     assert not p.flips()
-    pre = deal.columns()
-    monkeypatch.setattr(deal, "columns", lambda: pre)
-    domain, cols, nrows = engine._initial_columns(p, deal)
-    assert domain == deal.domain and nrows == deal.count()
-    assert all(cols[v] is pre[v] for v in deal.domain)
+    read = ExplicitPreprocessing(deal.domain, deal.memories())
+    pre = read.columns()
+    monkeypatch.setattr(read, "columns", lambda: pre)
+    table = engine.fold(p, read)
+    assert table.domain[:len(read.domain)] == read.domain and table.nrows == read.count()
+    assert all(table.cols[v] is pre[v] for v in read.domain)
 
 
 class StubDeal(Preprocessing):
