@@ -23,7 +23,7 @@ from .dist import (
 from .errors import OvertureError, ParseError, UsageError
 from .interp import run as run_protocol
 from .lang import Partition, format_memory, parse_var, validate, violations_of
-from .ovt import format_protocol, parse_protocol
+from .ovt import format_protocol
 from .prelude import expand
 from .verifier import (
     all_partitions, check_and_gate_tactic, check_cheating_detection,
@@ -53,9 +53,9 @@ def _load_protocol(target: str, libs, field: int):
             f"{target} is neither a file nor a bundled package (known: "
             + ", ".join(sorted(stdlib.PACKAGES)) + ")")
     elif target.endswith(".pre"):
-        protocol = expand(_read(target), [_read(f) for f in libs])
+        protocol = stdlib.protocol_of(_read(target), tuple(_read(f) for f in libs), 2, True)
     else:
-        protocol = parse_protocol(_read(target), modulus=field)
+        protocol = stdlib.protocol_of(_read(target), (), field, False)
     if protocol.modulus != field:
         raise UsageError(f"--field {field} applies only to .ovt files; {target} is over F_2")
     violations = violations_of(protocol, preproc.domain if preproc else ())

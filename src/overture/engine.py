@@ -12,11 +12,12 @@ runs, so distributions built here iterate like those built by the
 interpreter; no key tuple is built.
 
 fold runs a program compiled once per protocol and deal (_compile, kept
-by _program for the last passive pair and the last family): straight-line
-code over integer slots, each slot a column.  A deal that describes itself
-(dist.Preprocessing.description) compiles into it: its free variables and
-the coin flips are bits of the row index, its pinned ones constants and
-its derived ones instructions; another deal is read from its columns.
+by _program with the protocol per deal, and for the last family):
+straight-line code over integer slots, each slot a column.  A deal that
+describes itself (dist.Preprocessing.description) compiles into it: its
+free variables and the coin flips are bits of the row index, its pinned
+ones constants and its derived ones instructions; another deal is read
+from its columns.
 Refs resolve to slots, and values are numbered: equal (op, operand slots)
 pairs, commutative operands sorted, share one slot, so a sum that an
 earlier command built (as m[x1] + m[a1] in the Beaver protocol) is
@@ -41,8 +42,9 @@ linear scan over what the blocks compute gives each value a register, a
 buffer of the fold's arena (_Arena), free again after its last read
 (Poletto and Sarkar, TOPLAS 1999).  Blocks whose kept values, assertions
 and BOT masks are the same ids have equal tables, and only the first is
-folded.  A caller of fold gets a plan of its one block and a fresh arena
-that keeps every variable.  count_runs plans aligned blocks of the largest
+folded.  A passive program keeps its plans, one per kept set and blocks.
+A caller of fold gets a plan of its one block and a fresh arena that
+keeps every variable.  count_runs plans aligned blocks of the largest
 power of two of at most BLOCK_ROWS = 2^16 runs, keeping only the variables
 it counts or conditions on, and folds them into one arena: no whole run
 table, nor any whole deal column, of a tall deal is held, a block
@@ -263,6 +265,7 @@ class _Program(NamedTuple):
     inputs: tuple
     code: tuple
     nslots: int
+    plans: dict  # (kept set or None, block spans, runs) -> a passive _Plan (_plan)
 
 
 def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
@@ -373,7 +376,7 @@ def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
                     _check_replacement_visibility(expr, client, part)
                 slot = emit(_ot, leaf(("choice", j, k)), value(expr, client), slot)
         define(assigned_var(cmd), slot)
-    return _Program(tuple(inputs), tuple(code), next(slots))
+    return _Program(tuple(inputs), tuple(code), next(slots), {})
 
 
 class _Plan(NamedTuple):
@@ -391,6 +394,17 @@ class _Plan(NamedTuple):
 
 
 def _plan(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
+    """_specialize(program, keep, blocks, family, runs), kept by a passive
+    program, so each kept set and blocks make one symbolic pass."""
+    if family is not None:
+        return _specialize(program, keep, blocks, family, runs)
+    key = keep, tuple(blocks), runs
+    if key not in program.plans:
+        program.plans[key] = _specialize(program, keep, blocks, None, runs)
+    return program.plans[key]
+
+
+def _specialize(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
     """The program specialized to each block (lo, hi) of rows, in one
     symbolic pass (see the module docstring), for the family's choices of
     runs stacked runs; with keep, a set of variables, to the assertions
@@ -493,28 +507,39 @@ def _plan(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
     return _Plan(entries, weights, kept, next(ids), registers)
 
 
-# by whether a family is folded, the last (protocol, deal, family options,
-# the family's positions, aborts and corrupt clients) compiled and its
-# program; holding the protocol, the deal and the options keeps their
+# the last (protocol, deal, family options, (positions, aborts, corrupt
+# clients), program) compiled with a family; holding the objects keeps their
 # identity from passing to another object, so identity is a sound key
-_compiled = {}
+_last_family = (None,) * 5
+
+
+def _deal_key(preproc):
+    """The deal as _compile reads it: its domain and description, made
+    hashable; with no description, the deal, equal only to itself."""
+    if preproc.description is None:
+        return preproc
+    free, pinned, derived = preproc.description
+    return preproc.domain, free, tuple(pinned.items()), derived
 
 
 def _program(protocol: Protocol, preproc, family, part) -> _Program:
-    """_compile(protocol, preproc, family, part), kept for the last passive
-    protocol and deal and the last family folded, so the blocks of a
-    count, the chunks of a family and a check's passive folds compile it
-    once."""
+    """_compile(protocol, preproc, family, part), kept with the protocol
+    per deal (_deal_key) when passive, so equal deals compile once in any
+    command, and for the last family, so its chunks compile it once."""
+    global _last_family
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
-    options = None if family is None else family.options
-    rest = None if family is None else \
-        (family.positions, family.aborts, None if part is None else part.corrupt)
-    last = _compiled.get(family is None)
-    if last is None or last[0] is not protocol or last[1] is not preproc \
-            or last[2] is not options or last[3] != rest:
-        last = _compiled[family is None] = (protocol, preproc, options, rest,
-                                            _compile(protocol, preproc, family, part))
+    if family is None:
+        key = "program", _deal_key(preproc)
+        if key not in protocol._memo:
+            protocol._memo[key] = _compile(protocol, preproc)
+        return protocol._memo[key]
+    rest = family.positions, family.aborts, None if part is None else part.corrupt
+    last = _last_family
+    if last[0] is not protocol or last[1] is not preproc \
+            or last[2] is not family.options or last[3] != rest:
+        last = _last_family = (protocol, preproc, family.options, rest,
+                               _compile(protocol, preproc, family, part))
     return last[4]
 
 
@@ -609,10 +634,10 @@ def fold(protocol: Protocol, preproc, strategy=None,
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     runs = _runs(protocol, preproc)
-    program = _program(protocol, preproc, strategy, part)
     copies = 1 if strategy is None else len(strategy.choice)
     lo, hi = (0, runs * copies) if block is None else block
     if arena is None:
+        program = _program(protocol, preproc, strategy, part)
         arena = _Arena(hi - lo, _plan(program, None, [(lo, hi)], strategy, runs))
     plan, nrows, columns, read = arena.plan, hi - lo, arena.columns, None
     inputs, code, events = plan.blocks[lo]

@@ -356,6 +356,12 @@ class Protocol:
                 seen.setdefault(v)
         return tuple(seen)
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What is derived from the protocol and kept with it (violations,
+        passive programs), by key.  Not a field, so not part of eq or hash."""
+        return {}
+
     def message_vars(self) -> tuple:
         return tuple(v for v in self.iovars() if v.kind == MESG)
 
@@ -454,22 +460,17 @@ def validate(protocol: Protocol, preprocessed=()) -> list:
     return violations
 
 
-# the last (protocol, dealt messages, violations) of violations_of; holding
-# the protocol keeps its identity from passing to another object
-_validated = (None, (), ())
-
-
 def violations_of(protocol: Protocol, preprocessed=()) -> list:
-    """validate(protocol, preprocessed), kept for the last protocol and deal
-    asked about, so that the checks of one command validate it once.  Only
-    the dealt variables other than secrets and coin flips can change the
-    result (validate checks those two kinds by owner), so the deal is
-    keyed by them, and no deal and a uniform one over the secrets agree."""
-    global _validated
-    dealt = tuple(v for v in preprocessed if v.kind not in (SECRET, FLIP))
-    if _validated[0] is not protocol or _validated[1] != dealt:
-        _validated = (protocol, dealt, tuple(validate(protocol, preprocessed)))
-    return list(_validated[2])
+    """validate(protocol, preprocessed), kept with the protocol per deal, so
+    that the checks of one command, and every later command on the same
+    protocol, validate it once.  Only the dealt variables other than
+    secrets and coin flips can change the result (validate checks those
+    two kinds by owner), so the deal is keyed by them, and no deal and a
+    uniform one over the secrets agree."""
+    key = "violations", tuple(v for v in preprocessed if v.kind not in (SECRET, FLIP))
+    if key not in protocol._memo:
+        protocol._memo[key] = tuple(validate(protocol, preprocessed))
+    return list(protocol._memo[key])
 
 
 def _ot_parts(e):

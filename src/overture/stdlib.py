@@ -237,11 +237,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def protocol_of(text: str, libs: tuple, field: int, pre: bool, /) -> Protocol:
+    """A .pre metaprogram expanded with the library texts libs (pre true),
+    else .ovt text parsed over F_field: kept per text (positional, so equal
+    arguments are one key), so a process builds it, and Protocol._memo,
+    once.  Callers read their files on every call, so an edited file is a
+    new text."""
+    if pre:
+        return expand(text, list(libs))
+    return parse_protocol(text, modulus=field)
+
+
 def load_protocol(pkg: ProtocolPackage) -> Protocol:
-    src = read_source(pkg.source)
-    if pkg.source.endswith(".pre"):
-        return expand(src, [read_source(f) for f in pkg.libs])
-    return parse_protocol(src)
+    src, pre = read_source(pkg.source), pkg.source.endswith(".pre")
+    return protocol_of(src, tuple(read_source(f) for f in pkg.libs) if pre else (), 2, pre)
 
 
 def load_package(name: str):
