@@ -117,6 +117,7 @@ matrix for the verifier's comparisons.
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -525,15 +526,20 @@ def _deal_key(preproc):
 def _program(protocol: Protocol, preproc, family, part) -> _Program:
     """_compile(protocol, preproc, family, part), kept with the protocol
     per deal (_deal_key) when passive, so equal deals compile once in any
-    command, and for the last family, so its chunks compile it once."""
+    command (a deal with no description only while it lives), and for the
+    last family, so its chunks compile it once."""
     global _last_family
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     if family is None:
-        key = "program", _deal_key(preproc)
-        if key not in protocol._memo:
-            protocol._memo[key] = _compile(protocol, preproc)
-        return protocol._memo[key]
+        key, memo = _deal_key(preproc), protocol._memo
+        if key is preproc:  # keyed by identity, so kept only while the deal lives
+            memo = memo.setdefault("explicit programs", weakref.WeakKeyDictionary())
+        else:
+            key = "program", key
+        if key not in memo:
+            memo[key] = _compile(protocol, preproc)
+        return memo[key]
     rest = family.positions, family.aborts, None if part is None else part.corrupt
     last = _last_family
     if last[0] is not protocol or last[1] is not preproc \

@@ -1,7 +1,9 @@
 """Prime field arithmetic kernel.
 
-Field values are canonical integers in [0, p), operated on as raw ints by
-the f_* helpers; is_prime checks a modulus where it enters (Protocol.of).
+Field values are canonical integers in [0, p), operated on as raw ints.  The
+f_* helpers state each operation; the interpreter's closures compute the
+same with the operator module, and the tests hold the two to each other.
+is_prime checks a modulus where it enters (Protocol.of).
 """
 
 
@@ -16,7 +18,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Used by the interpreter; operands already in [0, p).
+# Operands already in [0, p).
 
 def f_add(a: int, b: int, p: int) -> int:
     return (a + b) % p

@@ -60,6 +60,13 @@ class Var:
                 raise UsageError(f"{self.kind} variables carry no owner")
         elif self.owner is None:
             raise UsageError(f"{self.kind}[{self.name}] requires an owner")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.owner)))
+
+    def __hash__(self):  # the generated hash, computed once
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so no hash crosses processes
+        return Var, (self.kind, self.name, self.owner)
 
     def __str__(self):
         if self.kind == REVEAL:
@@ -359,7 +366,8 @@ class Protocol:
     @cached_property
     def _memo(self) -> dict:
         """What is derived from the protocol and kept with it (violations,
-        passive programs), by key.  Not a field, so not part of eq or hash."""
+        passive programs, the interpreter's closures), by key.  Not a field,
+        so not part of eq or hash."""
         return {}
 
     def message_vars(self) -> tuple:

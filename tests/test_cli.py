@@ -302,7 +302,7 @@ def test_export_datalog_table_budget_exits_two(tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("a local memory was evaluated past the budget")
 
-    monkeypatch.setattr(datalog, "eval_expr", never)
+    monkeypatch.setattr(datalog, "lowered", never)
     src = tmp_path / "wide.ovt"
     src.write_text("m[z]@2 := s[x]" + "".join(f" xor r[k{i}]" for i in range(24))
                    + " @ 1;\n")
@@ -312,6 +312,19 @@ def test_export_datalog_table_budget_exits_two(tmp_path, capsys, monkeypatch):
     assert (rc, out) == (2, "")
     assert err == (f"error: m[z]@2 reads 25 cells: its {2 ** 25} local memories "
                    f"exceed the table budget of {datalog.MAX_TABLE_ROWS}\n")
+
+
+def test_run_evaluates_long_chains(tmp_path, capsys):
+    """The interpreter lowers a chain of one operator into one closure, so
+    run takes chains far deeper than the recursion limit."""
+    ones = tmp_path / "ones.ovt"
+    ones.write_text("p[w] := 1" + " xor 1" * 2999 + " @ 1;\n")
+    assert run_cli(capsys, "run", str(ones)) == (0, "p[w]=0\n", "")
+    deep = tmp_path / "deep.ovt"
+    deep.write_text("p[w] := s[x]" + " xor 1" * 99_999 + " @ 1;\n")
+    for x in (0, 1):
+        rc, out, err = run_cli(capsys, "run", str(deep), "--inputs", f"s[x]@1={x}")
+        assert (rc, out, err) == (0, f"p[w]={1 - x} s[x]@1={x}\n", "")
 
 
 def outcome(capsys, argv):
@@ -344,11 +357,9 @@ def test_cached_parser_carries_no_state(capsys):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
-    # operator chains too deep for the parsers' and evaluators' recursion
+    # an operator chain too deep for the Prelude evaluator's recursion
     deep_pre = tmp_path / "deep.pre"
     deep_pre.write_text('p["w"] := true' + " xor true" * 2999 + " @ 1")
-    deep_ovt = tmp_path / "deep.ovt"
-    deep_ovt.write_text("p[w] := 1" + " xor 1" * 2999 + " @ 1;\n")
     # '²' is a digit to str.isdigit but no int() literal
     superscript_pre = tmp_path / "superscript.pre"
     superscript_pre.write_text('p["w"] := true @ \u00b2')
@@ -368,7 +379,6 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ("pmf", "otp", "--marginal", "s[x"),
         ("run", "otp", "--inputs", "s[x]@=1"),
         ("expand", str(deep_pre)),
-        ("run", str(deep_ovt)),
         ("expand", str(superscript_pre)),
         ("run", str(superscript_ovt)),
         ("lhm", str(dl), "--facts", "s_x_c1=1,bad atom!=1"),

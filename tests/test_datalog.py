@@ -145,7 +145,7 @@ def test_table_budget_checked_before_evaluating(monkeypatch):
         raise AssertionError("a local memory was evaluated past the budget")
 
     monkeypatch.setattr(datalog, "MAX_TABLE_ROWS", 3)
-    monkeypatch.setattr(datalog, "eval_expr", never)
+    monkeypatch.setattr(datalog, "lowered", never)
     with pytest.raises(BudgetError, match="^m\\[z\\]@2 reads 2 cells: its 4 local "
                        "memories exceed the table budget of 3$"):
         to_datalog(protocol)

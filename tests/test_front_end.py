@@ -9,7 +9,9 @@ often as the first: no verdict or count is kept.
 """
 
 import contextlib
+import gc
 import io
+import weakref
 
 from overture import cli, engine, stdlib
 from overture.dist import ExplicitPreprocessing, UniformPreprocessing
@@ -121,3 +123,20 @@ def test_repeated_commands_build_the_front_end_once(monkeypatch):
     assert len(passes) == len(set(passes))
     assert per_run[0][0] == per_run[1][0] > 0
     assert per_run[0][1] > 0 and per_run[1][1] == 0
+
+
+def test_programs_of_explicit_deals_are_freed_with_them():
+    """A deal with no description is keyed by identity, so its program is
+    kept only while the deal lives: 200 counts over fresh one-memory deals
+    of a loaded protocol leave at most a handful of programs held."""
+    protocol = stdlib.load_package("gmw-and")[0]
+    secrets = protocol.secrets()
+    for i in range(200):
+        deal = ExplicitPreprocessing(secrets, [{v: i >> j & 1 for j, v in enumerate(secrets)}])
+        engine.count_runs(protocol, deal, protocol.output_vars())
+    del deal
+    gc.collect()
+    held = [v for v in protocol._memo.values() if isinstance(v, engine._Program)]
+    held += [v for d in protocol._memo.values() if isinstance(d, weakref.WeakKeyDictionary)
+             for v in d.values()]
+    assert len(held) <= 4

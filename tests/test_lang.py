@@ -1,7 +1,13 @@
 """Variables, protocols, partitions, views, and static validation."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import overture
 from overture.errors import UsageError
 from overture.lang import (
     BOT, MESG, OUT, REVEAL, SECRET, Const, MesgSend, OutputCmd, Partition,
@@ -32,6 +38,29 @@ def test_var_rules():
         parse_var("p[w]@2")
     with pytest.raises(UsageError):
         parse_var("m[z]")
+
+
+PICKLE_VARS = """
+import pickle, sys
+from overture.lang import parse_var
+sys.stdout.buffer.write(pickle.dumps([parse_var(t) for t in ("s[x]@1", "p[w]", "out@2")]))
+"""
+
+
+def test_var_hash_is_the_field_tuple_hash_in_every_process():
+    """A Var's hash is computed once, as the generated hash would be; an
+    unpickled Var computes it again, so a Var pickled under another hash
+    seed is found in this process's dicts."""
+    v = parse_var("m[z]@2")
+    assert hash(v) == hash((v.kind, v.name, v.owner))
+    src = os.path.dirname(os.path.dirname(overture.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    table = {parse_var(t): t for t in ("s[x]@1", "p[w]", "out@2")}
+    for seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = seed
+        out = subprocess.run([sys.executable, "-c", PICKLE_VARS], env=env, check=True,
+                             capture_output=True, timeout=60).stdout
+        assert [table[v] for v in pickle.loads(out)] == ["s[x]@1", "p[w]", "out@2"]
 
 
 def test_bot_is_a_singleton():
