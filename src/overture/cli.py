@@ -216,6 +216,9 @@ def cmd_verify(args) -> int:
                     positions = tuple(int(x) for x in args.positions.split(","))
                 except ValueError:
                     raise UsageError(f"bad --positions list {args.positions!r}")
+            strategies = enumerate_adversaries(
+                protocol, part, tables_budget=args.budget, preproc=preproc,
+                positions=positions)
             tampered = positions if positions is not None \
                 else corrupt_positions(protocol, part)
             if args.budget and len(tampered) > args.budget:
@@ -224,9 +227,6 @@ def cmd_verify(args) -> int:
                       f"{args.budget}, so only constant replacements are tried; "
                       f"choose at most {args.budget} with --positions",
                       file=sys.stderr)
-            strategies = enumerate_adversaries(
-                protocol, part, tables_budget=args.budget, preproc=preproc,
-                positions=positions)
             verdicts.append(check(protocol, part, strategies, preproc,
                                   secret_scope=args.scope))
     for v in verdicts:

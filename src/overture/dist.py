@@ -44,7 +44,8 @@ class Preprocessing:
     memory i's free[j] is bit j of i (least significant first), pinned maps
     variables to constants, and derived lists (variable, expression) pairs
     in order, an expression being a deal variable or (op, e1, e2) with op
-    "xor" or "and".  None: the memories are read from memories()."""
+    "xor" or "and".  None: the memories are read from memories(), which a
+    described deal reads from its columns."""
 
     domain: tuple = ()
     modulus: int = 2
@@ -54,30 +55,28 @@ class Preprocessing:
         raise NotImplementedError
 
     def memories(self) -> Iterable[dict]:
-        raise NotImplementedError
+        cols = self.columns()
+        for i in range(self.count()):
+            yield {v: int(cols[v][i]) for v in self.domain}
 
     def columns(self):
         """Columnar view for the vectorized engine: dict var -> uint8 array
-        of one entry per memory, in memories() order."""
-        return self.slice_columns(0, self.count())
-
-    def slice_columns(self, lo: int, hi: int):
-        """columns() of the memories lo..hi-1 alone: built from the
-        description (free columns are engine.bit_range's), else read from
-        memories()."""
+        of one entry per memory, in memories() order, built from the
+        description, else read from memories()."""
         import numpy as np
 
-        from .engine import bit_range
+        from .engine import bit_column
 
+        n = self.count()
         if self.description is None:
-            cols = {v: np.empty(hi - lo, dtype=np.uint8) for v in self.domain}
-            for i, m in enumerate(itertools.islice(self.memories(), lo, hi)):
+            cols = {v: np.empty(n, dtype=np.uint8) for v in self.domain}
+            for i, m in enumerate(self.memories()):
                 for v in self.domain:
                     cols[v][i] = m[v]
             return cols
         free, pinned, derived = self.description
-        cols = {v: bit_range(lo, hi, i) for i, v in enumerate(free)}
-        cols.update((v, np.full(hi - lo, x, dtype=np.uint8)) for v, x in pinned.items())
+        cols = {v: bit_column(n, i) for i, v in enumerate(free)}
+        cols.update((v, np.full(n, x, dtype=np.uint8)) for v, x in pinned.items())
 
         def value(e):
             if isinstance(e, Var):

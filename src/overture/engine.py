@@ -12,22 +12,23 @@ runs, so distributions built here iterate like those built by the
 interpreter; no key tuple is built.
 
 fold runs a program compiled once per protocol and deal (_compile, kept
-by _program with the protocol per deal, and for the last family):
-straight-line code over integer slots, each slot a column.  A deal that
-describes itself (dist.Preprocessing.description) compiles into it: its
-free variables and the coin flips are bits of the row index, its pinned
-ones constants and its derived ones instructions; another deal is read
-from its columns.
+by _program with the protocol, per deal and for its last family):
+straight-line code over integer slots, each slot a column.  The coin
+flips are bits of the row index.  A deal that describes itself
+(dist.Preprocessing.description) compiles into the program: its free
+variables are bits of the row index too, its pinned ones constants and
+its derived ones instructions.  Another deal's whole columns() are built
+and each row reads its memory's entries (_read_columns).
 Refs resolve to slots, and values are numbered: equal (op, operand slots)
 pairs, commutative operands sorted, share one slot, so a sum that an
 earlier command built (as m[x1] + m[a1] in the Beaver protocol) is
 computed once.  x == y compiles to the negation of x xor y, OT4 to three
 OTs, and a strategy's options and halts to OTs and assertions over 0/1
 columns of its choices.  Bit columns (bit_column, bit_range) tile a
-repeated 0/1 block, with no 64-bit row index, and a column of at most
-BLOCK_ROWS rows that is constant or aligned to its bit's period is one
-shared read-only array.  A fold of more than MAX_RUNS runs raises
-BudgetError before any column is built.
+repeated 0/1 block, with no 64-bit row index, and a constant column, or
+one of at most BLOCK_ROWS rows aligned to its bit's period, as a block
+of a count is, is one shared read-only array.  A fold of more than
+MAX_RUNS runs raises BudgetError before any column is built.
 
 fold(..., block=(lo, hi)) builds only rows lo..hi-1 of the table, as one
 block of a plan (_plan): the program specialized, in one symbolic pass,
@@ -73,8 +74,9 @@ AdversaryStrategy into a Family: a matrix of option indices, strategies
 by tampered positions, with one tuple of replacement expressions per
 position and one 0/1 column per assertion some strategy halts at.  One
 fold of a Family of s strategies over n runs gives s * n rows: row r is
-run r % n of strategy r // n (a described deal's n is a power of two, so
-its columns are the low bits of r).
+run r % n of strategy r // n (n is the deal's count times 2^k for k coin
+flips, so the flips are the low bits of r, and a described deal's n is a
+power of two, so its free variables are the bits of r above them).
 A tampered command's column is the command's own where a row's option is
 0 and the evaluated option expression elsewhere; a halting row is dead
 from its assertion on, and corrupt assertions are otherwise skipped.  Every
@@ -117,7 +119,6 @@ matrix for the verifier's comparisons.
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,23 +169,14 @@ def _shared(n: int, i, value: int = 0) -> "np.ndarray":
 
 
 def bit_range(lo: int, hi: int, i: int) -> "np.ndarray":
-    """Bit i of each of lo..hi-1 as a uint8 column.  Where the bit is
-    constant over the range, or the range is aligned to its period, and
-    the range is at most BLOCK_ROWS long, every call shares one read-only
-    column: the blocks of a deal then build few columns each."""
-    n, half = hi - lo, 1 << i
-    value, change = lo >> i & 1, half - lo % half  # bit i at lo, and where it next changes
-    make = _shared if n <= BLOCK_ROWS else _shared.__wrapped__  # whole deals are not kept
-    if change >= n:
-        return make(n, None, value)
-    start = lo % (2 * half)
-    if not start and not n % (2 * half):
-        return make(n, i)
-    if half >= n:  # it changes once
-        col = np.full(n, value, dtype=np.uint8)
-        col[change:] ^= 1
-        return col
-    return bit_column(-(-(start + n) // (2 * half)) * 2 * half, i)[start:start + n]
+    """Bit i of each of lo..hi-1 as a uint8 column.  A range aligned to the
+    bit's period, as a fold's blocks are, of at most BLOCK_ROWS rows shares
+    one read-only column, so the blocks of a count build few columns; any
+    other range is computed from the index."""
+    n, period = hi - lo, 2 << i
+    if lo % period or n % period:
+        return (np.arange(lo, hi) >> i & 1).astype(np.uint8)
+    return (_shared if n <= BLOCK_ROWS else _shared.__wrapped__)(n, i)  # whole deals are not kept
 
 
 def _runs(protocol: Protocol, preproc) -> int:
@@ -196,23 +188,15 @@ def _runs(protocol: Protocol, preproc) -> int:
 
 
 def _read_columns(protocol: Protocol, preproc, lo: int, hi: int) -> dict:
-    """The columns of a deal read from its columns(), and of the coin
-    flips, over the rows lo..hi-1 of its runs, stacked: row r holds run r %
-    runs, and run = memory index * 2**k + tape for k coin flips, so flip i
-    is bit k-1-i of the run.  Rows within one copy of the runs read only
-    the memories they cover (slice_columns); a whole deal read without
-    flips serves its own columns."""
-    flips, runs = protocol.flips(), _runs(protocol, preproc)
-    k, a, b = len(flips), lo % runs, (hi - 1) % runs
-    whole = hi - lo >= runs or a > b
-    first = 0 if whole else a >> k
-    pre = preproc.columns() if whole else preproc.slice_columns(first, (b >> k) + 1)
+    """The columns of a deal read from its columns() over the rows lo..hi-1
+    of its runs, stacked: row r holds run r % runs, and run = memory index
+    * 2**k + tape for k coin flips, so row r reads memory (r % runs) >> k.
+    A whole table with no coin flip reads the deal's own columns."""
+    pre, k, runs = preproc.columns(), len(protocol.flips()), _runs(protocol, preproc)
     if (lo, hi, k) == (0, runs, 0):
-        return dict(pre)
-    run = np.arange(lo, hi) % runs
-    cols = {v: pre[v][(run >> k) - first] for v in preproc.domain}
-    cols.update((v, (run >> k - 1 - i & 1).astype(np.uint8)) for i, v in enumerate(flips))
-    return cols
+        return pre
+    index = (np.arange(lo, hi) % runs) >> k
+    return {v: pre[v][index] for v in preproc.domain}
 
 
 _BINOPS = {"+": np.bitwise_xor, "-": np.bitwise_xor, "xor": np.bitwise_xor,
@@ -273,9 +257,10 @@ def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
     """The program of the deal and then of the protocol's commands:
     passive with no family, else with those that part's corrupt clients
     compute at family.positions tampered and their assertions halting or
-    skipped (see the module docstring).  A described deal's variables are
-    bits of the row index, constants and its derived expressions; another
-    deal's are read from its columns.  Values are numbered: a Ref resolves
+    skipped (see the module docstring).  The coin flips are bits of the row
+    index; a described deal's variables are bits of it too, constants and
+    its derived expressions, and another deal's are read from its columns.
+    Values are numbered: a Ref resolves
     to the slot of its variable's value, and equal (op, operand slots)
     pairs, commutative operands sorted, share one slot."""
     numbers = {0: 0, 1: 1}  # (op, *operand slots), or an input's key -> slot
@@ -338,21 +323,21 @@ def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
                 stack.append(emit(np.bitwise_xor, x, 1) if negate else x)
         return stack.pop()
 
+    # run = memory index * 2**k + tape for k coin flips: flip i is bit k-1-i,
+    # and a described deal's free variable j bit k+j
     flips = protocol.flips()
-    if preproc.description is None:
-        initial = {v: leaf(v) for v in (*preproc.domain, *flips)}
-    else:  # run = memory index * 2**k + tape for k coin flips; flip i is bit k-1-i
-        free, pinned, derived = preproc.description
-        initial = {v: leaf(("bit", len(flips) + i)) for i, v in enumerate(free)}
-        initial.update(pinned)
-        initial.update((v, leaf(("bit", len(flips) - 1 - i))) for i, v in enumerate(flips))
+    free, pinned, derived = preproc.description or (None, {}, ())
+    initial = {v: leaf(v) for v in preproc.domain} if free is None else \
+        {v: leaf(("bit", len(flips) + i)) for i, v in enumerate(free)}
+    initial.update(pinned)
+    initial.update((v, leaf(("bit", len(flips) - 1 - i))) for i, v in enumerate(flips))
 
-        def deal_value(e):
-            if isinstance(e, Var):
-                return initial[e]
-            return emit(_BINOPS[e[0]], deal_value(e[1]), deal_value(e[2]))
+    def deal_value(e):
+        if isinstance(e, Var):
+            return initial[e]
+        return emit(_BINOPS[e[0]], deal_value(e[1]), deal_value(e[2]))
 
-        initial.update((v, deal_value(e)) for v, e in derived)
+    initial.update((v, deal_value(e)) for v, e in derived)
     for v in (*preproc.domain, *flips):
         define(v, initial[v])
     corrupt = frozenset() if part is None or family is None else part.corrupt
@@ -508,45 +493,39 @@ def _specialize(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
     return _Plan(entries, weights, kept, next(ids), registers)
 
 
-# the last (protocol, deal, family options, (positions, aborts, corrupt
-# clients), program) compiled with a family; holding the objects keeps their
-# identity from passing to another object, so identity is a sound key
-_last_family = (None,) * 5
-
-
 def _deal_key(preproc):
     """The deal as _compile reads it: its domain and description, made
-    hashable; with no description, the deal, equal only to itself."""
+    hashable; with no description, its domain alone, as the program reads
+    such a deal's columns by variable."""
     if preproc.description is None:
-        return preproc
+        return preproc.domain
     free, pinned, derived = preproc.description
     return preproc.domain, free, tuple(pinned.items()), derived
 
 
 def _program(protocol: Protocol, preproc, family, part) -> _Program:
-    """_compile(protocol, preproc, family, part), kept with the protocol
+    """_compile(protocol, preproc, family, part), kept with the protocol:
     per deal (_deal_key) when passive, so equal deals compile once in any
-    command (a deal with no description only while it lives), and for the
-    last family, so its chunks compile it once."""
-    global _last_family
+    command, and for its last family, so the family's chunks compile it
+    once."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
+    memo = protocol._memo
     if family is None:
-        key, memo = _deal_key(preproc), protocol._memo
-        if key is preproc:  # keyed by identity, so kept only while the deal lives
-            memo = memo.setdefault("explicit programs", weakref.WeakKeyDictionary())
-        else:
-            key = "program", key
+        key = "program", _deal_key(preproc)
         if key not in memo:
             memo[key] = _compile(protocol, preproc)
         return memo[key]
+    # (deal, family options, (positions, aborts, corrupt clients), program):
+    # holding the objects keeps their identity from passing to another
+    # object, so identity is a sound key
     rest = family.positions, family.aborts, None if part is None else part.corrupt
-    last = _last_family
-    if last[0] is not protocol or last[1] is not preproc \
-            or last[2] is not family.options or last[3] != rest:
-        last = _last_family = (protocol, preproc, family.options, rest,
-                               _compile(protocol, preproc, family, part))
-    return last[4]
+    last = memo.get("last family")
+    if last is None or last[0] is not preproc or last[1] is not family.options \
+            or last[2] != rest:
+        last = memo["last family"] = (preproc, family.options, rest,
+                                      _compile(protocol, preproc, family, part))
+    return last[3]
 
 
 class Family(NamedTuple):

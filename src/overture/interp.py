@@ -7,9 +7,10 @@ are padded with BOT.  A protocol is lowered once, on its first run, into
 one closure per command built bottom-up over lang.postorder, each Ref's
 variable built once.  A chain of one associative operator (xor, and, or
 over F_2; + and * over any field) is one closure over its operands, so it
-evaluates at depth 1; '-' stays nested.  Each EvalError is raised when
-evaluated, where a walk of the expression raises it: left operand first,
-never in an OT's untaken branch.
+evaluates at depth 1, and so is the left spine of a '-' chain (a - b - c,
+not a - (b - c)).  Each EvalError is raised when evaluated, where a walk
+of the expression raises it: left operand first, never in an OT's
+untaken branch.
 """
 
 import operator
@@ -73,15 +74,15 @@ def _ref(var: Var):
 def _lower(root, client: int, p: int, pred: bool = False, known=None):
     """The closure m -> value (truth, for a predicate) of root as client
     evaluates it under memory m; known maps variables to the objects read."""
-    chains = ("+", "*", "xor", "and", "or") if p == 2 else ("+", "*")
+    chains = ("+", "-", "*", "xor", "and", "or") if p == 2 else ("+", "-", "*")
     stack = []  # (node, closure) per operand not yet taken; a deque is an open chain
     for n, c in postorder(root, client):
         t = type(n)
         args = stack[len(stack) - _ARITY[t]:]
         del stack[len(stack) - _ARITY[t]:]
         if t is BinOp and n.op in chains:  # an operand chain of the same op splices in
-            a, b = (f if type(x) is BinOp and x.op == n.op else deque([_close(x, f, False, p)])
-                    for x, f in args)
+            a, b = (f if type(x) is BinOp and x.op == n.op and (n.op != "-" or not j)
+                    else deque([_close(x, f, False, p)]) for j, (x, f) in enumerate(args))
             if len(a) >= len(b):  # grow the longer side, so a chain lowers in linear time
                 a.extend(b)
             else:

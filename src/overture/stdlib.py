@@ -112,11 +112,6 @@ class BdozPreprocessing(Preprocessing):
     def count(self) -> int:
         return 2 ** len(self._free)
 
-    def memories(self):
-        cols = self.columns()
-        for i in range(self.count()):
-            yield {v: int(cols[v][i]) for v in self.domain}
-
 
 def bdoz_open_preprocessing() -> BdozPreprocessing:
     return BdozPreprocessing(values=("x",), secrets={"x": 1})

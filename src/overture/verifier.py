@@ -298,17 +298,21 @@ def enumerate_adversaries(protocol: Protocol, part: Partition,
     position may compute any boolean function of the variables its client
     holds at that point (its own initial values, earlier messages, and
     reveals).  positions restricts the tampered commands to a subset of the
-    corrupt-computed ones.  A family of more than MAX_STRATEGIES
-    strategies raises BudgetError before any is built.
+    corrupt-computed ones, each named once.  A negative budget or a
+    repeated position raises UsageError, and a family of more than
+    MAX_STRATEGIES strategies BudgetError, before any is built.
     """
     corrupt_pos = corrupt_positions(protocol, part)
+    if tables_budget < 0:
+        raise UsageError(f"negative strategy budget {tables_budget}")
     if positions is None:
         positions = corrupt_pos
     else:
         positions = tuple(positions)
         bad = [i for i in positions if i not in corrupt_pos]
-        if bad:
-            raise UsageError(f"positions {bad} are not corrupt-computed commands")
+        if bad or len(set(positions)) < len(positions):
+            raise UsageError(f"positions {bad} are not corrupt-computed commands" if bad
+                             else f"positions {list(positions)} repeat an index")
     tables = bool(tables_budget) and len(positions) <= tables_budget
     count = 1
     for i in positions:
@@ -657,12 +661,13 @@ def check_integrity(protocol: Protocol, part: Partition, strategies,
 # --- Partitions -----------------------------------------------------------------
 
 def all_partitions(protocol: Protocol, max_corrupt: Optional[int] = None) -> tuple:
-    """Every partition with a nonempty corrupt strict subset, smallest first."""
+    """Every partition with a nonempty corrupt strict subset of at most
+    max_corrupt clients (any by default), smallest first."""
     fed = sorted(protocol.federation)
-    if max_corrupt is None:
-        max_corrupt = len(fed) - 1
+    if max_corrupt is not None and max_corrupt < 1:
+        raise UsageError(f"max corrupt {max_corrupt} is below 1: no partition to check")
     out = []
-    for k in range(1, max_corrupt + 1):
+    for k in range(1, min(len(fed) - 1, max_corrupt or len(fed)) + 1):
         for corrupt in itertools.combinations(fed, k):
             out.append(Partition.of(fed, corrupt))
     return tuple(out)

@@ -315,16 +315,41 @@ def test_export_datalog_table_budget_exits_two(tmp_path, capsys, monkeypatch):
 
 
 def test_run_evaluates_long_chains(tmp_path, capsys):
-    """The interpreter lowers a chain of one operator into one closure, so
-    run takes chains far deeper than the recursion limit."""
+    """The interpreter lowers a chain of one operator into one closure, and
+    a '-' chain's left spine too, so run takes chains far deeper than the
+    recursion limit."""
     ones = tmp_path / "ones.ovt"
     ones.write_text("p[w] := 1" + " xor 1" * 2999 + " @ 1;\n")
     assert run_cli(capsys, "run", str(ones)) == (0, "p[w]=0\n", "")
+    minus = tmp_path / "minus.ovt"
+    minus.write_text("p[w] := 1" + " - 1" * 2999 + " @ 1;\n")  # 1 - 2999 = -2998
+    for field, want in (("2", "p[w]=0\n"), ("3", "p[w]=2\n")):
+        assert run_cli(capsys, "run", str(minus), "--field", field) == (0, want, "")
     deep = tmp_path / "deep.ovt"
     deep.write_text("p[w] := s[x]" + " xor 1" * 99_999 + " @ 1;\n")
     for x in (0, 1):
         rc, out, err = run_cli(capsys, "run", str(deep), "--inputs", f"s[x]@1={x}")
         assert (rc, out, err) == (0, f"p[w]={1 - x} s[x]@1={x}\n", "")
+
+
+def test_no_check_materializes_a_described_deal(capsys, monkeypatch):
+    """A deal that describes itself compiles into the protocol's program:
+    passive, distribution and adversarial checks over one build none of
+    its columns and read none of its memories."""
+    def materialized(*args):
+        raise AssertionError("a described deal was materialized")
+
+    monkeypatch.setattr(dist.Preprocessing, "columns", materialized)
+    for cls in (dist.Preprocessing, dist.UniformPreprocessing, dist.ExplicitPreprocessing,
+                stdlib.BdozPreprocessing):
+        monkeypatch.setattr(cls, "memories", materialized)
+    for argv, want in ((("verify", "bdoz-beaver", "--property", "nimo", "--corrupt", "2"), 0),
+                       (("pmf", "gmw-and"), 0),
+                       (("verify", "bdoz-beaver", "--property", "cheating-detection",
+                         "--preproc", "bdoz-beaver-trim", "--corrupt", "2",
+                         "--positions", "3,4"), 1)):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (want, "") and out, argv
 
 
 def outcome(capsys, argv):
@@ -374,6 +399,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ("pmf", "otp", "--field", "3"),
         ("pmf", "otp", "--given", "m[z]@2=9"),
         ("verify", "otp", "--property", "nimo", "--corrupt", "1,bad"),
+        ("verify", "otp", "--property", "nimo", "--all-partitions", "--max-corrupt", "0"),
+        ("verify", "otp", "--property", "nimo", "--all-partitions", "--max-corrupt", "-1"),
+        ("verify", "otp", "--property", "integrity", "--corrupt", "1", "--positions", "0,0"),
+        ("verify", "otp", "--property", "integrity", "--corrupt", "1", "--budget", "-3"),
         ("pmf", "otp", "--marginal", "m[z]@"),
         ("pmf", "otp", "--marginal", "out@x"),
         ("pmf", "otp", "--marginal", "s[x"),
@@ -390,6 +419,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert err.startswith("error:"), argv
     rc, _, err = run_cli(capsys, "run", "no-such-package")
     assert "bundled package" in err
+    # no corrupt client, a repeated position and a negative budget are named
+    for argv, want in zip(cases[6:10], ("max corrupt 0 is below 1", "max corrupt -1 is below 1",
+                                         "positions [0, 0] repeat", "negative strategy budget")):
+        assert want in run_cli(capsys, *argv)[2], argv
     # a malformed variable is named as such, not as a bad value
     rc, _, err = run_cli(capsys, "run", "otp", "--inputs", "s[x]@=1")
     assert err == "error: cannot parse variable 's[x]@'\n"

@@ -439,9 +439,13 @@ def test_run_budget_checked_before_allocating(monkeypatch):
     p = parse_protocol(FLIPS64)
     with pytest.raises(BudgetError, match="run budget"):
         engine.fold(p, StubDeal(1))
-    # exactly at the budget the fold goes on to build the deal's columns
+    # exactly at the budget the fold goes on to build a column, its coin flip's
+    def built(n, i):
+        raise AssertionError(f"bit column {i} of {n} rows built")
+
+    monkeypatch.setattr(engine, "bit_column", built)
     one_flip = parse_protocol("out@1 := r[k] @ 1;\n")
-    with pytest.raises(AssertionError, match="deal columns built"):
+    with pytest.raises(AssertionError, match=f"bit column 0 of {engine.MAX_RUNS} rows built"):
         engine.fold(one_flip, StubDeal(engine.MAX_RUNS // 2))
     with pytest.raises(BudgetError):
         engine.fold(one_flip, StubDeal(engine.MAX_RUNS))

@@ -11,7 +11,6 @@ often as the first: no verdict or count is kept.
 import contextlib
 import gc
 import io
-import weakref
 
 from overture import cli, engine, stdlib
 from overture.dist import ExplicitPreprocessing, UniformPreprocessing
@@ -70,9 +69,10 @@ def test_equal_uniform_deals_share_one_program(monkeypatch):
     assert_same_rows(*counts)
 
 
-def test_explicit_deals_of_one_domain_compile_apart(monkeypatch):
-    """Deals with no description are keyed by identity: two of one domain
-    and different memories compile twice, and each counts its own runs."""
+def test_explicit_deals_of_one_domain_share_one_program(monkeypatch):
+    """A deal with no description is read from its columns by variable, so
+    its program is keyed by its domain: two of one domain and different
+    memories compile once, and each counts its own runs."""
     protocol = parse_protocol(PROTOCOL)
     x, y = parse_var("s[x]@1"), parse_var("s[y]@2")
     deals = [ExplicitPreprocessing([x, y], [{x: 0, y: 1}, {x: 1, y: 1}]),
@@ -84,7 +84,7 @@ def test_explicit_deals_of_one_domain_compile_apart(monkeypatch):
         codes, counts, _ = engine.count_runs(protocol, deal, vars_)
         assert dict(zip(map(tuple, codes.tolist()), counts.tolist())) == \
             interpreter_counts(protocol, deal, vars_)
-    assert [a[1] for a in compiled] == deals
+    assert [a[1] for a in compiled] == deals[:1]
 
 
 def test_smaller_blocks_after_a_default_count(monkeypatch):
@@ -126,9 +126,9 @@ def test_repeated_commands_build_the_front_end_once(monkeypatch):
 
 
 def test_programs_of_explicit_deals_are_freed_with_them():
-    """A deal with no description is keyed by identity, so its program is
-    kept only while the deal lives: 200 counts over fresh one-memory deals
-    of a loaded protocol leave at most a handful of programs held."""
+    """A deal with no description is keyed by its domain, so 200 counts
+    over fresh one-memory deals of a loaded protocol leave at most a
+    handful of programs held."""
     protocol = stdlib.load_package("gmw-and")[0]
     secrets = protocol.secrets()
     for i in range(200):
@@ -137,6 +137,4 @@ def test_programs_of_explicit_deals_are_freed_with_them():
     del deal
     gc.collect()
     held = [v for v in protocol._memo.values() if isinstance(v, engine._Program)]
-    held += [v for d in protocol._memo.values() if isinstance(d, weakref.WeakKeyDictionary)
-             for v in d.values()]
     assert len(held) <= 4

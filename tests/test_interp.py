@@ -346,6 +346,9 @@ def test_long_chains_evaluate_without_recursion():
     m0 = {parse_var("s[x]@1"): 3}
     assert eval_expr(m0, chain("+", x, x, n), 1, 7) == 3 * n % 7
     assert eval_expr(m0, chain("*", Const(1), x, n + 1, False), 1, 7) == pow(3, n, 7)
+    # a '-' chain's left spine is one closure; 1 - (1 - (1 - (1 - x))) stays nested
+    assert eval_expr(m0, chain("-", x, x, n), 1, 7) == 3 * (2 - n) % 7
+    assert eval_expr(m0, chain("-", x, Const(1), 5, False), 1, 7) == 3
     # a chain of and over F_2 evaluates every operand, as the nested walk does
     with pytest.raises(EvalError, match=r"^s\[y\]@1 unbound$"):
         eval_expr({parse_var("s[x]@1"): 0}, BinOp("and", chain("and", x, x, n), Ref("s", "y")), 1)

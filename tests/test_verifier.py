@@ -258,6 +258,10 @@ def test_enumeration_guards(monkeypatch):
     part = Partition.of(otp.federation, [1])
     with pytest.raises(UsageError):
         enumerate_adversaries(otp, part, positions=(2,))
+    with pytest.raises(UsageError, match="repeat"):
+        enumerate_adversaries(otp, part, positions=(0, 0))
+    with pytest.raises(UsageError, match="negative"):
+        enumerate_adversaries(otp, part, tables_budget=-3)
     monkeypatch.setattr(verifier, "MAX_STRATEGIES", 5)
     with pytest.raises(BudgetError):
         enumerate_adversaries(otp, part)
@@ -653,6 +657,13 @@ def test_all_partitions():
     assert [sorted(p.corrupt) for p in parts] == [
         [1], [2], [3], [1, 2], [1, 3], [2, 3]]
     assert len(all_partitions(sh, max_corrupt=1)) == 3
+    # the corrupt set stays a strict subset, and below 1 no partition is left
+    otp, _, _ = load_package("otp")
+    for n in (None, 1, 2, 5):
+        assert [sorted(p.corrupt) for p in all_partitions(otp, max_corrupt=n)] == [[1], [2]]
+    for n in (0, -1):
+        with pytest.raises(UsageError, match="below 1"):
+            all_partitions(otp, max_corrupt=n)
 
 
 def test_verdict_and_witness_format():
