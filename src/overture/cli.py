@@ -179,6 +179,9 @@ def _partitions_for(args, protocol):
         corrupt = [int(x) for x in args.corrupt.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"bad --corrupt list {args.corrupt!r}")
+    if not corrupt or len(set(corrupt)) < len(corrupt) or set(corrupt) >= protocol.federation:
+        raise UsageError(f"--corrupt {args.corrupt!r} is not a nonempty strict subset "
+                         f"of the clients, each named once")
     return (Partition.of(protocol.federation, corrupt),)
 
 

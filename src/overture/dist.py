@@ -114,6 +114,7 @@ class ExplicitPreprocessing(Preprocessing):
         self.domain = tuple(domain)
         self.modulus = modulus
         self._memories = [dict(m) for m in memories]
+        self._columns = None
         for m in self._memories:
             if set(m) != set(self.domain):
                 raise UsageError("preprocessing memory domain mismatch")
@@ -126,6 +127,15 @@ class ExplicitPreprocessing(Preprocessing):
 
     def memories(self):
         return iter(self._memories)
+
+    def columns(self):
+        """Preprocessing.columns, built on first use and kept read-only:
+        every block of a count reads them."""
+        if self._columns is None:
+            self._columns = super().columns()
+            for col in self._columns.values():
+                col.flags.writeable = False
+        return self._columns
 
 
 def default_preprocessing(protocol: Protocol) -> Preprocessing:
@@ -316,17 +326,15 @@ class Pmf:
 
         from . import engine
 
-        bits = self.modulus.bit_length()
-        if self.modulus < 256 and bits * len(vars_) <= 64:
-            # one integer key per row, first column most significant, built a
-            # column at a time: while every code fits a byte, it sorts as the
-            # byte key below does
+        if self.modulus < 256:
+            # engine._column_keys' key of each row: every code, BOT's included, fits a byte
             columns = (self.codes[:, j].astype(np.uint8, copy=False)
                        for j in domain_positions(self.domain, vars_))
-            keys = engine._column_keys(columns, bits, len(vars_), len(self.codes))
+            keys = engine._column_keys(columns, self.modulus.bit_length(), len(vars_),
+                                       len(self.codes))
         else:
-            # one byte key per row, which sorts far faster than np.unique(axis=0);
-            # a zero first column keeps the key nonempty when vars_ is empty
+            # codes past a byte, which pack_keys cannot pack: each row's own bytes,
+            # after a zero column that keeps the key nonempty when vars_ is empty
             codes = self._columns(vars_)
             rows = np.zeros((len(codes), 1 + len(vars_)), dtype=codes.dtype)
             rows[:, 1:] = codes

@@ -12,7 +12,7 @@ runs, so distributions built here iterate like those built by the
 interpreter; no key tuple is built.
 
 fold runs a program compiled once per protocol and deal (_compile, kept
-by _program with the protocol, per deal and for its last family):
+by _program with the protocol, by value, per deal and for its last family):
 straight-line code over integer slots, each slot a column.  The coin
 flips are bits of the row index.  A deal that describes itself
 (dist.Preprocessing.description) compiles into the program: its free
@@ -91,30 +91,27 @@ cost of a fold while a small one holds only a few strategies' tables at
 once.  Before the first chunk, a family of more than MAX_STACKED_RUNS
 stacked runs (strategies times runs) raises BudgetError.
 
-Every check counts the distinct rows of codes over some variables: a
-variable's code is its value, or BOT_CODE where it is BOT.  One kernel,
-count_parts, counts them over a sequence of parts, each the runs of a
+Every check counts, matches or looks up rows of codes over some
+variables: a variable's code is its value, or BOT_CODE where it is BOT.
+One builder, _column_keys, keys each row over w bits, b per variable,
+first variable most significant: an unsigned integer while w is at most
+64 (2^19 random 40-bit keys sort in 0.023 s as uint64 against 0.23 s as
+bytes on a 2-core x86 machine), else pack_keys' big-endian bytes.  Keys
+of one width, the only ones compared, are equal exactly when the rows
+are and sort in code order, as np.lexsort sorts the rows.  row_keys keys
+a code matrix's rows at b = 2 for the verifier.  One kernel, count_parts,
+counts the distinct rows of a sequence of parts, each the runs of a
 table: one table (distinct_rows), the blocks of a fold (count_runs), or
 the passive runs and then each chunk's tampered runs (cheating
-detection).  It keys each run over w bits, 1 per variable, or 2 when a
-variable of the part has a BOT mask, and takes one of two paths:
-- 2**w at most the most runs of any part: one integer key per run,
-  counted by np.bincount into a running table of 2**w bins.  This is
-  linear in runs, with no sort, and the ascending bins are already in
-  code order.  A tall table projected to a few variables (a block of the
-  2^21-run Beaver deal to 12) takes this path.
-- otherwise each part's keys are sorted by np.unique and its distinct
-  keys kept: integers while w is at most 64 (2^19 random 40-bit keys
-  take 0.023 s as uint64 against 0.23 s as bytes on a 2-core x86
-  machine), else pack_keys' bytes, for any number of variables.
-The parts' distinct keys merge exactly by a sort, whenever later parts'
-outnumber the first's and at the end, and where parts keyed at 1 bit and
-at 2 bits both occur, the 1-bit distinct rows are re-keyed at 2 bits.
-pack_keys is the one byte-key format: b bits per column, first column
-most significant, in big-endian bytes, so byte order is code order, as
-integer order is for the integer keys; every path unpacks the codes from
-the bytes of the distinct keys, and row_keys applies pack_keys to a code
-matrix for the verifier's comparisons.
+detection).  A part is keyed at b = 1, or 2 when a variable of it has a
+BOT mask.  Where 2**w is at most the most runs of any part, np.bincount
+counts its keys into a running table of 2**w bins, with no sort, already
+in code order (a block of the 2^21-run Beaver deal projected to 12
+variables); otherwise np.unique sorts them and its distinct keys are
+kept.  The parts' distinct keys merge exactly by a sort, whenever later
+parts' outnumber the first's and at the end, and where parts keyed at 1
+bit and at 2 bits both occur, the 1-bit distinct rows are re-keyed at 2
+bits.  Every path unpacks the codes from the distinct keys (_unpack).
 """
 
 import functools
@@ -506,8 +503,8 @@ def _deal_key(preproc):
 def _program(protocol: Protocol, preproc, family, part) -> _Program:
     """_compile(protocol, preproc, family, part), kept with the protocol:
     per deal (_deal_key) when passive, so equal deals compile once in any
-    command, and for its last family, so the family's chunks compile it
-    once."""
+    command, and for its last family, by value, so the family's chunks and
+    a later command's equal family compile it once."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     memo = protocol._memo
@@ -516,16 +513,12 @@ def _program(protocol: Protocol, preproc, family, part) -> _Program:
         if key not in memo:
             memo[key] = _compile(protocol, preproc)
         return memo[key]
-    # (deal, family options, (positions, aborts, corrupt clients), program):
-    # holding the objects keeps their identity from passing to another
-    # object, so identity is a sound key
-    rest = family.positions, family.aborts, None if part is None else part.corrupt
-    last = memo.get("last family")
-    if last is None or last[0] is not preproc or last[1] is not family.options \
-            or last[2] != rest:
-        last = memo["last family"] = (preproc, family.options, rest,
-                                      _compile(protocol, preproc, family, part))
-    return last[3]
+    key = (_deal_key(preproc), family.positions, family.options, family.aborts,
+           None if part is None else part.corrupt)
+    last = memo.get("family")
+    if last is None or last[0] != key:
+        last = memo["family"] = key, _compile(protocol, preproc, family, part)
+    return last[1]
 
 
 class Family(NamedTuple):
@@ -682,9 +675,9 @@ def _code(table: RunTable, v, rows=None) -> "np.ndarray":
 
 
 def pack_keys(columns, bits: int, n: int) -> "np.ndarray":
-    """One void key per run from an iterable of n-long uint8 code columns:
-    bits bits per column, first column most significant, in big-endian
-    bytes (one zero byte with no column).  Keys of one shape are equal
+    """One void key per run from an iterable of n-long uint8 code columns,
+    _column_keys' keys past 64 bits: bits bits per column, first column
+    most significant, in big-endian bytes.  Keys of one shape are equal
     exactly when the code rows are, and sort in code order.  The columns
     are read one at a time, so an iterator of them is never all held."""
     per = 8 // bits
@@ -694,20 +687,14 @@ def pack_keys(columns, bits: int, n: int) -> "np.ndarray":
         if not at:
             planes.append(np.zeros(n, dtype=np.uint8))
         planes[byte] |= code << np.uint8(8 - bits * (at + 1))
-    packed = np.stack(planes, axis=1) if planes else np.zeros((n, 1), dtype=np.uint8)
+    packed = np.stack(planes, axis=1)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 def row_keys(values, bits: int = 2) -> "np.ndarray":
-    """pack_keys of the columns of a code matrix, bits bits per column,
-    made row by row by np.packbits."""
+    """_column_keys of the columns of a code matrix, bits bits per column."""
     n, ncols = values.shape
-    if not ncols:
-        return pack_keys((), bits, n)
-    planes = values if bits == 1 else \
-        np.stack([values >> 1, values & 1], axis=2).reshape(n, 2 * ncols)
-    packed = np.packbits(planes, axis=1)
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return _column_keys(values.T, bits, ncols, n)
 
 
 def _column_keys(columns, bits: int, ncols: int, n: int, out=None) -> "np.ndarray":

@@ -455,8 +455,7 @@ def _first_unexplained(table, agree, known) -> Optional[int]:
 
     adv, _, first = engine.distinct_rows(table, agree)
     defined = adv != engine.BOT_CODE
-    patterns, group = np.unique(engine.row_keys(defined.view(np.uint8)),
-                                return_inverse=True)
+    patterns, group = np.unique(engine.row_keys(defined), return_inverse=True)
     unexplained = []
     for g in range(len(patterns)):
         rows = np.flatnonzero(group == g)
@@ -549,6 +548,7 @@ def _conditionals(codes, counts, ncond: int, ids: dict):
     starts = np.flatnonzero(np.r_[True, cond[1:] != cond[:-1]])
     ends = np.r_[starts[1:], len(cond)]
     reduced = (counts // np.gcd.reduceat(counts, starts).repeat(ends - starts)).tolist()
+    # ids are compared only within a pattern: integer keys of two widths can coincide
     responses = engine.row_keys(codes[:, ncond:]).tolist()
     sig = [ids.setdefault(tuple(zip(responses[lo:hi], reduced[lo:hi])), len(ids))
            for lo, hi in zip(starts.tolist(), ends.tolist())]

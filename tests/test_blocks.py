@@ -10,11 +10,14 @@ The compiled fold's value numbering and buffer reuse are checked here
 too, on small protocols against the interpreter as well.
 """
 
+import ast
 import contextlib
 import io
 import itertools
 import os
+import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -246,18 +249,50 @@ def test_columns_equal_memories():
 
 
 def test_matrix_keys_equal_column_keys():
-    """The verifier keys code rows row by row (np.packbits), the counts
-    column by column: both must give pack_keys' bytes, and the column
-    keys unpack to their rows, as the re-key of 1-bit rows at 2 bits
-    reads them, or the merged rows would leave code order."""
+    """Every code row is keyed by _column_keys: a matrix's row_keys are the
+    keys of its columns, integers up to 64 bits and pack_keys' bytes past
+    them, which unpack to its rows, as the re-key of 1-bit rows at 2 bits
+    reads them, and sort as np.lexsort sorts its rows, as the merge and
+    the verifier's np.searchsorted need."""
     rng = np.random.default_rng(3)
-    for ncols in (0, 1, 3, 7, 8, 9, 31, 32, 33, 40, 70):
+    for ncols in range(71):
         for bits in (1, 2):
             codes = rng.integers(0, 2 ** bits - (bits == 2), (50, ncols)).astype(np.uint8)
-            assert np.array_equal(engine.row_keys(codes, bits),
-                                  engine.pack_keys(codes.T, bits, 50))
-            columns = engine._column_keys(codes.T, bits, ncols, 50)
-            assert np.array_equal(engine._unpack(columns, bits, ncols), codes), (ncols, bits)
+            codes[rng.random(50) < 0.3] = codes[0]  # repeated rows
+            keys = engine._column_keys(codes.T, bits, ncols, 50)
+            assert np.array_equal(engine.row_keys(codes, bits), keys)
+            assert (keys.dtype.kind == "V") == (bits * ncols > 64), (ncols, bits)
+            if bits * ncols > 64:
+                assert np.array_equal(keys, engine.pack_keys(codes.T, bits, 50))
+            assert np.array_equal(engine._unpack(keys, bits, ncols), codes), (ncols, bits)
+            order = np.argsort(keys, kind="stable")
+            want = np.lexsort(codes.T[::-1]) if ncols else np.arange(50)
+            assert np.array_equal(order, want), (ncols, bits)
+
+
+def test_one_key_builder_in_source():
+    """No second builder of code-row keys comes back: np.packbits appears
+    nowhere in the package, and a void key is built only by
+    engine.pack_keys and by Pmf._groups for codes past a byte."""
+    def uses(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
+            elif isinstance(node, ast.If) and any(child is s for s in node.orelse):
+                inner = (*scope, f"else {ast.unparse(node.test)}")
+            name = child.attr if isinstance(child, ast.Attribute) else \
+                child.value if isinstance(child, ast.Constant) else None
+            if name in ("packbits", "void") or isinstance(name, str) \
+                    and re.fullmatch(r"[|<>=]?V[0-9]+", name):
+                yield module, inner, name
+            yield from uses(module, child, inner)
+
+    package = pathlib.Path(engine.__file__).parent
+    found = {use for path in sorted(package.glob("*.py"))
+             for use in uses(path.stem, ast.parse(path.read_text()), ())}
+    assert found <= {("engine", ("pack_keys",), "void"),
+                     ("dist", ("Pmf", "_groups", "else self.modulus < 256"), "void")}, found
 
 
 def copied(table):

@@ -403,6 +403,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ("verify", "otp", "--property", "nimo", "--all-partitions", "--max-corrupt", "-1"),
         ("verify", "otp", "--property", "integrity", "--corrupt", "1", "--positions", "0,0"),
         ("verify", "otp", "--property", "integrity", "--corrupt", "1", "--budget", "-3"),
+        # no corrupt client, a repeated one and the whole federation: as all_partitions
+        ("verify", "otp", "--property", "nimo", "--corrupt", ","),
+        ("verify", "otp", "--property", "nimo", "--corrupt", "2,2"),
+        ("verify", "otp", "--property", "nimo", "--corrupt", "1,2"),
+        ("verify", "otp", "--property", "integrity", "--corrupt", "2,1"),
         ("pmf", "otp", "--marginal", "m[z]@"),
         ("pmf", "otp", "--marginal", "out@x"),
         ("pmf", "otp", "--marginal", "s[x"),
@@ -423,6 +428,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for argv, want in zip(cases[6:10], ("max corrupt 0 is below 1", "max corrupt -1 is below 1",
                                          "positions [0, 0] repeat", "negative strategy budget")):
         assert want in run_cli(capsys, *argv)[2], argv
+    for argv in cases[10:14]:
+        assert "is not a nonempty strict subset" in run_cli(capsys, *argv)[2], argv
     # a malformed variable is named as such, not as a bad value
     rc, _, err = run_cli(capsys, "run", "otp", "--inputs", "s[x]@=1")
     assert err == "error: cannot parse variable 's[x]@'\n"

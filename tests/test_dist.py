@@ -822,12 +822,13 @@ def byte_key_groups(counts, vars_) -> tuple:
 
 
 def test_groups_integer_keys_sort_as_byte_keys():
-    """Where the codes pack into 64 bits, _groups keys rows by integers;
-    its groups, their order and their first rows are the byte keys'."""
+    """Below modulus 256, _groups keys rows by engine._column_keys, as
+    integers up to 64 bits and as pack_keys' bytes past them; its groups,
+    their order and their first rows are the byte keys'."""
     rng = np.random.default_rng(7)
     for modulus, ncols, dtype in ((2, 5, np.uint8), (2, 32, np.uint8), (2, 33, np.uint8),
-                                  (3, 12, np.int64), (5, 21, np.int64), (251, 8, np.int64),
-                                  (263, 3, np.int64)):
+                                  (3, 12, np.int64), (5, 21, np.int64), (5, 22, np.int64),
+                                  (251, 8, np.int64), (251, 9, np.int64), (263, 3, np.int64)):
         domain = tuple(Var("m", f"v{j}", 1) for j in range(ncols))
         for nrows in (1, 2, 9, 300):
             codes = rng.integers(0, modulus + 1, (nrows, ncols)).astype(dtype)

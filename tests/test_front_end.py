@@ -2,10 +2,12 @@
 
 stdlib.protocol_of loads each distinct source text once a process, and a
 protocol keeps what is derived from it alone: its violations, its passive
-programs (one per deal as _compile reads it) and their plans.  A rewritten
-file must still give its new verdict, deals must share a program only when
-_compile would build the same one, and a repeated command must fold as
-often as the first: no verdict or count is kept.
+programs (one per deal as _compile reads it) and their plans, and the
+program of its last family.  A rewritten file must still give its new
+verdict, deals and families must share a program only when _compile would
+build the same one, and a repeated command must fold as often as the
+first: no verdict or count is kept.  An explicit deal builds its columns
+once.
 """
 
 import contextlib
@@ -14,9 +16,10 @@ import io
 
 from overture import cli, engine, stdlib
 from overture.dist import ExplicitPreprocessing, UniformPreprocessing
-from overture.lang import parse_var
+from overture.lang import Const, Not, Partition, parse_var
 from overture.ovt import parse_protocol
 from overture.stdlib import protocols_dir
+from overture.verifier import enumerate_adversaries
 from test_blocks import assert_same_rows, interpreter_counts
 
 PROTOCOL = ("m[z]@2 := s[x] xor r[k] @ 1;\n"
@@ -138,3 +141,47 @@ def test_programs_of_explicit_deals_are_freed_with_them():
     gc.collect()
     held = [v for v in protocol._memo.values() if isinstance(v, engine._Program)]
     assert len(held) <= 4
+
+
+def test_equal_families_share_one_program(monkeypatch):
+    """A family's program is kept by value: a second command on an equal
+    family compiles no family program, and a family that differs in one
+    option compiles anew and counts its own runs."""
+    stdlib.protocol_of.cache_clear()
+    families = []
+    counting(monkeypatch, "_compile", lambda p, deal, *rest: families.extend(rest[:1]))
+    argv = ("gmw-and-xor", "--property", "cheating-detection", "--corrupt", "2")
+    first = verify(*argv)
+    assert len(families) == 1
+    assert verify(*argv) == first and len(families) == 1
+    protocol = stdlib.load_package("gmw-and-xor")[0]
+    deal, part = UniformPreprocessing(protocol.secrets()), Partition.of(protocol.federation, [2])
+    vars_ = protocol.output_vars()
+    family = engine.family_of(enumerate_adversaries(protocol, part))
+    assert family.options[0][:2] == (Const(0), Const(1))
+    counts = engine.count_runs(protocol, deal, vars_, family, part)
+    assert len(families) == 1
+    # Const(0) written as not 1: the same runs from a program compiled anew
+    options = ((Not(Const(1)), *family.options[0][1:]), *family.options[1:])
+    renamed = family._replace(options=options)
+    assert_same_rows(counts, engine.count_runs(protocol, deal, vars_, renamed, part))
+    assert len(families) == 2 and families[1] is renamed
+
+
+def test_explicit_deal_columns_built_once(monkeypatch):
+    """A count over several blocks of an explicit deal reads its memories
+    once, and still counts the interpreter's runs."""
+    protocol = parse_protocol(PROTOCOL)
+    x, y = parse_var("s[x]@1"), parse_var("s[y]@2")
+    deal = ExplicitPreprocessing([x, y], [{x: i & 1, y: i >> 1 & 1} for i in range(7)])
+    reads = []
+    memories = deal.memories
+    monkeypatch.setattr(deal, "memories", lambda: reads.append(1) or memories())
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 4)
+    vars_ = (x, y, *protocol.assigned())
+    counted = [engine.count_runs(protocol, deal, vars_) for _ in range(2)]
+    assert len(reads) == 1
+    assert_same_rows(*counted)
+    codes, counts, _ = counted[0]
+    assert dict(zip(map(tuple, codes.tolist()), counts.tolist())) == \
+        interpreter_counts(protocol, deal, vars_)
