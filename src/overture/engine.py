@@ -12,7 +12,7 @@ runs, so distributions built here iterate like those built by the
 interpreter; no key tuple is built.
 
 fold runs a program compiled once per protocol and deal (_compile, kept
-by _program with the protocol, by value, per deal and for its last family):
+by _program with the protocol, by value, per deal and per family):
 straight-line code over integer slots, each slot a column.  The coin
 flips are bits of the row index.  A deal that describes itself
 (dist.Preprocessing.description) compiles into the program: its free
@@ -124,7 +124,7 @@ import numpy as np
 from .errors import BudgetError, EvalError, UsageError
 from .interp import AdversaryStrategy, _check_replacement_visibility
 from .lang import (
-    AssertCmd, BinOp, BOT, Cmp, Const, Not, OT, OT4, PAnd, PNot, POr,
+    ARITY, AssertCmd, BinOp, BOT, Cmp, Const, Not, OT, OT4, PAnd, PNot, POr,
     Partition, Protocol, REVEAL, Ref, Var, assigned_var, computing_client, postorder,
 )
 
@@ -198,7 +198,6 @@ def _read_columns(protocol: Protocol, preproc, lo: int, hi: int) -> dict:
 
 _BINOPS = {"+": np.bitwise_xor, "-": np.bitwise_xor, "xor": np.bitwise_xor,
            "*": np.bitwise_and, "and": np.bitwise_and, "or": np.bitwise_or}
-_ARITY = {BinOp: 2, Cmp: 2, PAnd: 2, POr: 2, Not: 1, PNot: 1, OT: 3, OT4: 6}
 
 
 def _filled(n: int, value, out=None, dtype=np.uint8) -> "np.ndarray":
@@ -301,8 +300,8 @@ def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
                     raise EvalError(f"constant {node.value} out of range for F_2")
                 stack.append(node.value)
                 continue
-            args = stack[-_ARITY[kind]:]
-            del stack[-_ARITY[kind]:]
+            args = stack[-ARITY[kind]:]
+            del stack[-ARITY[kind]:]
             if kind is BinOp and node.op not in _BINOPS:
                 raise EvalError(f"unknown operator {node.op}")
             if kind is BinOp or kind is POr or kind is PAnd:
@@ -501,10 +500,10 @@ def _deal_key(preproc):
 
 
 def _program(protocol: Protocol, preproc, family, part) -> _Program:
-    """_compile(protocol, preproc, family, part), kept with the protocol:
-    per deal (_deal_key) when passive, so equal deals compile once in any
-    command, and for its last family, by value, so the family's chunks and
-    a later command's equal family compile it once."""
+    """_compile(protocol, preproc, family, part), kept with the protocol by
+    value: per deal (_deal_key) when passive, and per deal, family and
+    corrupt clients otherwise, so equal deals and families compile once in
+    any command."""
     if protocol.modulus != 2:
         raise UsageError("the vectorized engine requires F_2")
     memo = protocol._memo
@@ -515,10 +514,9 @@ def _program(protocol: Protocol, preproc, family, part) -> _Program:
         return memo[key]
     key = (_deal_key(preproc), family.positions, family.options, family.aborts,
            None if part is None else part.corrupt)
-    last = memo.get("family")
-    if last is None or last[0] != key:
-        last = memo["family"] = key, _compile(protocol, preproc, family, part)
-    return last[1]
+    if key not in memo:
+        memo[key] = _compile(protocol, preproc, family, part)
+    return memo[key]
 
 
 class Family(NamedTuple):

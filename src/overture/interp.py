@@ -20,12 +20,10 @@ from functools import cached_property, reduce
 
 from .errors import EvalError, UsageError
 from .lang import (
-    BOT, AssertCmd, BinOp, Cmp, Const, Not, OT, OT4, PAnd, PNot, POr, Partition,
-    Protocol, Ref, Var, assigned_var, computing_client, expr_vars, postorder, REVEAL,
+    ARITY, BOT, PREDS, AssertCmd, BinOp, Cmp, Const, Not, OT, OT4, PAnd, PNot, POr,
+    Partition, Protocol, Ref, Var, assigned_var, computing_client, expr_vars, postorder, REVEAL,
 )
 
-_ARITY = {Const: 0, Ref: 0, BinOp: 2, Cmp: 2, PAnd: 2, POr: 2, Not: 1, PNot: 1, OT: 3, OT4: 6}
-_PREDS = (Cmp, PAnd, POr, PNot)
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "and": operator.and_, "or": operator.or_, "xor": operator.xor}
 _OT4_ROW = {(1, 1): 0, (1, 0): 1, (0, 1): 2, (0, 0): 3}
@@ -57,7 +55,7 @@ def _apply(op: str, fs: list, p: int):
 
 def _close(node, f, pred: bool, p: int):
     """A lowered operand's closure: an open chain closes, a misplaced node raises."""
-    if (type(node) in _PREDS) != pred:
+    if (type(node) in PREDS) != pred:
         return _fail(f"not {'a predicate' if pred else 'an expression'}: {node!r}")
     return _apply(node.op, list(f), p) if type(f) is deque else f
 
@@ -78,8 +76,8 @@ def _lower(root, client: int, p: int, pred: bool = False, known=None):
     stack = []  # (node, closure) per operand not yet taken; a deque is an open chain
     for n, c in postorder(root, client):
         t = type(n)
-        args = stack[len(stack) - _ARITY[t]:]
-        del stack[len(stack) - _ARITY[t]:]
+        args = stack[len(stack) - ARITY[t]:]
+        del stack[len(stack) - ARITY[t]:]
         if t is BinOp and n.op in chains:  # an operand chain of the same op splices in
             a, b = (f if type(x) is BinOp and x.op == n.op and (n.op != "-" or not j)
                     else deque([_close(x, f, False, p)]) for j, (x, f) in enumerate(args))
@@ -90,7 +88,7 @@ def _lower(root, client: int, p: int, pred: bool = False, known=None):
                 a = b
             stack.append((n, a))
             continue
-        fs = [_close(*x, t in _PREDS and t is not Cmp, p) for x in args]
+        fs = [_close(*x, t in PREDS and t is not Cmp, p) for x in args]
         if t is Const:
             f = (lambda m, v=n.value: v) if 0 <= n.value < p else \
                 _fail(f"constant {n.value} out of range for F_{p}")

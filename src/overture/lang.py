@@ -189,7 +189,8 @@ class PNot:
     operand: "Pred"
 
 
-Pred = Union[Cmp, PAnd, POr, PNot]
+PREDS = (Cmp, PAnd, POr, PNot)
+Pred = Union[PREDS]
 
 
 # --- Commands --------------------------------------------------------------
@@ -252,6 +253,8 @@ def computing_client(cmd: Command) -> int:
     return cmd.client
 
 
+# The number of operands of each node type, as operands() gives them.
+ARITY = {Const: 0, Ref: 0, BinOp: 2, Cmp: 2, PAnd: 2, POr: 2, Not: 1, PNot: 1, OT: 3, OT4: 6}
 _OPERANDS = {
     Const: lambda node, client: (),
     Ref: lambda node, client: (),

@@ -1,4 +1,17 @@
-"""Shared tokenizer for the protocol and metaprogram syntaxes."""
+"""The grammar that the protocol (.ovt) and metaprogram (.pre) syntaxes share.
+
+tokenize splits either text (each passes its own punctuation; .pre has
+strings).  binary parses a chain of binary operators, loosest first
+or < xor + - < and * < ++ (.pre only) as BINARY ranks them, each level
+associating to the left.  predicate parses comparisons EXPR == EXPR and
+EXPR != EXPR under not, and, or (loosest) and parentheses.  A
+comparison's operands bind greedily: 'x == y and z' compares x with
+'y and z'.  A 'not' or '(' is first read as the start of a predicate;
+where that fails, the parser backs up and reads a comparison from there,
+so 'not (x xor y) == 0' negates '(x xor y) == 0' and '(not x) == y'
+compares 'not x'.  Each syntax passes its own operands and nodes, and
+keeps its atoms, its unary 'not' on expressions and its commands.
+"""
 
 import functools
 import re
@@ -102,3 +115,64 @@ class TokenStream:
     def error(self, msg) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
+
+
+# Binary operators by how tightly they bind; each level associates to the left.
+BINARY = {"or": 1, "xor": 2, "+": 2, "-": 2, "and": 3, "*": 3, "++": 4}
+
+
+def binary(ts, operand, make):
+    """The chain of BINARY operators over operand(ts) that starts at ts,
+    each node make(op, left, right).  Pending operators wait on a stack,
+    so a chain of any length parses without recursion."""
+    values, ops = [operand(ts)], []  # ops: the pending operators' tokens
+    while True:
+        t = ts.peek()
+        level = 0 if t.kind == "string" else BINARY.get(t.value, 0)
+        while ops and BINARY[ops[-1].value] >= level:
+            right = values.pop()
+            values[-1] = make(ops.pop().value, values[-1], right)
+        if not level:
+            return values[0]
+        ops.append(ts.next())
+        values.append(operand(ts))
+
+
+def predicate(ts, expr, cmp, pand, por, pnot):
+    """The predicate that starts at ts: comparisons cmp(op, left, right)
+    of expr(ts) operands, under pand, por and pnot."""
+    nodes = expr, cmp, pand, por, pnot
+    e = None
+    while True:
+        term = _negation(ts, nodes)
+        while ts.at_word("and"):
+            ts.next()
+            term = pand(term, _negation(ts, nodes))
+        e = term if e is None else por(e, term)
+        if not ts.at_word("or"):
+            return e
+        ts.next()
+
+
+def _negation(ts, nodes):
+    """not PRED or (PRED), else a comparison; where either fails, the
+    comparison is read from the same token."""
+    expr, cmp, _, _, pnot = nodes
+    save = ts.save()
+    try:
+        if ts.at_word("not"):
+            ts.next()
+            return pnot(_negation(ts, nodes))
+        if ts.at_punct("("):
+            ts.next()
+            inner = predicate(ts, *nodes)
+            ts.eat("punct", ")")
+            return inner
+    except ParseError:
+        ts.restore(save)
+    left = expr(ts)
+    t = ts.peek()
+    if ts.at_punct("==") or ts.at_punct("!="):
+        ts.next()
+        return cmp(t.value, left, expr(ts))
+    raise ts.error("expected == or != in predicate")

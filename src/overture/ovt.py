@@ -17,18 +17,22 @@ the sending client) is written
 
 Predicates are comparisons EXPR == EXPR / EXPR != EXPR combined with
 and/or/not; comparison operands bind greedily, so combined comparisons
-should be parenthesized individually.  '#' starts a comment.
+should be parenthesized individually.  '#' starts a comment.  The
+tokenizer, the operator precedence and the predicate grammar are lex's,
+shared with the .pre syntax; this module adds the atoms and commands.
+
+The printer wraps an operand in parentheses only where it binds looser
+than its place needs (lex.BINARY).
 """
 
 from .errors import ParseError, UsageError
 from .lang import (
-    AssertCmd, BinOp, Cmp, Const, MesgSend, Not, OT, OT4, OutputCmd, PAnd,
+    PREDS, AssertCmd, BinOp, Cmp, Const, MesgSend, Not, OT, OT4, OutputCmd, PAnd,
     PNot, POr, Protocol, Ref, RevealCmd,
 )
-from .lex import TokenStream, tokenize
+from .lex import BINARY, TokenStream, binary, predicate, tokenize
 
 _PUNCTS = (":=", "==", "!=", "(", ")", "[", "]", "@", ";", ",", "+", "-", "*")
-_KEYWORDS = {"and", "or", "xor", "not", "true", "false", "out", "assert", "OT", "OT4"}
 
 
 def parse_protocol(src: str, modulus: int = 2, federation=None) -> Protocol:
@@ -52,92 +56,40 @@ def _int(ts) -> int:
 
 
 def _command(ts):
-    t = ts.peek()
-    if ts.at_word("assert"):
-        ts.next()
+    t = ts.next()
+    if t.kind == "ident" and t.value == "assert":
         ts.eat("punct", "(")
-        pred = _pred(ts)
+        pred = predicate(ts, _expr, Cmp, PAnd, POr, PNot)
         ts.eat("punct", ")")
         ts.eat("punct", "@")
         client = _int(ts)
         ts.eat("punct", ";")
         return AssertCmd(pred, client)
-    if ts.at_word("out"):
-        ts.next()
-        ts.eat("punct", "@")
-        client = _int(ts)
-        ts.eat("punct", ":=")
-        expr = _expr(ts)
-        ts.eat("punct", "@")
-        src = _int(ts)
-        ts.eat("punct", ";")
-        if src != client:
-            raise ParseError(f"output for client {client} computed at {src}", t.line, t.col)
-        return OutputCmd(client, expr)
-    if ts.at_word("m"):
-        ts.next()
+    if t.kind != "ident" or t.value not in ("m", "p", "out"):
+        raise ParseError(f"expected a command, found {t.value or t.kind!r}", t.line, t.col)
+    if t.value != "out":
         ts.eat("punct", "[")
         name = _name(ts)
         ts.eat("punct", "]")
+    if t.value != "p":
         ts.eat("punct", "@")
-        dest = _int(ts)
-        ts.eat("punct", ":=")
-        expr = _expr(ts)
-        ts.eat("punct", "@")
-        src = _int(ts)
-        ts.eat("punct", ";")
+        dest = _int(ts)  # out's client
+    ts.eat("punct", ":=")
+    expr = _expr(ts)
+    ts.eat("punct", "@")
+    src = _int(ts)
+    ts.eat("punct", ";")
+    if t.value == "m":
         return MesgSend(name, dest, expr, src)
-    if ts.at_word("p"):
-        ts.next()
-        ts.eat("punct", "[")
-        name = _name(ts)
-        ts.eat("punct", "]")
-        ts.eat("punct", ":=")
-        expr = _expr(ts)
-        ts.eat("punct", "@")
-        src = _int(ts)
-        ts.eat("punct", ";")
+    if t.value == "p":
         return RevealCmd(name, expr, src)
-    raise ts.error(f"expected a command, found {t.value or t.kind!r}")
+    if src != dest:
+        raise ParseError(f"output for client {dest} computed at {src}", t.line, t.col)
+    return OutputCmd(dest, expr)
 
-
-# Expression precedence, loosest first: or | xor + - | and * | not | atoms.
 
 def _expr(ts):
-    e = _expr_xor(ts)
-    while ts.at_word("or"):
-        ts.next()
-        e = BinOp("or", e, _expr_xor(ts))
-    return e
-
-
-def _expr_xor(ts):
-    e = _expr_and(ts)
-    while True:
-        if ts.at_word("xor"):
-            ts.next()
-            e = BinOp("xor", e, _expr_and(ts))
-        elif ts.at_punct("+"):
-            ts.next()
-            e = BinOp("+", e, _expr_and(ts))
-        elif ts.at_punct("-"):
-            ts.next()
-            e = BinOp("-", e, _expr_and(ts))
-        else:
-            return e
-
-
-def _expr_and(ts):
-    e = _expr_unary(ts)
-    while True:
-        if ts.at_word("and"):
-            ts.next()
-            e = BinOp("and", e, _expr_unary(ts))
-        elif ts.at_punct("*"):
-            ts.next()
-            e = BinOp("*", e, _expr_unary(ts))
-        else:
-            return e
+    return binary(ts, _expr_unary, BinOp)
 
 
 def _expr_unary(ts):
@@ -152,12 +104,9 @@ def _expr_atom(ts):
     if t.kind == "int":
         ts.next()
         return Const(int(t.value))
-    if ts.at_word("true"):
+    if t.kind == "ident" and t.value in ("true", "false"):
         ts.next()
-        return Const(1)
-    if ts.at_word("false"):
-        ts.next()
-        return Const(0)
+        return Const(int(t.value == "true"))
     if ts.at_word("OT"):
         ts.next()
         ts.eat("punct", "(")
@@ -199,93 +148,63 @@ def _expr_atom(ts):
     raise ts.error(f"expected an expression, found {t.value or t.kind!r}")
 
 
-def _pred(ts):
-    e = _pred_and(ts)
-    while ts.at_word("or"):
-        ts.next()
-        e = POr(e, _pred_and(ts))
-    return e
-
-
-def _pred_and(ts):
-    e = _pred_unary(ts)
-    while ts.at_word("and"):
-        ts.next()
-        e = PAnd(e, _pred_unary(ts))
-    return e
-
-
-def _pred_unary(ts):
-    if ts.at_word("not"):
-        save = ts.save()
-        ts.next()
-        try:
-            return PNot(_pred_unary(ts))
-        except ParseError:
-            ts.restore(save)
-            return _cmp(ts)
-    return _pred_atom(ts)
-
-
-def _pred_atom(ts):
-    if ts.at_punct("("):
-        save = ts.save()
-        ts.next()
-        try:
-            inner = _pred(ts)
-            ts.eat("punct", ")")
-            return inner
-        except ParseError:
-            ts.restore(save)
-    return _cmp(ts)
-
-
-def _cmp(ts):
-    left = _expr(ts)
-    t = ts.peek()
-    if ts.at_punct("==") or ts.at_punct("!="):
-        ts.next()
-        return Cmp(t.value, left, _expr(ts))
-    raise ts.error("expected == or != in predicate")
-
-
 # --- Formatting -------------------------------------------------------------
 
-_LEVEL = {"or": 1, "xor": 2, "+": 2, "-": 2, "and": 3, "*": 3}
+_ATOM = 5  # an atom's binding level: tighter than any operator, never wrapped
 
 
-def format_expr(e, min_level: int = 0) -> str:
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Ref):
-        return f"{e.kind}[{e.name}]"
-    if isinstance(e, Not):
-        s = "not " + format_expr(e.operand, 4)
-        return f"({s})" if min_level > 3 else s
-    if isinstance(e, BinOp):
-        lvl = _LEVEL[e.op]
-        s = f"{format_expr(e.left, lvl)} {e.op} {format_expr(e.right, lvl + 1)}"
-        return f"({s})" if lvl < min_level else s
-    if isinstance(e, OT):
-        return (f"OT({format_expr(e.choice)} @ {e.receiver} ; "
-                f"{format_expr(e.if1)}, {format_expr(e.if0)})")
-    if isinstance(e, OT4):
-        rows = ", ".join(format_expr(r) for r in e.rows)
-        return (f"OT4({format_expr(e.c1)}, {format_expr(e.c2)} @ {e.receiver} ; {rows})")
-    raise UsageError(f"not an expression: {e!r}")
+def _infix(n, op, level, right, pred):
+    """n's level and text: n.left bare at level, op, n.right bare at right."""
+    return level, ((n.left, level, pred), f" {op} ", (n.right, right, pred))
 
 
-def format_pred(pred, under: bool = False) -> str:
-    if isinstance(pred, Cmp):
-        s = f"{format_expr(pred.left)} {pred.op} {format_expr(pred.right)}"
-        return f"({s})" if under else s
-    if isinstance(pred, PAnd):
-        return f"{format_pred(pred.left, True)} and {format_pred(pred.right, True)}"
-    if isinstance(pred, POr):
-        return f"{format_pred(pred.left, True)} or {format_pred(pred.right, True)}"
-    if isinstance(pred, PNot):
-        return f"not {format_pred(pred.operand, True)}"
-    raise UsageError(f"not a predicate: {pred!r}")
+# Per node type: its binding level and its text, strings around (operand,
+# the least binding level it is printed bare at, whether it is a
+# predicate).  A predicate connective binds like its expression operator
+# (or < and < not), and a comparison under one is always wrapped; a not
+# is wrapped as the right operand of and/*: x and (not y).
+_LAYOUTS = {
+    BinOp: lambda n: _infix(n, n.op, BINARY[n.op], BINARY[n.op] + 1, False),
+    Ref: lambda n: (_ATOM, (f"{n.kind}[{n.name}]",)),
+    Const: lambda n: (_ATOM, (str(n.value),)),
+    Not: lambda n: (3, ("not ", (n.operand, 4, False))),
+    OT: lambda n: (_ATOM, ("OT(", (n.choice, 0, False), f" @ {n.receiver} ; ",
+                           (n.if1, 0, False), ", ", (n.if0, 0, False), ")")),
+    OT4: lambda n: (_ATOM, ("OT4(", (n.c1, 0, False), ", ", (n.c2, 0, False),
+                            f" @ {n.receiver} ; ",
+                            *[x for row in n.rows for x in (", ", (row, 0, False))][1:], ")")),
+    Cmp: lambda n: _infix(n, n.op, 0, 0, False),
+    POr: lambda n: _infix(n, "or", 1, 1, True),
+    PAnd: lambda n: _infix(n, "and", 2, 2, True),
+    PNot: lambda n: (3, ("not ", (n.operand, 3, True))),
+}
+
+
+def _text(root, pred: bool) -> str:
+    """The text of an expression (pred false) or predicate, written out
+    from an explicit stack of what is left to print, so an operand chain
+    of any length prints without recursion and each piece is copied once."""
+    out, todo = [], [(root, 0, pred)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, need, pred = item
+        t = type(node)
+        if t not in _LAYOUTS or (t in PREDS) != pred:
+            raise UsageError(f"not {'a predicate' if pred else 'an expression'}: {node!r}")
+        level, layout = _LAYOUTS[t](node)
+        todo.extend((")", *reversed(layout), "(") if level < need else reversed(layout))
+    return "".join(out)
+
+
+def format_expr(e) -> str:
+    return _text(e, False)
+
+
+def format_pred(pred) -> str:
+    return _text(pred, True)
 
 
 def format_command(cmd) -> str:

@@ -32,18 +32,19 @@ Syntax summary:
     s[e] r[e] m[e] p[e]           storage references inside field expressions
     true false                    field constants 1 and 0
 
-Field operators follow the protocol syntax: or < xor + - < and * < ++ < not.
+Field operators and predicates are the protocol syntax's, parsed by lex
+(binary and predicate) with '++' added: or < xor + - < and * < ++ < not.
 """
 
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import MetaEvalError, ParseError, UsageError
+from .errors import MetaEvalError, UsageError
 from .lang import (
     BinOp, Cmp, Const, MesgSend, Not, OT4, OutputCmd, PAnd, PNot, POr,
     Protocol, Ref, RevealCmd, AssertCmd, FLIP, MESG, REVEAL, SECRET,
 )
-from .lex import TokenStream, tokenize
+from .lex import TokenStream, binary, predicate, tokenize
 
 STEP_LIMIT = 10 ** 6
 
@@ -792,7 +793,7 @@ def _try_command(ts):
     if ts.at_word("assert"):
         ts.next()
         ts.eat("punct", "(")
-        pred = _pred(ts)
+        pred = predicate(ts, _opexpr, FECmp, FPAnd, FPOr, FPNot)
         ts.eat("punct", ")")
         ts.eat("punct", "@")
         client = _opexpr(ts)
@@ -848,70 +849,12 @@ def _try_command(ts):
     return None
 
 
-def _pred(ts):
-    e = _pred_and(ts)
-    while ts.at_word("or"):
-        ts.next()
-        e = FPOr(e, _pred_and(ts))
-    return e
+def _binop(op, left, right):
+    return MConcat(left, right) if op == "++" else FEBin(op, left, right)
 
 
-def _pred_and(ts):
-    e = _pred_unary(ts)
-    while ts.at_word("and"):
-        ts.next()
-        e = FPAnd(e, _pred_unary(ts))
-    return e
-
-
-def _pred_unary(ts):
-    if ts.at_word("not"):
-        save = ts.save()
-        ts.next()
-        try:
-            return FPNot(_pred_unary(ts))
-        except ParseError:
-            ts.restore(save)
-            return _pred_cmp(ts)
-    return _pred_atom(ts)
-
-
-def _pred_atom(ts):
-    if ts.at_punct("("):
-        save = ts.save()
-        ts.next()
-        try:
-            inner = _pred(ts)
-            ts.eat("punct", ")")
-            return inner
-        except ParseError:
-            ts.restore(save)
-    return _pred_cmp(ts)
-
-
-def _pred_cmp(ts):
-    left = _opexpr(ts)
-    t = ts.peek()
-    if ts.at_punct("==") or ts.at_punct("!="):
-        ts.next()
-        return FECmp(t.value, left, _opexpr(ts))
-    raise ts.error("expected == or != in predicate")
-
-
-# Binary operators by how tightly they bind; each level associates to the left.
-_BINARY = {"or": 1, "xor": 2, "+": 2, "-": 2, "and": 3, "*": 3, "++": 4}
-
-
-def _opexpr(ts, level=1):
-    e = _level_unary(ts)
-    while True:
-        t = ts.peek()
-        op_level = _BINARY.get(t.value, 0)
-        if op_level < level or t.kind == "string":
-            return e
-        ts.next()
-        right = _opexpr(ts, op_level + 1)
-        e = MConcat(e, right) if t.value == "++" else FEBin(t.value, e, right)
+def _opexpr(ts):
+    return binary(ts, _level_unary, _binop)
 
 
 def _level_unary(ts):

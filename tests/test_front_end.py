@@ -2,8 +2,8 @@
 
 stdlib.protocol_of loads each distinct source text once a process, and a
 protocol keeps what is derived from it alone: its violations, its passive
-programs (one per deal as _compile reads it) and their plans, and the
-program of its last family.  A rewritten file must still give its new
+programs (one per deal as _compile reads it) and their plans, and one
+program per family.  A rewritten file must still give its new
 verdict, deals and families must share a program only when _compile would
 build the same one, and a repeated command must fold as often as the
 first: no verdict or count is kept.  An explicit deal builds its columns
@@ -145,8 +145,9 @@ def test_programs_of_explicit_deals_are_freed_with_them():
 
 def test_equal_families_share_one_program(monkeypatch):
     """A family's program is kept by value: a second command on an equal
-    family compiles no family program, and a family that differs in one
-    option compiles anew and counts its own runs."""
+    family compiles no family program, a family that differs in one option
+    compiles anew and counts its own runs, and neither is compiled again
+    when the two alternate."""
     stdlib.protocol_of.cache_clear()
     families = []
     counting(monkeypatch, "_compile", lambda p, deal, *rest: families.extend(rest[:1]))
@@ -166,6 +167,10 @@ def test_equal_families_share_one_program(monkeypatch):
     renamed = family._replace(options=options)
     assert_same_rows(counts, engine.count_runs(protocol, deal, vars_, renamed, part))
     assert len(families) == 2 and families[1] is renamed
+    # both stay kept: families A, B, A, B compile two programs in all
+    for again in (family, renamed):
+        assert_same_rows(counts, engine.count_runs(protocol, deal, vars_, again, part))
+    assert len(families) == 2
 
 
 def test_explicit_deal_columns_built_once(monkeypatch):

@@ -1,7 +1,11 @@
 """Concrete syntax: parsing, formatting, and their round trip."""
 
+import ast
+import pathlib
+
 import pytest
 
+from overture import lex
 from overture.errors import ParseError
 from overture.lang import BinOp, Const, MesgSend, Not, OT4, Ref
 from overture.ovt import format_expr, format_protocol, parse_protocol
@@ -137,3 +141,102 @@ def test_parse_error_cases():
     for src in bad:
         with pytest.raises(ParseError):
             parse_protocol(src)
+
+
+def test_long_chains_print_without_recursion():
+    """A 100,000-operand xor chain and a 2,000-deep and predicate, parsed
+    into left-deep trees, print as the text they were parsed from (texts
+    are compared: a dataclass == recurses)."""
+    chain = " xor ".join(f"s[x{i % 7}]" for i in range(100_000))
+    conj = " and ".join(f"(s[x{i % 7}] == {i % 2})" for i in range(2_000))
+    src = f"m[z]@2 := {chain} @ 1;\nassert({conj})@2;\n"
+    assert format_protocol(parse_protocol(src)) == src
+
+
+@pytest.mark.parametrize("src", [
+    "assert(((s[x] == 1) or (s[y] == 1)) and (s[w] == 0))@1;\n",
+    "assert(not ((s[x] == 1) and (s[y] == 1)))@1;\n",
+    "assert(not ((s[x] == 1) or (s[y] == 1)) or not not (s[w] != 0))@1;\n",
+    "assert((s[x] == 1) and (s[y] == 1) or (s[w] == 1))@1;\n",
+])
+def test_predicates_keep_needed_parens(src):
+    """An or under an and, and a connective under a not, keep their
+    parentheses; an and under an or, and a not under anything, need none."""
+    assert format_protocol(parse_protocol(src)) == src
+
+
+# The .pre form of a case binds each name that the case uses to its string,
+# so that s[x] is one text in both syntaxes; the blank first line of the
+# .ovt form keeps every error on the same line and column.
+PRE_NAMES = 'let x = "x" in let y = "y" in let w = "w" in let z = "z" in\n'
+
+
+@pytest.mark.parametrize("command, text", [
+    # precedence, and left association at each level
+    ("m[z]@2 := {} @ 1;", "s[x] xor s[y] and s[w] xor not s[x]"),
+    ("m[z]@2 := {} @ 1;", "s[x] or s[y] xor s[w] and s[x] or 1"),
+    ("m[z]@2 := {} @ 1;", "s[x] - s[y] - s[w] + s[x] * s[y] * s[w]"),
+    ("m[z]@2 := {} @ 1;", "(s[x] or s[y]) and (s[w] xor true) - false"),
+    # nested not
+    ("m[z]@2 := {} @ 1;", "not not s[x] and not (not s[y])"),
+    ("assert({})@1;", "not not (s[x] == 1)"),
+    ("assert({})@1;", "not (not (s[x] == 1) or (s[y] != 0)) and not s[w] == 0"),
+    # parenthesized predicates
+    ("assert({})@1;", "((s[x] == 1) or (s[y] == 1)) and ((s[w] == 0))"),
+    ("assert({})@1;", "(s[x] == 1) and (s[y] == 1) or (s[w] == 1) and (s[x] != s[y])"),
+    # a comparison's operands are whole expressions
+    ("assert({})@1;", "s[x] == s[y] and s[w] or 1"),
+    ("assert({})@1;", "s[x] xor s[y] != not s[w]"),
+    # not (...) that does not start a predicate is read as an expression
+    ("m[z]@2 := {} @ 1;", "not (s[x] xor s[y]) and s[w]"),
+    ("assert({})@1;", "not (s[x] xor s[y]) == 0"),
+    ("assert({})@1;", "(not (s[x]) xor s[y]) != 1"),
+    # malformed: the same error from both
+    ("assert({})@1;", "s[x] == s[y] and s[w] == 1"),
+    ("assert({})@1;", "(s[x] xor s[y]) == 0 and (s[w]) != 1"),
+    ("assert({})@1;", "s[x] == 1 or"),
+    ("assert({})@1;", "not"),
+    ("assert({})@1;", "s[x]"),
+    ("assert({})@1;", "(s[x] == 1"),
+    ("assert({})@1;", "s[x] and (s[y] == 1)"),
+    ("assert({})@1;", "not (s[x] == 1) xor (s[y] == 1)"),
+    ("m[z]@2 := {} @ 1;", "s[x] + * s[y]"),
+    ("m[z]@2 := {} @ 1;", "(s[x] xor)"),
+    ("m[z]@2 := {} @ 1;", "not not"),
+])
+def test_one_grammar_for_both_syntaxes(command, text):
+    """parse_protocol and expand build the same command from one operator
+    or predicate text, or raise the same ParseError for it."""
+    results = []
+    for build, head in ((parse_protocol, "\n"), (expand, PRE_NAMES)):
+        try:
+            results.append(build(head + command.format(text)).commands)
+        except ParseError as e:
+            results.append(str(e))
+    assert results[0] == results[1]
+
+
+def test_one_grammar_in_source():
+    """Operators and predicates are parsed only in lex.py: no other module
+    defines a precedence table (a dict of int levels keyed by "xor" and
+    "and", among others) or looks for an or/and/xor word itself."""
+    def grammar(node):
+        for child in ast.walk(node):
+            if isinstance(child, ast.Dict):
+                keys = {k.value for k in child.keys if isinstance(k, ast.Constant)}
+                if {"xor", "and"} <= keys and all(
+                        isinstance(v, ast.Constant) and type(v.value) is int
+                        for v in child.values):
+                    yield "precedence table", ast.unparse(child)
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "at_word" and child.args \
+                    and isinstance(child.args[0], ast.Constant) \
+                    and child.args[0].value in ("or", "and", "xor"):
+                yield "at_word", child.args[0].value
+
+    package = pathlib.Path(lex.__file__).parent
+    found = {(path.stem, *use) for path in sorted(package.glob("*.py"))
+             for use in grammar(ast.parse(path.read_text()))}
+    assert {module for module, *_ in found} == {"lex"}, found
+    assert ("lex", "at_word", "or") in found and ("lex", "at_word", "and") in found
+    assert any(kind == "precedence table" for _, kind, _ in found)
