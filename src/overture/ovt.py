@@ -162,7 +162,10 @@ def _infix(n, op, level, right, pred):
 # the least binding level it is printed bare at, whether it is a
 # predicate).  A predicate connective binds like its expression operator
 # (or < and < not), and a comparison under one is always wrapped; a not
-# is wrapped as the right operand of and/*: x and (not y).
+# is wrapped as the right operand of and/*: x and (not y).  A comparison's
+# left operand is marked None in place of False, and the mark passes to
+# whatever is printed first in it: a not that starts a comparison is
+# wrapped, as 'not x and y == 0' reads as not (x and y == 0).
 _LAYOUTS = {
     BinOp: lambda n: _infix(n, n.op, BINARY[n.op], BINARY[n.op] + 1, False),
     Ref: lambda n: (_ATOM, (f"{n.kind}[{n.name}]",)),
@@ -173,7 +176,7 @@ _LAYOUTS = {
     OT4: lambda n: (_ATOM, ("OT4(", (n.c1, 0, False), ", ", (n.c2, 0, False),
                             f" @ {n.receiver} ; ",
                             *[x for row in n.rows for x in (", ", (row, 0, False))][1:], ")")),
-    Cmp: lambda n: _infix(n, n.op, 0, 0, False),
+    Cmp: lambda n: (0, ((n.left, 0, None), f" {n.op} ", (n.right, 0, False))),
     POr: lambda n: _infix(n, "or", 1, 1, True),
     PAnd: lambda n: _infix(n, "and", 2, 2, True),
     PNot: lambda n: (3, ("not ", (n.operand, 3, True))),
@@ -192,9 +195,14 @@ def _text(root, pred: bool) -> str:
             continue
         node, need, pred = item
         t = type(node)
-        if t not in _LAYOUTS or (t in PREDS) != pred:
+        if t not in _LAYOUTS or (t in PREDS) != bool(pred):
             raise UsageError(f"not {'a predicate' if pred else 'an expression'}: {node!r}")
         level, layout = _LAYOUTS[t](node)
+        if pred is None:  # the node starts a comparison
+            if t is Not:
+                level = -1
+            elif level >= need and type(layout[0]) is tuple:
+                layout = ((*layout[0][:2], None), *layout[1:])
         todo.extend((")", *reversed(layout), "(") if level < need else reversed(layout))
     return "".join(out)
 

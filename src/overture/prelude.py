@@ -1,19 +1,25 @@
 """Metalanguage for generating protocols (.pre files).
 
 A metaprogram is a set of function declarations plus a main expression.
-Its semantics is small-step substitution, left to right and deterministic:
-_step performs one reduction and subst replaces a variable by a value.
-Whenever a command form has reduced all of its parts, the concrete command
-is appended to the residual protocol and the form reduces to unit.  Values
-are client numbers, strings, field expressions (message and flip handles are
-field expressions), unit, and records.
+Values are client numbers, strings, field expressions (message and flip
+handles are field expressions), predicates, unit, and records.  Any other
+term is a variable, a let, a call, a record, ';', or the one strict form,
+MForm, which every other construct is: projection, '++', storage
+references, field operators, OT4, comparisons, predicate connectives and
+the four commands.  A form evaluates its parts left to right, then makes
+one reduction, its rule; a command's rule appends the concrete command to
+the residual protocol and gives unit.
 
-eval_meta runs the same semantics with an environment from names to values
-instead of substituting (a CEK-style machine): it emits the same commands,
-raises the same errors and counts the same reductions against its step
-limit.  It never copies the program, and a frame copies its environment at
-most once, so a chain of n lets costs O(n); the reference, which rewrites
-the whole term at every step, costs O(n^2).  _step and subst stay as the
+The semantics is small-step substitution, left to right and deterministic:
+_step performs one reduction and subst replaces a variable by a value.
+eval_meta runs the same semantics as a CEK machine (Felleisen and Friedman,
+1986): an environment from names to values instead of substitution, and one
+stack of frames, each waiting for the values of a term's strict parts, in
+place of recursion.  It emits the same commands, raises the same errors and
+counts the same reductions against its step limit.  It never copies the
+program, and a frame copies its environment at most once, so a chain of n
+lets or operands costs O(n) at any depth; the reference, which rewrites the
+whole term at every step, costs O(n^2).  _step and subst stay as the
 reference the tests compare eval_meta with; nothing else calls them.
 
 Syntax summary:
@@ -87,6 +93,9 @@ class MPredVal:
     pred: object
 
 
+_LITERALS = frozenset((MInt, MStr, MUnit, MFieldVal, MPredVal))
+
+
 @dataclass(frozen=True)
 class MVar:
     name: str
@@ -111,100 +120,24 @@ class MRecord:
 
 
 @dataclass(frozen=True)
-class MProj:
-    record: object
-    field: str
-
-
-@dataclass(frozen=True)
-class MConcat:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class MSeq:
     first: object
     second: object
 
 
-@dataclass(frozen=True)
-class FERef:
-    kind: str
-    name: object
+@dataclass(unsafe_hash=True)
+class MForm:
+    """A strict form: once its parts are values, one reduction makes
+    rule(out, *static, *values), out being the residual command list.
+    static holds what the parser fixed: an operator, a reference kind,
+    a field name, or a predicate connective's constructor.  Nothing
+    assigns to a form; it is not frozen because the parser builds one per
+    operator, reference and command, and a frozen one takes about 2.5
+    times as long to build."""
 
-
-@dataclass(frozen=True)
-class FEBin:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FENot:
-    operand: object
-
-
-@dataclass(frozen=True)
-class FEOT4:
-    c1: object
-    c2: object
-    table: object
-    receiver: object
-    sender: object
-
-
-@dataclass(frozen=True)
-class FECmp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FPAnd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FPOr:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class FPNot:
-    operand: object
-
-
-@dataclass(frozen=True)
-class CSend:
-    name: object
-    dest: object
-    rhs: object
-    src: object  # None when the right side carries its own sender (OT4)
-
-
-@dataclass(frozen=True)
-class CReveal:
-    name: object
-    rhs: object
-    src: object
-
-
-@dataclass(frozen=True)
-class COut:
-    client: object
-    rhs: object
-    src: object
-
-
-@dataclass(frozen=True)
-class CAssert:
-    pred: object
-    client: object
+    rule: object
+    static: tuple
+    parts: tuple
 
 
 @dataclass(frozen=True)
@@ -215,7 +148,7 @@ class FunDecl:
 
 
 def is_value(e) -> bool:
-    if isinstance(e, (MInt, MStr, MUnit, MFieldVal, MPredVal)):
+    if type(e) in _LITERALS:
         return True
     if isinstance(e, MRecord):
         return all(is_value(v) for _, v in e.fields)
@@ -228,8 +161,10 @@ def subst(e, name: str, value):
     """Capture-free substitution of a closed value for a variable."""
     if isinstance(e, MVar):
         return value if e.name == name else e
-    if isinstance(e, (MInt, MStr, MUnit, MFieldVal, MPredVal)):
+    if type(e) in _LITERALS:
         return e
+    if isinstance(e, MForm):
+        return MForm(e.rule, e.static, tuple(subst(p, name, value) for p in e.parts))
     if isinstance(e, MLet):
         bound = subst(e.bound, name, value)
         body = e.body if e.name == name else subst(e.body, name, value)
@@ -238,42 +173,8 @@ def subst(e, name: str, value):
         return MCall(e.fname, tuple(subst(a, name, value) for a in e.args))
     if isinstance(e, MRecord):
         return MRecord(tuple((f, subst(v, name, value)) for f, v in e.fields))
-    if isinstance(e, MProj):
-        return MProj(subst(e.record, name, value), e.field)
-    if isinstance(e, MConcat):
-        return MConcat(subst(e.left, name, value), subst(e.right, name, value))
     if isinstance(e, MSeq):
         return MSeq(subst(e.first, name, value), subst(e.second, name, value))
-    if isinstance(e, FERef):
-        return FERef(e.kind, subst(e.name, name, value))
-    if isinstance(e, FEBin):
-        return FEBin(e.op, subst(e.left, name, value), subst(e.right, name, value))
-    if isinstance(e, FENot):
-        return FENot(subst(e.operand, name, value))
-    if isinstance(e, FEOT4):
-        return FEOT4(subst(e.c1, name, value), subst(e.c2, name, value),
-                     subst(e.table, name, value), subst(e.receiver, name, value),
-                     subst(e.sender, name, value))
-    if isinstance(e, FECmp):
-        return FECmp(e.op, subst(e.left, name, value), subst(e.right, name, value))
-    if isinstance(e, FPAnd):
-        return FPAnd(subst(e.left, name, value), subst(e.right, name, value))
-    if isinstance(e, FPOr):
-        return FPOr(subst(e.left, name, value), subst(e.right, name, value))
-    if isinstance(e, FPNot):
-        return FPNot(subst(e.operand, name, value))
-    if isinstance(e, CSend):
-        return CSend(subst(e.name, name, value), subst(e.dest, name, value),
-                     subst(e.rhs, name, value),
-                     None if e.src is None else subst(e.src, name, value))
-    if isinstance(e, CReveal):
-        return CReveal(subst(e.name, name, value), subst(e.rhs, name, value),
-                       subst(e.src, name, value))
-    if isinstance(e, COut):
-        return COut(subst(e.client, name, value), subst(e.rhs, name, value),
-                    subst(e.src, name, value))
-    if isinstance(e, CAssert):
-        return CAssert(subst(e.pred, name, value), subst(e.client, name, value))
     raise MetaEvalError(f"cannot substitute into {e!r}")
 
 
@@ -320,9 +221,10 @@ def _show(v) -> str:
 
 
 # --- Reductions ----------------------------------------------------------------------
-# What one reduction makes of a form whose parts are values.  The small-step
-# reference and the environment evaluator share these, so both emit the same
-# commands and raise the same errors.
+# What one reduction makes of a form whose parts are values: the rules of
+# MForm, each called as rule(out, *static, *values), and a call's
+# declaration.  The small-step reference and the machine share these, so
+# both emit the same commands and raise the same errors.
 
 def _decl(codebase: dict, fname: str, args):
     decl = codebase.get(fname)
@@ -334,7 +236,7 @@ def _decl(codebase: dict, fname: str, args):
     return decl
 
 
-def _project(record, field: str):
+def _project(out, field: str, record):
     if not isinstance(record, MRecord):
         raise MetaEvalError(f"projection .{field} of non-record {_show(record)}")
     for f, v in record.fields:
@@ -343,13 +245,25 @@ def _project(record, field: str):
     raise MetaEvalError(f"record has no field {field}")
 
 
-def _concat(left, right):
+def _concat(out, left, right):
     if isinstance(left, MStr) and isinstance(right, MStr):
         return MStr(left.value + right.value)
     raise MetaEvalError("++ requires two strings")
 
 
-def _ot4(c1, c2, table, receiver, sender):
+def _ref(out, kind, name):
+    return MFieldVal(Ref(kind, _as_name(name)))
+
+
+def _field_op(out, op, left, right):
+    return MFieldVal(BinOp(op, _as_field_expr(left), _as_field_expr(right)))
+
+
+def _field_not(out, operand):
+    return MFieldVal(Not(_as_field_expr(operand)))
+
+
+def _ot4(out, c1, c2, table, receiver, sender):
     c1, c2 = _as_field_expr(c1), _as_field_expr(c2)
     if not isinstance(table, MRecord):
         raise MetaEvalError("OT4 table must be a record")
@@ -363,20 +277,23 @@ def _ot4(c1, c2, table, receiver, sender):
     return MFieldVal(node, sender=sender)
 
 
-def _connective(e, left, right):
+def _cmp(out, op, left, right):
+    return MPredVal(Cmp(op, _as_field_expr(left), _as_field_expr(right)))
+
+
+def _connective(out, ctor, left, right):
     if not (isinstance(left, MPredVal) and isinstance(right, MPredVal)):
         raise MetaEvalError("predicate connective over non-predicates")
-    ctor = PAnd if isinstance(e, FPAnd) else POr
     return MPredVal(ctor(left.pred, right.pred))
 
 
-def _pred_not(operand):
+def _pred_not(out, operand):
     if not isinstance(operand, MPredVal):
         raise MetaEvalError("not over a non-predicate")
     return MPredVal(PNot(operand.pred))
 
 
-def _send(out, name, dest, rhs, src):
+def _send(out, name, dest, rhs, src=None):
     """src is None when the send names no computing client."""
     name = _as_name(name)
     dest = _as_client(dest)
@@ -428,6 +345,13 @@ def _step(e, cb, out):
         raise _Stuck("value cannot step")
     if isinstance(e, MVar):
         raise MetaEvalError(f"unbound variable {e.name}")
+    if isinstance(e, MForm):
+        parts = list(e.parts)
+        for i, part in enumerate(parts):
+            if not is_value(part):
+                parts[i] = _step(part, cb, out)
+                return MForm(e.rule, e.static, tuple(parts))
+        return e.rule(out, *e.static, *parts)
     if isinstance(e, MLet):
         if not is_value(e.bound):
             return MLet(e.name, _step(e.bound, cb, out), e.body)
@@ -450,107 +374,34 @@ def _step(e, cb, out):
                 fields[i] = (f, _step(v, cb, out))
                 return MRecord(tuple(fields))
         raise _Stuck("record of values")
-    if isinstance(e, MProj):
-        if not is_value(e.record):
-            return MProj(_step(e.record, cb, out), e.field)
-        return _project(e.record, e.field)
-    if isinstance(e, MConcat):
-        if not is_value(e.left):
-            return MConcat(_step(e.left, cb, out), e.right)
-        if not is_value(e.right):
-            return MConcat(e.left, _step(e.right, cb, out))
-        return _concat(e.left, e.right)
     if isinstance(e, MSeq):
         if not is_value(e.first):
             return MSeq(_step(e.first, cb, out), e.second)
         return e.second
-    if isinstance(e, FERef):
-        if not is_value(e.name):
-            return FERef(e.kind, _step(e.name, cb, out))
-        return MFieldVal(Ref(e.kind, _as_name(e.name)))
-    if isinstance(e, FEBin):
-        if not is_value(e.left):
-            return FEBin(e.op, _step(e.left, cb, out), e.right)
-        if not is_value(e.right):
-            return FEBin(e.op, e.left, _step(e.right, cb, out))
-        return MFieldVal(BinOp(e.op, _as_field_expr(e.left), _as_field_expr(e.right)))
-    if isinstance(e, FENot):
-        if not is_value(e.operand):
-            return FENot(_step(e.operand, cb, out))
-        return MFieldVal(Not(_as_field_expr(e.operand)))
-    if isinstance(e, FEOT4):
-        parts = [e.c1, e.c2, e.table, e.receiver, e.sender]
-        for i, part in enumerate(parts):
-            if not is_value(part):
-                parts[i] = _step(part, cb, out)
-                return FEOT4(*parts)
-        return _ot4(*parts)
-    if isinstance(e, FECmp):
-        if not is_value(e.left):
-            return FECmp(e.op, _step(e.left, cb, out), e.right)
-        if not is_value(e.right):
-            return FECmp(e.op, e.left, _step(e.right, cb, out))
-        return MPredVal(Cmp(e.op, _as_field_expr(e.left), _as_field_expr(e.right)))
-    if isinstance(e, (FPAnd, FPOr)):
-        rebuild = FPAnd if isinstance(e, FPAnd) else FPOr
-        if not is_value(e.left):
-            return rebuild(_step(e.left, cb, out), e.right)
-        if not is_value(e.right):
-            return rebuild(e.left, _step(e.right, cb, out))
-        return _connective(e, e.left, e.right)
-    if isinstance(e, FPNot):
-        if not is_value(e.operand):
-            return FPNot(_step(e.operand, cb, out))
-        return _pred_not(e.operand)
-    if isinstance(e, CSend):
-        parts = [e.name, e.dest, e.rhs] + ([] if e.src is None else [e.src])
-        for i, part in enumerate(parts):
-            if not is_value(part):
-                parts[i] = _step(part, cb, out)
-                if e.src is None:
-                    return CSend(parts[0], parts[1], parts[2], None)
-                return CSend(parts[0], parts[1], parts[2], parts[3])
-        return _send(out, e.name, e.dest, e.rhs, e.src)
-    if isinstance(e, CReveal):
-        parts = [e.name, e.rhs, e.src]
-        for i, part in enumerate(parts):
-            if not is_value(part):
-                parts[i] = _step(part, cb, out)
-                return CReveal(*parts)
-        return _reveal(out, *parts)
-    if isinstance(e, COut):
-        parts = [e.client, e.rhs, e.src]
-        for i, part in enumerate(parts):
-            if not is_value(part):
-                parts[i] = _step(part, cb, out)
-                return COut(*parts)
-        return _output(out, *parts)
-    if isinstance(e, CAssert):
-        parts = [e.pred, e.client]
-        for i, part in enumerate(parts):
-            if not is_value(part):
-                parts[i] = _step(part, cb, out)
-                return CAssert(*parts)
-        return _assert(out, *parts)
     raise MetaEvalError(f"cannot evaluate {e!r}")
 
 
 # --- Environment evaluator ------------------------------------------------------------
 
-_LITERALS = frozenset((MInt, MStr, MUnit, MFieldVal, MPredVal))
-
-
 class _Machine:
     """Evaluates by the small-step rules without rewriting the program.
 
     Variables are looked up in an environment, a dict from name to value,
-    instead of being substituted.  Reductions are counted where _step would
-    perform them, in the same left-to-right order: a variable's lookup and a
-    record of values cost none, every other form one once its parts are
-    values.  Tail positions (a let's body, the second part of ';', a
-    function's body) continue the loop of the current frame, and a frame
-    copies the environment it was given before its first let, so a chain of
-    n lets costs O(n)."""
+    instead of being substituted.  A term's strict parts (an MForm's parts,
+    a call's arguments, a record's fields, a let's bound term, the left
+    side of ';') are evaluated left to right in a frame, and the frames
+    waiting for a part's value wait on one stack instead of Python's, so a
+    term of any depth evaluates.  A frame holds its term, its parts, their
+    values so far, and the env and ownership it evaluates them in; owned
+    says whether the frame may bind in its env.  A literal or bound variable
+    part is read in place; any other part gets a frame of its own.
+    Reductions are counted where _step would perform them, in the same
+    order: a variable's lookup and a record of values cost none, every
+    other term one once its parts are values, and an unbound variable one
+    that raises.  A tail position (a let's body, the second part of ';', a
+    function's body) replaces the finished frame instead of stacking a new
+    one, and a frame copies the environment it was given before its first
+    let, so a chain of n lets costs O(n)."""
 
     def __init__(self, codebase: dict, step_limit: int):
         self.codebase = codebase
@@ -558,113 +409,79 @@ class _Machine:
         self.steps = 0
         self.out: list = []
 
-    def reduce(self):
-        self.steps += 1
-        if self.steps > self.step_limit:
-            raise MetaEvalError(f"no value after {self.step_limit} steps")
-
-    def eval(self, e, env: dict, owned: bool = False):
-        """Value of e under env; owned says whether this frame may bind in env."""
-        ev = self.eval
+    def eval(self, e):
+        """Value of the closed term e."""
+        out, limit, steps = self.out, self.step_limit, self.steps
+        env, owned = {}, True
+        stack = []  # the frames below the current one, as tuples
+        # The current frame; one whose term is None passes on the value of
+        # its one part, as the first frame and each tail do.
+        term, parts, values = None, (e,), []
         while True:
-            t = type(e)
-            if t is MVar:
-                if e.name in env:
-                    return env[e.name]
-                self.reduce()
-                raise MetaEvalError(f"unbound variable {e.name}")
-            if t in _LITERALS:
-                return e
-            if t is FEBin:
-                left = ev(e.left, env)
-                right = ev(e.right, env)
-                self.reduce()
-                return MFieldVal(BinOp(e.op, _as_field_expr(left), _as_field_expr(right)))
-            if t is MLet:
-                value = ev(e.bound, env)
-                self.reduce()
-                if not owned:
-                    env, owned = dict(env), True
-                env[e.name] = value
-                e = e.body
-            elif t is MSeq:
-                ev(e.first, env)
-                self.reduce()
-                e = e.second
-            elif t is MCall:
-                args = [ev(a, env) for a in e.args]
-                self.reduce()
-                decl = _decl(self.codebase, e.fname, args)
-                # substitution binds the first of two equal parameter names
-                env, owned = {}, True
-                for param, arg in zip(decl.params, args):
-                    env.setdefault(param, arg)
-                e = decl.body
+            if len(values) < len(parts):
+                e = parts[len(values)]
+                t = type(e)
+                if t in _LITERALS:
+                    values.append(e)
+                    continue
+                if t is MVar and e.name in env:
+                    values.append(env[e.name])
+                    continue
+                if term is not None:
+                    stack.append((term, parts, values, env, owned))
+                    owned = False
+                term, values = e, []
+                if t is MForm:
+                    parts = e.parts
+                elif t is MLet:
+                    parts = (e.bound,)
+                elif t is MSeq:
+                    parts = (e.first,)
+                elif t is MCall:
+                    parts = e.args
+                elif t is MRecord:
+                    parts = tuple(v for _, v in e.fields)
+                elif t is MVar:
+                    parts = ()  # unbound: its reduction raises
+                else:
+                    raise MetaEvalError(f"cannot evaluate {e!r}")
+                continue
+            # every part is a value: finish the frame
+            t = type(term)
+            if term is None:
+                value = values[0]
+            elif t is MRecord:
+                value = MRecord(tuple((f, v) for (f, _), v in zip(term.fields, values)))
             else:
-                return self.strict(e, env)
-
-    def strict(self, e, env: dict):
-        """Value of any other form: its parts left to right, then one
-        reduction (none for a record)."""
-        t = type(e)
-        ev = self.eval
-        if t is MRecord:
-            return MRecord(tuple((f, ev(v, env)) for f, v in e.fields))
-        if t is CSend:
-            name = ev(e.name, env)
-            dest = ev(e.dest, env)
-            rhs = ev(e.rhs, env)
-            src = None if e.src is None else ev(e.src, env)
-            self.reduce()
-            return _send(self.out, name, dest, rhs, src)
-        if t is FERef:
-            name = ev(e.name, env)
-            self.reduce()
-            return MFieldVal(Ref(e.kind, _as_name(name)))
-        if t is MConcat:
-            left = ev(e.left, env)
-            right = ev(e.right, env)
-            self.reduce()
-            return _concat(left, right)
-        if t is MProj:
-            record = ev(e.record, env)
-            self.reduce()
-            return _project(record, e.field)
-        if t is FENot:
-            operand = ev(e.operand, env)
-            self.reduce()
-            return MFieldVal(Not(_as_field_expr(operand)))
-        if t is FEOT4:
-            parts = [ev(p, env) for p in (e.c1, e.c2, e.table, e.receiver, e.sender)]
-            self.reduce()
-            return _ot4(*parts)
-        if t is FECmp:
-            left = ev(e.left, env)
-            right = ev(e.right, env)
-            self.reduce()
-            return MPredVal(Cmp(e.op, _as_field_expr(left), _as_field_expr(right)))
-        if t is FPAnd or t is FPOr:
-            left = ev(e.left, env)
-            right = ev(e.right, env)
-            self.reduce()
-            return _connective(e, left, right)
-        if t is FPNot:
-            operand = ev(e.operand, env)
-            self.reduce()
-            return _pred_not(operand)
-        if t is CReveal:
-            parts = [ev(p, env) for p in (e.name, e.rhs, e.src)]
-            self.reduce()
-            return _reveal(self.out, *parts)
-        if t is COut:
-            parts = [ev(p, env) for p in (e.client, e.rhs, e.src)]
-            self.reduce()
-            return _output(self.out, *parts)
-        if t is CAssert:
-            parts = [ev(p, env) for p in (e.pred, e.client)]
-            self.reduce()
-            return _assert(self.out, *parts)
-        raise MetaEvalError(f"cannot evaluate {e!r}")
+                steps += 1
+                if steps > limit:
+                    raise MetaEvalError(f"no value after {limit} steps")
+                if t is MForm:
+                    value = term.rule(out, *term.static, *values)
+                else:
+                    if t is MLet:
+                        if not owned:
+                            env, owned = dict(env), True
+                        env[term.name] = values[0]
+                        e = term.body
+                    elif t is MSeq:
+                        e = term.second
+                    elif t is MCall:
+                        decl = _decl(self.codebase, term.fname, values)
+                        # substitution binds the first of two equal parameter names
+                        env, owned = {}, True
+                        for param, arg in zip(decl.params, values):
+                            env.setdefault(param, arg)
+                        e = decl.body
+                    else:
+                        raise MetaEvalError(f"unbound variable {term.name}")
+                    term, parts, values = None, (e,), []
+                    continue
+            if not stack:
+                self.steps = steps
+                return value
+            term, parts, values, env, owned = stack.pop()
+            values.append(value)
 
 
 def eval_meta(codebase: dict, main, step_limit: int = STEP_LIMIT):
@@ -675,7 +492,7 @@ def eval_meta(codebase: dict, main, step_limit: int = STEP_LIMIT):
     evaluates when step_limit > n, as a loop over _step would.
     """
     machine = _Machine(codebase, step_limit)
-    value = machine.eval(main, {}, owned=True)
+    value = machine.eval(main)
     if machine.steps >= step_limit:
         raise MetaEvalError(f"no value after {step_limit} steps")
     return Protocol.of(machine.out, modulus=2), value
@@ -788,16 +605,22 @@ def _item(ts):
     return _opexpr(ts)
 
 
+_PREDICATE = (lambda op, left, right: MForm(_cmp, (op,), (left, right)),
+              lambda left, right: MForm(_connective, (PAnd,), (left, right)),
+              lambda left, right: MForm(_connective, (POr,), (left, right)),
+              lambda operand: MForm(_pred_not, (), (operand,)))
+
+
 def _try_command(ts):
     save = ts.save()
     if ts.at_word("assert"):
         ts.next()
         ts.eat("punct", "(")
-        pred = predicate(ts, _opexpr, FECmp, FPAnd, FPOr, FPNot)
+        pred = predicate(ts, _opexpr, *_PREDICATE)
         ts.eat("punct", ")")
         ts.eat("punct", "@")
         client = _opexpr(ts)
-        return CAssert(pred, client)
+        return MForm(_assert, (), (pred, client))
     if ts.at_word("out"):
         ts.next()
         ts.eat("punct", "@")
@@ -806,7 +629,7 @@ def _try_command(ts):
         rhs = _opexpr(ts)
         ts.eat("punct", "@")
         src = _opexpr(ts)
-        return COut(client, rhs, src)
+        return MForm(_output, (), (client, rhs, src))
     if ts.at_word("m"):
         ts.next()
         if not ts.at_punct("["):
@@ -824,12 +647,11 @@ def _try_command(ts):
             ts.restore(save)
             return None
         ts.next()
-        rhs = _opexpr(ts)
-        src = None
+        parts = (name, dest, _opexpr(ts))
         if ts.at_punct("@"):
             ts.next()
-            src = _opexpr(ts)
-        return CSend(name, dest, rhs, src)
+            parts += (_opexpr(ts),)
+        return MForm(_send, (), parts)
     if ts.at_word("p"):
         ts.next()
         if not ts.at_punct("["):
@@ -845,22 +667,24 @@ def _try_command(ts):
         rhs = _opexpr(ts)
         ts.eat("punct", "@")
         src = _opexpr(ts)
-        return CReveal(name, rhs, src)
+        return MForm(_reveal, (), (name, rhs, src))
     return None
 
 
-def _binop(op, left, right):
-    return MConcat(left, right) if op == "++" else FEBin(op, left, right)
+def _operator(op, left, right):
+    if op == "++":
+        return MForm(_concat, (), (left, right))
+    return MForm(_field_op, (op,), (left, right))
 
 
 def _opexpr(ts):
-    return binary(ts, _level_unary, _binop)
+    return binary(ts, _level_unary, _operator)
 
 
 def _level_unary(ts):
     if ts.at_word("not"):
         ts.next()
-        return FENot(_level_unary(ts))
+        return MForm(_field_not, (), (_level_unary(ts),))
     return _postfix(ts)
 
 
@@ -869,7 +693,7 @@ def _postfix(ts):
     while ts.at_punct("."):
         ts.next()
         field = ts.eat("ident").value
-        e = MProj(e, field)
+        e = MForm(_project, (field,), (e,))
     return e
 
 
@@ -894,14 +718,14 @@ def _atom(ts):
                 ts.eat("punct", ",")
                 args.append(_expr(ts))
             ts.eat("punct", ")")
-            return FEOT4(*args)
+            return MForm(_ot4, (), tuple(args))
         after = ts.tokens[ts.pos + 1]
         if word in (SECRET, FLIP, MESG, REVEAL) and after.kind == "punct" and after.value == "[":
             ts.next()
             ts.next()
             name = _expr(ts)
             ts.eat("punct", "]")
-            return FERef(word, name)
+            return MForm(_ref, (word,), (name,))
         if word not in _KEYWORDS:
             ts.next()
             if after.kind == "punct" and after.value == "(":
@@ -943,19 +767,15 @@ def _atom(ts):
 def expand(src: str, libs=()) -> Protocol:
     """Parse and evaluate a metaprogram (with optional extra codebases)."""
     codebase: dict = {}
-    for lib in libs:
-        cb, lib_main = parse_program(lib)
-        if lib_main is not None:
+    texts = (*libs, src)
+    for k, text in enumerate(texts, 1):
+        cb, main = parse_program(text)
+        if main is not None and k < len(texts):
             raise UsageError("library file contains a main expression")
         for name, decl in cb.items():
             if name in codebase:
                 raise UsageError(f"duplicate declaration of {name}")
             codebase[name] = decl
-    cb, main = parse_program(src)
-    for name, decl in cb.items():
-        if name in codebase:
-            raise UsageError(f"duplicate declaration of {name}")
-        codebase[name] = decl
     if main is None:
         raise UsageError("metaprogram has no main expression")
     protocol, _ = eval_meta(codebase, main)

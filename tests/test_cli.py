@@ -332,6 +332,19 @@ def test_run_evaluates_long_chains(tmp_path, capsys):
         assert (rc, out, err) == (0, f"p[w]={1 - x} s[x]@1={x}\n", "")
 
 
+def test_expand_and_run_long_pre_chains(tmp_path, capsys):
+    """The Prelude evaluator keeps its waiting frames on a stack of its
+    own, so a .pre chain far deeper than the recursion limit expands and
+    runs."""
+    chain = tmp_path / "chain.pre"
+    chain.write_text('m["z"]@2 := s["x"]' + " xor true" * 19_999 + " @ 1")
+    rc, out, err = run_cli(capsys, "expand", str(chain))
+    assert (rc, out, err) == (0, "m[z]@2 := s[x]" + " xor 1" * 19_999 + " @ 1;\n", "")
+    for x in (0, 1):
+        rc, out, err = run_cli(capsys, "run", str(chain), "--inputs", f"s[x]@1={x}")
+        assert (rc, out, err) == (0, f"m[z]@2={1 - x} s[x]@1={x}\n", "")
+
+
 def test_no_check_materializes_a_described_deal(capsys, monkeypatch):
     """A deal that describes itself compiles into the protocol's program:
     passive, distribution and adversarial checks over one build none of
@@ -382,9 +395,9 @@ def test_cached_parser_carries_no_state(capsys):
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
-    # an operator chain too deep for the Prelude evaluator's recursion
+    # parentheses nested too deeply for the Prelude parser's recursion
     deep_pre = tmp_path / "deep.pre"
-    deep_pre.write_text('p["w"] := true' + " xor true" * 2999 + " @ 1")
+    deep_pre.write_text('p["w"] := ' + "(" * 3000 + "true" + ")" * 3000 + " @ 1")
     # '²' is a digit to str.isdigit but no int() literal
     superscript_pre = tmp_path / "superscript.pre"
     superscript_pre.write_text('p["w"] := true @ \u00b2')

@@ -158,11 +158,18 @@ def test_long_chains_print_without_recursion():
     "assert(not ((s[x] == 1) and (s[y] == 1)))@1;\n",
     "assert(not ((s[x] == 1) or (s[y] == 1)) or not not (s[w] != 0))@1;\n",
     "assert((s[x] == 1) and (s[y] == 1) or (s[w] == 1))@1;\n",
+    "assert((not s[x]) and s[y] == 0)@1;\n",
 ])
 def test_predicates_keep_needed_parens(src):
-    """An or under an and, and a connective under a not, keep their
-    parentheses; an and under an or, and a not under anything, need none."""
-    assert format_protocol(parse_protocol(src)) == src
+    """An or under an and, a connective under a not, and a not that starts
+    a comparison keep their parentheses; an and under an or, and any other
+    not, need none.  The .pre form of the text expands to the same
+    command, printed the same."""
+    protocol = parse_protocol(src)
+    assert format_protocol(protocol) == src
+    expanded = expand(PRE_NAMES + src)
+    assert expanded.commands == protocol.commands
+    assert format_protocol(expanded) == src
 
 
 # The .pre form of a case binds each name that the case uses to its string,

@@ -1,16 +1,19 @@
 """Metalanguage evaluation: substitution, residual emission, expansion, and
 the environment evaluator against the small-step reference."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+from overture import prelude
 from overture.errors import MetaEvalError, UsageError
-from overture.lang import MESG, Protocol, Var
+from overture.lang import MESG, PAnd, Protocol, Var
 from overture.ovt import format_protocol
 from overture.prelude import (
-    STEP_LIMIT, CAssert, FPAnd, FPNot, MCall, MInt, MLet, MVar, _step,
-    eval_meta, expand, is_value, parse_program, subst,
+    STEP_LIMIT, MCall, MForm, MInt, MLet, MVar, _assert, _connective, _pred_not,
+    _step, eval_meta, expand, is_value, parse_program, subst,
 )
 from overture.stdlib import PACKAGES, gmw_main, read_source
 
@@ -221,9 +224,11 @@ ERRORS = {
 
 # predicate forms the parser only builds over comparisons
 NON_PREDICATES = {
-    "assert over a non-predicate": CAssert(MInt(1), MInt(1)),
-    "connective over non-predicates": CAssert(FPAnd(MInt(1), MInt(1)), MInt(1)),
-    "not over a non-predicate": CAssert(FPNot(MInt(1)), MInt(1)),
+    "assert over a non-predicate": MForm(_assert, (), (MInt(1), MInt(1))),
+    "connective over non-predicates": MForm(
+        _assert, (), (MForm(_connective, (PAnd,), (MInt(1), MInt(1))), MInt(1))),
+    "not over a non-predicate": MForm(
+        _assert, (), (MForm(_pred_not, (), (MInt(1),)), MInt(1))),
 }
 
 
@@ -250,6 +255,14 @@ def test_non_predicates_match_small_step_reference(path):
     'f(y) { y }\nlet x = true in p["a"] := f(x) @ 1; p["b"] := f(false) @ 2',
     # record fields emit their commands left to right
     'let r = { a = p["x"] := true @ 1; b = p["y"] := true @ 2 } in r.b',
+    pytest.param('let a = s["x"] in let b = r["y"] in let c = true in p["w"] := '
+                 + " xor ".join("abc"[k % 3] for k in range(300)) + ' @ 1',
+                 id="a 300-operand chain over let-bound names"),
+    # each operand reveals before it reads, so the commands show the order
+    pytest.param('f(v) { v }\nlet r = { a = true; b = f('
+                 + ' xor '.join(f'(p["k{k}"] := true @ 1; s["x"])' for k in range(100))
+                 + ') } in p["w"] := r.b @ 1; r',
+                 id="a chain passed as a call argument inside a record field"),
 ])
 def test_scoping_matches_small_step_reference(src):
     codebase, main = _program(src)
@@ -271,3 +284,27 @@ def test_long_sequence_expands(rebind):
     protocol = expand("let x = true in " + sends)
     assert len(protocol.commands) == 5000
     assert str(protocol.commands[-1].name) == "a4999"
+
+
+def test_one_strict_form_in_source():
+    """No per-form node or second evaluator comes back: prelude.py defines
+    no dataclass beyond the values, the variable, let, call, record, ';',
+    MForm and FunDecl, and no _Machine method names eval or itself."""
+    allowed = {"MInt", "MStr", "MUnit", "MFieldVal", "MPredVal", "MVar", "MLet",
+               "MCall", "MRecord", "MSeq", "MForm", "FunDecl"}
+    tree = ast.parse(pathlib.Path(prelude.__file__).read_text())
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    dataclasses = {c.name for c in classes for d in c.decorator_list
+                   if "dataclass" in ast.unparse(d)}
+    assert dataclasses <= allowed, dataclasses - allowed
+    assert "MForm" in dataclasses
+    machine, = (c for c in classes if c.name == "_Machine")
+    found = set()
+    for method in machine.body:
+        if isinstance(method, ast.FunctionDef):
+            for node in ast.walk(method):
+                name = node.attr if isinstance(node, ast.Attribute) else \
+                    node.id if isinstance(node, ast.Name) else None
+                if name in ("eval", method.name):
+                    found.add((method.name, name))
+    assert not found, found
