@@ -232,13 +232,20 @@ class Pmf:
 
     def keys(self, vars_=None, rows=slice(None)) -> list:
         """The key tuples over vars_ (the domain by default) of the rows at
-        the given indices (all by default), BOT for the code modulus."""
+        the given indices (all by default), BOT for the code modulus: the
+        rows that hold it are cast to objects and BOT written over it."""
+        import numpy as np
+
         codes = (self.codes if vars_ is None else self._columns(vars_))[rows]
-        has_bot = (codes == self.modulus).any(axis=1).tolist()
-        keys = codes.tolist()
+        bot = codes == self.modulus
+        keys, marked = codes.tolist(), np.flatnonzero(bot.any(axis=1))
+        if len(marked):
+            objects = codes[marked].astype(object)
+            objects[bot[marked]] = BOT
+            for j, key in zip(marked.tolist(), objects.tolist()):
+                keys[j] = key
         for j, key in enumerate(keys):
-            # in place, so the row lists and the key tuples are never all held at once
-            keys[j] = tuple([BOT if x == self.modulus else x for x in key] if has_bot[j] else key)
+            keys[j] = tuple(key)  # in place, so the row lists and the key tuples are never all held at once
         return keys
 
     def _columns(self, vars_):

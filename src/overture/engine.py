@@ -43,22 +43,31 @@ linear scan over what the blocks compute gives each value a register, a
 buffer of the fold's arena (_Arena), free again after its last read
 (Poletto and Sarkar, TOPLAS 1999).  Blocks whose kept values, assertions
 and BOT masks are the same ids have equal tables, and only the first is
-folded.  A passive program keeps its plans, one per kept set and blocks.
+folded.  A program keeps its plans by value, a family's by its choices.
 A caller of fold gets a plan of its one block and a fresh arena that
 keeps every variable.  count_runs plans aligned blocks of the largest
 power of two of at most BLOCK_ROWS = 2^16 runs, keeping only the variables
 it counts or conditions on, and folds them into one arena: no whole run
 table, nor any whole deal column, of a tall deal is held, a block
 allocates no column, and a block equal to an earlier one is counted in
-that one's weight.  The 2^21-run Beaver deal's 32 blocks differ in five
-high bits: for nimo's 12 variables its program's 93 instructions take
-102 column operations in all, not 2,976, 20 blocks are folded and 24
-registers are held.  This is also the cache-resident, reused vector of
-MonetDB/X100 (Boncz, Zukowski and Nes, CIDR 2005): a block's columns are
-64 KB, so those an operation reads and writes stay in a core's 2 MB L2
-cache, where whole columns of 2 MB do not.  That count over the 2^21
-runs, on a 2-core x86 machine (Python 3.11, numpy 2.4; median of 3
-processes of 15 counts each, and that process's peak RSS):
+that one's weight.  A passive count of several blocks of a described
+deal and a program that asserts first runs an abort pass (_clean), the
+one fact found by evaluating: it folds the plan of the assertions alone, each block of
+distinct assertion ids once, into an arena of its own, and a block where
+every run stays alive is clean.  The count's plan, kept per clean set,
+drops a clean block's assertions, so blocks then differ only in their
+kept values.  The 2^21-run Beaver deal's 32 blocks differ in five high
+bits, and its honest MAC checks hold in every run: the abort pass folds
+15 blocks, in 101 column operations, and finds all 32 clean; then, for
+nimo's 12 variables, the program's 93 instructions take 43 column
+operations in all, not 2,976, 4 blocks are folded and 12 registers are
+held (1 block for correct).  This is also the cache-resident, reused
+vector of MonetDB/X100 (Boncz, Zukowski and Nes, CIDR 2005): a block's
+columns are 64 KB, so those an operation reads and writes stay in a
+core's 2 MB L2 cache, where whole columns of 2 MB do not.  That count
+over the 2^21 runs, before the abort pass, on a 2-core x86 machine
+(Python 3.11, numpy 2.4; median of 3 processes of 15 counts each, and
+that process's peak RSS):
 
     block   whole   2^14    2^15    2^16    2^17    2^18    2^19    2^20
     time    0.06 s  0.03 s  0.02 s  0.02 s  0.02 s  0.01 s  0.03 s  0.04 s
@@ -246,7 +255,7 @@ class _Program(NamedTuple):
     inputs: tuple
     code: tuple
     nslots: int
-    plans: dict  # (kept set or None, block spans, runs) -> a passive _Plan (_plan)
+    plans: dict  # (kept set or None, block spans, runs, clean blocks or choices) -> a _Plan (_plan)
 
 
 def _compile(protocol: Protocol, preproc, family=None, part=None) -> _Program:
@@ -375,25 +384,25 @@ class _Plan(NamedTuple):
     registers: int
 
 
-def _plan(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
-    """_specialize(program, keep, blocks, family, runs), kept by a passive
-    program, so each kept set and blocks make one symbolic pass."""
-    if family is not None:
-        return _specialize(program, keep, blocks, family, runs)
-    key = keep, tuple(blocks), runs
+def _plan(program: _Program, keep, blocks, family=None, runs=1, clean=frozenset()) -> _Plan:
+    """_specialize(program, keep, blocks, family, runs, clean), kept by the
+    program by value, a family's by its choices, so each kept set, blocks
+    and clean set or choices make one symbolic pass."""
+    key = keep, tuple(blocks), runs, clean if family is None else family.choice.tobytes()
     if key not in program.plans:
-        program.plans[key] = _specialize(program, keep, blocks, None, runs)
+        program.plans[key] = _specialize(program, keep, blocks, family, runs, clean)
     return program.plans[key]
 
 
-def _specialize(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
+def _specialize(program: _Program, keep, blocks, family=None, runs=1, clean=frozenset()) -> _Plan:
     """The program specialized to each block (lo, hi) of rows, in one
     symbolic pass (see the module docstring), for the family's choices of
     runs stacked runs; with keep, a set of variables, to the assertions
-    and keep's assignments.  A bit column's id is keyed by the column; a
-    column read from the deal, or a choice column that varies over the
-    block, gets a fresh id in each block.  A ufunc may write over an
-    operand it reads for the last time, _ot never."""
+    and keep's assignments.  A block whose lo is in clean, where no run
+    aborts (_clean), drops its assertions.  A bit column's id is keyed by
+    the column; a column read from the deal, or a choice column that
+    varies over the block, gets a fresh id in each block.  A ufunc may
+    write over an operand it reads for the last time, _ot never."""
     code = program.code
     if keep is not None:
         needed, pruned = set(), []
@@ -432,7 +441,7 @@ def _specialize(program: _Program, keep, blocks, family=None, runs=1) -> _Plan:
         for op, out, args, _ in code:
             if out is None:  # a def, or an assertion that is not constant 1
                 x = at[args[0]]
-                if op == "def" or x != 1:
+                if op == "def" or x != 1 and lo not in clean:
                     events.append(x if op == "def" else ~x)
                 continue
             if op is _ot:
@@ -842,6 +851,25 @@ def count_parts(parts, vars_, first=True):
     return _unpack(keys, bits, ncols), counts, found
 
 
+def _clean(protocol: Protocol, preproc, program: _Program, spans) -> frozenset:
+    """The lo of each passive block of spans in which no run aborts: the
+    abort pass, run where there are several blocks, an assertion and a
+    described deal (a deal read from its columns gives every block fresh
+    ids, so no block it finds clean could share a fold).  Its plan keeps
+    no variable, so blocks of equal assertion ids share one fold, into an
+    arena of their own."""
+    if len(spans) < 2 or preproc.description is None or \
+            all(op != "assert" for op, *_ in program.code):
+        return frozenset()
+    plan = _plan(program, frozenset(), spans)
+    arena, clean = _Arena(spans[0][1], plan), {}
+    for lo, hi in spans:
+        rep = plan.blocks[lo]
+        clean[lo] = clean[rep] if type(rep) is int else \
+            fold(protocol, preproc, None, None, (lo, hi), arena).alive.all()
+    return frozenset(lo for lo, ok in clean.items() if ok)
+
+
 def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
                given=None, abort_lead=False, first=True):
     """distinct_rows over vars_ of the runs of fold(protocol, preproc,
@@ -851,9 +879,10 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
     parts of count_parts, so that no whole run table is held.  With
     abort_lead, a column that is 1 where the run aborted leads those of
     vars_.  One _plan specializes the program to every block, keeping the
-    columns of vars_ and given alone: each block folds into one _Arena,
-    and a block whose table equals an earlier one's is not folded but
-    counted in that block's weight."""
+    columns of vars_ and given alone and, when passive, dropping the
+    assertions of the blocks that _clean finds clean: each block folds
+    into one _Arena, and a block whose table equals an earlier one's is
+    not folded but counted in that block's weight."""
     if isinstance(strategy, AdversaryStrategy):
         strategy = family_of([strategy])
     runs = _runs(protocol, preproc)
@@ -864,7 +893,8 @@ def count_runs(protocol: Protocol, preproc, vars_, strategy=None, part=None,
     spans = [(lo, min(lo + size, nrows)) for lo in range(0, nrows, size)]
 
     def blocks():  # the arena is freed with the last block, before the merge
-        plan = _plan(program, frozenset((*vars_, *given)), spans, strategy, runs)
+        clean = _clean(protocol, preproc, program, spans) if strategy is None else frozenset()
+        plan = _plan(program, frozenset((*vars_, *given)), spans, strategy, runs, clean)
         arena, counted = _Arena(min(size, nrows), plan), {}
         for lo, hi in spans:
             if type(plan.blocks[lo]) is int:  # the runs that an earlier block's weight counts

@@ -601,11 +601,12 @@ def nimo_vars(protocol, deal, corrupt):
     return tuple(dict.fromkeys(x1 + views + verifier.owned_by(secrets, part.honest)))
 
 
-# buffers in the arena of a count of nimo --corrupt 2's 12 variables over
-# the full Beaver deal: 24 registers, which hold the deal's derived columns
-# too, and alive.  When the 13 derived deal columns had buffers of their
-# own beside 12 registers, 26; when each assigned variable and fold mask
-# had its own, 35
+# buffers in each arena of a count of nimo --corrupt 2's 12 variables over
+# the full Beaver deal: the abort pass holds 22 registers, which hold the
+# deal's derived columns too, and alive, the count 12 and alive.  When one
+# arena held the assertions and the variables, 24 registers and alive; when
+# the 13 derived deal columns had buffers of their own beside 12 registers,
+# 26; when each assigned variable and fold mask had its own, 35
 ARENA_BUFFERS = 26
 
 
@@ -622,12 +623,113 @@ def test_count_keeps_few_arena_buffers(monkeypatch):
 
     monkeypatch.setattr(engine, "fold", recording)
     engine.count_runs(protocol, deal, vars_)
-    blocks = arenas[0].plan.blocks
-    assert len(blocks) == deal.count() // engine.BLOCK_ROWS
-    # one fold a distinct block, all into one arena
-    assert len(arenas) == sum(type(b) is not int for b in blocks.values()) < len(blocks)
-    assert all(arena is arenas[0] for arena in arenas)
-    assert len(arenas[0]) <= ARENA_BUFFERS
+    # two passes, the abort pass and then the count, each folding its
+    # distinct blocks once, all into one arena of its own
+    passes = list({id(arena): arena for arena in arenas}.values())
+    assert len(passes) == 2
+    counting = [arena is passes[1] for arena in arenas]
+    assert counting == sorted(counting)  # every fold of the abort pass first
+    for arena in passes:
+        blocks = arena.plan.blocks
+        assert len(blocks) == deal.count() // engine.BLOCK_ROWS
+        folded = sum(a is arena for a in arenas)
+        assert folded == sum(type(b) is not int for b in blocks.values()) < len(blocks)
+        assert len(arena) <= ARENA_BUFFERS
+
+
+# 128 runs: 32 memories of s[a] to s[e] times 4 tapes of r[k0], r[k1].  The
+# honest assertion holds wherever s[b] = 1, as (not r[k0]) or r[k0], though
+# no F_2 identity of the plan shows it, and fails where s[b] = r[k0] = 0.
+# s[b] is bit 5 of the run, so blocks of 8 runs, and of 4 (BLOCK_ROWS 5),
+# are clean and not clean in turns of 32 runs
+INTERLEAVED = ("m[u]@2 := s[a] xor r[k0] @ 1;\n"
+               "assert (((s[b] xor r[k0]) or r[k0]) == 1) @ 1;\n"
+               "m[v]@2 := s[c] and r[k1] @ 1;\n"
+               "m[w]@1 := s[d] xor s[e] @ 2;\n"
+               "out@2 := m[u] xor m[v] xor s[e] @ 2;\n")
+
+
+def test_abort_pass_over_interleaved_clean_blocks(monkeypatch):
+    """Blocked counts, whose abort pass finds some blocks clean and others
+    not, equal one block's and the interpreter's: codes, counts and first
+    runs, with the abort lead and with given."""
+    protocol = parse_protocol(INTERLEAVED)
+    deal = default_preprocessing(protocol)
+    out, u = parse_var("out@2"), parse_var("m[u]@2")
+    # an aborted run is BOT at out, the last command, and only there
+    finals = [{**m, "aborted": int(m[out] is BOT)} for m in sweep(protocol, deal)]
+    found = []
+    clean = engine._clean
+    monkeypatch.setattr(engine, "_clean", lambda *args: found.append(clean(*args)) or found[-1])
+    for vars_ in (bd_domain(protocol, deal), (parse_var("m[v]@2"), out)):
+        for kw in (dict(), dict(abort_lead=True), dict(given={u: 1}),
+                   dict(given={u: 0}, abort_lead=True)):
+            def count():
+                return engine.count_runs(protocol, deal, vars_, **kw)
+            found.clear()
+            one = count()
+            for size in SIZES:
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "BLOCK_ROWS", size)
+                    assert_same_rows(one, count())
+                blocks = range(0, 128, 1 << size.bit_length() - 1)
+                assert 0 < len(found[-1]) < len(blocks) and found[-1] <= set(blocks)
+            assert found[:2] == [frozenset(), {32, 40, 48, 56, 96, 104, 112, 120}]
+            codes, counts, first = one
+            got = {tuple(row): [n, f]
+                   for row, n, f in zip(codes.tolist(), counts.tolist(), first.tolist())}
+            lead = ("aborted",) if kw.get("abort_lead") else ()
+            assert got == reference_rows(finals, lead + vars_, kw.get("given", {})), kw
+
+
+def test_full_beaver_counts_fold_blocks_of_distinct_kept_values(monkeypatch):
+    """On the full Beaver deal the abort pass folds the 15 blocks of
+    distinct assertion ids and finds all 32 clean.  The count then folds
+    only the blocks of distinct kept values: 1 for correct, whose kept
+    values are the same ids in every block, and 4 for nimo and
+    gradual-release."""
+    folds, found = [], []
+    fold, clean = engine.fold, engine._clean
+
+    def recording(*args, **kwargs):
+        folds.append(args[5] if len(args) > 5 else kwargs.get("arena"))
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "fold", recording)
+    monkeypatch.setattr(engine, "_clean", lambda *args: found.append(clean(*args)) or found[-1])
+    everything = frozenset(range(0, 2 ** 21, engine.BLOCK_ROWS))
+    for prop, kept in (("correct", 1), ("nimo", 4), ("gradual-release", 4)):
+        folds.clear()
+        found.clear()
+        corrupt = [] if prop == "correct" else ["--corrupt", "2"]
+        rc, text = cli_out(["verify", "bdoz-beaver", "--property", prop, *corrupt])
+        assert rc == 0 and text.split("\n")[0].endswith(": holds")
+        passes = list({id(arena): arena for arena in folds}.values())
+        assert [sum(a is arena for a in folds) for arena in passes] == [15, kept], prop
+        assert found == [everything]
+
+
+def test_no_abort_pass_without_an_assertion_or_over_a_read_deal(monkeypatch):
+    """A blocked count plans once, for the count, where the program has no
+    assert or the deal is read from its columns, whose blocks never share
+    a fold; over a described deal, an asserting program plans its abort
+    pass first.  Each counts the interpreter's runs."""
+    gmw, _, _ = load_package("gmw-and")
+    interleaved = parse_protocol(INTERLEAVED)
+    uniform = default_preprocessing(interleaved)
+    read = ExplicitPreprocessing(uniform.domain, list(uniform.memories()))
+    plans = []
+    plan = engine._plan
+    monkeypatch.setattr(engine, "_plan", lambda *args: plans.append(args[1]) or plan(*args))
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 8)
+    for protocol, deal, passes in ((gmw, default_preprocessing(gmw), 1), (interleaved, read, 1),
+                                   (interleaved, uniform, 2)):
+        vars_ = bd_domain(protocol, deal)
+        plans.clear()
+        codes, counts, _ = engine.count_runs(protocol, deal, vars_)
+        assert plans == [frozenset(), frozenset(vars_)][-passes:]
+        assert dict(zip(map(tuple, codes.tolist()), counts.tolist())) == \
+            interpreter_counts(protocol, deal, vars_)
 
 
 def pinned_beaver(npin: int):

@@ -1,10 +1,44 @@
-"""Field arithmetic against plain modular arithmetic."""
+"""Field arithmetic against plain modular arithmetic.
+
+The f_* helpers state each operation over canonical integers in [0, p);
+test_interp holds the interpreter's closures to them.
+"""
 
 import pytest
 
 from overture.errors import UsageError
-from overture.field import f_add, f_and, f_mul, f_not, f_or, f_sub, f_xor, is_prime
+from overture.field import is_prime
 from overture.ovt import parse_protocol
+
+
+# Operands already in [0, p).
+
+def f_add(a: int, b: int, p: int) -> int:
+    return (a + b) % p
+
+
+def f_sub(a: int, b: int, p: int) -> int:
+    return (a - b) % p
+
+
+def f_mul(a: int, b: int, p: int) -> int:
+    return (a * b) % p
+
+
+def f_and(a: int, b: int) -> int:
+    return a & b
+
+
+def f_or(a: int, b: int) -> int:
+    return a | b
+
+
+def f_xor(a: int, b: int) -> int:
+    return a ^ b
+
+
+def f_not(a: int) -> int:
+    return 1 - a
 
 
 def test_is_prime_small():

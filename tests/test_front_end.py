@@ -3,11 +3,11 @@
 stdlib.protocol_of loads each distinct source text once a process, and a
 protocol keeps what is derived from it alone: its violations, its passive
 programs (one per deal as _compile reads it) and their plans, and one
-program per family.  A rewritten file must still give its new
-verdict, deals and families must share a program only when _compile would
-build the same one, and a repeated command must fold as often as the
-first: no verdict or count is kept.  An explicit deal builds its columns
-once.
+program per family, with a plan per chunk of its choices.  A rewritten
+file must still give its new verdict, deals and families must share a
+program only when _compile would build the same one, and a repeated
+command must fold as often as the first: no verdict or count is kept.
+An explicit deal builds its columns once.
 """
 
 import contextlib
@@ -171,6 +171,24 @@ def test_equal_families_share_one_program(monkeypatch):
     for again in (family, renamed):
         assert_same_rows(counts, engine.count_runs(protocol, deal, vars_, again, part))
     assert len(families) == 2
+
+
+def test_repeated_family_command_makes_no_symbolic_pass(monkeypatch):
+    """A family's plans are kept by its chunks' choices: a second identical
+    command makes no symbolic pass, and folds exactly as often as the
+    first, with the same verdict."""
+    stdlib.protocol_of.cache_clear()
+    passes, folds = [], []
+    counting(monkeypatch, "_specialize", lambda *a: passes.append(a[3]))
+    counting(monkeypatch, "fold", lambda *a: folds.append(a[0]))
+    argv = ("gmw-and-xor", "--property", "cheating-detection", "--corrupt", "2")
+    per_run = []
+    for _ in range(2):
+        before = len(folds), len(passes)
+        per_run.append((verify(*argv), len(folds) - before[0], passes[before[1]:]))
+    (first, folded, planned), again = per_run
+    assert again[:2] == (first, folded) and folded > 0
+    assert any(family is not None for family in planned) and again[2] == []
 
 
 def test_explicit_deal_columns_built_once(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from overture import field, interp
+from overture import interp
 from overture.dist import bd, format_pmf
 from overture.errors import EvalError, UsageError
 from overture.interp import (
@@ -20,6 +20,7 @@ from overture.lang import (
 )
 from overture.ovt import parse_protocol
 from overture.stdlib import read_source
+import test_field as field
 
 OTP_OVT = read_source("otp.ovt")
 SHAMIR_ADD3_OVT = read_source("shamir_add3.ovt")
